@@ -1,0 +1,93 @@
+"""Golden output digests: refactors must keep every CLI output byte.
+
+Each command below runs through `run_cli` on seeded synthetic graphs and the
+SHA-256 of each output file is compared with a constant recorded before the
+refactor.  Manifests hold timings and absolute paths, so they are not
+digested.  The digests depend on NumPy's summation kernels, so they are only
+checked under the NumPy version they were recorded with.
+"""
+
+import numpy as np
+import pytest
+
+from kgex.cli import run_cli
+from kgex.manifest import file_digest
+
+from toygraphs import random_graph
+
+GOLDEN_NUMPY = "2.4.6"
+
+GOLDEN = {
+    "complex.kgex":
+        "d9d2cfce1c36f4419de4be188e09da56c1693094e1071c35b30061eb6f9116cd",
+    "complex.kgex.train.log":
+        "401d71a3e16dab15b2b81d8c33af774f3962399ff8030de1d2d4ccb8372e79b4",
+    "transe.kgex":
+        "5d4b23d6c5f9823402ab3f5301f9e2b257a781f9a26d978d832312a46671fb74",
+    "transe.kgex.train.log":
+        "2cb0968265b819191754aa8290ade12cc70f7feaf4b541188abcce87e2637b1b",
+    "focuse.kgex":
+        "b67f81aeec435e508e5864877fc7d373c5e41e550a83829b31853d3d64639089",
+    "focuse.kgex.train.log":
+        "0cd09536fab52a07cc5c7fb147c2909215298b24a6478e69b4e59e8a0f7071e0",
+    "student.kgex":
+        "d7a42570050e7c3c404972d80c6fcaf2d71fd4ecee3a08203429834c0ce7a22b",
+    "report.tsv":
+        "fc0bc57079747166f0f169f263feccf90781cca732a3a0895b198c10e8a7c221",
+    "metrics.json":
+        "2bb1830238f08095ca9488bf307330cb8f275ca21b3f2e2702d50ad7cc1ac289",
+}
+
+
+def _labels(g, t):
+    s, p, o = map(int, t)
+    return g.entity_vocab.label_of(s), g.relation_vocab.label_of(p), g.entity_vocab.label_of(o)
+
+
+def _write(path, rows):
+    path.write_text("".join("\t".join(r) + "\n" for r in rows), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    if np.__version__ != GOLDEN_NUMPY:
+        pytest.skip(f"digests recorded under NumPy {GOLDEN_NUMPY}, running {np.__version__}")
+    root = tmp_path_factory.mktemp("golden")
+    g = random_graph(24, 3, 90, seed=41)
+    rows = [_labels(g, t) for t in g.triples]
+    train = _write(root / "train.tsv", rows[:80])
+    test = _write(root / "test.tsv", rows[80:])
+    weights = np.random.default_rng(42).uniform(size=80)
+    weighted = _write(root / "weighted.tsv", [(*r, f"{w:.4f}") for r, w in zip(rows, weights)])
+    target = " ".join(rows[3])
+
+    def run(*argv):
+        assert run_cli(list(argv)) == 0, argv
+
+    run("train", "--graph", train, "--model", "complex", "--k", "4", "--eta", "3",
+        "--epochs", "15", "--batch-size", "32", "--gamma", "0.001", "--seed", "1",
+        "--out", str(root / "complex.kgex"))
+    run("train", "--graph", train, "--model", "transe-l2", "--k", "4", "--epochs", "15",
+        "--batch-size", "32", "--seed", "2", "--out", str(root / "transe.kgex"))
+    run("train", "--graph", weighted, "--weights", "--focuse", "--focuse-decay", "5",
+        "--model", "distmult", "--k", "4", "--epochs", "10", "--batch-size", "32",
+        "--seed", "3", "--out", str(root / "focuse.kgex"))
+    run("sample-subgraph", "--graph", train, "--target", target, "--method", "pn",
+        "--n", "2", "--seed", "4", "--out", str(root / "sub.tsv"))
+    run("distill-train", "--teacher", str(root / "complex.kgex"), "--subgraph",
+        str(root / "sub.tsv"), "--kd-lambda", "3", "--k", "3", "--epochs", "10",
+        "--batch-size", "16", "--gamma", "0.01", "--seed", "5",
+        "--out", str(root / "student.kgex"))
+    run("explain", "--teacher", str(root / "transe.kgex"), "--graph", train,
+        "--target", target, "--method", "pn", "--n", "2", "--mc-runs", "4",
+        "--partitions", "2", "--kd-lambda", "3", "--k", "4", "--epochs", "8",
+        "--threads", "1", "--seed", "6", "--out", str(root / "report.tsv"))
+    run("evaluate", "--model", str(root / "complex.kgex"), "--test", test,
+        "--filter", train, test, "--out", str(root / "metrics.json"))
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest_unchanged(outputs, name):
+    assert file_digest(outputs / name) == GOLDEN[name]
