@@ -1,14 +1,7 @@
 """Knowledge-graph-embedding engine with weighted training, relational
 distillation, and Monte Carlo explanations of individual link predictions."""
 
-from .distill import (
-    DegenerateGeometryError,
-    DistillConfig,
-    angle_potential,
-    huber,
-    rkd_kge_loss,
-    train_student,
-)
+from .distill import angle_potentials, train_student
 from .evaluation import Metrics, RankResult, evaluate, metrics_from_ranks, rank_triple
 from .explain import (
     ExplainConfig,
@@ -16,16 +9,8 @@ from .explain import (
     RunRecord,
     aggregate_contributions,
     mc_explain,
-    partition_subgraph,
 )
-from .focuse import (
-    FocusEConfig,
-    beta_schedule,
-    focuse_loss,
-    focused_score,
-    modulating_factor,
-    softplus_score,
-)
+from .focuse import FocusEConfig, beta_schedule, softplus_score
 from .graph import (
     KnowledgeGraph,
     TrueTripleSet,
@@ -34,22 +19,17 @@ from .graph import (
     graph_from_triples,
     load_graph,
     load_split,
-    one_hop_neighborhood,
-    predicate_triples,
 )
-from .losses import l2_regularizer, multiclass_nll_loss
+from .losses import l2_regularizer
 from .modelio import load_model, save_model
-from .models import EmbeddingModel, ModelKind, init_model, score, score_gradients
-from .optim import SparseAdam, adam_step
+from .models import EmbeddingModel, ModelKind, init_model
+from .optim import SparseAdam
 from .sampling import Subgraph, SubgraphSpec, sample_pn, sample_rw, sample_subgraph
-from .training import CorruptionBatch, TrainConfig, generate_corruptions, train
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorruptionBatch",
-    "DegenerateGeometryError",
-    "DistillConfig",
     "EmbeddingModel",
     "ExplainConfig",
     "ExplanationReport",
@@ -65,17 +45,12 @@ __all__ = [
     "TrainConfig",
     "TrueTripleSet",
     "Vocabulary",
-    "adam_step",
     "aggregate_contributions",
-    "angle_potential",
+    "angle_potentials",
     "beta_schedule",
     "build_filter",
     "evaluate",
-    "focuse_loss",
-    "focused_score",
-    "generate_corruptions",
     "graph_from_triples",
-    "huber",
     "init_model",
     "l2_regularizer",
     "load_graph",
@@ -83,19 +58,11 @@ __all__ = [
     "load_split",
     "mc_explain",
     "metrics_from_ranks",
-    "modulating_factor",
-    "multiclass_nll_loss",
-    "one_hop_neighborhood",
-    "partition_subgraph",
-    "predicate_triples",
     "rank_triple",
-    "rkd_kge_loss",
     "sample_pn",
     "sample_rw",
     "sample_subgraph",
     "save_model",
-    "score",
-    "score_gradients",
     "train",
     "train_student",
 ]

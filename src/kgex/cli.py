@@ -94,8 +94,9 @@ def _parse_target(raw: str, g: KnowledgeGraph) -> Triple:
     return (g.entity_vocab.id_of(s_lbl), g.relation_vocab.id_of(p_lbl), g.entity_vocab.id_of(o_lbl))
 
 
-_STUDENT_OPTS = {
-    "model": (str, None),  # None: inherit the teacher's kind
+# options of every training command; keys match the TrainConfig fields
+_TRAIN_OPTS = {
+    "model": (str, None),  # None: students inherit the teacher's kind
     "k": (int, 50),
     "eta": (int, 2),
     "lr": (float, 0.1),
@@ -105,20 +106,10 @@ _STUDENT_OPTS = {
     "loss": (str, "multiclass_nll"),
 }
 
-_TRAIN_OPTS = {
-    "model": (str, "transe-l2"),
-    "k": (int, 50),
-    "eta": (int, 2),
-    "lr": (float, 0.1),
-    "epochs": (int, 200),
-    "batch_size": (int, 512),
-    "gamma": (float, 0.0),
-    "loss": (str, "multiclass_nll"),
-    "weights": (bool, False),
-    "weight_policy": (str, "strict"),
-    "focuse": (bool, False),
-    "focuse_decay": (float, 0.0),
-}
+
+def _train_config(opts: dict, kind, **extra) -> TrainConfig:
+    fields = {key: opts[key] for key in _TRAIN_OPTS if key != "model"}
+    return TrainConfig(kind=kind, **fields, **extra)
 
 
 def _add_student_flags(sub: argparse.ArgumentParser) -> None:
@@ -197,20 +188,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args, argv) -> int:
-    opts = _resolve(args, _TRAIN_OPTS)
+    opts = _resolve(
+        args,
+        {
+            **_TRAIN_OPTS,
+            "model": (str, "transe-l2"),
+            "weights": (bool, False),
+            "weight_policy": (str, "strict"),
+            "focuse": (bool, False),
+            "focuse_decay": (float, 0.0),
+        },
+    )
     seed = _resolve_seed(args.seed)
     manifest = RunManifest("train", argv)
     manifest.add_input(args.graph)
 
     g = load_graph(args.graph, has_weights=opts["weights"], weight_policy=opts["weight_policy"])
-    focuse_cfg = None
-    if opts["focuse"]:
-        focuse_cfg = FocusEConfig(enabled=True, decay=opts["focuse_decay"])
-    cfg = TrainConfig(
-        kind=opts["model"], k=opts["k"], eta=opts["eta"], lr=opts["lr"],
-        epochs=opts["epochs"], batch_size=opts["batch_size"], gamma=opts["gamma"],
-        loss=opts["loss"], seed=seed, focuse=focuse_cfg,
-    )
+    focuse_cfg = FocusEConfig(decay=opts["focuse_decay"]) if opts["focuse"] else None
+    cfg = _train_config(opts, opts["model"], seed=seed, focuse=focuse_cfg)
     manifest.set_config(seed=seed, graph=str(args.graph), out=str(args.out), **opts)
 
     log_path = Path(str(args.out) + ".train.log")
@@ -228,7 +223,7 @@ def _cmd_train(args, argv) -> int:
 
 
 def _cmd_distill_train(args, argv) -> int:
-    opts = _resolve(args, {**_STUDENT_OPTS, "kd_lambda": (float, 3.0)})
+    opts = _resolve(args, {**_TRAIN_OPTS, "kd_lambda": (float, 3.0)})
     seed = _resolve_seed(args.seed)
     manifest = RunManifest("distill-train", argv)
     manifest.add_input(args.teacher)
@@ -239,11 +234,7 @@ def _cmd_distill_train(args, argv) -> int:
         raise ValueError(f"{args.teacher}: vocabulary sidecars are required")
     triples = read_subgraph_tsv(args.subgraph, ev, rv)
     sub_g = graph_from_triples(triples, ev, rv)
-    kind = opts["model"] if opts["model"] else teacher.kind
-    cfg = TrainConfig(
-        kind=kind, k=opts["k"], eta=opts["eta"], lr=opts["lr"], epochs=opts["epochs"],
-        batch_size=opts["batch_size"], gamma=opts["gamma"], loss=opts["loss"], seed=seed,
-    )
+    cfg = _train_config(opts, opts["model"] or teacher.kind, seed=seed)
     manifest.set_config(seed=seed, teacher=str(args.teacher), subgraph=str(args.subgraph), **opts)
 
     student = train_student(teacher, sub_g, cfg, opts["kd_lambda"])
@@ -275,7 +266,7 @@ def _cmd_explain(args, argv) -> int:
     opts = _resolve(
         args,
         {
-            **_STUDENT_OPTS,
+            **_TRAIN_OPTS,
             "method": (str, "pn"),
             "n": (int, 5),
             "mc_runs": (int, 100),
@@ -294,11 +285,7 @@ def _cmd_explain(args, argv) -> int:
     if teacher.n_entities != g.n_entities or teacher.n_relations != g.n_relations:
         raise ValueError("teacher tables do not match the graph vocabularies")
     target = _parse_target(args.target, g)
-    kind = opts["model"] if opts["model"] else teacher.kind
-    student = TrainConfig(
-        kind=kind, k=opts["k"], eta=opts["eta"], lr=opts["lr"], epochs=opts["epochs"],
-        batch_size=opts["batch_size"], gamma=opts["gamma"], loss=opts["loss"],
-    )
+    student = _train_config(opts, opts["model"] or teacher.kind)
     config = ExplainConfig(
         mc_runs=opts["mc_runs"], partitions=opts["partitions"], student=student,
         kd_lambda=opts["kd_lambda"], sampler=SubgraphSpec(opts["method"], opts["n"]),

@@ -1,4 +1,4 @@
-"""Relational distillation: angle potentials, Huber matching, student training.
+"""Relational distillation: angle potentials, angle matching, student training.
 
 A frozen teacher model constrains a student trained on a subgraph: for every
 training triple, the angles formed by its three embedding rows in the student
@@ -9,55 +9,23 @@ uniform scaling, so teacher and student dimensionalities may differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import KnowledgeGraph
 from .models import EmbeddingModel
 
 
-class DegenerateGeometryError(ValueError):
-    """Raised when an angle potential is requested for coincident points."""
+def angle_potentials(x: np.ndarray, y: np.ndarray, z: np.ndarray, with_grads: bool = False):
+    """Dot products of the unit-normalized differences (x - y) and (y - z).
 
-
-@dataclass
-class DistillConfig:
-    kd_lambda: float = 3.0
-
-
-def huber(a: float, b: float) -> float:
-    """Quadratic within |a-b| <= 1, linear with matched value/slope outside."""
-    d = abs(a - b)
-    if d <= 1.0:
-        return 0.5 * d * d
-    return d - 0.5
-
-
-def angle_potential(g_i: np.ndarray, g_j: np.ndarray, g_k: np.ndarray) -> float:
-    """Dot product of the unit-normalized differences (i-j) and (j-k)."""
-    u = np.asarray(g_i, dtype=np.float64) - np.asarray(g_j, dtype=np.float64)
-    v = np.asarray(g_j, dtype=np.float64) - np.asarray(g_k, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateGeometryError("angle potential undefined for coincident points")
-    return float(u @ v / (nu * nv))
-
-
-def _phi_batch(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, with_grads: bool
-):
-    """Batched angle potentials with optional gradients; zero rows flagged.
-
-    Returns (phi, valid_mask) or (phi, valid_mask, gx, gy, gz).  Rows where
-    either difference norm is zero get phi = 0 and valid = False; gradients
-    for those rows are zero.
+    Works row-wise over any leading axes.  Returns (phi, valid) or
+    (phi, valid, gx, gy, gz).  Rows where either difference norm is zero
+    (coincident points) get phi = 0, valid = False, and zero gradients.
     """
     u = x - y
     v = y - z
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
+    nu = np.sqrt((u * u).sum(axis=-1))
+    nv = np.sqrt((v * v).sum(axis=-1))
     valid = (nu != 0.0) & (nv != 0.0)
     su = np.where(nu == 0.0, 1.0, nu)
     sv = np.where(nv == 0.0, 1.0, nv)
@@ -73,6 +41,12 @@ def _phi_batch(
     return phi, valid, d_u, -d_u + d_v, -d_v
 
 
+def _cyclic(rows: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """The orderings (s, p, o), (p, o, s), (o, s, p) stacked on a leading axis."""
+    spo = np.array(rows)
+    return spo, spo[[1, 2, 0]], spo[[2, 0, 1]]
+
+
 def rkd_loss_batch(
     teacher_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
     student_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -80,51 +54,32 @@ def rkd_loss_batch(
     """Cyclic angle-matching loss per triple with student-row gradients.
 
     Inputs are the (n, d) subject/predicate/object rows of n triples in the
-    teacher and student spaces.  Returns per-triple losses, the gradients
-    w.r.t. the three student rows, and the count of degenerate (coincident
-    point) terms that contributed zero.
+    teacher and student spaces.  Each of the three cyclic orderings adds a
+    Huber term (quadratic within |diff| <= 1, linear with matched value and
+    slope outside) on the difference of student and teacher potentials.
+    Returns per-triple losses, the gradients w.r.t. the three student rows,
+    and the count of degenerate (coincident point) terms that contributed 0.
     """
-    st, pt, ot = teacher_rows
-    ss, ps, os_ = student_rows
-    n, d = ss.shape
+    phi_t, valid_t = angle_potentials(*_cyclic(teacher_rows))
+    phi_s, valid_s, g1, g2, g3 = angle_potentials(*_cyclic(student_rows), with_grads=True)
+    valid = valid_t & valid_s
+    degenerate = int(valid.size - valid.sum())
+    diff = phi_s - phi_t
+    quad = np.abs(diff) <= 1.0
+    term = np.where(valid, np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5), 0.0)
+    dterm = np.where(valid, np.where(quad, diff, np.sign(diff)), 0.0)[..., None]
+    n, d = student_rows[0].shape
     loss = np.zeros(n)
     gs = np.zeros((n, d))
     gp = np.zeros((n, d))
     go = np.zeros((n, d))
-    degenerate = 0
-    # the three cyclic orderings, mapped back onto (s, p, o) gradient slots
-    orderings = (
-        ((st, pt, ot), (ss, ps, os_), (0, 1, 2)),
-        ((pt, ot, st), (ps, os_, ss), (1, 2, 0)),
-        ((ot, st, pt), (os_, ss, ps), (2, 0, 1)),
-    )
-    grads = [gs, gp, go]
-    for (t1, t2, t3), (s1, s2, s3), slots in orderings:
-        phi_t, valid_t = _phi_batch(t1, t2, t3, with_grads=False)
-        phi_s, valid_s, g1, g2, g3 = _phi_batch(s1, s2, s3, with_grads=True)
-        valid = valid_t & valid_s
-        degenerate += int(n - valid.sum())
-        diff = phi_s - phi_t
-        quad = np.abs(diff) <= 1.0
-        term = np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5)
-        dterm = np.where(quad, diff, np.sign(diff))
-        term = np.where(valid, term, 0.0)
-        dterm = np.where(valid, dterm, 0.0)
-        loss += term
-        for grad_part, slot in zip((g1, g2, g3), slots):
-            grads[slot] += dterm[..., None] * grad_part
+    # ordering i contributes g1/g2/g3 to the rows it visits first/second/third
+    for i, (first, second, third) in enumerate(((gs, gp, go), (gp, go, gs), (go, gs, gp))):
+        loss += term[i]
+        first += dterm[i] * g1[i]
+        second += dterm[i] * g2[i]
+        third += dterm[i] * g3[i]
     return loss, gs, gp, go, degenerate
-
-
-def rkd_kge_loss(
-    teacher_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-    student_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray], int]:
-    """Angle-matching loss for one triple's rows; see `rkd_loss_batch`."""
-    t_rows = tuple(np.asarray(r, dtype=np.float64)[None, :] for r in teacher_rows)
-    s_rows = tuple(np.asarray(r, dtype=np.float64)[None, :] for r in student_rows)
-    loss, gs, gp, go, degenerate = rkd_loss_batch(t_rows, s_rows)
-    return float(loss[0]), (gs[0], gp[0], go[0]), degenerate
 
 
 def train_student(

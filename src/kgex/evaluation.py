@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Triple, TrueTripleSet
-from .models import EmbeddingModel, score, score_many
+from .models import EmbeddingModel, score_many
 
 
 @dataclass
@@ -73,7 +73,7 @@ def rank_triple(
     if len(pool) == 0:
         raise ValueError("candidate pool must be nonempty")
     s, p, o = t
-    positive_score = score(model, t)
+    positive_score = float(score_many(model, s, p, o))
     known_objects = flt.objects_for(s, p) if flt is not None else set()
     known_subjects = flt.subjects_for(p, o) if flt is not None else set()
     object_rank = _side_rank(

@@ -10,7 +10,7 @@ rank means the triple tends to make the prediction succeed.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,23 +87,15 @@ def partition_positions(
     return np.array_split(permuted, k_parts)
 
 
-def partition_subgraph(
-    sub: Subgraph, k_parts: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Partition a sampled subgraph's triples; chunk sizes differ by <= 1."""
-    return partition_positions(sub.positions, k_parts, rng)
-
-
 def _derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
 def _run_once(args) -> RunRecord:
     (run, teacher, g, target, subset, student_cfg, kd_lambda, flt) = args
-    pool = np.unique(g.triples[subset][:, [0, 2]]) if len(subset) else np.empty(0, np.int64)
     sub_graph = graph_from_triples(g.triples[subset], g.entity_vocab, g.relation_vocab)
     student = train_student(teacher, sub_graph, student_cfg, kd_lambda)
-    result = rank_triple(student, target, pool, flt)
+    result = rank_triple(student, target, student_cfg.pool, flt)
     return RunRecord(
         run=run,
         positions=subset,
@@ -147,17 +139,11 @@ def mc_explain(
         part_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, cycle]))
         parts = partition_positions(sub.positions, config.partitions, part_rng)
         subset = np.sort(parts[run % config.partitions])
-        cfg = TrainConfig(
-            kind=config.student.kind,
-            k=config.student.k,
-            eta=config.student.eta,
-            lr=config.student.lr,
-            epochs=config.student.epochs,
-            batch_size=config.student.batch_size,
-            gamma=config.student.gamma,
-            loss=config.student.loss,
+        cfg = replace(
+            config.student,
             seed=_derive_seed(config.seed, 2, run),
             pool=np.unique(g.triples[subset][:, [0, 2]]),
+            focuse=None,
         )
         tasks.append((run, teacher, g, target, subset, cfg, config.kd_lambda, flt))
 

@@ -17,14 +17,13 @@ from .losses import softmax_nll_batch
 
 @dataclass
 class FocusEConfig:
-    """Weight-modulated training switch.
+    """Weight-modulated training; a `None` config trains unmodulated.
 
     `decay` is the number of epochs over which beta falls linearly from 1 to
     0; `decay = 0` trains with beta = 0 throughout.  `fixed_beta`, when set,
     pins beta to a constant and disables the schedule.
     """
 
-    enabled: bool = False
     decay: float = 0.0
     fixed_beta: float | None = None
 
@@ -52,25 +51,6 @@ def _check_unit_range(name: str, value) -> None:
     arr = np.asarray(value, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-def modulating_factor(w: float, beta: float, is_positive: bool) -> float:
-    """Blend of structure and numeric weight applied to one score.
-
-    Positive triples get beta + (1 - w) * (1 - beta); their corruptions get
-    beta + w * (1 - beta), with w taken from the positive triple in both
-    cases.  beta = 1 ignores weights entirely.
-    """
-    _check_unit_range("w", w)
-    _check_unit_range("beta", beta)
-    if is_positive:
-        return beta + (1.0 - w) * (1.0 - beta)
-    return beta + w * (1.0 - beta)
-
-
-def focused_score(f: float, w: float, beta: float, is_positive: bool) -> float:
-    """Modulated nonnegative score: modulating_factor * softplus(f)."""
-    return modulating_factor(w, beta, is_positive) * float(softplus_score(f))
 
 
 def beta_schedule(epoch: int, decay: float) -> float:
@@ -104,7 +84,12 @@ def focused_nll_batch(
 
 
 def alpha_batch(w: np.ndarray, beta: float, n_negatives: int) -> np.ndarray:
-    """Modulating factors for a batch: column 0 positives, then corruptions."""
+    """Modulating factors for a batch: column 0 positives, then corruptions.
+
+    Positive triples get beta + (1 - w) * (1 - beta); their corruptions get
+    beta + w * (1 - beta), with w taken from the positive triple in both
+    cases.  beta = 1 ignores weights entirely.
+    """
     _check_unit_range("w", w)
     _check_unit_range("beta", beta)
     w = np.asarray(w, dtype=np.float64)
@@ -113,21 +98,3 @@ def alpha_batch(w: np.ndarray, beta: float, n_negatives: int) -> np.ndarray:
     return np.concatenate(
         [a_pos[:, None], np.repeat(a_neg[:, None], n_negatives, axis=1)], axis=1
     )
-
-
-def focuse_loss(
-    pos_score: float,
-    neg_scores: np.ndarray | list[float],
-    w: float,
-    beta: float,
-) -> tuple[float, float, np.ndarray]:
-    """Weight-modulated NLL for one positive and its corruptions.
-
-    Returns (loss, d loss / d pos_score, d loss / d neg_scores); the
-    positive's weight w modulates both its own factor and its corruptions'.
-    """
-    negs = np.asarray(neg_scores, dtype=np.float64)
-    row = np.concatenate([[pos_score], negs])[None, :]
-    alpha = alpha_batch(np.asarray([w]), beta, len(negs))
-    loss, df = focused_nll_batch(row, alpha)
-    return float(loss[0]), float(df[0, 0]), df[0, 1:]

@@ -175,79 +175,38 @@ def _normalize_weights(weights: list[float], policy: str) -> np.ndarray:
     arr = np.asarray(weights, dtype=np.float64)
     if policy == "clamp":
         arr = np.clip(arr, 0.0, 1.0)
-    elif policy == "minmax":
+    elif policy == "minmax" and len(arr):
         lo, hi = arr.min(), arr.max()
         arr = np.zeros_like(arr) if hi == lo else (arr - lo) / (hi - lo)
     return arr
 
 
-def load_graph(
-    path: str | Path,
-    has_weights: bool = False,
-    weight_policy: str = "strict",
+def _ingest(
+    path, entity_vocab: Vocabulary, relation_vocab: Vocabulary, grow: bool,
+    has_weights: bool, weight_policy: str,
 ) -> KnowledgeGraph:
-    """Load a `s<TAB>p<TAB>o[<TAB>w]` file and build vocabularies and indices.
+    """Parse, map labels to ids, deduplicate, and index one triple file.
 
-    Vocabulary ids are assigned in first-appearance order; duplicate triples
-    are dropped (count kept in `duplicates_dropped`).  `weight_policy` is one
-    of `strict` (out-of-range weight is an error), `clamp`, or `minmax`.
+    With `grow`, unseen labels are added to the vocabularies; otherwise a
+    triple with an unseen label is skipped and counted in `oov_skipped`.
     """
     if weight_policy not in ("strict", "clamp", "minmax"):
         raise ValueError(f"unknown weight policy {weight_policy!r}")
     rows, weights = _parse_lines(path, has_weights, weight_policy)
-
-    entity_vocab = Vocabulary()
-    relation_vocab = Vocabulary()
-    seen: set[Triple] = set()
-    triples: list[Triple] = []
-    kept_weights: list[float] = []
-    dropped = 0
-    for i, (s_lbl, p_lbl, o_lbl) in enumerate(rows):
-        t = (entity_vocab.add(s_lbl), relation_vocab.add(p_lbl), entity_vocab.add(o_lbl))
-        if t in seen:
-            dropped += 1
-            continue
-        seen.add(t)
-        triples.append(t)
-        if has_weights:
-            kept_weights.append(weights[i])
-
-    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    by_entity, by_predicate = _build_indices(arr)
-    return KnowledgeGraph(
-        triples=arr,
-        entity_vocab=entity_vocab,
-        relation_vocab=relation_vocab,
-        by_entity=by_entity,
-        by_predicate=by_predicate,
-        weights=_normalize_weights(kept_weights, weight_policy) if has_weights else None,
-        duplicates_dropped=dropped,
-    )
-
-
-def load_split(
-    path: str | Path,
-    entity_vocab: Vocabulary,
-    relation_vocab: Vocabulary,
-    has_weights: bool = False,
-    weight_policy: str = "strict",
-) -> KnowledgeGraph:
-    """Load a validation/test split against existing vocabularies.
-
-    Triples whose entities or relation are unseen in the given vocabularies
-    are skipped and counted in `oov_skipped` so the evaluator can report them.
-    """
-    rows, weights = _parse_lines(path, has_weights, weight_policy)
+    if grow:
+        entity_id, relation_id = entity_vocab.add, relation_vocab.add
+    else:
+        entity_id, relation_id = entity_vocab.label_to_id.get, relation_vocab.label_to_id.get
     seen: set[Triple] = set()
     triples: list[Triple] = []
     kept_weights: list[float] = []
     dropped = 0
     oov = 0
     for i, (s_lbl, p_lbl, o_lbl) in enumerate(rows):
-        if s_lbl not in entity_vocab or o_lbl not in entity_vocab or p_lbl not in relation_vocab:
+        t = (entity_id(s_lbl), relation_id(p_lbl), entity_id(o_lbl))
+        if None in t:
             oov += 1
             continue
-        t = (entity_vocab.id_of(s_lbl), relation_vocab.id_of(p_lbl), entity_vocab.id_of(o_lbl))
         if t in seen:
             dropped += 1
             continue
@@ -268,6 +227,35 @@ def load_split(
         duplicates_dropped=dropped,
         oov_skipped=oov,
     )
+
+
+def load_graph(
+    path: str | Path,
+    has_weights: bool = False,
+    weight_policy: str = "strict",
+) -> KnowledgeGraph:
+    """Load a `s<TAB>p<TAB>o[<TAB>w]` file and build vocabularies and indices.
+
+    Vocabulary ids are assigned in first-appearance order; duplicate triples
+    are dropped (count kept in `duplicates_dropped`).  `weight_policy` is one
+    of `strict` (out-of-range weight is an error), `clamp`, or `minmax`.
+    """
+    return _ingest(path, Vocabulary(), Vocabulary(), True, has_weights, weight_policy)
+
+
+def load_split(
+    path: str | Path,
+    entity_vocab: Vocabulary,
+    relation_vocab: Vocabulary,
+    has_weights: bool = False,
+    weight_policy: str = "strict",
+) -> KnowledgeGraph:
+    """Load a validation/test split against existing vocabularies.
+
+    Triples whose entities or relation are unseen in the given vocabularies
+    are skipped and counted in `oov_skipped` so the evaluator can report them.
+    """
+    return _ingest(path, entity_vocab, relation_vocab, False, has_weights, weight_policy)
 
 
 def graph_from_triples(
@@ -294,16 +282,6 @@ def graph_from_triples(
 def one_hop_positions(g: KnowledgeGraph, s: int, o: int) -> np.ndarray:
     """Sorted positions of triples incident (as subject or object) to s or o."""
     return np.union1d(g.entity_positions(s), g.entity_positions(o))
-
-
-def one_hop_neighborhood(g: KnowledgeGraph, s: int, o: int) -> set[Triple]:
-    """All triples containing s or o on either side."""
-    return {g.triple_at(int(pos)) for pos in one_hop_positions(g, s, o)}
-
-
-def predicate_triples(g: KnowledgeGraph, p: int) -> set[Triple]:
-    """All triples whose predicate is p."""
-    return {g.triple_at(int(pos)) for pos in g.predicate_positions(p)}
 
 
 class TrueTripleSet:

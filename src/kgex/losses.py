@@ -23,18 +23,6 @@ def softmax_nll_batch(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return loss, grad
 
 
-def multiclass_nll_loss(
-    pos_score: float, neg_scores: np.ndarray | list[float]
-) -> tuple[float, float, np.ndarray]:
-    """-log softmax of one positive over {positive} + negatives.
-
-    Returns (loss, d loss / d pos_score, d loss / d neg_scores).
-    """
-    row = np.concatenate([[pos_score], np.asarray(neg_scores, dtype=np.float64)])
-    loss, grad = softmax_nll_batch(row[None, :])
-    return float(loss[0]), float(grad[0, 0]), grad[0, 1:]
-
-
 def l2_regularizer(
     rows: np.ndarray, weight: float
 ) -> tuple[float, np.ndarray]:

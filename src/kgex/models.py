@@ -133,37 +133,7 @@ def score_many(
     model: EmbeddingModel, s: np.ndarray, p: np.ndarray, o: np.ndarray
 ) -> np.ndarray:
     """Vectorized scores for parallel id arrays (broadcast-compatible)."""
-    s, p, o = np.broadcast_arrays(s, p, o)
     es = model.entity_table[s]
     rp = model.relation_table[p]
     eo = model.entity_table[o]
     return score_rows(model.kind, model.k, es, rp, eo)
-
-
-def score(model: EmbeddingModel, t: tuple[int, int, int]) -> float:
-    """Plausibility score for one triple."""
-    s, p, o = t
-    return float(
-        score_rows(
-            model.kind,
-            model.k,
-            model.entity_table[s],
-            model.relation_table[p],
-            model.entity_table[o],
-        )
-    )
-
-
-def score_gradients(
-    model: EmbeddingModel, t: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of score(t) w.r.t. the subject, predicate, and object rows."""
-    s, p, o = t
-    _, g_es, g_rp, g_eo = score_grad_rows(
-        model.kind,
-        model.k,
-        model.entity_table[s],
-        model.relation_table[p],
-        model.entity_table[o],
-    )
-    return g_es, g_rp, g_eo

@@ -50,11 +50,3 @@ class SparseAdam:
         m_hat = m / (1.0 - self.beta1**self.t)
         v_hat = v / (1.0 - self.beta2**self.t)
         params[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def adam_step(
-    state: SparseAdam, params: np.ndarray, rows: np.ndarray, grads: np.ndarray
-) -> None:
-    """One full optimization step over a single table's touched rows."""
-    state.begin_step()
-    state.apply(params, np.asarray(rows, dtype=np.int64), grads)

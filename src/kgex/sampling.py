@@ -169,6 +169,10 @@ def read_subgraph_tsv(path: str | Path, entity_vocab, relation_vocab) -> list[Tr
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise GraphFormatError(f"{path}:{lineno}: expected 3 columns")
+            for lbl, vocab, what in zip(parts, (entity_vocab, relation_vocab, entity_vocab),
+                                        ("entity", "relation", "entity")):
+                if lbl not in vocab:
+                    raise GraphFormatError(f"{path}:{lineno}: unknown {what} label {lbl!r}")
             s_lbl, p_lbl, o_lbl = parts
             triples.append(
                 (entity_vocab.id_of(s_lbl), relation_vocab.id_of(p_lbl), entity_vocab.id_of(o_lbl))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from . import distill, evaluation, focuse, losses, models, sampling, training
-from .graph import build_filter, graph_from_triples, one_hop_neighborhood, predicate_triples
+from .graph import build_filter, graph_from_triples, one_hop_positions
 from .optim import SparseAdam
 
 _DEMO_TRIPLES = [(0, 0, 1), (1, 0, 2), (0, 1, 2), (3, 0, 0), (2, 1, 3)]
@@ -24,15 +24,20 @@ def _demo_graph():
     return graph_from_triples(_DEMO_TRIPLES, ev, rv)
 
 
+def _triples_at(g, positions) -> set:
+    return {g.triple_at(int(pos)) for pos in positions}
+
+
 def _check_graph_indices() -> str | None:
     g = _demo_graph()
     for e in range(4):
-        from_index = one_hop_neighborhood(g, e, e)
+        from_index = _triples_at(g, one_hop_positions(g, e, e))
         by_scan = {t for t in map(tuple, _DEMO_TRIPLES) if e in (t[0], t[2])}
         if from_index != by_scan:
             return f"entity {e}: index {from_index} != scan {by_scan}"
     for p in range(2):
-        if predicate_triples(g, p) != {t for t in map(tuple, _DEMO_TRIPLES) if t[1] == p}:
+        by_scan = {t for t in map(tuple, _DEMO_TRIPLES) if t[1] == p}
+        if _triples_at(g, g.predicate_positions(p)) != by_scan:
             return f"predicate {p} index mismatch"
     return None
 
@@ -44,17 +49,17 @@ def _check_score_values() -> str | None:
         np.array([[0.0, 0.0], [0.0, 0.0]]),
         np.array([[3.0, 4.0]]),
     )
-    if models.score(m, (0, 0, 1)) != -5.0:
+    if models.score_many(m, 0, 0, 1) != -5.0:
         return "TransE-L2 3-4-5 norm failed"
     dm = models.EmbeddingModel(
         models.ModelKind.DISTMULT, 2, np.array([[1.0, 2.0], [1.0, 1.0]]), np.array([[1.0, 1.0]])
     )
-    if models.score(dm, (0, 0, 1)) != 3.0:
+    if models.score_many(dm, 0, 0, 1) != 3.0:
         return "DistMult product failed"
     cx = models.EmbeddingModel(
         models.ModelKind.COMPLEX, 1, np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])
     )
-    if models.score(cx, (0, 0, 0)) != 1.0:
+    if models.score_many(cx, 0, 0, 0) != 1.0:
         return "ComplEx conjugation failed"
     return None
 
@@ -67,15 +72,17 @@ def _check_score_gradients_fd() -> str | None:
         width = k * kind.row_width_factor
         rows = rng.normal(size=(3, width))
         m = models.EmbeddingModel(kind, k, rows[[0, 2]].copy(), rows[[1]].copy())
-        grads = models.score_gradients(m, (0, 0, 1))
+        _, *grads = models.score_grad_rows(
+            kind, k, m.entity_table[0], m.relation_table[0], m.entity_table[1]
+        )
         tables = [m.entity_table, m.relation_table, m.entity_table]
         rows_idx = [0, 0, 1]
         for g, table, r in zip(grads, tables, rows_idx):
             for j in range(width):
                 table[r, j] += h
-                up = models.score(m, (0, 0, 1))
+                up = models.score_many(m, 0, 0, 1)
                 table[r, j] -= 2 * h
-                down = models.score(m, (0, 0, 1))
+                down = models.score_many(m, 0, 0, 1)
                 table[r, j] += h
                 fd = (up - down) / (2 * h)
                 if abs(fd - g[j]) > 1e-4 * (1 + abs(fd)):
@@ -84,24 +91,25 @@ def _check_score_gradients_fd() -> str | None:
 
 
 def _check_nll() -> str | None:
-    loss, d_pos, d_neg = losses.multiclass_nll_loss(1.0, [1.0])
-    if abs(loss - math.log(2)) > 1e-12:
-        return f"equal-score loss {loss} != ln 2"
+    loss, grad = losses.softmax_nll_batch(np.array([[1.0, 1.0]]))
+    d_pos, d_neg = grad[0, 0], grad[0, 1:]
+    if abs(loss[0] - math.log(2)) > 1e-12:
+        return f"equal-score loss {loss[0]} != ln 2"
     if not (-1 < d_pos < 0) or abs(d_pos + 1 - d_neg.sum()) > 1e-12:
         return "softmax gradient structure violated"
-    big, _, _ = losses.multiclass_nll_loss(1000.0, [0.0, 0.0])
+    big = losses.softmax_nll_batch(np.array([[1000.0, 0.0, 0.0]]))[0][0]
     if not (0 <= big < 1e-300):
         return f"stabilization failed: {big}"
     return None
 
 
 def _check_alpha_identity() -> str | None:
-    grid = [i / 128.0 for i in range(100)] + [1.0]
-    for w in grid:
-        for b in grid:
-            lhs = focuse.modulating_factor(w, b, True) + focuse.modulating_factor(w, b, False)
-            if lhs != 1.0 + b:
-                return f"alpha identity broken at w={w}, beta={b}"
+    grid = np.array([i / 128.0 for i in range(100)] + [1.0])
+    for b in grid:
+        alpha = focuse.alpha_batch(grid, float(b), 1)
+        broken = alpha[:, 0] + alpha[:, 1] != 1.0 + b
+        if broken.any():
+            return f"alpha identity broken at w={grid[broken][0]}, beta={b}"
     if focuse.beta_schedule(0, 10.0) != 1.0 or focuse.beta_schedule(10, 10.0) != 0.0:
         return "beta schedule endpoints wrong"
     return None
@@ -114,8 +122,8 @@ def _check_angle_invariance() -> str | None:
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         scale = float(rng.uniform(0.1, 10.0))
         shift = rng.normal(size=5)
-        before = distill.angle_potential(*pts)
-        after = distill.angle_potential(*(scale * (pts @ q.T) + shift))
+        before, _ = distill.angle_potentials(*pts)
+        after, _ = distill.angle_potentials(*(scale * (pts @ q.T) + shift))
         if abs(before - after) > 1e-10:
             return f"angle potential drifted by {abs(before - after)}"
     return None
@@ -123,15 +131,20 @@ def _check_angle_invariance() -> str | None:
 
 def _check_rkd_zero() -> str | None:
     rng = np.random.default_rng(3)
-    rows = tuple(rng.normal(size=6) for _ in range(3))
-    loss, _, _ = distill.rkd_kge_loss(rows, rows)
+    rows = tuple(rng.normal(size=(1, 6)) for _ in range(3))
+    loss = distill.rkd_loss_batch(rows, rows)[0][0]
     if loss != 0.0:
         return f"identical rows give loss {loss}"
     moved = tuple(2.0 * r + 7.5 for r in rows)
-    loss2, _, _ = distill.rkd_kge_loss(rows, moved)
+    loss2 = distill.rkd_loss_batch(rows, moved)[0][0]
     if abs(loss2) > 1e-12:
         return f"scaled+translated rows give loss {loss2}"
-    if distill.huber(3.0, 0.0) != 2.5 or distill.huber(0.5, 0.0) != 0.125:
+    # a student with s == p leaves only the (p, o, s) term, at potential -1;
+    # teacher potentials 1 and -1/2 then hit the linear and quadratic branches
+    student = (np.zeros((2, 4)), np.zeros((2, 4)), np.ones((2, 4)))
+    teacher_s = -np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 1.0, 1.0]])
+    teacher = (teacher_s, np.eye(4)[[0, 0]], np.zeros((2, 4)))
+    if distill.rkd_loss_batch(teacher, student)[0].tolist() != [1.5, 0.125]:
         return "huber branch values wrong"
     return None
 
@@ -139,7 +152,7 @@ def _check_rkd_zero() -> str | None:
 def _check_samplers() -> str | None:
     g = _demo_graph()
     target = (0, 0, 1)
-    hood = one_hop_neighborhood(g, 0, 1)
+    hood = _triples_at(g, one_hop_positions(g, 0, 1))
     for method in ("pn", "rw"):
         spec = sampling.SubgraphSpec(method, 0, seed=5)
         sub = sampling.sample_subgraph(g, target, spec)
@@ -188,13 +201,13 @@ def _check_ranking() -> str | None:
     t = g.triple_at(0)
     res = evaluation.rank_triple(m, t, pool, flt)
     # brute force object side
-    pos = models.score(m, t)
+    pos = models.score_many(m, *t)
     brute = 1
     for e in range(n_ent):
         cand = (t[0], t[1], int(e))
         if e == t[2] or cand in flt:
             continue
-        if models.score(m, cand) >= pos:
+        if models.score_many(m, *cand) >= pos:
             brute += 1
     if brute != res.object_rank:
         return f"object rank {res.object_rank} != brute force {brute}"
@@ -207,8 +220,8 @@ def _check_ranking() -> str | None:
 def _check_corruptions() -> str | None:
     rng = np.random.default_rng(4)
     pool = np.arange(50)
-    batch = training.generate_corruptions((3, 1, 7), 30, pool, rng)
-    for s, p, o in batch.negatives:
+    neg_s, neg_p, neg_o = training.corrupt_batch(np.array([[3, 1, 7]]), 30, pool, rng)
+    for s, p, o in zip(neg_s[0], neg_p[0], neg_o[0]):
         subject_changed = s != 3
         object_changed = o != 7
         if p != 1 or subject_changed == object_changed:

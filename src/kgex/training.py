@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .focuse import FocusEConfig, alpha_batch, focused_nll_batch
-from .graph import KnowledgeGraph, Triple
-from .losses import softmax_nll_batch
+from .graph import KnowledgeGraph
+from .losses import l2_regularizer, softmax_nll_batch
 from .models import EmbeddingModel, ModelKind, init_model, score_grad_rows
 from .optim import SparseAdam
 
@@ -56,12 +56,6 @@ class TrainConfig:
 
 
 @dataclass
-class CorruptionBatch:
-    positive: Triple
-    negatives: list[Triple]
-
-
-@dataclass
 class TrainStats:
     epoch_losses: list[float] = field(default_factory=list)
     steps: int = 0
@@ -92,19 +86,6 @@ def corrupt_batch(
     neg_o = np.where(sides == 1, replacement, triples[:, 2:3])
     neg_p = np.broadcast_to(triples[:, 1:2], (n, eta)).copy()
     return neg_s, neg_p, neg_o
-
-
-def generate_corruptions(
-    t: Triple, eta: int, pool, rng: np.random.Generator
-) -> CorruptionBatch:
-    """Corruptions of one triple; accidental true triples are kept."""
-    pool_arr = np.asarray(sorted(pool), dtype=np.int64)
-    triples = np.asarray([t], dtype=np.int64)
-    neg_s, neg_p, neg_o = corrupt_batch(triples, eta, pool_arr, rng)
-    negatives = [
-        (int(neg_s[0, j]), int(neg_p[0, j]), int(neg_o[0, j])) for j in range(eta)
-    ]
-    return CorruptionBatch(positive=t, negatives=negatives)
 
 
 def _resolve_pool(g: KnowledgeGraph, config: TrainConfig) -> np.ndarray:
@@ -139,7 +120,7 @@ def run_training(
     kind = ModelKind(config.kind)
     pool = _resolve_pool(g, config)
 
-    focuse = config.focuse if (config.focuse and config.focuse.enabled) else None
+    focuse = config.focuse
     if focuse is not None and g.weights is None:
         raise ValueError(
             "weight-modulated training requested but the graph has no weights column"
@@ -229,12 +210,11 @@ def run_training(
             ent_rows = np.unique(np.concatenate([s_ids, o_ids, neg_s.ravel(), neg_o.ravel()]))
             rel_rows = np.unique(np.concatenate([p_ids, neg_p.ravel()]))
             if config.gamma > 0.0:
-                ent_grad[ent_rows] += 2.0 * config.gamma * model.entity_table[ent_rows]
-                rel_grad[rel_rows] += 2.0 * config.gamma * model.relation_table[rel_rows]
-                batch_loss += config.gamma * float(
-                    (model.entity_table[ent_rows] ** 2).sum()
-                    + (model.relation_table[rel_rows] ** 2).sum()
-                )
+                ent_l2, ent_l2_grad = l2_regularizer(model.entity_table[ent_rows], config.gamma)
+                rel_l2, rel_l2_grad = l2_regularizer(model.relation_table[rel_rows], config.gamma)
+                ent_grad[ent_rows] += ent_l2_grad
+                rel_grad[rel_rows] += rel_l2_grad
+                batch_loss += ent_l2 + rel_l2
 
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(

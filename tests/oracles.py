@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kgex.models import EmbeddingModel, score
+from kgex.models import EmbeddingModel, score_many
 
 
 def fd_gradients(loss_fn, params: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
@@ -40,7 +40,7 @@ def brute_force_side_rank(
 ) -> int:
     """Sort-based pessimistic rank: score every candidate, sort, walk ties."""
     s, p, o = t
-    positive = score(model, t)
+    positive = score_many(model, *t)
     candidate_scores = []
     for e in map(int, pool):
         if replace_subject:
@@ -53,7 +53,7 @@ def brute_force_side_rank(
             candidate = (s, p, e)
         if flt is not None and candidate in flt:
             continue
-        candidate_scores.append(score(model, candidate))
+        candidate_scores.append(score_many(model, *candidate))
     rank = 1
     for value in sorted(candidate_scores, reverse=True):
         if value >= positive:
@@ -89,3 +89,16 @@ def normalized_difference_dot(a, b, c) -> float:
     ab = ab / np.sqrt((ab * ab).sum())
     bc = bc / np.sqrt((bc * bc).sum())
     return float((ab * bc).sum())
+
+
+def huber(a: float, b: float) -> float:
+    """Quadratic within |a-b| <= 1, linear with matched value/slope outside."""
+    d = abs(a - b)
+    if d <= 1.0:
+        return 0.5 * d * d
+    return d - 0.5
+
+
+def incident_triples(g, *entities) -> set[tuple[int, int, int]]:
+    """Linear scan: every triple with one of `entities` as subject or object."""
+    return {t for t in map(tuple, g.triples.tolist()) if t[0] in entities or t[2] in entities}

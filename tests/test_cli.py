@@ -218,6 +218,21 @@ class TestCliBehavior:
         assert status == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_subgraph_label(self, workspace, tmp_path, capsys):
+        _, g, _ = workspace
+        teacher = tmp_path / "teacher.kgex"
+        model = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
+        save_model(model, teacher, g.entity_vocab, g.relation_vocab)
+        sub = tmp_path / "bad_sub.tsv"
+        sub.write_text("# subgraph\ne0\tr0\te1\nZZZ\tr0\te1\n", encoding="utf-8")
+        status = run_cli([
+            "distill-train", "--teacher", str(teacher), "--subgraph", str(sub),
+            "--epochs", "1", "--seed", "1", "--out", str(tmp_path / "student.kgex"),
+        ])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{sub}:3: unknown entity label 'ZZZ'" in err
+
     def test_bad_target_label(self, workspace, capsys):
         root, _, _ = workspace
         status = run_cli([

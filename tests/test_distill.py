@@ -3,62 +3,74 @@
 import numpy as np
 import pytest
 
-from kgex.distill import (
-    DegenerateGeometryError,
-    angle_potential,
-    huber,
-    rkd_kge_loss,
-    rkd_loss_batch,
-    train_student,
-)
+from kgex.distill import angle_potentials, rkd_loss_batch, train_student
 from kgex.graph import graph_from_triples
 from kgex.models import init_model
 from kgex.training import TrainConfig, train
 
-from oracles import fd_gradients, max_relative_error, normalized_difference_dot
+from oracles import fd_gradients, huber, max_relative_error, normalized_difference_dot
 from toygraphs import block_graph, random_graph
+
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def phi(a, b, c):
+    return angle_potentials(np.asarray(a), np.asarray(b), np.asarray(c))[0]
+
+
+def single_term_loss(v):
+    """rkd_loss_batch on one triple where only the Huber term of the (p, o, s)
+    ordering survives: student potential -1 against teacher potential
+    e1 . v / |v|.  The student's s == p makes the other two orderings
+    degenerate."""
+    v = np.asarray(v, dtype=np.float64)
+    teacher = (-v[None, :], np.eye(4)[:1], np.zeros((1, 4)))
+    student = (np.zeros((1, 4)), np.zeros((1, 4)), np.ones((1, 4)))
+    loss, _, _, _, degenerate = rkd_loss_batch(teacher, student)
+    assert degenerate == 2
+    return loss[0]
 
 
 class TestHuber:
     def test_equal_inputs(self):
-        assert huber(1.7, 1.7) == 0.0
+        assert single_term_loss([-1.0, 0.0, 0.0, 0.0]) == 0.0
 
     def test_quadratic_branch(self):
-        assert huber(0.5, 0.0) == 0.125
+        assert single_term_loss([-1.0, 1.0, 1.0, 1.0]) == 0.125  # |diff| = 1/2
 
     def test_linear_branch(self):
-        assert huber(3.0, 0.0) == 2.5
+        assert single_term_loss([1.0, 0.0, 0.0, 0.0]) == 1.5  # |diff| = 2
 
     def test_continuous_at_switch(self):
-        assert huber(1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert huber(1.0 + 1e-9, 0.0) == pytest.approx(0.5, abs=1e-8)
+        assert single_term_loss([0.0, 1.0, 0.0, 0.0]) == pytest.approx(0.5, abs=1e-15)
+        assert single_term_loss([1e-9, 1.0, 0.0, 0.0]) == pytest.approx(0.5, abs=1e-8)
 
 
 class TestAnglePotential:
     def test_collinear_same_direction(self):
-        assert angle_potential([0.0, 0.0], [1.0, 0.0], [2.0, 0.0]) == 1.0
+        assert phi([0.0, 0.0], [1.0, 0.0], [2.0, 0.0]) == 1.0
 
     def test_perpendicular(self):
-        assert angle_potential([1.0, 0.0], [0.0, 0.0], [0.0, 1.0]) == 0.0
+        assert phi([1.0, 0.0], [0.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_random_matches_direct_vector_math(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             a, b, c = rng.normal(size=(3, 7))
-            assert angle_potential(a, b, c) == pytest.approx(
-                normalized_difference_dot(a, b, c), abs=1e-12
-            )
+            assert phi(a, b, c) == pytest.approx(normalized_difference_dot(a, b, c), abs=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             a, b, c = rng.normal(size=(3, 4))
-            assert -1.0 - 1e-12 <= angle_potential(a, b, c) <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= phi(a, b, c) <= 1.0 + 1e-12
 
-    def test_coincident_points_raise(self):
+    def test_coincident_points_flagged(self):
         v = np.ones(3)
-        with pytest.raises(DegenerateGeometryError):
-            angle_potential(v, v, np.zeros(3))
+        value, valid, *grads = angle_potentials(v, v, np.zeros(3), with_grads=True)
+        assert not valid
+        assert value == 0.0
+        assert all(np.array_equal(g, np.zeros(3)) for g in grads)
 
     def test_invariance_under_similarity_transforms(self):
         rng = np.random.default_rng(8)
@@ -68,84 +80,94 @@ class TestAnglePotential:
             scale = float(rng.uniform(0.01, 100.0))
             shift = rng.normal(size=6, scale=10)
             moved = scale * (pts @ q.T) + shift
-            assert angle_potential(*moved) == pytest.approx(
-                angle_potential(*pts), abs=1e-10
-            )
+            assert phi(*moved) == pytest.approx(phi(*pts), abs=1e-10)
+
+
+def rows(rng, n, d):
+    """Three (n, d) row blocks: subject, predicate, object."""
+    return tuple(rng.normal(size=(n, d)) for _ in range(3))
 
 
 class TestRkdLoss:
     def test_identical_rows_zero(self):
         rng = np.random.default_rng(1)
-        rows = tuple(rng.normal(size=5) for _ in range(3))
-        loss, grads, degenerate = rkd_kge_loss(rows, rows)
-        assert loss == 0.0
+        same = rows(rng, 1, 5)
+        loss, *grads, degenerate = rkd_loss_batch(same, same)
+        assert loss[0] == 0.0
         assert degenerate == 0
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_scaled_translated_student_zero(self):
         rng = np.random.default_rng(2)
-        rows = tuple(rng.normal(size=8) for _ in range(3))
-        moved = tuple(2.0 * r + 3.25 for r in rows)
-        loss, _, _ = rkd_kge_loss(rows, moved)
-        assert loss == pytest.approx(0.0, abs=1e-12)
+        teacher = rows(rng, 1, 8)
+        moved = tuple(2.0 * r + 3.25 for r in teacher)
+        loss = rkd_loss_batch(teacher, moved)[0]
+        assert loss[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_and_zero_iff_angles_match(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            teacher = tuple(rng.normal(size=4) for _ in range(3))
-            student = tuple(rng.normal(size=6) for _ in range(3))
-            loss, _, _ = rkd_kge_loss(teacher, student)
+            teacher = rows(rng, 1, 4)
+            student = rows(rng, 1, 6)
+            loss = rkd_loss_batch(teacher, student)[0][0]
             assert loss >= 0.0
             if loss == 0.0:
-                for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                    t_phi = angle_potential(*(teacher[i] for i in perm))
-                    s_phi = angle_potential(*(student[i] for i in perm))
+                for perm in CYCLIC:
+                    t_phi = normalized_difference_dot(*(teacher[i][0] for i in perm))
+                    s_phi = normalized_difference_dot(*(student[i][0] for i in perm))
                     assert t_phi == pytest.approx(s_phi, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            teacher = tuple(rng.normal(size=5) for _ in range(3))
-            student = [rng.normal(size=7) for _ in range(3)]
+            teacher = rows(rng, 1, 5)
+            student = list(rows(rng, 1, 7))
 
             def loss_value():
-                value, _, _ = rkd_kge_loss(teacher, tuple(student))
-                return value
+                return rkd_loss_batch(teacher, tuple(student))[0][0]
 
-            _, grads, _ = rkd_kge_loss(teacher, tuple(student))
+            _, *grads, _ = rkd_loss_batch(teacher, tuple(student))
             fd = fd_gradients(loss_value, student)
             for analytic, numeric in zip(grads, fd):
                 assert max_relative_error(analytic, numeric) <= 1e-5
 
     def test_teacher_student_dimensions_may_differ(self):
         rng = np.random.default_rng(5)
-        teacher = tuple(rng.normal(size=12) for _ in range(3))
-        student = tuple(rng.normal(size=3) for _ in range(3))
-        loss, grads, _ = rkd_kge_loss(teacher, student)
-        assert np.isfinite(loss)
-        assert all(g.shape == (3,) for g in grads)
+        teacher = rows(rng, 1, 12)
+        student = rows(rng, 1, 3)
+        loss, *grads, _ = rkd_loss_batch(teacher, student)
+        assert np.isfinite(loss[0])
+        assert all(g.shape == (1, 3) for g in grads)
 
     def test_degenerate_rows_counted_and_zeroed(self):
-        teacher = (np.ones(4), np.ones(4), np.zeros(4))  # s == p: all 3 terms hit it
-        student = tuple(np.random.default_rng(0).normal(size=4) for _ in range(3))
-        loss, grads, degenerate = rkd_kge_loss(teacher, student)
+        teacher = (np.ones((1, 4)), np.ones((1, 4)), np.zeros((1, 4)))  # s == p
+        student = tuple(np.random.default_rng(0).normal(size=(1, 4)) for _ in range(3))
+        loss, *grads, degenerate = rkd_loss_batch(teacher, student)
         assert degenerate == 3
-        assert loss == 0.0
+        assert loss[0] == 0.0
 
     def test_batch_matches_single(self):
+        """Per-triple losses equal the Huber sum over the three orderings."""
         rng = np.random.default_rng(9)
-        teacher = [tuple(rng.normal(size=4) for _ in range(3)) for _ in range(5)]
-        student = [tuple(rng.normal(size=6) for _ in range(3)) for _ in range(5)]
-        t_stack = tuple(np.stack([t[i] for t in teacher]) for i in range(3))
-        s_stack = tuple(np.stack([s[i] for s in student]) for i in range(3))
+        teacher = [rows(rng, 1, 4) for _ in range(5)]
+        student = [rows(rng, 1, 6) for _ in range(5)]
+        t_stack = tuple(np.concatenate([t[i] for t in teacher]) for i in range(3))
+        s_stack = tuple(np.concatenate([s[i] for s in student]) for i in range(3))
         losses, gs, gp, go, _ = rkd_loss_batch(t_stack, s_stack)
         for i in range(5):
-            single_loss, single_grads, _ = rkd_kge_loss(teacher[i], student[i])
-            assert losses[i] == pytest.approx(single_loss, abs=1e-14)
-            assert np.allclose(gs[i], single_grads[0], atol=1e-14)
-            assert np.allclose(gp[i], single_grads[1], atol=1e-14)
-            assert np.allclose(go[i], single_grads[2], atol=1e-14)
+            expected = sum(
+                huber(
+                    normalized_difference_dot(*(student[i][j][0] for j in perm)),
+                    normalized_difference_dot(*(teacher[i][j][0] for j in perm)),
+                )
+                for perm in CYCLIC
+            )
+            assert losses[i] == pytest.approx(expected, abs=1e-14)
+            _, single_gs, single_gp, single_go, _ = rkd_loss_batch(teacher[i], student[i])
+            assert np.allclose(gs[i], single_gs[0], atol=1e-14)
+            assert np.allclose(gp[i], single_gp[0], atol=1e-14)
+            assert np.allclose(go[i], single_go[0], atol=1e-14)
 
 
 class TestTrainStudent:
@@ -263,7 +285,7 @@ class TestTrainStudent:
                 for s, p, o in g.triples[:30]:
                     t_rows = (teacher.entity_table[s], teacher.relation_table[p], teacher.entity_table[o])
                     s_rows = (student.entity_table[s], student.relation_table[p], student.entity_table[o])
-                    gap_total += abs(angle_potential(*t_rows) - angle_potential(*s_rows))
+                    gap_total += abs(phi(*t_rows) - phi(*s_rows))
                     terms += 1
             gaps[lam] = gap_total / terms
         assert gaps[1e6] < gaps[0.0]

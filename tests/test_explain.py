@@ -11,7 +11,6 @@ from kgex.explain import (
     aggregate_contributions,
     mc_explain,
     partition_positions,
-    partition_subgraph,
 )
 from kgex.sampling import Subgraph, SubgraphSpec
 from kgex.training import TrainConfig, train
@@ -55,10 +54,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_positions(np.arange(3), 4, np.random.default_rng(0))
 
-    def test_partition_subgraph_wrapper(self):
+    def test_partition_subgraph_positions(self):
         g = random_graph(10, 2, 30, seed=0)
         sub = make_subgraph(g, range(12))
-        parts = partition_subgraph(sub, 4, np.random.default_rng(5))
+        parts = partition_positions(sub.positions, 4, np.random.default_rng(5))
         assert sorted(np.concatenate(parts).tolist()) == list(range(12))
 
 

@@ -5,17 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kgex.focuse import (
-    FocusEConfig,
-    alpha_batch,
-    beta_schedule,
-    focuse_loss,
-    focused_nll_batch,
-    focused_score,
-    modulating_factor,
-    softplus_score,
-)
-from kgex.losses import multiclass_nll_loss
+from kgex.focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch, softplus_score
+from kgex.losses import softmax_nll_batch
 from kgex.training import TrainConfig, train
 
 from oracles import fd_gradients, max_relative_error
@@ -23,6 +14,19 @@ from toygraphs import random_graph
 
 # frozen from a 30-digit evaluation of ln(1 + e^10)
 SOFTPLUS_AT_10 = 10.000045398899218
+
+
+def factors(w, beta):
+    """(positive, corruption) modulating factors of one weight."""
+    alpha = alpha_batch(np.array([w]), beta, 1)
+    return alpha[0, 0], alpha[0, 1]
+
+
+def focused_loss_of(pos, negs, w, beta):
+    """Modulated NLL and score gradients of one positive and its corruptions."""
+    alpha = alpha_batch(np.array([w]), beta, len(negs))
+    loss, grad = focused_nll_batch(np.array([[pos, *negs]]), alpha)
+    return loss[0], grad[0, 0], grad[0, 1:]
 
 
 class TestSoftplus:
@@ -46,54 +50,51 @@ class TestSoftplus:
 class TestModulatingFactor:
     def test_beta_one_ignores_weights(self):
         for w in (0.0, 0.3, 1.0):
-            assert modulating_factor(w, 1.0, True) == 1.0
-            assert modulating_factor(w, 1.0, False) == 1.0
+            assert factors(w, 1.0) == (1.0, 1.0)
 
     def test_substitution_examples(self):
-        assert modulating_factor(0.8, 0.0, True) == pytest.approx(0.2, abs=1e-15)
-        assert modulating_factor(0.8, 0.0, False) == pytest.approx(0.8, abs=1e-15)
-        assert modulating_factor(1.0, 0.5, True) == 0.5
-        assert modulating_factor(1.0, 0.5, False) == 1.0
+        assert factors(0.8, 0.0)[0] == pytest.approx(0.2, abs=1e-15)
+        assert factors(0.8, 0.0)[1] == pytest.approx(0.8, abs=1e-15)
+        assert factors(1.0, 0.5) == (0.5, 1.0)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            modulating_factor(1.5, 0.5, True)
+            factors(1.5, 0.5)
         with pytest.raises(ValueError):
-            modulating_factor(0.5, -0.1, False)
+            factors(0.5, -0.1)
 
     def test_identity_alpha_sums_to_one_plus_beta(self):
         # dyadic grid: every product and sum is exact in float64
         grid = [i / 128.0 for i in range(100)] + [1.0]
         for w in grid:
             for beta in grid:
-                total = modulating_factor(w, beta, True) + modulating_factor(w, beta, False)
-                assert total == 1.0 + beta
+                a_pos, a_neg = factors(w, beta)
+                assert a_pos + a_neg == 1.0 + beta
 
     def test_alpha_between_beta_and_one(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             w, beta = rng.uniform(size=2)
-            for branch in (True, False):
-                a = modulating_factor(w, beta, branch)
+            for a in factors(w, beta):
                 assert beta - 1e-15 <= a <= 1.0 + 1e-15
 
 
 class TestFocusedScore:
     def test_beta_one_reduces_to_softplus(self):
-        assert focused_score(1.7, 0.4, 1.0, True) == softplus_score(1.7)
+        assert factors(0.4, 1.0)[0] * softplus_score(1.7) == softplus_score(1.7)
 
     def test_alpha_one_branch(self):
-        assert focused_score(0.0, 1.0, 0.0, False) == pytest.approx(math.log(2), abs=1e-15)
+        assert factors(1.0, 0.0)[1] * softplus_score(0.0) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_alpha_zero_branch(self):
-        assert focused_score(0.0, 1.0, 0.0, True) == 0.0
+        assert factors(1.0, 0.0)[0] * softplus_score(0.0) == 0.0
 
     def test_never_negative(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
             f = float(rng.normal(scale=5))
             w, beta = rng.uniform(size=2)
-            assert focused_score(f, w, beta, bool(rng.integers(2))) >= 0.0
+            assert factors(w, beta)[1 - int(rng.integers(2))] * softplus_score(f) >= 0.0
 
 
 class TestBetaSchedule:
@@ -120,14 +121,12 @@ class TestFocuseLoss:
             pos = float(rng.normal())
             negs = rng.normal(size=3)
             w = float(rng.uniform())
-            focused, _, _ = focuse_loss(pos, negs, w, beta=1.0)
-            baseline, _, _ = multiclass_nll_loss(
-                float(softplus_score(pos)), softplus_score(negs)
-            )
+            focused, _, _ = focused_loss_of(pos, negs, w, beta=1.0)
+            baseline = softmax_nll_batch(softplus_score(np.array([[pos, *negs]])))[0][0]
             assert focused == pytest.approx(baseline, abs=1e-12)
 
     def test_symmetric_half_weight_gives_ln2(self):
-        loss, _, _ = focuse_loss(0.0, [0.0], w=0.5, beta=0.0)
+        loss, _, _ = focused_loss_of(0.0, [0.0], w=0.5, beta=0.0)
         assert loss == pytest.approx(math.log(2), abs=1e-15)
 
     def test_gradients_match_finite_differences(self):
@@ -145,7 +144,7 @@ class TestFocuseLoss:
 
     def test_positive_weight_zero_drops_positive_pull(self):
         # w=0, beta=0: the positive's factor is 1, corruption factor 0
-        loss, d_pos, d_neg = focuse_loss(0.3, [0.1, -0.2], w=0.0, beta=0.0)
+        loss, d_pos, d_neg = focused_loss_of(0.3, [0.1, -0.2], w=0.0, beta=0.0)
         assert d_pos < 0.0
         assert np.all(d_neg == 0.0)  # corruptions contribute a constant
 
@@ -161,7 +160,7 @@ class TestFocuseTraining:
         baseline = train(g, base_cfg)
         focuse_cfg = TrainConfig(
             kind="distmult", k=4, eta=2, lr=0.05, epochs=4, batch_size=32, seed=11,
-            focuse=FocusEConfig(enabled=True, decay=0.0, fixed_beta=1.0),
+            focuse=FocusEConfig(decay=0.0, fixed_beta=1.0),
         )
         modulated = train(g, focuse_cfg)
         assert np.array_equal(baseline.entity_table, modulated.entity_table)
@@ -169,7 +168,7 @@ class TestFocuseTraining:
 
     def test_focuse_without_weights_aborts(self):
         g = random_graph(12, 2, 30, seed=4)
-        cfg = TrainConfig(focuse=FocusEConfig(enabled=True, decay=5), epochs=1)
+        cfg = TrainConfig(focuse=FocusEConfig(decay=5), epochs=1)
         with pytest.raises(ValueError, match="weights"):
             train(g, cfg)
 
@@ -178,7 +177,7 @@ class TestFocuseTraining:
         g.weights = np.random.default_rng(0).uniform(size=g.n_triples)
         cfg = TrainConfig(
             kind="transe-l2", k=4, eta=2, lr=0.05, epochs=6, batch_size=32, seed=2,
-            focuse=FocusEConfig(enabled=True, decay=3),
+            focuse=FocusEConfig(decay=3),
         )
         model = train(g, cfg)
         assert np.isfinite(model.entity_table).all()

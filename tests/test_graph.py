@@ -11,11 +11,20 @@ from kgex.graph import (
     graph_from_triples,
     load_graph,
     load_split,
-    one_hop_neighborhood,
-    predicate_triples,
+    one_hop_positions,
 )
+from kgex.focuse import FocusEConfig
+from kgex.training import TrainConfig, train
 
 from toygraphs import DEMO_TRIPLES, demo_graph, label_graph, random_graph
+
+
+def one_hop(g, s, o):
+    return {g.triple_at(int(pos)) for pos in one_hop_positions(g, s, o)}
+
+
+def triples_with_predicate(g, p):
+    return {g.triple_at(int(pos)) for pos in g.predicate_positions(p)}
 
 
 def write_tsv(path, rows):
@@ -68,6 +77,14 @@ class TestLoadGraph:
         assert a.relation_vocab.labels == b.relation_vocab.labels
         assert np.array_equal(a.triples, b.triples)
 
+    def test_empty_weighted_file_minmax(self, tmp_path):
+        path = write_tsv(tmp_path / "g.tsv", [])
+        g = load_graph(path, has_weights=True, weight_policy="minmax")
+        assert g.n_triples == 0
+        assert g.weights.shape == (0,)
+        with pytest.raises(ValueError, match="empty graph"):
+            train(g, TrainConfig(focuse=FocusEConfig()))
+
     def test_weights_require_fourth_column(self, tmp_path):
         path = write_tsv(tmp_path / "g.tsv", [("A", "r", "B")])
         with pytest.raises(GraphFormatError, match="expected 4"):
@@ -101,24 +118,24 @@ class TestNeighborhoods:
             return {(ev.label_of(s), rv.label_of(p), ev.label_of(o)) for s, p, o in triples}
 
         a, b = g.entity_vocab.id_of("A"), g.entity_vocab.id_of("B")
-        assert as_labels(one_hop_neighborhood(g, a, b)) == scan("A", "B")
+        assert as_labels(one_hop(g, a, b)) == scan("A", "B")
         assert scan("A", "B") == {("A", "r1", "B"), ("B", "r1", "C"), ("A", "r2", "C"), ("D", "r1", "A")}
 
     def test_isolated_pair_empty(self):
         g = demo_graph(extra_entities=2)
         e1 = g.entity_vocab.id_of("isolated0")
         e2 = g.entity_vocab.id_of("isolated1")
-        assert one_hop_neighborhood(g, e1, e2) == set()
+        assert len(one_hop_positions(g, e1, e2)) == 0
 
     def test_same_entity_idempotent(self):
         g = demo_graph()
         a = g.entity_vocab.id_of("A")
-        assert one_hop_neighborhood(g, a, a) == one_hop_neighborhood(g, a, a) | one_hop_neighborhood(g, a, a)
+        assert np.array_equal(one_hop_positions(g, a, a), np.union1d(one_hop_positions(g, a, a), one_hop_positions(g, a, a)))
 
     def test_invalid_id_rejected(self):
         g = demo_graph()
         with pytest.raises(IndexError):
-            one_hop_neighborhood(g, 0, 99)
+            one_hop_positions(g, 0, 99)
 
     def test_index_exhaustive_on_random_graphs(self):
         for seed in range(5):
@@ -133,7 +150,7 @@ class TestNeighborhoods:
     def test_one_hop_superset_of_incident(self):
         g = random_graph(15, 3, 60, seed=9)
         for s, p, o in g.triples[:20]:
-            hood = one_hop_neighborhood(g, int(s), int(o))
+            hood = one_hop(g, int(s), int(o))
             assert (int(s), int(p), int(o)) in hood
 
 
@@ -144,14 +161,14 @@ class TestPredicateTriples:
         r2 = g.relation_vocab.id_of("r2")
         by_scan_r1 = {t for t in DEMO_TRIPLES if t[1] == "r1"}
         ev, rv = g.entity_vocab, g.relation_vocab
-        got_r1 = {(ev.label_of(s), rv.label_of(p), ev.label_of(o)) for s, p, o in predicate_triples(g, r1)}
-        got_r2 = {(ev.label_of(s), rv.label_of(p), ev.label_of(o)) for s, p, o in predicate_triples(g, r2)}
+        got_r1 = {(ev.label_of(s), rv.label_of(p), ev.label_of(o)) for s, p, o in triples_with_predicate(g, r1)}
+        got_r2 = {(ev.label_of(s), rv.label_of(p), ev.label_of(o)) for s, p, o in triples_with_predicate(g, r2)}
         assert got_r1 == by_scan_r1 == {("A", "r1", "B"), ("B", "r1", "C"), ("D", "r1", "A")}
         assert got_r2 == {("A", "r2", "C"), ("C", "r2", "D")}
 
     def test_unused_relation_empty(self):
         g = demo_graph(extra_relations=1)
-        assert predicate_triples(g, g.relation_vocab.id_of("unused0")) == set()
+        assert triples_with_predicate(g, g.relation_vocab.id_of("unused0")) == set()
 
 
 class TestFilter:

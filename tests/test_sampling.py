@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kgex.graph import one_hop_neighborhood, one_hop_positions
+from kgex.graph import one_hop_positions
 from kgex.sampling import (
     SubgraphSpec,
     read_subgraph_tsv,
@@ -13,6 +13,7 @@ from kgex.sampling import (
     write_subgraph_tsv,
 )
 
+from oracles import incident_triples
 from toygraphs import demo_graph, random_graph
 
 
@@ -25,7 +26,7 @@ class TestPredicateNeighborhood:
         g = demo_graph()
         target = (0, 0, 1)  # (A, r1, B)
         sub = sample_pn(g, target, 0, rng_for(1))
-        assert set(sub.triples) == one_hop_neighborhood(g, 0, 1)
+        assert set(sub.triples) == incident_triples(g, 0, 1)
 
     def test_covers_neighborhoods_of_drawn_predicate_triples(self):
         g = demo_graph()
@@ -34,14 +35,14 @@ class TestPredicateNeighborhood:
         sub = sample_pn(g, target, 8, rng_for(seed))
         # enumeration oracle: replay the exact draws and union neighborhoods
         replay = rng_for(seed)
-        expected = set(one_hop_neighborhood(g, 0, 1))
+        expected = set(incident_triples(g, 0, 1))
         predicate_pool = g.predicate_positions(0)
         drawn = set()
         for _ in range(8):
             pos = int(predicate_pool[replay.integers(len(predicate_pool))])
             drawn.add(pos)
             s_hat, _, o_hat = g.triple_at(pos)
-            expected |= one_hop_neighborhood(g, s_hat, o_hat)
+            expected |= incident_triples(g, s_hat, o_hat)
         assert set(sub.triples) == expected
         # with 8 draws from 3 same-predicate triples, this seed covers them all
         assert drawn == set(g.predicate_positions(0).tolist())
@@ -51,7 +52,7 @@ class TestPredicateNeighborhood:
         unused = g.relation_vocab.id_of("unused0")
         target = (0, unused, 1)
         sub = sample_pn(g, target, 5, rng_for(3))
-        assert set(sub.triples) == one_hop_neighborhood(g, 0, 1)
+        assert set(sub.triples) == incident_triples(g, 0, 1)
 
     def test_prefix_nesting_monotone(self):
         """Same seed, larger n extends the draw sequence: H_n is nested."""
@@ -69,7 +70,7 @@ class TestRandomWalk:
     def test_n_zero_is_exactly_one_hop(self):
         g = demo_graph()
         sub = sample_rw(g, (0, 0, 1), 0, rng_for(1))
-        assert set(sub.triples) == one_hop_neighborhood(g, 0, 1)
+        assert set(sub.triples) == incident_triples(g, 0, 1)
         assert sub.steps_taken == 0
 
     def test_each_step_shares_an_entity_with_previous_origin(self):
@@ -112,7 +113,7 @@ class TestSharedContracts:
             sub = sample_subgraph(g, target, SubgraphSpec(method, 6, seed))
             triples = set(sub.triples)
             assert triples <= all_triples  # nothing invented
-            assert triples >= one_hop_neighborhood(g, target[0], target[2])
+            assert triples >= incident_triples(g, target[0], target[2])
             again = sample_subgraph(g, target, SubgraphSpec(method, 6, seed))
             assert np.array_equal(sub.positions, again.positions)
 

@@ -7,14 +7,13 @@ import pytest
 
 from kgex.evaluation import evaluate
 from kgex.graph import build_filter
-from kgex.losses import l2_regularizer, multiclass_nll_loss, softmax_nll_batch
+from kgex.losses import l2_regularizer, softmax_nll_batch
 from kgex.models import init_model
-from kgex.optim import SparseAdam, adam_step
+from kgex.optim import SparseAdam
 from kgex.training import (
     TrainConfig,
     TrainingDivergedError,
     corrupt_batch,
-    generate_corruptions,
     run_training,
     train,
 )
@@ -26,27 +25,39 @@ from toygraphs import block_graph, random_graph
 LOSS_ONE_VS_TWO_ZEROS = 0.5514447139320511
 
 
+def corruptions_of(t, eta, pool, rng):
+    """The eta corruptions `corrupt_batch` draws for one triple, as tuples."""
+    neg_s, neg_p, neg_o = corrupt_batch(np.array([t]), eta, np.array(sorted(pool)), rng)
+    return list(zip(neg_s[0].tolist(), neg_p[0].tolist(), neg_o[0].tolist()))
+
+
+def nll_of(pos, negs):
+    """Loss and score gradients of one positive against its negatives."""
+    loss, grad = softmax_nll_batch(np.array([[pos, *negs]]))
+    return loss[0], grad[0, 0], grad[0, 1:]
+
+
 class TestCorruptions:
     def test_two_entity_pool_only_options(self):
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(40):
-            batch = generate_corruptions((0, 0, 1), 1, {0, 1}, rng)
-            assert len(batch.negatives) == 1
-            seen.add(batch.negatives[0])
+            negatives = corruptions_of((0, 0, 1), 1, {0, 1}, rng)
+            assert len(negatives) == 1
+            seen.add(negatives[0])
         assert seen == {(1, 0, 1), (0, 0, 0)}
 
     def test_deterministic_per_seed(self):
-        a = generate_corruptions((2, 1, 5), 10, set(range(10)), np.random.default_rng(7))
-        b = generate_corruptions((2, 1, 5), 10, set(range(10)), np.random.default_rng(7))
-        assert a.negatives == b.negatives
+        a = corruptions_of((2, 1, 5), 10, set(range(10)), np.random.default_rng(7))
+        b = corruptions_of((2, 1, 5), 10, set(range(10)), np.random.default_rng(7))
+        assert a == b
 
     def test_invariants_on_large_draw(self):
         rng = np.random.default_rng(3)
         pool = np.arange(100)
-        batch = generate_corruptions((4, 2, 9), 30, pool, rng)
-        assert len(batch.negatives) == 30
-        for s, p, o in batch.negatives:
+        negatives = corruptions_of((4, 2, 9), 30, pool, rng)
+        assert len(negatives) == 30
+        for s, p, o in negatives:
             assert p == 2
             changed_subject = s != 4
             changed_object = o != 9
@@ -73,21 +84,21 @@ class TestCorruptions:
 
     def test_pool_too_small(self):
         with pytest.raises(ValueError):
-            generate_corruptions((0, 0, 1), 1, {0}, np.random.default_rng(0))
+            corruptions_of((0, 0, 1), 1, {0}, np.random.default_rng(0))
 
 
 class TestMulticlassNLL:
     def test_equal_scores_ln2(self):
-        loss, _, _ = multiclass_nll_loss(0.3, [0.3])
+        loss, _, _ = nll_of(0.3, [0.3])
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_one_vs_two_zeros_frozen_oracle_value(self):
-        loss, _, _ = multiclass_nll_loss(1.0, [0.0, 0.0])
+        loss, _, _ = nll_of(1.0, [0.0, 0.0])
         assert loss == pytest.approx(LOSS_ONE_VS_TWO_ZEROS, abs=1e-12)
 
     def test_large_positive_no_overflow(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            loss, d_pos, d_neg = multiclass_nll_loss(1000.0, [0.0, 5.0])
+            loss, d_pos, d_neg = nll_of(1000.0, [0.0, 5.0])
         assert 0.0 <= loss < 1e-300
         assert np.isfinite(d_neg).all()
 
@@ -96,7 +107,7 @@ class TestMulticlassNLL:
         for _ in range(200):
             pos = float(rng.normal())
             negs = rng.normal(size=int(rng.integers(1, 6)))
-            loss, d_pos, d_neg = multiclass_nll_loss(pos, negs)
+            loss, d_pos, d_neg = nll_of(pos, negs)
             assert loss > 0.0
             assert -1.0 < d_pos < 0.0  # decreasing in the positive score
             assert np.all(d_neg > 0.0)  # increasing in each negative score
@@ -141,7 +152,8 @@ class TestAdam:
         params = np.array([[1.0, 2.0], [3.0, 4.0]])
         before = params.copy()
         opt = SparseAdam(params.shape, lr=0.5)
-        adam_step(opt, params, np.array([0, 1]), np.zeros((2, 2)))
+        opt.begin_step()
+        opt.apply(params, np.array([0, 1]), np.zeros((2, 2)))
         assert np.array_equal(params, before)
         assert opt.t == 1
 
@@ -149,7 +161,8 @@ class TestAdam:
         params = np.array([[10.0, -3.0]])
         g = np.array([[0.2, -7.0]])
         opt = SparseAdam(params.shape, lr=0.01)
-        adam_step(opt, params, np.array([0]), g)
+        opt.begin_step()
+        opt.apply(params, np.array([0]), g)
         expected = np.array([[10.0, -3.0]]) - 0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(params, expected, atol=1e-12)
 
@@ -159,7 +172,8 @@ class TestAdam:
         reference = ScalarAdam(lr=0.1)
         theta = 5.0
         for _ in range(2):
-            adam_step(opt, params, np.array([0]), np.array([[2.5]]))
+            opt.begin_step()
+            opt.apply(params, np.array([0]), np.array([[2.5]]))
             theta = reference.step(theta, 2.5)
             assert params[0, 0] == pytest.approx(theta, abs=1e-15)
             assert params[0, 0] < 5.0  # monotone along -sign(g)
@@ -167,14 +181,16 @@ class TestAdam:
     def test_lr_zero_keeps_parameters(self):
         params = np.array([[1.0, 2.0]])
         opt = SparseAdam(params.shape, lr=0.0)
-        adam_step(opt, params, np.array([0]), np.array([[9.0, -9.0]]))
+        opt.begin_step()
+        opt.apply(params, np.array([0]), np.array([[9.0, -9.0]]))
         assert np.array_equal(params, [[1.0, 2.0]])
 
     def test_untouched_rows_never_move(self):
         params = np.arange(8.0).reshape(4, 2)
         before = params.copy()
         opt = SparseAdam(params.shape, lr=0.3)
-        adam_step(opt, params, np.array([1]), np.ones((1, 2)))
+        opt.begin_step()
+        opt.apply(params, np.array([1]), np.ones((1, 2)))
         assert np.array_equal(params[[0, 2, 3]], before[[0, 2, 3]])
         assert not np.array_equal(params[1], before[1])
 
