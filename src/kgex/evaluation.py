@@ -32,28 +32,18 @@ class Metrics:
         return {"mr": self.mr, "mrr": self.mrr, "hits1": self.hits1, "hits10": self.hits10}
 
 
-def _side_rank(
-    model: EmbeddingModel,
-    positive_score: float,
-    fixed: tuple[int, int],
-    original: int,
-    pool: np.ndarray,
-    known: set[int],
-    replace_subject: bool,
-) -> int:
-    candidates = pool[pool != original]
-    if known:
-        candidates = candidates[~np.isin(candidates, np.fromiter(known, dtype=np.int64))]
-    if len(candidates) == 0:
-        return 1
-    if replace_subject:
-        p, o = fixed
-        scores = score_many(model, candidates, np.int64(p), np.int64(o))
-    else:
-        s, p = fixed
-        scores = score_many(model, np.int64(s), np.int64(p), candidates)
+# bytes of embedding rows gathered and scored at once: small blocks keep the
+# temporaries cache-sized and reused instead of mapped and unmapped per call
+_BLOCK_BYTES = 1 << 18
+
+
+def _side_rank(model: EmbeddingModel, positive: float, candidates: np.ndarray, score) -> int:
+    step = max(1, _BLOCK_BYTES // (8 * model.width))
     # pessimistic tie rule: equal scores count against the positive
-    return 1 + int(np.count_nonzero(scores >= positive_score))
+    return 1 + sum(
+        int(np.count_nonzero(score(candidates[lo : lo + step]) >= positive))
+        for lo in range(0, len(candidates), step)
+    )
 
 
 def rank_triple(
@@ -73,16 +63,16 @@ def rank_triple(
     if len(pool) == 0:
         raise ValueError("candidate pool must be nonempty")
     s, p, o = t
-    positive_score = float(score_many(model, s, p, o))
-    known_objects = flt.objects_for(s, p) if flt is not None else set()
-    known_subjects = flt.subjects_for(p, o) if flt is not None else set()
-    object_rank = _side_rank(
-        model, positive_score, (s, p), o, pool, known_objects, replace_subject=False
+    positive = float(score_many(model, s, p, o))
+    known_objects = flt.objects_for(s, p) if flt is not None else []
+    known_subjects = flt.subjects_for(p, o) if flt is not None else []
+    objects = pool[(pool != o) & ~np.isin(pool, known_objects)]
+    subjects = pool[(pool != s) & ~np.isin(pool, known_subjects)]
+    return RankResult(
+        triple=t,
+        object_rank=_side_rank(model, positive, objects, lambda e: score_many(model, s, p, e)),
+        subject_rank=_side_rank(model, positive, subjects, lambda e: score_many(model, e, p, o)),
     )
-    subject_rank = _side_rank(
-        model, positive_score, (p, o), s, pool, known_subjects, replace_subject=True
-    )
-    return RankResult(triple=t, subject_rank=subject_rank, object_rank=object_rank)
 
 
 def metrics_from_ranks(ranks) -> Metrics:
@@ -110,16 +100,13 @@ def evaluate(
     of skipped triples is returned alongside the metrics.
     """
     pool = np.asarray(pool, dtype=np.int64)
+    triples = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)
+    sizes = (model.n_entities, model.n_relations, model.n_entities)
+    in_tables = ((triples >= 0) & (triples < sizes)).all(axis=1)
     ranks: list[int] = []
-    skipped = 0
-    for t in test_triples:
-        s, p, o = (int(t[0]), int(t[1]), int(t[2]))
-        if not (0 <= s < model.n_entities and 0 <= o < model.n_entities and 0 <= p < model.n_relations):
-            skipped += 1
-            continue
+    for s, p, o in triples[in_tables].tolist():
         result = rank_triple(model, (s, p, o), pool, flt)
-        ranks.append(result.subject_rank)
-        ranks.append(result.object_rank)
+        ranks += [result.subject_rank, result.object_rank]
     if not ranks:
         raise ValueError("no evaluable test triples")
-    return metrics_from_ranks(ranks), skipped
+    return metrics_from_ranks(ranks), len(triples) - int(in_tables.sum())

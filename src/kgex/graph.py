@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 Triple = tuple[int, int, int]
+
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 
 class GraphFormatError(ValueError):
@@ -30,10 +32,8 @@ class Vocabulary:
         self.labels: list[str] = []
 
     def add(self, label: str) -> int:
-        idx = self.label_to_id.get(label)
-        if idx is None:
-            idx = len(self.labels)
-            self.label_to_id[label] = idx
+        idx = self.label_to_id.setdefault(label, len(self.labels))
+        if idx == len(self.labels):
             self.labels.append(label)
         return idx
 
@@ -66,8 +66,11 @@ class Vocabulary:
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 2:
                     raise GraphFormatError(f"{path}:{lineno}: expected `label<TAB>id`")
-                label, idx = parts[0], int(parts[1])
-                if vocab.add(label) != idx:
+                try:
+                    idx = int(parts[1])
+                except ValueError as exc:
+                    raise GraphFormatError(f"{path}:{lineno}: bad id {parts[1]!r}") from exc
+                if vocab.add(parts[0]) != idx:
                     raise GraphFormatError(f"{path}:{lineno}: ids not contiguous")
         return vocab
 
@@ -90,9 +93,6 @@ class KnowledgeGraph:
     weights: np.ndarray | None = None
     duplicates_dropped: int = 0
     oov_skipped: int = 0
-    _empty: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64), repr=False
-    )
 
     @property
     def n_triples(self) -> int:
@@ -111,39 +111,54 @@ class KnowledgeGraph:
         return (int(s), int(p), int(o))
 
     def entity_positions(self, e: int) -> np.ndarray:
-        self._check_entity(e)
-        return self.by_entity.get(e, self._empty)
+        _check_id(e, self.n_entities, "entity")
+        return self.by_entity.get(e, _NO_POSITIONS)
 
     def predicate_positions(self, p: int) -> np.ndarray:
-        self._check_relation(p)
-        return self.by_predicate.get(p, self._empty)
+        _check_id(p, self.n_relations, "relation")
+        return self.by_predicate.get(p, _NO_POSITIONS)
 
     def entities_in_triples(self) -> np.ndarray:
         """Sorted unique entity ids occurring as subject or object."""
-        if self.n_triples == 0:
-            return self._empty
-        return np.unique(self.triples[:, [0, 2]])
-
-    def _check_entity(self, e: int) -> None:
-        if not 0 <= e < self.n_entities:
-            raise IndexError(f"entity id {e} outside vocabulary of size {self.n_entities}")
-
-    def _check_relation(self, p: int) -> None:
-        if not 0 <= p < self.n_relations:
-            raise IndexError(f"relation id {p} outside vocabulary of size {self.n_relations}")
+        return _sorted_unique(self.triples[:, [0, 2]].ravel())
 
 
-def _build_indices(triples: np.ndarray) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    by_entity: dict[int, list[int]] = {}
-    by_predicate: dict[int, list[int]] = {}
-    for pos, (s, p, o) in enumerate(triples):
-        by_entity.setdefault(int(s), []).append(pos)
-        if o != s:
-            by_entity.setdefault(int(o), []).append(pos)
-        by_predicate.setdefault(int(p), []).append(pos)
-    ent = {e: np.asarray(v, dtype=np.int64) for e, v in by_entity.items()}
-    pred = {p: np.asarray(v, dtype=np.int64) for p, v in by_predicate.items()}
-    return ent, pred
+def _check_id(idx: int, size: int, what: str) -> None:
+    if not 0 <= idx < size:
+        raise IndexError(f"{what} id {idx} outside vocabulary of size {size}")
+
+
+def _triple_keys(triples: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
+    """The int64 key `(s·R + p)·E + o` of each (s, p, o) row; unique per triple."""
+    if int(n_entities) ** 2 * int(n_relations) > 2**63:
+        raise ValueError(f"E²·R = {n_entities}²·{n_relations} overflows the int64 triple key")
+    s, p, o = triples.T
+    return (s * n_relations + p) * n_entities + o
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
+def _group_positions(ids: np.ndarray, positions: np.ndarray) -> dict[int, np.ndarray]:
+    """`{id: sorted positions}` from parallel arrays of ids and positions."""
+    n = len(positions) + 1  # exceeds every position
+    ids, positions = np.divmod(np.sort(ids * n + positions), n)  # by id, then position
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    return dict(zip(ids[starts].tolist(), np.split(positions, starts[1:])))
+
+
+def _indexed_graph(
+    triples: np.ndarray, entity_vocab: Vocabulary, relation_vocab: Vocabulary, **fields
+) -> KnowledgeGraph:
+    """A graph over an (n, 3) id array, with its entity and predicate indices."""
+    positions = np.arange(len(triples), dtype=np.int64)
+    s, p, o = triples.T
+    distinct = s != o  # a self-loop is incident to its entity once
+    by_entity = _group_positions(np.r_[s, o[distinct]], np.r_[positions, positions[distinct]])
+    by_predicate = _group_positions(p, positions)
+    return KnowledgeGraph(triples, entity_vocab, relation_vocab, by_entity, by_predicate, **fields)
 
 
 def _parse_lines(path, has_weights, weight_policy):
@@ -171,7 +186,7 @@ def _parse_lines(path, has_weights, weight_policy):
     return rows, weights
 
 
-def _normalize_weights(weights: list[float], policy: str) -> np.ndarray:
+def _normalize_weights(weights: np.ndarray, policy: str) -> np.ndarray:
     arr = np.asarray(weights, dtype=np.float64)
     if policy == "clamp":
         arr = np.clip(arr, 0.0, 1.0)
@@ -194,38 +209,22 @@ def _ingest(
         raise ValueError(f"unknown weight policy {weight_policy!r}")
     rows, weights = _parse_lines(path, has_weights, weight_policy)
     if grow:
-        entity_id, relation_id = entity_vocab.add, relation_vocab.add
-    else:
-        entity_id, relation_id = entity_vocab.label_to_id.get, relation_vocab.label_to_id.get
-    seen: set[Triple] = set()
-    triples: list[Triple] = []
-    kept_weights: list[float] = []
-    dropped = 0
-    oov = 0
-    for i, (s_lbl, p_lbl, o_lbl) in enumerate(rows):
-        t = (entity_id(s_lbl), relation_id(p_lbl), entity_id(o_lbl))
-        if None in t:
-            oov += 1
-            continue
-        if t in seen:
-            dropped += 1
-            continue
-        seen.add(t)
-        triples.append(t)
-        if has_weights:
-            kept_weights.append(weights[i])
-
-    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    by_entity, by_predicate = _build_indices(arr)
-    return KnowledgeGraph(
-        triples=arr,
-        entity_vocab=entity_vocab,
-        relation_vocab=relation_vocab,
-        by_entity=by_entity,
-        by_predicate=by_predicate,
-        weights=_normalize_weights(kept_weights, weight_policy) if has_weights else None,
-        duplicates_dropped=dropped,
-        oov_skipped=oov,
+        ev, rv = entity_vocab.add, relation_vocab.add
+        mapped = [(ev(s), rv(p), ev(o)) for s, p, o in rows]
+    else:  # unseen labels map to -1
+        ev, rv = entity_vocab.label_to_id, relation_vocab.label_to_id
+        mapped = [(ev.get(s, -1), rv.get(p, -1), ev.get(o, -1)) for s, p, o in rows]
+    ids = np.array(mapped, dtype=np.int64).reshape(-1, 3)
+    known = (ids >= 0).all(axis=1)
+    ids = ids[known]
+    keys = _triple_keys(ids, len(entity_vocab), len(relation_vocab))
+    first = np.sort(np.unique(keys, return_index=True)[1])  # first occurrences, file order
+    arr = ids[first]
+    if has_weights:
+        weights = _normalize_weights(np.asarray(weights)[known][first], weight_policy)
+    return _indexed_graph(
+        arr, entity_vocab, relation_vocab, weights=weights if has_weights else None,
+        duplicates_dropped=len(ids) - len(arr), oov_skipped=len(known) - len(ids),
     )
 
 
@@ -266,17 +265,11 @@ def graph_from_triples(
 ) -> KnowledgeGraph:
     """Wrap an id-triple array (sharing existing vocabularies) as a graph."""
     arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    if len(arr) and (arr[:, [0, 2]].max() >= len(entity_vocab) or arr[:, 1].max() >= len(relation_vocab)):
-        raise IndexError("triple ids exceed vocabulary sizes")
-    by_entity, by_predicate = _build_indices(arr)
-    return KnowledgeGraph(
-        triples=arr,
-        entity_vocab=entity_vocab,
-        relation_vocab=relation_vocab,
-        by_entity=by_entity,
-        by_predicate=by_predicate,
-        weights=None if weights is None else np.asarray(weights, dtype=np.float64),
-    )
+    sizes = (len(entity_vocab), len(relation_vocab), len(entity_vocab))
+    if not ((arr >= 0) & (arr < sizes)).all():
+        raise IndexError("triple ids outside the vocabularies")
+    weights = None if weights is None else np.asarray(weights, dtype=np.float64)
+    return _indexed_graph(arr, entity_vocab, relation_vocab, weights=weights)
 
 
 def one_hop_positions(g: KnowledgeGraph, s: int, o: int) -> np.ndarray:
@@ -285,43 +278,51 @@ def one_hop_positions(g: KnowledgeGraph, s: int, o: int) -> np.ndarray:
 
 
 class TrueTripleSet:
-    """Membership structure over all known true triples, for filtered ranking."""
+    """Known true triples for filtered ranking, as two sorted unique key arrays.
 
-    def __init__(self) -> None:
-        self._all: set[Triple] = set()
-        self._objects: dict[tuple[int, int], set[int]] = {}
-        self._subjects: dict[tuple[int, int], set[int]] = {}
+    The keys of (s, p, o) hold the objects of each (s, p) in one contiguous
+    run, and the keys of (o, p, s) the subjects of each (p, o).
+    """
 
-    def add(self, t: Triple) -> None:
-        if t in self._all:
-            return
-        self._all.add(t)
-        s, p, o = t
-        self._objects.setdefault((s, p), set()).add(o)
-        self._subjects.setdefault((p, o), set()).add(s)
+    def __init__(self, triples: np.ndarray, n_entities: int, n_relations: int) -> None:
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        self.n_entities, self.n_relations = n_entities, n_relations
+        self._by_subject = _sorted_unique(_triple_keys(triples, n_entities, n_relations))
+        self._by_object = _sorted_unique(_triple_keys(triples[:, ::-1], n_entities, n_relations))
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._all
+        s, p, o = t
+        return bool(np.isin(o, self._run(self._by_subject, s, p)))
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._by_subject)
 
-    def objects_for(self, s: int, p: int) -> set[int]:
-        return self._objects.get((s, p), set())
+    def objects_for(self, s: int, p: int) -> np.ndarray:
+        """Sorted ids o with (s, p, o) known; empty for ids outside the vocabularies."""
+        return self._run(self._by_subject, s, p)
 
-    def subjects_for(self, p: int, o: int) -> set[int]:
-        return self._subjects.get((p, o), set())
+    def subjects_for(self, p: int, o: int) -> np.ndarray:
+        """Sorted ids s with (s, p, o) known; empty for ids outside the vocabularies."""
+        return self._run(self._by_object, o, p)
+
+    def _run(self, keys: np.ndarray, e: int, p: int) -> np.ndarray:
+        if not (0 <= e < self.n_entities and 0 <= p < self.n_relations):
+            return keys[:0]
+        base = (int(e) * self.n_relations + int(p)) * self.n_entities
+        lo = np.searchsorted(keys, base)
+        hi = np.searchsorted(keys, base + self.n_entities - 1, side="right")
+        return keys[lo:hi] - base
 
 
 def build_filter(*graphs: KnowledgeGraph) -> TrueTripleSet:
     """Union the triples of graphs sharing vocabularies into one filter set."""
-    flt = TrueTripleSet()
-    base = graphs[0] if graphs else None
+    if not graphs:
+        return TrueTripleSet(np.empty((0, 3), dtype=np.int64), 0, 0)
+    base = graphs[0]
     for g in graphs:
         if g.entity_vocab is not base.entity_vocab and g.entity_vocab != base.entity_vocab:
             raise VocabularyMismatchError("graphs do not share an entity vocabulary")
         if g.relation_vocab is not base.relation_vocab and g.relation_vocab != base.relation_vocab:
             raise VocabularyMismatchError("graphs do not share a relation vocabulary")
-        for s, p, o in g.triples:
-            flt.add((int(s), int(p), int(o)))
-    return flt
+    triples = np.concatenate([g.triples for g in graphs])
+    return TrueTripleSet(triples, base.n_entities, base.n_relations)

@@ -28,7 +28,7 @@ _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 
 class ModelFormatError(ValueError):
-    """Raised for bad magic, unknown kind tags, or truncated model files."""
+    """Raised for bad magic, unknown kind tags, truncated files, or mismatched sidecars."""
 
 
 def entity_sidecar(path: str | Path) -> Path:
@@ -69,7 +69,8 @@ def save_model(
 def load_model(
     path: str | Path,
 ) -> tuple[EmbeddingModel, Vocabulary | None, Vocabulary | None]:
-    """Read a model file; sidecar vocabularies are returned when present."""
+    """Read a model file; sidecar vocabularies are returned when present
+    and must have one label per table row."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
@@ -97,7 +98,17 @@ def load_model(
     ).reshape(n_relations, width).astype(np.float64)
     model = EmbeddingModel(kind=kind, k=int(k), entity_table=entity, relation_table=relation)
 
-    ev_path, rv_path = entity_sidecar(path), relation_sidecar(path)
-    entity_vocab = Vocabulary.load(ev_path) if ev_path.exists() else None
-    relation_vocab = Vocabulary.load(rv_path) if rv_path.exists() else None
+    entity_vocab = _load_sidecar(entity_sidecar(path), n_entities, "entity")
+    relation_vocab = _load_sidecar(relation_sidecar(path), n_relations, "relation")
     return model, entity_vocab, relation_vocab
+
+
+def _load_sidecar(sidecar: Path, rows: int, what: str) -> Vocabulary | None:
+    if not sidecar.exists():
+        return None
+    vocab = Vocabulary.load(sidecar)
+    if len(vocab) != rows:
+        raise ModelFormatError(
+            f"{sidecar}: {len(vocab)} {what} labels, but the model has {rows} {what} rows"
+        )
+    return vocab

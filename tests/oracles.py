@@ -102,3 +102,52 @@ def huber(a: float, b: float) -> float:
 def incident_triples(g, *entities) -> set[tuple[int, int, int]]:
     """Linear scan: every triple with one of `entities` as subject or object."""
     return {t for t in map(tuple, g.triples.tolist()) if t[0] in entities or t[2] in entities}
+
+
+class SetFilter:
+    """Reference filter: a set of id tuples plus per-side lookup by scan."""
+
+    def __init__(self, triples) -> None:
+        self.triples = {tuple(map(int, t)) for t in triples}
+
+    def __contains__(self, t) -> bool:
+        return tuple(map(int, t)) in self.triples
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def objects_for(self, s: int, p: int) -> set[int]:
+        return {o for (s2, p2, o) in self.triples if (s2, p2) == (s, p)}
+
+    def subjects_for(self, p: int, o: int) -> set[int]:
+        return {s for (s, p2, o2) in self.triples if (p2, o2) == (p, o)}
+
+
+def ingest_loop(rows, entity_labels=None, relation_labels=None):
+    """Reference ingest of (s, p, o, weight) label rows, one row at a time.
+
+    Without label lists, labels get ids in first-appearance order; with them,
+    rows using an unknown label are skipped as OOV.  Later copies of a triple
+    are dropped.  Returns (entity labels, relation labels, id triples,
+    kept weights, duplicates dropped, OOV skipped).
+    """
+    grow = entity_labels is None
+    entities = {} if grow else {label: i for i, label in enumerate(entity_labels)}
+    relations = {} if grow else {label: i for i, label in enumerate(relation_labels)}
+    seen, triples, weights = set(), [], []
+    dropped = oov = 0
+    for s, p, o, w in rows:
+        if grow:
+            for label, ids in ((s, entities), (p, relations), (o, entities)):
+                ids.setdefault(label, len(ids))
+        if s not in entities or p not in relations or o not in entities:
+            oov += 1
+            continue
+        t = (entities[s], relations[p], entities[o])
+        if t in seen:
+            dropped += 1
+            continue
+        seen.add(t)
+        triples.append(t)
+        weights.append(w)
+    return list(entities), list(relations), triples, weights, dropped, oov

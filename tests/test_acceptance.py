@@ -343,9 +343,7 @@ def test_criterion_8_learning_sanity():
     g, held_out = block_graph(
         n_entities=100, n_blocks=20, n_relations=4, n_train=600, n_test=60, seed=29
     )
-    flt = build_filter(g)
-    for t in held_out:
-        flt.add(tuple(map(int, t)))
+    flt = build_filter(g, graph_from_triples(held_out, g.entity_vocab, g.relation_vocab))
     pool = np.arange(g.n_entities)
     wins = 0
     ratios = []
@@ -379,9 +377,7 @@ def test_criterion_9_kd_faithfulness_directional():
     teacher = train(
         g, TrainConfig(kind="transe-l2", k=16, eta=4, lr=0.1, epochs=300, batch_size=256, seed=0)
     )
-    flt = build_filter(g)
-    for t in held_out:
-        flt.add(tuple(map(int, t)))
+    flt = build_filter(g, graph_from_triples(held_out, g.entity_vocab, g.relation_vocab))
     pool = np.arange(g.n_entities)
     targets = []
     for t in map(tuple, held_out.tolist()):

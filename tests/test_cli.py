@@ -8,7 +8,9 @@ import pytest
 
 from kgex.cli import run_cli
 from kgex.manifest import file_digest
-from kgex.modelio import MAGIC, ModelFormatError, load_model, save_model
+from kgex.modelio import (
+    MAGIC, ModelFormatError, entity_sidecar, load_model, relation_sidecar, save_model,
+)
 from kgex.models import init_model
 
 from toygraphs import block_graph
@@ -19,6 +21,16 @@ def write_graph_tsv(g, path):
     with open(path, "w", encoding="utf-8") as fh:
         for s, p, o in g.triples:
             fh.write(f"{ev.label_of(int(s))}\t{rv.label_of(int(p))}\t{ev.label_of(int(o))}\n")
+    return path
+
+
+def teacher_with_extra_entity_label(g, directory):
+    """A model over g's vocabularies whose entity sidecar has one label too many."""
+    path = directory / "teacher.kgex"
+    model = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
+    save_model(model, path, g.entity_vocab, g.relation_vocab)
+    with open(entity_sidecar(path), "a", encoding="utf-8") as fh:
+        fh.write(f"extra\t{g.n_entities}\n")
     return path
 
 
@@ -232,6 +244,46 @@ class TestCliBehavior:
         assert status == 1
         err = capsys.readouterr().err
         assert f"{sub}:3: unknown entity label 'ZZZ'" in err
+
+    def test_extra_sidecar_label_distill_train(self, workspace, tmp_path, capsys):
+        _, g, _ = workspace
+        teacher = teacher_with_extra_entity_label(g, tmp_path)
+        sub = tmp_path / "sub.tsv"
+        sub.write_text("e0\tr0\te1\n", encoding="utf-8")
+        status = run_cli([
+            "distill-train", "--teacher", str(teacher), "--subgraph", str(sub),
+            "--epochs", "1", "--seed", "1", "--out", str(tmp_path / "student.kgex"),
+        ])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{entity_sidecar(teacher)}: {g.n_entities + 1} entity labels" in err
+        assert f"{g.n_entities} entity rows" in err
+
+    def test_extra_sidecar_label_evaluate(self, workspace, tmp_path, capsys):
+        root, g, _ = workspace
+        teacher = teacher_with_extra_entity_label(g, tmp_path)
+        status = run_cli([
+            "evaluate", "--model", str(teacher), "--test", str(root / "test.tsv"), "--pool", "all",
+        ])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{entity_sidecar(teacher)}: {g.n_entities + 1} entity labels" in err
+        assert f"{g.n_entities} entity rows" in err
+
+    def test_non_integer_sidecar_id(self, workspace, tmp_path, capsys):
+        root, g, _ = workspace
+        teacher = tmp_path / "teacher.kgex"
+        model = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
+        save_model(model, teacher, g.entity_vocab, g.relation_vocab)
+        sidecar = relation_sidecar(teacher)
+        lines = sidecar.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].split("\t")[0] + "\tone\n"
+        sidecar.write_text("".join(lines), encoding="utf-8")
+        status = run_cli([
+            "evaluate", "--model", str(teacher), "--test", str(root / "test.tsv"), "--pool", "all",
+        ])
+        assert status == 1
+        assert f"{sidecar}:2: bad id 'one'" in capsys.readouterr().err
 
     def test_bad_target_label(self, workspace, capsys):
         root, _, _ = workspace

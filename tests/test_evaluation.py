@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from kgex import evaluation
 from kgex.evaluation import evaluate, metrics_from_ranks, rank_triple
-from kgex.graph import TrueTripleSet, build_filter
+from kgex.graph import build_filter, graph_from_triples
 from kgex.models import EmbeddingModel, ModelKind, init_model
 
 from oracles import brute_force_side_rank
-from toygraphs import random_graph
+from toygraphs import numbered_vocabularies, random_graph
 
 
 def constant_model(n_entities, n_relations):
@@ -43,8 +44,7 @@ class TestRankTriple:
 
     def test_filter_removes_known_candidates(self):
         m = constant_model(4, 1)
-        flt = TrueTripleSet()
-        flt.add((0, 0, 2))
+        flt = build_filter(graph_from_triples([(0, 0, 2)], *numbered_vocabularies(4, 1)))
         result = rank_triple(m, (0, 0, 1), np.arange(4), flt)
         assert result.object_rank == 3  # candidate 2 filtered out
         assert result.subject_rank == 4
@@ -70,6 +70,19 @@ class TestRankTriple:
                 unfiltered = rank_triple(m, t, pool, None)
                 assert unfiltered.object_rank == brute_force_side_rank(m, t, pool, None, False)
                 assert unfiltered.subject_rank == brute_force_side_rank(m, t, pool, None, True)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+    def test_scoring_in_blocks_matches_brute_force(self, monkeypatch, rows_per_block):
+        g = random_graph(20, 3, 70, seed=11)
+        m = init_model("complex", 3, g.n_entities, g.n_relations, seed=12)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", rows_per_block * 8 * m.width)
+        flt = build_filter(g)
+        pool = np.arange(g.n_entities)
+        for i in range(0, g.n_triples, 7):
+            t = g.triple_at(i)
+            result = rank_triple(m, t, pool, flt)
+            assert result.object_rank == brute_force_side_rank(m, t, pool, flt, False)
+            assert result.subject_rank == brute_force_side_rank(m, t, pool, flt, True)
 
     def test_filtering_never_increases_rank(self):
         g = random_graph(15, 2, 50, seed=3)

@@ -104,6 +104,14 @@ class TestLoadSplit:
         assert test.entity_vocab is train.entity_vocab
 
 
+class TestGraphFromTriples:
+    @pytest.mark.parametrize("bad", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 0, 0), (0, 1, 0), (0, 0, 2)])
+    def test_ids_outside_vocabularies_rejected(self, bad):
+        g = label_graph([("A", "r", "B")])
+        with pytest.raises(IndexError):
+            graph_from_triples([bad], g.entity_vocab, g.relation_vocab)
+
+
 class TestNeighborhoods:
     def test_one_hop_enumeration_oracle(self):
         g = demo_graph()
@@ -207,8 +215,8 @@ class TestFilter:
         flt = build_filter(g)
         ev, rv = g.entity_vocab, g.relation_vocab
         a, r = ev.id_of("A"), rv.id_of("r")
-        assert flt.objects_for(a, r) == {ev.id_of("B"), ev.id_of("C")}
-        assert flt.subjects_for(r, ev.id_of("B")) == {a, ev.id_of("D")}
+        assert set(flt.objects_for(a, r).tolist()) == {ev.id_of("B"), ev.id_of("C")}
+        assert set(flt.subjects_for(r, ev.id_of("B")).tolist()) == {a, ev.id_of("D")}
 
 
 class TestVocabularyDump:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgex.evaluation import evaluate
-from kgex.graph import build_filter
+from kgex.graph import build_filter, graph_from_triples
 from kgex.losses import l2_regularizer, softmax_nll_batch
 from kgex.models import init_model
 from kgex.optim import SparseAdam
@@ -228,9 +228,7 @@ class TestTrainLoop:
         g, held_out = block_graph(
             n_entities=20, n_blocks=10, n_relations=3, n_train=80, n_test=16, seed=13
         )
-        flt = build_filter(g)
-        for t in held_out:
-            flt.add((int(t[0]), int(t[1]), int(t[2])))
+        flt = build_filter(g, graph_from_triples(held_out, g.entity_vocab, g.relation_vocab))
         pool = np.arange(g.n_entities)
         wins = 0
         for seed in range(5):

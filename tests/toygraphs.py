@@ -22,6 +22,16 @@ def demo_graph(extra_entities: int = 0, extra_relations: int = 0) -> KnowledgeGr
     return graph_from_triples(ids, ev, rv)
 
 
+def numbered_vocabularies(n_entities: int, n_relations: int) -> tuple[Vocabulary, Vocabulary]:
+    """Vocabularies e0..e{n-1} and r0..r{m-1}, so label ei has id i."""
+    ev, rv = Vocabulary(), Vocabulary()
+    for e in range(n_entities):
+        ev.add(f"e{e}")
+    for r in range(n_relations):
+        rv.add(f"r{r}")
+    return ev, rv
+
+
 def label_graph(triples: list[tuple[str, str, str]]) -> KnowledgeGraph:
     ev, rv = Vocabulary(), Vocabulary()
     ids = [(ev.add(s), rv.add(p), ev.add(o)) for s, p, o in triples]
@@ -58,11 +68,7 @@ def block_graph(
     chosen = [candidates[i] for i in picked]
     train, test = chosen[:n_train], chosen[n_train:]
 
-    ev, rv = Vocabulary(), Vocabulary()
-    for e in range(n_entities):
-        ev.add(f"e{e}")
-    for r in range(n_relations):
-        rv.add(f"r{r}")
+    ev, rv = numbered_vocabularies(n_entities, n_relations)
     g = graph_from_triples(train, ev, rv)
     return g, np.asarray(test, dtype=np.int64)
 
@@ -74,9 +80,5 @@ def random_graph(n_entities: int, n_relations: int, n_triples: int, seed: int) -
         seen.add(
             (int(rng.integers(n_entities)), int(rng.integers(n_relations)), int(rng.integers(n_entities)))
         )
-    ev, rv = Vocabulary(), Vocabulary()
-    for e in range(n_entities):
-        ev.add(f"e{e}")
-    for r in range(n_relations):
-        rv.add(f"r{r}")
+    ev, rv = numbered_vocabularies(n_entities, n_relations)
     return graph_from_triples(sorted(seen), ev, rv)
