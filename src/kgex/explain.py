@@ -9,6 +9,7 @@ rank means the triple tends to make the prediction succeed.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -38,6 +39,8 @@ class ExplainConfig:
             raise ValueError("mc_runs must be >= 1")
         if self.partitions < 2:
             raise ValueError("partitions must be >= 2")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         self.sampler.validate()
 
 
@@ -117,8 +120,8 @@ def mc_explain(
     The subgraph is sampled once per target.  Each cycle of `partitions` runs
     shares one freshly seeded partition and walks its subsets round-robin, so
     every cycle covers the whole subgraph.  Students corrupt and rank only
-    over the entities of their own subset.  Runs are independent and may
-    execute in worker processes; the report does not depend on scheduling.
+    over the entities of their own subset.  Runs are independent and may run in
+    min(threads, runs, CPUs) processes; the report does not depend on scheduling.
     """
     config.validate()
     sampler_seed = (
@@ -147,8 +150,9 @@ def mc_explain(
         )
         tasks.append((run, teacher, g, target, subset, cfg, config.kd_lambda, flt))
 
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool_exec:
+    workers = min(config.threads, config.mc_runs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             records = list(pool_exec.map(_run_once, tasks))
     else:
         records = [_run_once(t) for t in tasks]

@@ -20,16 +20,13 @@ class FocusEConfig:
     """Weight-modulated training; a `None` config trains unmodulated.
 
     `decay` is the number of epochs over which beta falls linearly from 1 to
-    0; `decay = 0` trains with beta = 0 throughout.  `fixed_beta`, when set,
-    pins beta to a constant and disables the schedule.
+    0; `decay = 0` trains with beta = 0 throughout and `decay = inf` with
+    beta = 1 exactly at every epoch.
     """
 
     decay: float = 0.0
-    fixed_beta: float | None = None
 
     def beta_at(self, epoch: int) -> float:
-        if self.fixed_beta is not None:
-            return float(self.fixed_beta)
         return beta_schedule(epoch, self.decay)
 
 

@@ -8,8 +8,8 @@ import numpy as np
 class SparseAdam:
     """Standard Adam; moment rows are read and written only for touched rows.
 
-    Bias correction uses a single global step counter, advanced once per
-    `step` call regardless of which rows the call touches.
+    Bias correction uses a single step counter, advanced by every `apply`
+    call regardless of which rows the call touches.
     """
 
     def __init__(
@@ -30,17 +30,9 @@ class SparseAdam:
         self.v = np.zeros(shape)
         self.t = 0
 
-    def begin_step(self) -> None:
-        self.t += 1
-
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-        """Update `params[rows]` in place from per-row gradients.
-
-        Call `begin_step` once per optimization step before applying to each
-        table, so tables sharing the step share the bias correction.
-        """
-        if self.t < 1:
-            raise RuntimeError("begin_step must be called before apply")
+        """Take one step: update `params[rows]` in place from per-row gradients."""
+        self.t += 1
         if len(rows) == 0:
             return
         m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * grads

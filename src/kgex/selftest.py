@@ -171,12 +171,10 @@ def _check_samplers() -> str | None:
 def _check_adam() -> str | None:
     params = np.array([[1.0, -2.0]])
     opt = SparseAdam(params.shape, lr=0.1)
-    opt.begin_step()
     opt.apply(params, np.array([0]), np.zeros((1, 2)))
     if not np.array_equal(params, [[1.0, -2.0]]) or opt.t != 1:
         return "zero gradient moved parameters"
     opt2 = SparseAdam(params.shape, lr=0.0)
-    opt2.begin_step()
     opt2.apply(params, np.array([0]), np.ones((1, 2)))
     if not np.array_equal(params, [[1.0, -2.0]]):
         return "lr=0 moved parameters"

@@ -14,7 +14,7 @@ from .optim import SparseAdam
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the batch loss stops being finite."""
+    """Raised when the batch loss or an updated embedding row stops being finite."""
 
 
 @dataclass
@@ -98,6 +98,24 @@ def _resolve_pool(g: KnowledgeGraph, config: TrainConfig) -> np.ndarray:
     return pool
 
 
+def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum one table's `(ids, weight, grads)` terms over the rows they touch.
+
+    Returns the sorted unique ids and their `(len(rows), width)` gradients;
+    each row sums `weight * grads` in term order, as a full-table scatter would.
+    """
+    rows, inverse = np.unique(
+        np.concatenate([ids.ravel() for ids, _, _ in terms]), return_inverse=True
+    )
+    summed = np.zeros((len(rows), width))
+    start = 0
+    for ids, weight, grads in terms:
+        stop = start + ids.size
+        np.add.at(summed, inverse[start:stop], (weight * grads).reshape(-1, width))
+        start = stop
+    return rows, summed
+
+
 def run_training(
     g: KnowledgeGraph,
     config: TrainConfig,
@@ -133,11 +151,8 @@ def run_training(
 
     ent_opt = SparseAdam(model.entity_table.shape, config.lr)
     rel_opt = SparseAdam(model.relation_table.shape, config.lr)
-    ent_grad = np.zeros_like(model.entity_table)
-    rel_grad = np.zeros_like(model.relation_table)
 
     triples = g.triples
-    weights = g.weights
     n = len(triples)
     stats = TrainStats()
 
@@ -167,7 +182,7 @@ def run_training(
 
             scores = np.concatenate([pos_f[:, None], neg_f], axis=1)
             if focuse is not None:
-                alpha = alpha_batch(weights[batch_idx], beta, config.eta)
+                alpha = alpha_batch(g.weights[batch_idx], beta, config.eta)
                 loss_rows, dscores = focused_nll_batch(scores, alpha)
             elif config.loss == "softplus_nll":
                 alpha = np.ones_like(scores)
@@ -176,15 +191,11 @@ def run_training(
                 loss_rows, dscores = softmax_nll_batch(scores)
 
             scale = 1.0 / bs
-            d_pos = dscores[:, 0] * scale
-            d_neg = dscores[:, 1:] * scale
-            np.add.at(ent_grad, s_ids, d_pos[:, None] * pos_gs)
-            np.add.at(ent_grad, o_ids, d_pos[:, None] * pos_go)
-            np.add.at(rel_grad, p_ids, d_pos[:, None] * pos_gp)
-            np.add.at(ent_grad, neg_s.ravel(), (d_neg[..., None] * neg_gs).reshape(-1, model.width))
-            np.add.at(ent_grad, neg_o.ravel(), (d_neg[..., None] * neg_go).reshape(-1, model.width))
-            np.add.at(rel_grad, neg_p.ravel(), (d_neg[..., None] * neg_gp).reshape(-1, model.width))
-
+            d_pos = dscores[:, 0, None] * scale
+            d_neg = dscores[:, 1:, None] * scale
+            ent_terms = [(s_ids, d_pos, pos_gs), (o_ids, d_pos, pos_go),
+                         (neg_s, d_neg, neg_gs), (neg_o, d_neg, neg_go)]
+            rel_terms = [(p_ids, d_pos, pos_gp), (neg_p, d_neg, neg_gp)]
             batch_loss = float(loss_rows.sum()) * scale
 
             if teacher is not None and kd_lambda > 0.0:
@@ -201,32 +212,31 @@ def run_training(
                     ),
                 )
                 kd_scale = kd_lambda * scale
-                np.add.at(ent_grad, s_ids, kd_scale * kd_gs)
-                np.add.at(ent_grad, o_ids, kd_scale * kd_go)
-                np.add.at(rel_grad, p_ids, kd_scale * kd_gp)
+                ent_terms += [(s_ids, kd_scale, kd_gs), (o_ids, kd_scale, kd_go)]
+                rel_terms.append((p_ids, kd_scale, kd_gp))
                 batch_loss += kd_scale * float(kd_rows.sum())
                 stats.degenerate_terms += degenerate
 
-            ent_rows = np.unique(np.concatenate([s_ids, o_ids, neg_s.ravel(), neg_o.ravel()]))
-            rel_rows = np.unique(np.concatenate([p_ids, neg_p.ravel()]))
+            updates = [
+                (model.entity_table, ent_opt, *_summed_gradients(ent_terms, model.width)),
+                (model.relation_table, rel_opt, *_summed_gradients(rel_terms, model.width)),
+            ]
             if config.gamma > 0.0:
-                ent_l2, ent_l2_grad = l2_regularizer(model.entity_table[ent_rows], config.gamma)
-                rel_l2, rel_l2_grad = l2_regularizer(model.relation_table[rel_rows], config.gamma)
-                ent_grad[ent_rows] += ent_l2_grad
-                rel_grad[rel_rows] += rel_l2_grad
-                batch_loss += ent_l2 + rel_l2
+                l2 = []
+                for table, _, rows, grad in updates:
+                    l2_loss, l2_grad = l2_regularizer(table[rows], config.gamma)
+                    grad += l2_grad
+                    l2.append(l2_loss)
+                batch_loss += l2[0] + l2[1]
 
+            where = f"epoch {epoch}, batch {start // config.batch_size}"
             if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                )
-
-            ent_opt.begin_step()
-            ent_opt.apply(model.entity_table, ent_rows, ent_grad[ent_rows])
-            rel_opt.begin_step()
-            rel_opt.apply(model.relation_table, rel_rows, rel_grad[rel_rows])
-            ent_grad[ent_rows] = 0.0
-            rel_grad[rel_rows] = 0.0
+                raise TrainingDivergedError(f"non-finite loss at {where}")
+            # only the updated rows can change, and the initial tables are finite
+            for table, opt, rows, grad in updates:
+                opt.apply(table, rows, grad)
+                if not np.isfinite(table[rows]).all():
+                    raise TrainingDivergedError(f"non-finite embeddings at {where}")
             stats.steps += 1
             loss_sum += batch_loss * bs
 
@@ -234,8 +244,6 @@ def run_training(
         stats.epoch_losses.append(epoch_mean)
         if progress is not None:
             progress(epoch, epoch_mean)
-        if not (np.isfinite(model.entity_table).all() and np.isfinite(model.relation_table).all()):
-            raise TrainingDivergedError(f"non-finite embeddings after epoch {epoch}")
 
     return model, stats
 

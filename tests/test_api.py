@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import kgex
-from kgex import evaluation, graph
+from kgex import evaluation, graph, training
 from kgex.models import init_model
 
 from toygraphs import random_graph
@@ -93,6 +93,35 @@ def test_tracer_sees_filtered_ranking():
     names = {span.name for span in tracer.spans}
     assert {"graph.build_filter", "evaluation.evaluate", "evaluation.rank_triple",
             "evaluation.filter_lookup", "models.score_many"} <= names
+
+
+def test_tracer_counts_the_sparse_training_step(monkeypatch):
+    g = random_graph(12, 3, 40, seed=3)
+    teacher = init_model("distmult", 3, g.n_entities, g.n_relations, seed=4)
+    config = training.TrainConfig(kind="distmult", k=3, eta=2, epochs=2, batch_size=16, seed=5)
+    corrupt_batch = training.corrupt_batch
+    corruptions = []
+
+    def recording_corrupt_batch(batch, eta, pool, rng):
+        neg = corrupt_batch(batch, eta, pool, rng)
+        corruptions.append((batch, neg))
+        return neg
+
+    monkeypatch.setattr(training, "corrupt_batch", recording_corrupt_batch)
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        _, stats = training.run_training(g, config, teacher=teacher, kd_lambda=2.0)
+
+    adam = [span.counts["optim.adam_rows"] for span in tracer.spans if span.name == "optim.adam_apply"]
+    expected = []
+    for batch, (neg_s, neg_p, neg_o) in corruptions:
+        expected.append(len(np.unique(np.concatenate([batch[:, [0, 2]].ravel(), neg_s.ravel(), neg_o.ravel()]))))
+        expected.append(len(np.unique(np.concatenate([batch[:, 1], neg_p.ravel()]))))
+    assert stats.steps == len(corruptions) == config.epochs * -(-g.n_triples // config.batch_size)
+    assert adam == expected  # entity table, then relation table, once per batch
+    rkd = [span.counts["distill.rkd_triples"] for span in tracer.spans if span.name == "distill.rkd_loss_batch"]
+    assert len(rkd) == stats.steps
+    assert sum(rkd) == config.epochs * g.n_triples
 
 
 def test_by_entity_is_a_dict(tmp_path):

@@ -327,6 +327,26 @@ class TestCliBehavior:
         manifest = json.loads((tmp_path / "env_report.tsv.manifest.json").read_text())
         assert manifest["config"]["threads"] == 2
 
+    def test_threads_below_one_rejected(self, workspace, tmp_path, monkeypatch, capsys):
+        root, g, held_out = workspace
+        teacher = tmp_path / "teacher.kgex"
+        model = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
+        save_model(model, teacher, g.entity_vocab, g.relation_vocab)
+        ev, rv = g.entity_vocab, g.relation_vocab
+        s, p, o = map(int, held_out[4])
+        base = [
+            "explain", "--teacher", str(teacher), "--graph", str(root / "train.tsv"),
+            "--target", f"{ev.label_of(s)} {rv.label_of(p)} {ev.label_of(o)}",
+            "--mc-runs", "2", "--partitions", "2", "--seed", "1",
+            "--out", str(tmp_path / "report.tsv"),
+        ]
+        assert run_cli(base + ["--threads", "0"]) == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("KGEX_THREADS", "0")
+        assert run_cli(base) == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.tsv").exists()
+
     def test_missing_seed_is_drawn_and_recorded(self, workspace, tmp_path, capsys):
         root, _, _ = workspace
         out = tmp_path / "m.kgex"

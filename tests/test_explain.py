@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kgex.explain
 from kgex.explain import (
     ExplainConfig,
     RunRecord,
@@ -175,7 +176,45 @@ def toy():
     return g, held_out, teacher
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
 class TestMcExplain:
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            ExplainConfig(threads=threads).validate()
+
+    @pytest.mark.parametrize("cpus, workers", [(None, []), (3, [3]), (8, [4])])
+    def test_workers_capped_by_runs_and_cpus(self, toy, monkeypatch, cpus, workers):
+        g, held_out, teacher = toy
+        monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(RecordingPool, "created", [])
+        config = ExplainConfig(
+            mc_runs=4, partitions=2, student=self.student_cfg(), kd_lambda=3.0,
+            sampler=SubgraphSpec("pn", 1), seed=7, threads=10**6,
+        )
+        report = mc_explain(teacher, g, tuple(map(int, held_out[2])), config)
+        assert RecordingPool.created == workers  # min(threads, mc_runs, cpus); 1 runs serially
+        assert [r.run for r in report.records] == [0, 1, 2, 3]
+        assert config.threads == 10**6
+
     def student_cfg(self):
         return TrainConfig(kind="transe-l2", k=4, eta=2, lr=0.1, epochs=40, batch_size=64)
 

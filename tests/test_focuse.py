@@ -160,7 +160,7 @@ class TestFocuseTraining:
         baseline = train(g, base_cfg)
         focuse_cfg = TrainConfig(
             kind="distmult", k=4, eta=2, lr=0.05, epochs=4, batch_size=32, seed=11,
-            focuse=FocusEConfig(decay=0.0, fixed_beta=1.0),
+            focuse=FocusEConfig(decay=float("inf")),
         )
         modulated = train(g, focuse_cfg)
         assert np.array_equal(baseline.entity_table, modulated.entity_table)

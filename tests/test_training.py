@@ -152,7 +152,6 @@ class TestAdam:
         params = np.array([[1.0, 2.0], [3.0, 4.0]])
         before = params.copy()
         opt = SparseAdam(params.shape, lr=0.5)
-        opt.begin_step()
         opt.apply(params, np.array([0, 1]), np.zeros((2, 2)))
         assert np.array_equal(params, before)
         assert opt.t == 1
@@ -161,7 +160,6 @@ class TestAdam:
         params = np.array([[10.0, -3.0]])
         g = np.array([[0.2, -7.0]])
         opt = SparseAdam(params.shape, lr=0.01)
-        opt.begin_step()
         opt.apply(params, np.array([0]), g)
         expected = np.array([[10.0, -3.0]]) - 0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(params, expected, atol=1e-12)
@@ -172,7 +170,6 @@ class TestAdam:
         reference = ScalarAdam(lr=0.1)
         theta = 5.0
         for _ in range(2):
-            opt.begin_step()
             opt.apply(params, np.array([0]), np.array([[2.5]]))
             theta = reference.step(theta, 2.5)
             assert params[0, 0] == pytest.approx(theta, abs=1e-15)
@@ -181,7 +178,6 @@ class TestAdam:
     def test_lr_zero_keeps_parameters(self):
         params = np.array([[1.0, 2.0]])
         opt = SparseAdam(params.shape, lr=0.0)
-        opt.begin_step()
         opt.apply(params, np.array([0]), np.array([[9.0, -9.0]]))
         assert np.array_equal(params, [[1.0, 2.0]])
 
@@ -189,7 +185,6 @@ class TestAdam:
         params = np.arange(8.0).reshape(4, 2)
         before = params.copy()
         opt = SparseAdam(params.shape, lr=0.3)
-        opt.begin_step()
         opt.apply(params, np.array([1]), np.ones((1, 2)))
         assert np.array_equal(params[[0, 2, 3]], before[[0, 2, 3]])
         assert not np.array_equal(params[1], before[1])
@@ -262,3 +257,14 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match=r"epoch \d+"):
             with np.errstate(all="ignore"):
                 train(g, cfg)
+
+    def test_overflowing_step_aborts_before_the_epoch_ends(self):
+        g = random_graph(10, 2, 30, seed=6)
+        # the first Adam step moves rows by about lr, past the float64 range,
+        # while the loss of that batch is still finite
+        cfg = TrainConfig(kind="distmult", k=4, eta=2, lr=1.9e308, epochs=5, batch_size=30, seed=0)
+        epochs_reported = []
+        with pytest.raises(TrainingDivergedError, match=r"non-finite embeddings.*epoch 0"):
+            with np.errstate(all="ignore"):
+                train(g, cfg, progress=lambda epoch, loss: epochs_reported.append(epoch))
+        assert epochs_reported == []
