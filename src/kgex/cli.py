@@ -1,10 +1,13 @@
 """Command-line interface: train, distill-train, sample-subgraph, explain,
 evaluate, selftest.
 
-Option precedence is CLI flag > config file (`key = value` lines) > built-in
-default.  Every file-producing command writes a `<output>.manifest.json`
-recording the resolved configuration, the seed actually used, and SHA-256
-digests of inputs and outputs.
+Options resolve as CLI flag > config file (`key = value` lines) > built-in
+default, `seed` and `threads` included; a config-file key that no command
+takes is an error.  Without a seed one is drawn and printed; threads fall back
+to `KGEX_THREADS`, then 1.  `evaluate` takes no `--seed` or `--config`.  Every
+file-producing command writes a `<output>.manifest.json` recording the
+resolved configuration, the seed actually used, and SHA-256 digests of inputs
+(the config file included) and outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from .distill import train_student
 from .evaluation import evaluate
 from .explain import ExplainConfig, mc_explain, write_report_tsv
 from .focuse import FocusEConfig
-from .graph import KnowledgeGraph, Triple, build_filter, graph_from_triples, load_graph, load_split
+from .graph import (
+    KnowledgeGraph, Triple, build_filter, graph_from_triples, load_graph, load_split,
+    triple_of_labels,
+)
 from .manifest import RunManifest, manifest_path
 from .modelio import load_model, save_model
 from .models import ModelKind
@@ -30,8 +36,53 @@ from .sampling import SubgraphSpec, read_subgraph_tsv, sample_subgraph, write_su
 from .selftest import run_selftest
 from .training import TrainConfig, train
 
-_MODEL_CHOICES = [m.value for m in ModelKind]
-_LOSS_CHOICES = ["multiclass_nll", "softplus_nll"]
+
+def _resolve_seed() -> int:
+    seed = secrets.randbits(31)
+    print(f"no --seed given; drew seed {seed}", file=sys.stderr)
+    return seed
+
+
+def _resolve_threads() -> int:
+    return int(os.environ.get("KGEX_THREADS") or 1)
+
+
+# Every option, declared once: key -> (type, default, choices, help).  The flag
+# is `--key` with `-` for `_`; a config file sets it as `key = value`.  A
+# callable default is called only when neither the flag nor the file sets it.
+_OPTIONS = {
+    "model": (str, None, [m.value for m in ModelKind], None),  # None: teacher's, or transe-l2
+    "k": (int, 50, None, None),
+    "eta": (int, 2, None, None),
+    "lr": (float, 0.1, None, None),
+    "epochs": (int, 200, None, None),
+    "batch_size": (int, 512, None, None),
+    "gamma": (float, 0.0, None, None),
+    "loss": (str, "multiclass_nll", ["multiclass_nll", "softplus_nll"], None),
+    "weights": (bool, False, None, "the graph file has a fourth numeric-weight column"),
+    "weight_policy": (str, "strict", ["strict", "clamp", "minmax"], None),
+    "focuse": (bool, False, None, "modulate training by the per-triple weights"),
+    "focuse_decay": (float, 0.0, None, "epochs over which structural influence decays to 0"),
+    "method": (str, "pn", ["pn", "rw"], None),
+    "n": (int, 5, None, None),
+    "mc_runs": (int, 100, None, None),
+    "partitions": (int, 10, None, None),
+    "kd_lambda": (float, 3.0, None, None),
+    "threads": (int, _resolve_threads, None, "parallel MC runs (KGEX_THREADS fallback)"),
+    "seed": (int, _resolve_seed, None, None),
+}
+
+# the TrainConfig fields, with `model` standing for `kind`
+_TRAIN_FIELDS = ("model", "k", "eta", "lr", "epochs", "batch_size", "gamma", "loss")
+
+_COMMAND_OPTIONS = {
+    "train": (*_TRAIN_FIELDS, "weights", "weight_policy", "focuse", "focuse_decay", "seed"),
+    "distill-train": ("kd_lambda", *_TRAIN_FIELDS, "seed"),
+    "sample-subgraph": ("method", "n", "seed"),
+    "explain": (
+        "method", "n", "mc_runs", "partitions", "kd_lambda", "threads", *_TRAIN_FIELDS, "seed",
+    ),
+}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -44,88 +95,57 @@ def _parse_config_file(path: str) -> dict[str, str]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
             key, _, value = stripped.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _OPTIONS:
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            values[key] = value.strip()
     return values
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Merge CLI > config file > defaults for the given option table."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's options: CLI flag > config file > default."""
     file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
-    for key, (caster, default) in spec.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_cfg:
+    for key in _COMMAND_OPTIONS.get(args.command, ()):
+        caster, default, _, _ = _OPTIONS[key]
+        value = getattr(args, key)
+        if value is None and key in file_cfg:
             raw = file_cfg[key]
-            resolved[key] = raw.lower() in ("1", "true", "yes") if caster is bool else caster(raw)
-        else:
-            resolved[key] = default
+            value = raw.lower() in ("1", "true", "yes") if caster is bool else caster(raw)
+        elif value is None:
+            value = default() if callable(default) else default
+        resolved[key] = value
     return resolved
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    seed = secrets.randbits(31)
-    print(f"no --seed given; drew seed {seed}", file=sys.stderr)
-    return seed
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("KGEX_THREADS")
-    return int(env) if env else 1
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    for key in _COMMAND_OPTIONS[command]:
+        caster, _, choices, help_text = _OPTIONS[key]
+        flag = "--" + key.replace("_", "-")
+        if caster is bool:
+            p.add_argument(flag, action="store_true", default=None, help=help_text)
+        else:
+            p.add_argument(flag, type=caster, choices=choices, help=help_text)
+    p.add_argument("--config", help="key = value configuration file")
 
 
 def _parse_target(raw: str, g: KnowledgeGraph) -> Triple:
     parts = raw.split()
     if len(parts) != 3:
         raise ValueError(f'target must be "s p o" (3 whitespace-separated labels), got {raw!r}')
-    s_lbl, p_lbl, o_lbl = parts
-    for lbl, vocab, what in (
-        (s_lbl, g.entity_vocab, "entity"),
-        (p_lbl, g.relation_vocab, "relation"),
-        (o_lbl, g.entity_vocab, "entity"),
-    ):
-        if lbl not in vocab:
-            raise ValueError(f"unknown {what} label {lbl!r}")
-    return (g.entity_vocab.id_of(s_lbl), g.relation_vocab.id_of(p_lbl), g.entity_vocab.id_of(o_lbl))
-
-
-# options of every training command; keys match the TrainConfig fields
-_TRAIN_OPTS = {
-    "model": (str, None),  # None: students inherit the teacher's kind
-    "k": (int, 50),
-    "eta": (int, 2),
-    "lr": (float, 0.1),
-    "epochs": (int, 200),
-    "batch_size": (int, 512),
-    "gamma": (float, 0.0),
-    "loss": (str, "multiclass_nll"),
-}
+    return triple_of_labels(parts, g.entity_vocab, g.relation_vocab)
 
 
 def _train_config(opts: dict, kind, **extra) -> TrainConfig:
-    fields = {key: opts[key] for key in _TRAIN_OPTS if key != "model"}
+    fields = {key: opts[key] for key in _TRAIN_FIELDS if key != "model"}
     return TrainConfig(kind=kind, **fields, **extra)
 
 
-def _add_student_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", choices=_MODEL_CHOICES)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--eta", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--loss", choices=_LOSS_CHOICES)
-
-
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--config", help="key = value configuration file")
+def _load_with_vocabularies(path):
+    model, ev, rv = load_model(path)
+    if ev is None or rv is None:
+        raise ValueError(f"{path}: vocabulary sidecars are required")
+    return model, ev, rv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,45 +155,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("train", help="train an embedding model on a triple TSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    _add_student_flags(p)
-    p.add_argument("--weights", action="store_true", default=None,
-                   help="the graph file has a fourth numeric-weight column")
-    p.add_argument("--weight-policy", dest="weight_policy", choices=["strict", "clamp", "minmax"])
-    p.add_argument("--focuse", action="store_true", default=None,
-                   help="modulate training by the per-triple weights")
-    p.add_argument("--focuse-decay", dest="focuse_decay", type=float,
-                   help="epochs over which structural influence decays to 0")
-    _common_flags(p)
+    _add_options(p, "train")
+    p.set_defaults(handler=_cmd_train)
 
     p = commands.add_parser("distill-train", help="train a student on a subgraph with a frozen teacher")
     p.add_argument("--teacher", required=True)
     p.add_argument("--subgraph", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kd-lambda", dest="kd_lambda", type=float)
-    _add_student_flags(p)
-    _common_flags(p)
+    _add_options(p, "distill-train")
+    p.set_defaults(handler=_cmd_distill_train)
 
     p = commands.add_parser("sample-subgraph", help="sample an explanation subgraph around a target")
     p.add_argument("--graph", required=True)
     p.add_argument("--target", required=True, help='"s p o" labels')
-    p.add_argument("--method", choices=["pn", "rw"])
-    p.add_argument("--n", type=int)
     p.add_argument("--out", required=True)
-    _common_flags(p)
+    _add_options(p, "sample-subgraph")
+    p.set_defaults(handler=_cmd_sample_subgraph)
 
     p = commands.add_parser("explain", help="rank training triples by contribution to a prediction")
     p.add_argument("--teacher", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--target", required=True, help='"s p o" labels')
-    p.add_argument("--method", choices=["pn", "rw"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--mc-runs", dest="mc_runs", type=int)
-    p.add_argument("--partitions", type=int)
-    p.add_argument("--kd-lambda", dest="kd_lambda", type=float)
-    p.add_argument("--threads", type=int, help="parallel MC runs (KGEX_THREADS fallback)")
     p.add_argument("--out", required=True)
-    _add_student_flags(p)
-    _common_flags(p)
+    _add_options(p, "explain")
+    p.set_defaults(handler=_cmd_explain)
 
     p = commands.add_parser("evaluate", help="filtered MR/MRR/Hits@N of a model on a test TSV")
     p.add_argument("--model", required=True, help="model file (vocabulary sidecars required)")
@@ -181,117 +186,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", default="all", help='"all" or "subgraph:<tsv>"')
     p.add_argument("--filter", nargs="*", default=[], help="TSVs of known true triples")
     p.add_argument("--out", help="write metrics JSON here (default: stdout only)")
-    _common_flags(p)
+    p.set_defaults(handler=_cmd_evaluate)
 
     commands.add_parser("selftest", help="run built-in invariant suites")
     return parser
 
 
-def _cmd_train(args, argv) -> int:
-    opts = _resolve(
-        args,
-        {
-            **_TRAIN_OPTS,
-            "model": (str, "transe-l2"),
-            "weights": (bool, False),
-            "weight_policy": (str, "strict"),
-            "focuse": (bool, False),
-            "focuse_decay": (float, 0.0),
-        },
-    )
-    seed = _resolve_seed(args.seed)
-    manifest = RunManifest("train", argv)
-    manifest.add_input(args.graph)
+# A handler gets the parsed paths, the resolved options and the manifest; it records
+# its inputs and any configuration beyond the options, and returns the files it wrote.
 
+
+def _cmd_train(args, opts, manifest) -> list:
+    manifest.add_input(args.graph)
     g = load_graph(args.graph, has_weights=opts["weights"], weight_policy=opts["weight_policy"])
+    kind = opts["model"] or ModelKind.TRANSE_L2.value
     focuse_cfg = FocusEConfig(decay=opts["focuse_decay"]) if opts["focuse"] else None
-    cfg = _train_config(opts, opts["model"], seed=seed, focuse=focuse_cfg)
-    manifest.set_config(seed=seed, graph=str(args.graph), out=str(args.out), **opts)
+    cfg = _train_config(opts, kind, seed=opts["seed"], focuse=focuse_cfg)
+    manifest.set_config(model=kind, graph=str(args.graph), out=str(args.out))
 
     log_path = Path(str(args.out) + ".train.log")
     with open(log_path, "w", encoding="utf-8") as log:
         model = train(g, cfg, progress=lambda e, l: log.write(f"{e}\t{l:.10g}\n"))
     save_model(model, args.out, g.entity_vocab, g.relation_vocab)
     print(
-        f"trained {opts['model']} on {g.n_triples} triples "
+        f"trained {kind} on {g.n_triples} triples "
         f"({g.n_entities} entities, {g.n_relations} relations) -> {args.out}"
     )
-    for out in (args.out, log_path):
-        manifest.add_output(out)
-    manifest.write(manifest_path(args.out))
-    return 0
+    return [args.out, log_path]
 
 
-def _cmd_distill_train(args, argv) -> int:
-    opts = _resolve(args, {**_TRAIN_OPTS, "kd_lambda": (float, 3.0)})
-    seed = _resolve_seed(args.seed)
-    manifest = RunManifest("distill-train", argv)
+def _cmd_distill_train(args, opts, manifest) -> list:
     manifest.add_input(args.teacher)
     manifest.add_input(args.subgraph)
-
-    teacher, ev, rv = load_model(args.teacher)
-    if ev is None or rv is None:
-        raise ValueError(f"{args.teacher}: vocabulary sidecars are required")
-    triples = read_subgraph_tsv(args.subgraph, ev, rv)
-    sub_g = graph_from_triples(triples, ev, rv)
-    cfg = _train_config(opts, opts["model"] or teacher.kind, seed=seed)
-    manifest.set_config(seed=seed, teacher=str(args.teacher), subgraph=str(args.subgraph), **opts)
+    teacher, ev, rv = _load_with_vocabularies(args.teacher)
+    sub_g = graph_from_triples(read_subgraph_tsv(args.subgraph, ev, rv), ev, rv)
+    cfg = _train_config(opts, opts["model"] or teacher.kind, seed=opts["seed"])
+    manifest.set_config(teacher=str(args.teacher), subgraph=str(args.subgraph))
 
     student = train_student(teacher, sub_g, cfg, opts["kd_lambda"])
     save_model(student, args.out, ev, rv)
     print(f"distilled student on {sub_g.n_triples} subgraph triples -> {args.out}")
-    manifest.add_output(args.out)
-    manifest.write(manifest_path(args.out))
-    return 0
+    return [args.out]
 
 
-def _cmd_sample_subgraph(args, argv) -> int:
-    opts = _resolve(args, {"method": (str, "pn"), "n": (int, 5)})
-    seed = _resolve_seed(args.seed)
-    manifest = RunManifest("sample-subgraph", argv)
+def _cmd_sample_subgraph(args, opts, manifest) -> list:
     manifest.add_input(args.graph)
-
     g = load_graph(args.graph)
     target = _parse_target(args.target, g)
-    sub = sample_subgraph(g, target, SubgraphSpec(opts["method"], opts["n"], seed))
+    sub = sample_subgraph(g, target, SubgraphSpec(opts["method"], opts["n"], opts["seed"]))
     write_subgraph_tsv(sub, args.out)
     print(f"sampled {len(sub)} triples around {args.target!r} -> {args.out}")
-    manifest.set_config(seed=seed, target=args.target, **opts)
-    manifest.add_output(args.out)
-    manifest.write(manifest_path(args.out))
-    return 0
+    manifest.set_config(target=args.target)
+    return [args.out]
 
 
-def _cmd_explain(args, argv) -> int:
-    opts = _resolve(
-        args,
-        {
-            **_TRAIN_OPTS,
-            "method": (str, "pn"),
-            "n": (int, 5),
-            "mc_runs": (int, 100),
-            "partitions": (int, 10),
-            "kd_lambda": (float, 3.0),
-        },
-    )
-    seed = _resolve_seed(args.seed)
-    threads = _resolve_threads(args.threads)
-    manifest = RunManifest("explain", argv)
+def _cmd_explain(args, opts, manifest) -> list:
     manifest.add_input(args.teacher)
     manifest.add_input(args.graph)
-
     g = load_graph(args.graph)
     teacher, _, _ = load_model(args.teacher)
     if teacher.n_entities != g.n_entities or teacher.n_relations != g.n_relations:
         raise ValueError("teacher tables do not match the graph vocabularies")
     target = _parse_target(args.target, g)
-    student = _train_config(opts, opts["model"] or teacher.kind)
     config = ExplainConfig(
-        mc_runs=opts["mc_runs"], partitions=opts["partitions"], student=student,
+        mc_runs=opts["mc_runs"], partitions=opts["partitions"],
+        student=_train_config(opts, opts["model"] or teacher.kind),
         kd_lambda=opts["kd_lambda"], sampler=SubgraphSpec(opts["method"], opts["n"]),
-        seed=seed, threads=threads,
+        seed=opts["seed"], threads=opts["threads"],
     )
-    manifest.set_config(seed=seed, threads=threads, target=args.target, **opts)
+    manifest.set_config(target=args.target)
 
     report = mc_explain(teacher, g, target, config)
     write_report_tsv(report, g, args.out)
@@ -299,19 +262,13 @@ def _cmd_explain(args, argv) -> int:
         f"explained {args.target!r}: {len(report.entries)} ranked triples, "
         f"{len(report.tail)} never sampled -> {args.out}"
     )
-    manifest.add_output(args.out)
-    manifest.write(manifest_path(args.out))
-    return 0
+    return [args.out]
 
 
-def _cmd_evaluate(args, argv) -> int:
-    manifest = RunManifest("evaluate", argv)
+def _cmd_evaluate(args, opts, manifest) -> list:
     manifest.add_input(args.model)
     manifest.add_input(args.test)
-
-    model, ev, rv = load_model(args.model)
-    if ev is None or rv is None:
-        raise ValueError(f"{args.model}: vocabulary sidecars are required")
+    model, ev, rv = _load_with_vocabularies(args.model)
     test = load_split(args.test, ev, rv)
 
     if args.pool == "all":
@@ -319,46 +276,43 @@ def _cmd_evaluate(args, argv) -> int:
     elif args.pool.startswith("subgraph:"):
         sub_path = args.pool.split(":", 1)[1]
         manifest.add_input(sub_path)
-        triples = read_subgraph_tsv(sub_path, ev, rv)
-        pool = np.unique(np.asarray(triples, dtype=np.int64)[:, [0, 2]])
+        pool = graph_from_triples(read_subgraph_tsv(sub_path, ev, rv), ev, rv).entities_in_triples()
     else:
         raise ValueError(f'--pool must be "all" or "subgraph:<tsv>", got {args.pool!r}')
 
-    flt = None
-    if args.filter:
-        graphs = []
-        for path in args.filter:
-            manifest.add_input(path)
-            graphs.append(load_split(path, ev, rv))
-        flt = build_filter(*graphs)
+    for path in args.filter:
+        manifest.add_input(path)
+    flt = build_filter(*(load_split(path, ev, rv) for path in args.filter)) if args.filter else None
 
     metrics, skipped = evaluate(model, test.triples, pool, flt)
     payload = {**metrics.as_dict(), "skipped": skipped + test.oov_skipped}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     manifest.set_config(pool=args.pool, filters=list(args.filter))
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-        manifest.add_output(args.out)
-        manifest.write(manifest_path(args.out))
-    return 0
+    if not args.out:
+        return []
+    Path(args.out).write_text(text + "\n", encoding="utf-8")
+    return [args.out]
 
 
 def run_cli(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "train": _cmd_train,
-        "distill-train": _cmd_distill_train,
-        "sample-subgraph": _cmd_sample_subgraph,
-        "explain": _cmd_explain,
-        "evaluate": _cmd_evaluate,
-        "selftest": lambda a, v: (1 if run_selftest() else 0),
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, list(argv))
+        if args.command == "selftest":
+            return 1 if run_selftest() else 0
+        opts = _resolve(args)
+        manifest = RunManifest(args.command, list(argv))
+        if getattr(args, "config", None):
+            manifest.add_input(args.config)
+        manifest.set_config(**opts)
+        outputs = args.handler(args, opts, manifest)
+        for out in outputs:
+            manifest.add_output(out)
+        if outputs:
+            manifest.write(manifest_path(args.out))
+        return 0
     except BrokenPipeError:
         return 1
     except Exception as exc:  # surface module errors as clean diagnostics

@@ -98,7 +98,7 @@ def _run_once(args) -> RunRecord:
     (run, teacher, g, target, subset, student_cfg, kd_lambda, flt) = args
     sub_graph = graph_from_triples(g.triples[subset], g.entity_vocab, g.relation_vocab)
     student = train_student(teacher, sub_graph, student_cfg, kd_lambda)
-    result = rank_triple(student, target, student_cfg.pool, flt)
+    result = rank_triple(student, target, sub_graph.entities_in_triples(), flt)
     return RunRecord(
         run=run,
         positions=subset,
@@ -142,12 +142,7 @@ def mc_explain(
         part_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, cycle]))
         parts = partition_positions(sub.positions, config.partitions, part_rng)
         subset = np.sort(parts[run % config.partitions])
-        cfg = replace(
-            config.student,
-            seed=_derive_seed(config.seed, 2, run),
-            pool=np.unique(g.triples[subset][:, [0, 2]]),
-            focuse=None,
-        )
+        cfg = replace(config.student, seed=_derive_seed(config.seed, 2, run), focuse=None)
         tasks.append((run, teacher, g, target, subset, cfg, config.kd_lambda, flt))
 
     workers = min(config.threads, config.mc_runs, os.cpu_count() or 1)

@@ -272,6 +272,17 @@ def graph_from_triples(
     return _indexed_graph(arr, entity_vocab, relation_vocab, weights=weights)
 
 
+def triple_of_labels(
+    labels, entity_vocab: Vocabulary, relation_vocab: Vocabulary, where: str = ""
+) -> Triple:
+    """The id triple of `(s, p, o)` labels; the error names the first unknown label."""
+    vocabs = (entity_vocab, relation_vocab, entity_vocab)
+    for label, vocab, what in zip(labels, vocabs, ("entity", "relation", "entity")):
+        if label not in vocab:
+            raise GraphFormatError(f"{where}unknown {what} label {label!r}")
+    return tuple(vocab.id_of(label) for label, vocab in zip(labels, vocabs))
+
+
 def one_hop_positions(g: KnowledgeGraph, s: int, o: int) -> np.ndarray:
     """Sorted positions of triples incident (as subject or object) to s or o."""
     return np.union1d(g.entity_positions(s), g.entity_positions(o))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple, one_hop_positions
+from .graph import GraphFormatError, KnowledgeGraph, Triple, one_hop_positions, triple_of_labels
 
 logger = logging.getLogger(__name__)
 
@@ -159,8 +159,6 @@ def write_subgraph_tsv(sub: Subgraph, path: str | Path) -> None:
 
 def read_subgraph_tsv(path: str | Path, entity_vocab, relation_vocab) -> list[Triple]:
     """Read a subgraph TSV back into id triples, skipping `#` header lines."""
-    from .graph import GraphFormatError
-
     triples: list[Triple] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -169,12 +167,5 @@ def read_subgraph_tsv(path: str | Path, entity_vocab, relation_vocab) -> list[Tr
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise GraphFormatError(f"{path}:{lineno}: expected 3 columns")
-            for lbl, vocab, what in zip(parts, (entity_vocab, relation_vocab, entity_vocab),
-                                        ("entity", "relation", "entity")):
-                if lbl not in vocab:
-                    raise GraphFormatError(f"{path}:{lineno}: unknown {what} label {lbl!r}")
-            s_lbl, p_lbl, o_lbl = parts
-            triples.append(
-                (entity_vocab.id_of(s_lbl), relation_vocab.id_of(p_lbl), entity_vocab.id_of(o_lbl))
-            )
+            triples.append(triple_of_labels(parts, entity_vocab, relation_vocab, f"{path}:{lineno}: "))
     return triples

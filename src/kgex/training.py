@@ -59,7 +59,6 @@ class TrainConfig:
 class TrainStats:
     epoch_losses: list[float] = field(default_factory=list)
     steps: int = 0
-    degenerate_terms: int = 0
 
 
 def corrupt_batch(
@@ -86,16 +85,6 @@ def corrupt_batch(
     neg_o = np.where(sides == 1, replacement, triples[:, 2:3])
     neg_p = np.broadcast_to(triples[:, 1:2], (n, eta)).copy()
     return neg_s, neg_p, neg_o
-
-
-def _resolve_pool(g: KnowledgeGraph, config: TrainConfig) -> np.ndarray:
-    if config.pool is not None:
-        pool = np.unique(np.asarray(config.pool, dtype=np.int64))
-    else:
-        pool = g.entities_in_triples()
-    if len(pool) < 2:
-        raise ValueError("corruption pool must contain at least 2 entities")
-    return pool
 
 
 def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +125,7 @@ def run_training(
     if g.n_triples == 0:
         raise ValueError("cannot train on an empty graph")
     kind = ModelKind(config.kind)
-    pool = _resolve_pool(g, config)
+    pool = g.entities_in_triples() if config.pool is None else np.unique(np.int64(config.pool))
 
     focuse = config.focuse
     if focuse is not None and g.weights is None:
@@ -199,7 +188,7 @@ def run_training(
             batch_loss = float(loss_rows.sum()) * scale
 
             if teacher is not None and kd_lambda > 0.0:
-                kd_rows, kd_gs, kd_gp, kd_go, degenerate = rkd_loss_batch(
+                kd_rows, kd_gs, kd_gp, kd_go, _ = rkd_loss_batch(
                     (
                         teacher.entity_table[s_ids],
                         teacher.relation_table[p_ids],
@@ -215,7 +204,6 @@ def run_training(
                 ent_terms += [(s_ids, kd_scale, kd_gs), (o_ids, kd_scale, kd_go)]
                 rel_terms.append((p_ids, kd_scale, kd_gp))
                 batch_loss += kd_scale * float(kd_rows.sum())
-                stats.degenerate_terms += degenerate
 
             updates = [
                 (model.entity_table, ent_opt, *_summed_gradients(ent_terms, model.width)),

@@ -6,6 +6,8 @@ it patches exists where it looks, and calls go through those attributes.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -130,3 +132,15 @@ def test_by_entity_is_a_dict(tmp_path):
     g = graph.load_graph(path)
     assert isinstance(g.by_entity, dict)
     assert {e: v.tolist() for e, v in g.by_entity.items()} == {0: [0], 1: [0, 1]}
+
+
+def test_benchmark_script_imports_resolve():
+    """`scripts/reproduce_benchmarks.py` imports the library; `--help` runs those imports."""
+    root = Path(__file__).resolve().parent.parent
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_benchmarks.py"), "--help"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--dataset" in proc.stdout

@@ -1,12 +1,13 @@
 """Model persistence, manifests, and the end-to-end command pipeline."""
 
+import argparse
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from kgex.cli import run_cli
+from kgex.cli import build_parser, run_cli
 from kgex.manifest import file_digest
 from kgex.modelio import (
     MAGIC, ModelFormatError, entity_sidecar, load_model, relation_sidecar, save_model,
@@ -44,6 +45,52 @@ def workspace(tmp_path_factory):
         for s, p, o in held_out:
             fh.write(f"{ev.label_of(int(s))}\t{rv.label_of(int(p))}\t{ev.label_of(int(o))}\n")
     return root, g, held_out
+
+
+def label_target(g, triple):
+    s, p, o = map(int, triple)
+    return f"{g.entity_vocab.label_of(s)} {g.relation_vocab.label_of(p)} {g.entity_vocab.label_of(o)}"
+
+
+def train_argv(root):
+    return [
+        "train", "--graph", str(root / "train.tsv"), "--model", "transe-l2",
+        "--k", "8", "--eta", "2", "--lr", "0.1", "--epochs", "60",
+        "--seed", "3", "--out", str(root / "teacher.kgex"),
+    ]
+
+
+def sample_argv(root, g, held_out):
+    return [
+        "sample-subgraph", "--graph", str(root / "train.tsv"),
+        "--target", label_target(g, held_out[0]),
+        "--method", "pn", "--n", "3", "--seed", "11", "--out", str(root / "sub.tsv"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def pipeline(workspace):
+    """The workspace plus the teacher.kgex and sub.tsv that the train and
+    sample-subgraph tests write, written here by the same argv so that every
+    test reading them also runs on its own."""
+    assert run_cli(train_argv(workspace[0])) == 0
+    assert run_cli(sample_argv(*workspace)) == 0
+    return workspace
+
+
+# every option string of every command, so that a flag the option table drops fails
+OPTION_STRINGS = {
+    "train": "--graph --out --model --k --eta --lr --epochs --batch-size --gamma --loss "
+             "--weights --weight-policy --focuse --focuse-decay --seed --config",
+    "distill-train": "--teacher --subgraph --out --kd-lambda --model --k --eta --lr --epochs "
+                     "--batch-size --gamma --loss --seed --config",
+    "sample-subgraph": "--graph --target --method --n --out --seed --config",
+    "explain": "--teacher --graph --target --method --n --mc-runs --partitions --kd-lambda "
+               "--threads --out --model --k --eta --lr --epochs --batch-size --gamma --loss "
+               "--seed --config",
+    "evaluate": "--model --test --pool --filter --out",
+    "selftest": "",
+}
 
 
 class TestModelPersistence:
@@ -109,11 +156,7 @@ class TestModelPersistence:
 class TestPipeline:
     def test_train_subcommand(self, workspace):
         root, g, _ = workspace
-        status = run_cli([
-            "train", "--graph", str(root / "train.tsv"), "--model", "transe-l2",
-            "--k", "8", "--eta", "2", "--lr", "0.1", "--epochs", "60",
-            "--seed", "3", "--out", str(root / "teacher.kgex"),
-        ])
+        status = run_cli(train_argv(root))
         assert status == 0
         assert (root / "teacher.kgex").exists()
         log = (root / "teacher.kgex.train.log").read_text().strip().splitlines()
@@ -127,19 +170,13 @@ class TestPipeline:
 
     def test_sample_subgraph_subcommand(self, workspace):
         root, g, held_out = workspace
-        ev, rv = g.entity_vocab, g.relation_vocab
-        s, p, o = map(int, held_out[0])
-        target = f"{ev.label_of(s)} {rv.label_of(p)} {ev.label_of(o)}"
-        status = run_cli([
-            "sample-subgraph", "--graph", str(root / "train.tsv"), "--target", target,
-            "--method", "pn", "--n", "3", "--seed", "11", "--out", str(root / "sub.tsv"),
-        ])
+        status = run_cli(sample_argv(root, g, held_out))
         assert status == 0
         lines = (root / "sub.tsv").read_text().splitlines()
         assert sum(1 for l in lines if not l.startswith("#")) > 0
 
-    def test_distill_train_subcommand(self, workspace):
-        root, _, _ = workspace
+    def test_distill_train_subcommand(self, pipeline):
+        root, _, _ = pipeline
         status = run_cli([
             "distill-train", "--teacher", str(root / "teacher.kgex"),
             "--subgraph", str(root / "sub.tsv"), "--kd-lambda", "3",
@@ -151,8 +188,8 @@ class TestPipeline:
         assert student.k == 4
         assert ev is not None
 
-    def test_evaluate_subcommand(self, workspace, capsys):
-        root, _, _ = workspace
+    def test_evaluate_subcommand(self, pipeline, capsys):
+        root, _, _ = pipeline
         status = run_cli([
             "evaluate", "--model", str(root / "teacher.kgex"), "--test", str(root / "test.tsv"),
             "--pool", "all", "--filter", str(root / "train.tsv"), str(root / "test.tsv"),
@@ -164,8 +201,8 @@ class TestPipeline:
         assert payload["mrr"] > 0.3  # the teacher actually learned the toy graph
         assert payload["skipped"] == 0
 
-    def test_evaluate_subgraph_pool(self, workspace, capsys):
-        root, _, _ = workspace
+    def test_evaluate_subgraph_pool(self, pipeline, capsys):
+        root, _, _ = pipeline
         status = run_cli([
             "evaluate", "--model", str(root / "teacher.kgex"), "--test", str(root / "test.tsv"),
             "--pool", f"subgraph:{root / 'sub.tsv'}",
@@ -174,8 +211,8 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mr"] >= 1.0
 
-    def test_explain_subcommand_and_replay_determinism(self, workspace):
-        root, g, held_out = workspace
+    def test_explain_subcommand_and_replay_determinism(self, pipeline):
+        root, g, held_out = pipeline
         ev, rv = g.entity_vocab, g.relation_vocab
         s, p, o = map(int, held_out[1])
         target = f"{ev.label_of(s)} {rv.label_of(p)} {ev.label_of(o)}"
@@ -197,8 +234,8 @@ class TestPipeline:
         ]
         assert all(len(l.split("\t")) == 6 for l in body)
 
-    def test_explain_threads_match_serial(self, workspace):
-        root, g, held_out = workspace
+    def test_explain_threads_match_serial(self, pipeline):
+        root, g, held_out = pipeline
         ev, rv = g.entity_vocab, g.relation_vocab
         s, p, o = map(int, held_out[2])
         target = f"{ev.label_of(s)} {rv.label_of(p)} {ev.label_of(o)}"
@@ -220,9 +257,15 @@ class TestPipeline:
 class TestCliBehavior:
     def test_unknown_flag_usage_error(self, workspace):
         root, _, _ = workspace
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(["train", "--graph", str(root / "train.tsv"), "--frobnicate"])
-        assert excinfo.value.code == 2
+        for argv in (
+            ["train", "--graph", str(root / "train.tsv"), "--frobnicate"],
+            # evaluate has no options beyond its paths, so no --seed or --config
+            ["evaluate", "--model", str(root / "teacher.kgex"), "--test", str(root / "test.tsv"),
+             "--seed", "1"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(argv)
+            assert excinfo.value.code == 2
 
     def test_module_error_returns_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.tsv"
@@ -310,8 +353,8 @@ class TestCliBehavior:
         assert manifest["config"]["epochs"] == 5  # config file wins over default
         assert manifest["config"]["lr"] == 0.05
 
-    def test_threads_env_fallback(self, workspace, tmp_path, monkeypatch):
-        root, g, held_out = workspace
+    def test_threads_env_fallback(self, pipeline, tmp_path, monkeypatch):
+        root, g, held_out = pipeline
         ev, rv = g.entity_vocab, g.relation_vocab
         s, p, o = map(int, held_out[4])
         target = f"{ev.label_of(s)} {rv.label_of(p)} {ev.label_of(o)}"
@@ -358,3 +401,55 @@ class TestCliBehavior:
         assert "drew seed" in capsys.readouterr().err
         manifest = json.loads(json.dumps(json.loads((tmp_path / "m.kgex.manifest.json").read_text())))
         assert isinstance(manifest["config"]["seed"], int)
+
+    def test_config_file_seed_reproduces_and_is_recorded(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        config = tmp_path / "kgex.conf"
+        config.write_text("seed = 3\nepochs = 2\nk = 2\n", encoding="utf-8")
+        outs = [tmp_path / "a.kgex", tmp_path / "b.kgex"]
+        for out in outs:
+            argv = ["train", "--graph", str(root / "train.tsv"), "--config", str(config)]
+            assert run_cli(argv + ["--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            assert manifest["config"]["seed"] == 3
+            assert manifest["inputs"][str(config)] == file_digest(config)
+        assert "drew seed" not in capsys.readouterr().err
+        assert file_digest(outs[0]) == file_digest(outs[1])
+
+    def test_config_file_threads(self, pipeline, tmp_path, monkeypatch):
+        root, g, held_out = pipeline
+        monkeypatch.delenv("KGEX_THREADS", raising=False)
+        config = tmp_path / "kgex.conf"
+        config.write_text("threads = 2\n", encoding="utf-8")
+        status = run_cli([
+            "explain", "--teacher", str(root / "teacher.kgex"), "--graph", str(root / "train.tsv"),
+            "--target", label_target(g, held_out[4]), "--method", "pn", "--n", "1",
+            "--mc-runs", "2", "--partitions", "2", "--k", "4", "--epochs", "10", "--seed", "51",
+            "--config", str(config), "--out", str(tmp_path / "report.tsv"),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "report.tsv.manifest.json").read_text())
+        assert manifest["config"]["threads"] == 2
+
+    def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        config = tmp_path / "kgex.conf"
+        # mc_runs is an explain option: allowed in a file that train also reads
+        config.write_text("mc_runs = 4\nepoch = 2\n", encoding="utf-8")
+        status = run_cli([
+            "train", "--graph", str(root / "train.tsv"), "--config", str(config),
+            "--seed", "1", "--out", str(tmp_path / "m.kgex"),
+        ])
+        assert status == 1
+        assert f"{config}:2: unknown option 'epoch'" in capsys.readouterr().err
+        assert not (tmp_path / "m.kgex").exists()
+
+    def test_option_strings_pinned(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(commands.choices) == set(OPTION_STRINGS)
+        for name, expected in OPTION_STRINGS.items():
+            actions = commands.choices[name]._actions
+            got = [flag for a in actions for flag in a.option_strings if flag not in ("-h", "--help")]
+            assert sorted(got) == sorted(expected.split()), name
