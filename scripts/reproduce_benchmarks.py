@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kgex.evaluation import metrics_from_ranks, rank_triple
+from kgex.evaluation import metrics_from_ranks, rank_blocks
 from kgex.explain import ExplainConfig, mc_explain
 from kgex.graph import build_filter, load_graph, load_split
 from kgex.modelio import load_model, save_model
@@ -39,6 +39,20 @@ BEST = {
     ("wn18rr", "complex"): dict(k=200, eta=20, lr=5e-5, epochs=2000),
 }
 SAMPLER_N = {"fb15k-237": 5, "wn18rr": 3}  # predicate neighbors
+
+
+def select_rank1(teacher, triples, pool, flt, targets: int) -> list[tuple[int, int, int]]:
+    """The first `targets` triples, in file order, that the teacher ranks first on both sides.
+
+    Triples are ranked block by block; ranking stops after the block that
+    reaches `targets`.
+    """
+    found: list[tuple[int, int, int]] = []
+    for block, ranks in rank_blocks(teacher, triples, pool, flt):
+        found += [tuple(t) for t, r in zip(block.tolist(), ranks.tolist()) if r == [1, 1]]
+        if len(found) >= targets:
+            break
+    return found[:targets]
 
 
 def main() -> None:
@@ -88,14 +102,7 @@ def main() -> None:
         save_model(teacher, teacher_path, g.entity_vocab, g.relation_vocab)
 
     print("selecting rank-1 test triples ...")
-    pool = np.arange(g.n_entities)
-    rank1: list[tuple[int, int, int]] = []
-    for t in map(tuple, test.triples.tolist()):
-        r = rank_triple(teacher, t, pool, flt)
-        if r.subject_rank == 1 and r.object_rank == 1:
-            rank1.append(t)
-        if len(rank1) >= args.targets:
-            break
+    rank1 = select_rank1(teacher, test.triples, np.arange(g.n_entities), flt, args.targets)
     print(f"found {len(rank1)} rank-1 targets")
 
     student = TrainConfig(kind=args.model, k=50, eta=2, lr=0.1, epochs=200, batch_size=512)

@@ -85,8 +85,12 @@ _COMMAND_OPTIONS = {
 }
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_config_file(path: str) -> dict:
+    """The file's options, each cast by its `_OPTIONS` type and checked against its choices."""
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -94,11 +98,17 @@ def _parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = stripped.partition("=")
-            key = key.strip().replace("-", "_")
+            key, _, raw = stripped.partition("=")
+            key, raw = key.strip().replace("-", "_"), raw.strip()
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = value.strip()
+            caster, _, choices, _ = _OPTIONS[key]
+            try:
+                values[key] = _BOOLEANS[raw.lower()] if caster is bool else caster(raw)
+                if choices is not None and values[key] not in choices:
+                    raise ValueError(raw)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from None
     return values
 
 
@@ -107,11 +117,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
     for key in _COMMAND_OPTIONS.get(args.command, ()):
-        caster, default, _, _ = _OPTIONS[key]
+        default = _OPTIONS[key][1]
         value = getattr(args, key)
         if value is None and key in file_cfg:
-            raw = file_cfg[key]
-            value = raw.lower() in ("1", "true", "yes") if caster is bool else caster(raw)
+            value = file_cfg[key]
         elif value is None:
             value = default() if callable(default) else default
         resolved[key] = value
@@ -268,23 +277,29 @@ def _cmd_explain(args, opts, manifest) -> list:
 def _cmd_evaluate(args, opts, manifest) -> list:
     manifest.add_input(args.model)
     manifest.add_input(args.test)
-    model, ev, rv = _load_with_vocabularies(args.model)
-    test = load_split(args.test, ev, rv)
-
-    if args.pool == "all":
-        pool = np.arange(model.n_entities)
-    elif args.pool.startswith("subgraph:"):
-        sub_path = args.pool.split(":", 1)[1]
-        manifest.add_input(sub_path)
-        pool = graph_from_triples(read_subgraph_tsv(sub_path, ev, rv), ev, rv).entities_in_triples()
-    else:
-        raise ValueError(f'--pool must be "all" or "subgraph:<tsv>", got {args.pool!r}')
+    with manifest.stage("load"):
+        model, ev, rv = _load_with_vocabularies(args.model)
+        test = load_split(args.test, ev, rv)
+        if args.pool == "all":
+            pool = np.arange(model.n_entities)
+        elif args.pool.startswith("subgraph:"):
+            sub_path = args.pool.split(":", 1)[1]
+            manifest.add_input(sub_path)
+            pool = graph_from_triples(read_subgraph_tsv(sub_path, ev, rv), ev, rv).entities_in_triples()
+        else:
+            raise ValueError(f'--pool must be "all" or "subgraph:<tsv>", got {args.pool!r}')
 
     for path in args.filter:
         manifest.add_input(path)
-    flt = build_filter(*(load_split(path, ev, rv) for path in args.filter)) if args.filter else None
+    with manifest.stage("filter"):
+        flt = build_filter(*(load_split(path, ev, rv) for path in args.filter)) if args.filter else None
 
-    metrics, skipped = evaluate(model, test.triples, pool, flt)
+    with manifest.stage("rank"):
+        metrics, skipped = evaluate(model, test.triples, pool, flt)
+    manifest.count(
+        ranked_triples=test.n_triples - skipped, out_of_table_skipped=skipped,
+        oov_skipped=test.oov_skipped,
+    )
     payload = {**metrics.as_dict(), "skipped": skipped + test.oov_skipped}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)

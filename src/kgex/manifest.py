@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ENGINE_VERSION = "0.1.0"
@@ -19,7 +20,7 @@ def file_digest(path: str | Path) -> str:
 
 
 class RunManifest:
-    """Collects command, resolved configuration, seeds, digests, and timing."""
+    """Collects command, resolved configuration, seeds, digests, timing, and counters."""
 
     def __init__(self, command: str, argv: list[str]) -> None:
         self.data: dict = {
@@ -34,6 +35,16 @@ class RunManifest:
 
     def set_config(self, **config) -> None:
         self.data["config"].update(_jsonable(config))
+
+    @contextmanager
+    def stage(self, name: str):
+        """Record the wall time of the enclosed block as `stages_s[name]`."""
+        t0 = time.monotonic()
+        yield
+        self.data.setdefault("stages_s", {})[name] = round(time.monotonic() - t0, 6)
+
+    def count(self, **counters: int) -> None:
+        self.data.setdefault("counters", {}).update(counters)
 
     def add_input(self, path: str | Path) -> None:
         self.data["inputs"][str(path)] = file_digest(path)

@@ -88,13 +88,27 @@ def test_tracer_patches_resolve():
 
 def test_tracer_sees_filtered_ranking():
     g = random_graph(10, 2, 30, seed=1)
-    model = init_model("distmult", 3, g.n_entities, g.n_relations, seed=2)
+    pool = np.arange(g.n_entities)
+    distmult = init_model("distmult", 3, g.n_entities, g.n_relations, seed=2)
+    transe = init_model("transe-l2", 3, g.n_entities, g.n_relations, seed=2)
     tracer = load_tracer().Tracer()
-    with tracer.installed():
-        evaluation.evaluate(model, g.triples[:3], np.arange(g.n_entities), graph.build_filter(g))
-    names = {span.name for span in tracer.spans}
-    assert {"graph.build_filter", "evaluation.evaluate", "evaluation.rank_triple",
-            "evaluation.filter_lookup", "models.score_many"} <= names
+
+    def spans(call):
+        with tracer.installed():
+            call()
+        names = {span.name for span in tracer.spans}
+        tracer.spans.clear()
+        return names
+
+    # evaluate ranks blocks of triples through the batched kernel, not rank_triple
+    assert {"graph.build_filter", "evaluation.evaluate", "evaluation.filter_lookup"} <= spans(
+        lambda: evaluation.evaluate(distmult, g.triples[:3], pool, graph.build_filter(g))
+    )
+    assert "evaluation.rank_triple" in spans(
+        lambda: evaluation.rank_triple(distmult, g.triple_at(0), pool)
+    )
+    # TransE keeps elementwise distances through score_many
+    assert "models.score_many" in spans(lambda: evaluation.evaluate(transe, g.triples[:3], pool))
 
 
 def test_tracer_counts_the_sparse_training_step(monkeypatch):

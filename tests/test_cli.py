@@ -211,6 +211,25 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mr"] >= 1.0
 
+    def test_evaluate_manifest_stages_and_counters(self, pipeline, tmp_path, capsys):
+        root, _, held_out = pipeline
+        test = tmp_path / "test.tsv"
+        # one row with an unknown label: skipped as OOV while loading
+        test.write_text((root / "test.tsv").read_text() + "nosuch\tr0\te1\n", encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        status = run_cli([
+            "evaluate", "--model", str(root / "teacher.kgex"), "--test", str(test),
+            "--filter", str(root / "train.tsv"), "--out", str(out),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert set(manifest["stages_s"]) == {"load", "filter", "rank"}
+        assert all(t >= 0 for t in manifest["stages_s"].values())
+        assert manifest["counters"] == {
+            "ranked_triples": len(held_out), "out_of_table_skipped": 0, "oov_skipped": 1,
+        }
+        assert json.loads(out.read_text())["skipped"] == 1
+
     def test_explain_subcommand_and_replay_determinism(self, pipeline):
         root, g, held_out = pipeline
         ev, rv = g.entity_vocab, g.relation_vocab
@@ -443,6 +462,20 @@ class TestCliBehavior:
         assert status == 1
         assert f"{config}:2: unknown option 'epoch'" in capsys.readouterr().err
         assert not (tmp_path / "m.kgex").exists()
+
+    @pytest.mark.parametrize("line", ["weights = maybe", "k = abc", "model = foo"])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, line):
+        config = tmp_path / "kgex.conf"
+        config.write_text(f"epochs = 2\n{line}\n", encoding="utf-8")
+        key, _, raw = (part.strip() for part in line.partition("="))
+        # the graph does not exist: the value is rejected before any input is read
+        status = run_cli([
+            "train", "--graph", str(tmp_path / "missing.tsv"), "--config", str(config),
+            "--seed", "1", "--out", str(tmp_path / "m.kgex"),
+        ])
+        assert status == 1
+        assert f"{config}:2: bad value for {key!r}: {raw!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_option_strings_pinned(self):
         commands = next(

@@ -1,5 +1,8 @@
 """Ranking against candidate pools and metric aggregation."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,17 @@ from kgex.models import EmbeddingModel, ModelKind, init_model
 
 from oracles import brute_force_side_rank
 from toygraphs import numbered_vocabularies, random_graph
+
+
+KINDS = ["transe-l1", "transe-l2", "distmult", "complex"]
+
+
+def side_ranks(model, triples, pool, flt):
+    """Brute-force [subject rank, object rank] of every triple."""
+    return [
+        [brute_force_side_rank(model, t, pool, flt, True), brute_force_side_rank(model, t, pool, flt, False)]
+        for t in map(tuple, triples.tolist())
+    ]
 
 
 def constant_model(n_entities, n_relations):
@@ -73,16 +87,28 @@ class TestRankTriple:
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
     def test_scoring_in_blocks_matches_brute_force(self, monkeypatch, rows_per_block):
-        g = random_graph(20, 3, 70, seed=11)
-        m = init_model("complex", 3, g.n_entities, g.n_relations, seed=12)
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", rows_per_block * 8 * m.width)
-        flt = build_filter(g)
+        """`evaluate` ranks test triples in blocks of rows_per_block, TransE's
+        candidates in chunks of rows_per_block columns: its ranks equal
+        one-at-a-time `rank_triple` calls and the brute-force oracle."""
+        g = random_graph(24, 3, 80, seed=11)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", rows_per_block * 16 * g.n_entities)
+        test = g.triples[:60]
         pool = np.arange(g.n_entities)
-        for i in range(0, g.n_triples, 7):
-            t = g.triple_at(i)
-            result = rank_triple(m, t, pool, flt)
-            assert result.object_rank == brute_force_side_rank(m, t, pool, flt, False)
-            assert result.subject_rank == brute_force_side_rank(m, t, pool, flt, True)
+        for kind in KINDS:
+            m = init_model(kind, 3, g.n_entities, g.n_relations, seed=12)
+            chunk_bytes = rows_per_block * 8 * m.width * rows_per_block
+            monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes)
+            for flt in (build_filter(g), None):
+                blocks = list(evaluation.rank_blocks(m, test, pool, flt))
+                assert [len(block) for block, _ in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
+                got = np.concatenate([ranks for _, ranks in blocks]).tolist()
+                one_at_a_time = [
+                    [r.subject_rank, r.object_rank]
+                    for r in (rank_triple(m, tuple(t), pool, flt) for t in test.tolist())
+                ]
+                assert got == one_at_a_time == side_ranks(m, test, pool, flt), (kind, flt)
+                metrics, skipped = evaluate(m, test, pool, flt)
+                assert metrics == metrics_from_ranks(np.ravel(got)) and skipped == 0
 
     def test_filtering_never_increases_rank(self):
         g = random_graph(15, 2, 50, seed=3)
@@ -181,3 +207,59 @@ class TestEvaluate:
         m = constant_model(5, 2)
         with pytest.raises(ValueError):
             evaluate(m, [(99, 0, 1)], np.arange(5))
+
+
+class TestBlockRanking:
+    @pytest.mark.parametrize("rows_per_block", [1, 7])
+    def test_sub_pools_match_brute_force(self, monkeypatch, rows_per_block):
+        # the 6-entity pool is gathered in one-triple blocks and read from the whole
+        # table in 7-triple blocks; the 7-entity pool is gathered in both
+        g = random_graph(40, 3, 120, seed=21)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", rows_per_block * 16 * g.n_entities)
+        apart = np.array([3, 0, 7, 5, 1, 6])  # unsorted, and no test triple touches it
+        outside = ~np.isin(g.triples, apart)[:, [0, 2]].any(axis=1)
+        # the second pool holds the test triples' own entities and two more
+        for test, pool in (
+            (g.triples[outside][:20], apart),
+            (g.triples[:4], np.concatenate([np.unique(g.triples[:4][:, [0, 2]]), [38, 39]])),
+        ):
+            for kind in KINDS:
+                m = init_model(kind, 4, g.n_entities, g.n_relations, seed=22)
+                for flt in (build_filter(g), None):
+                    got = np.concatenate([r for _, r in evaluation.rank_blocks(m, test, pool, flt)])
+                    assert got.tolist() == side_ranks(m, test, pool, flt), (kind, flt)
+
+    @pytest.mark.parametrize("kind", ["distmult", "complex"])
+    @pytest.mark.parametrize("n_half", [5, 150])
+    def test_duplicate_entity_rows_tie_exactly(self, kind, n_half):
+        """Entity e and e + n_half share a row: the twin of each positive ties
+        it exactly and counts against it, as in the brute-force ranker."""
+        g = random_graph(2 * n_half, 2, 3 * n_half, seed=31)
+        m = init_model(kind, 5, g.n_entities, g.n_relations, seed=32)
+        m.entity_table[n_half:] = m.entity_table[:n_half]
+        test = g.triples[:40]
+        pool = np.arange(g.n_entities)
+        for flt in (build_filter(g), None):
+            got = np.concatenate([r for _, r in evaluation.rank_blocks(m, test, pool, flt)])
+            assert got.tolist() == side_ranks(m, test, pool, flt)
+        unfiltered = np.concatenate([r for _, r in evaluation.rank_blocks(m, test, pool)])
+        assert (unfiltered >= 2).all()  # every positive's twin is a candidate tying it
+
+
+def test_rank1_selection_matches_per_triple_loop(monkeypatch):
+    """The benchmark script's block-wise target selection picks the same
+    triples, in the same order, as ranking one test triple at a time."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("reproduce_benchmarks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    g = random_graph(30, 3, 200, seed=41)
+    teacher = init_model("complex", 3, g.n_entities, g.n_relations, seed=42)
+    pool, flt = np.array([0, 1, 2]), build_filter(g)
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 16 * g.n_entities)
+    ranked = [(t, rank_triple(teacher, t, pool, flt)) for t in map(tuple, g.triples.tolist())]
+    per_triple = [t for t, r in ranked if r.subject_rank == r.object_rank == 1]
+    assert len(per_triple) >= 8
+    for targets in (1, 5, len(per_triple), len(per_triple) + 3):
+        got = script.select_rank1(teacher, g.triples, pool, flt, targets)
+        assert got == per_triple[:targets]
