@@ -30,7 +30,7 @@ from .graph import (
     triple_of_labels,
 )
 from .manifest import RunManifest, manifest_path
-from .modelio import load_model, save_model
+from .modelio import entity_sidecar, load_model, relation_sidecar, save_model
 from .models import ModelKind
 from .sampling import SubgraphSpec, read_subgraph_tsv, sample_subgraph, write_subgraph_tsv
 from .selftest import run_selftest
@@ -253,7 +253,12 @@ def _cmd_explain(args, opts, manifest) -> list:
     manifest.add_input(args.teacher)
     manifest.add_input(args.graph)
     g = load_graph(args.graph)
-    teacher, _, _ = load_model(args.teacher)
+    teacher, ev, rv = load_model(args.teacher)
+    for vocab, graph_vocab, sidecar in (
+        (ev, g.entity_vocab, entity_sidecar), (rv, g.relation_vocab, relation_sidecar)
+    ):
+        if vocab is not None and vocab != graph_vocab:
+            raise ValueError(f"{sidecar(args.teacher)}: labels or ids differ from the graph's")
     if teacher.n_entities != g.n_entities or teacher.n_relations != g.n_relations:
         raise ValueError("teacher tables do not match the graph vocabularies")
     target = _parse_target(args.target, g)

@@ -3,8 +3,9 @@
 A frozen teacher model constrains a student trained on a subgraph: for every
 training triple, the angles formed by its three embedding rows in the student
 space are pulled toward the teacher's via a Huber loss, cyclically over the
-three orderings.  The potential is invariant to translation, rotation, and
-uniform scaling, so teacher and student dimensionalities may differ.
+three orderings, which share the differences s - p, p - o and o - s.  The
+potential is invariant to translation, rotation, and uniform scaling, so
+teacher and student dimensionalities may differ.
 """
 
 from __future__ import annotations
@@ -14,37 +15,33 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .models import EmbeddingModel
 
+_NEXT = [1, 2, 0]
 
-def angle_potentials(x: np.ndarray, y: np.ndarray, z: np.ndarray, with_grads: bool = False):
-    """Dot products of the unit-normalized differences (x - y) and (y - z).
 
-    Works row-wise over any leading axes.  Returns (phi, valid) or
-    (phi, valid, gx, gy, gz).  Rows where either difference norm is zero
-    (coincident points) get phi = 0, valid = False, and zero gradients.
+def _cyclic_angles(rows):
+    """(phi, valid, unit, norm) of the cyclic orderings of points (x, y, z).
+
+    Ordering i's potential is the dot product of unit differences i and i + 1
+    of [x - y, y - z, z - x], stacked on a leading axis; a zero difference
+    (coincident points) gives phi = 0, valid = False, and a norm of 1.
     """
-    u = x - y
-    v = y - z
-    nu = np.sqrt((u * u).sum(axis=-1))
-    nv = np.sqrt((v * v).sum(axis=-1))
-    valid = (nu != 0.0) & (nv != 0.0)
-    su = np.where(nu == 0.0, 1.0, nu)
-    sv = np.where(nv == 0.0, 1.0, nv)
-    uh = u / su[..., None]
-    vh = v / sv[..., None]
-    phi = np.where(valid, (uh * vh).sum(axis=-1), 0.0)
-    if not with_grads:
-        return phi, valid
-    d_u = (vh - phi[..., None] * uh) / su[..., None]
-    d_v = (uh - phi[..., None] * vh) / sv[..., None]
-    d_u[~valid] = 0.0
-    d_v[~valid] = 0.0
-    return phi, valid, d_u, -d_u + d_v, -d_v
+    points = np.array(rows)
+    diff = points - points[_NEXT]
+    norm = np.sqrt((diff * diff).sum(axis=-1))
+    nonzero = norm != 0.0
+    valid = nonzero & nonzero[_NEXT]
+    safe = np.where(nonzero, norm, 1.0)
+    unit = diff / safe[..., None]
+    phi = np.where(valid, (unit * unit[_NEXT]).sum(axis=-1), 0.0)
+    return phi, valid, unit, safe
 
 
-def _cyclic(rows: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """The orderings (s, p, o), (p, o, s), (o, s, p) stacked on a leading axis."""
-    spo = np.array(rows)
-    return spo, spo[[1, 2, 0]], spo[[2, 0, 1]]
+def angle_potentials(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Dot products of the unit differences (x - y) and (y - z), row-wise over
+    any leading axes, as (phi, valid); rows where either difference is zero
+    (coincident points) get phi = 0 and valid = False."""
+    phi, valid, _, _ = _cyclic_angles((x, y, z))
+    return phi[0], valid[0]
 
 
 def rkd_loss_batch(
@@ -60,19 +57,23 @@ def rkd_loss_batch(
     Returns per-triple losses, the gradients w.r.t. the three student rows,
     and the count of degenerate (coincident point) terms that contributed 0.
     """
-    phi_t, valid_t = angle_potentials(*_cyclic(teacher_rows))
-    phi_s, valid_s, g1, g2, g3 = angle_potentials(*_cyclic(student_rows), with_grads=True)
+    phi_t, valid_t, _, _ = _cyclic_angles(teacher_rows)
+    phi_s, valid_s, unit, norm = _cyclic_angles(student_rows)
     valid = valid_t & valid_s
     degenerate = int(valid.size - valid.sum())
     diff = phi_s - phi_t
     quad = np.abs(diff) <= 1.0
     term = np.where(valid, np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5), 0.0)
     dterm = np.where(valid, np.where(quad, diff, np.sign(diff)), 0.0)[..., None]
+    # gradients of unit[i] . unit[i + 1] w.r.t. differences i and i + 1
+    d_u = (unit[_NEXT] - phi_s[..., None] * unit) / norm[..., None]
+    d_v = (unit - phi_s[..., None] * unit[_NEXT]) / norm[_NEXT][..., None]
+    d_u[~valid_s] = 0.0
+    d_v[~valid_s] = 0.0
+    g1, g2, g3 = d_u, -d_u + d_v, -d_v
     n, d = student_rows[0].shape
     loss = np.zeros(n)
-    gs = np.zeros((n, d))
-    gp = np.zeros((n, d))
-    go = np.zeros((n, d))
+    gs, gp, go = np.zeros((3, n, d))
     # ordering i contributes g1/g2/g3 to the rows it visits first/second/third
     for i, (first, second, third) in enumerate(((gs, gp, go), (gp, go, gs), (go, gs, gp))):
         loss += term[i]
@@ -101,8 +102,7 @@ def train_student(
         raise ValueError("cannot train a student on an empty subgraph")
     if kd_lambda < 0 or not np.isfinite(kd_lambda):
         raise ValueError("kd_lambda must be finite and >= 0")
-    teacher_ref = teacher if kd_lambda > 0 else None
     model, _ = run_training(
-        subgraph, config, teacher=teacher_ref, kd_lambda=kd_lambda, progress=progress
+        subgraph, config, teacher=teacher, kd_lambda=kd_lambda, progress=progress
     )
     return model

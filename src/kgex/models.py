@@ -45,11 +45,6 @@ class EmbeddingModel:
     def width(self) -> int:
         return self.entity_table.shape[1]
 
-    def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel(
-            self.kind, self.k, self.entity_table.copy(), self.relation_table.copy()
-        )
-
 
 def init_model(
     kind: ModelKind | str,

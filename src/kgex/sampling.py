@@ -56,12 +56,6 @@ class Subgraph:
     def triple_array(self) -> np.ndarray:
         return self.source.triples[self.positions]
 
-    def entities(self) -> np.ndarray:
-        """Sorted unique entity ids occurring in the sampled triples."""
-        if len(self.positions) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.triple_array()[:, [0, 2]])
-
 
 def sample_pn(
     g: KnowledgeGraph, target: Triple, n: int, rng: np.random.Generator

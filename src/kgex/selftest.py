@@ -7,60 +7,54 @@ import math
 import numpy as np
 
 from . import distill, evaluation, focuse, losses, models, sampling, training
-from .graph import build_filter, graph_from_triples, one_hop_positions
+from .graph import Vocabulary, build_filter, graph_from_triples, one_hop_positions
 from .optim import SparseAdam
 
 _DEMO_TRIPLES = [(0, 0, 1), (1, 0, 2), (0, 1, 2), (3, 0, 0), (2, 1, 3)]
 
+# (case, kind, k, entity rows, relation row, subject, object, expected score)
+_SPOT_SCORES = [
+    ("TransE-L2 3-4-5 norm", "transe-l2", 2, [[0.0, 0.0], [0.0, 0.0]], [3.0, 4.0], 0, 1, -5.0),
+    ("DistMult product", "distmult", 2, [[1.0, 2.0], [1.0, 1.0]], [1.0, 1.0], 0, 1, 3.0),
+    ("ComplEx conjugation", "complex", 1, [[0.0, 1.0]], [1.0, 0.0], 0, 0, 1.0),
+]
+
+
+def _vocabulary(labels) -> Vocabulary:
+    vocab = Vocabulary()
+    for label in labels:
+        vocab.add(label)
+    return vocab
+
 
 def _demo_graph():
-    from .graph import Vocabulary
-
-    ev, rv = Vocabulary(), Vocabulary()
-    for label in "ABCD":
-        ev.add(label)
-    for label in ("r1", "r2"):
-        rv.add(label)
-    return graph_from_triples(_DEMO_TRIPLES, ev, rv)
+    return graph_from_triples(_DEMO_TRIPLES, _vocabulary("ABCD"), _vocabulary(["r1", "r2"]))
 
 
-def _triples_at(g, positions) -> set:
-    return {g.triple_at(int(pos)) for pos in positions}
+def _as_set(triples) -> set:
+    return set(map(tuple, np.asarray(triples).tolist()))
 
 
 def _check_graph_indices() -> str | None:
     g = _demo_graph()
+    demo = np.array(_DEMO_TRIPLES)
     for e in range(4):
-        from_index = _triples_at(g, one_hop_positions(g, e, e))
-        by_scan = {t for t in map(tuple, _DEMO_TRIPLES) if e in (t[0], t[2])}
+        from_index = _as_set(g.triples[one_hop_positions(g, e, e)])
+        by_scan = _as_set(demo[(demo[:, 0] == e) | (demo[:, 2] == e)])
         if from_index != by_scan:
             return f"entity {e}: index {from_index} != scan {by_scan}"
     for p in range(2):
-        by_scan = {t for t in map(tuple, _DEMO_TRIPLES) if t[1] == p}
-        if _triples_at(g, g.predicate_positions(p)) != by_scan:
+        if _as_set(g.triples[g.predicate_positions(p)]) != _as_set(demo[demo[:, 1] == p]):
             return f"predicate {p} index mismatch"
     return None
 
 
 def _check_score_values() -> str | None:
-    m = models.EmbeddingModel(
-        models.ModelKind.TRANSE_L2,
-        2,
-        np.array([[0.0, 0.0], [0.0, 0.0]]),
-        np.array([[3.0, 4.0]]),
-    )
-    if models.score_many(m, 0, 0, 1) != -5.0:
-        return "TransE-L2 3-4-5 norm failed"
-    dm = models.EmbeddingModel(
-        models.ModelKind.DISTMULT, 2, np.array([[1.0, 2.0], [1.0, 1.0]]), np.array([[1.0, 1.0]])
-    )
-    if models.score_many(dm, 0, 0, 1) != 3.0:
-        return "DistMult product failed"
-    cx = models.EmbeddingModel(
-        models.ModelKind.COMPLEX, 1, np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])
-    )
-    if models.score_many(cx, 0, 0, 0) != 1.0:
-        return "ComplEx conjugation failed"
+    for case, kind, k, entity_rows, relation_row, s, o, expected in _SPOT_SCORES:
+        entity, relation = np.array(entity_rows), np.array([relation_row])
+        m = models.EmbeddingModel(models.ModelKind(kind), k, entity, relation)
+        if models.score_many(m, s, 0, o) != expected:
+            return f"{case} failed"
     return None
 
 
@@ -71,22 +65,17 @@ def _check_score_gradients_fd() -> str | None:
         k = 4
         width = k * kind.row_width_factor
         rows = rng.normal(size=(3, width))
-        m = models.EmbeddingModel(kind, k, rows[[0, 2]].copy(), rows[[1]].copy())
-        _, *grads = models.score_grad_rows(
-            kind, k, m.entity_table[0], m.relation_table[0], m.entity_table[1]
-        )
-        tables = [m.entity_table, m.relation_table, m.entity_table]
-        rows_idx = [0, 0, 1]
-        for g, table, r in zip(grads, tables, rows_idx):
-            for j in range(width):
-                table[r, j] += h
-                up = models.score_many(m, 0, 0, 1)
-                table[r, j] -= 2 * h
-                down = models.score_many(m, 0, 0, 1)
-                table[r, j] += h
-                fd = (up - down) / (2 * h)
-                if abs(fd - g[j]) > 1e-4 * (1 + abs(fd)):
-                    return f"{kind.value}: fd {fd} vs analytic {g[j]}"
+        _, *grads = models.score_grad_rows(kind, k, *rows)
+        # steps[0, j] and steps[1, j] move coordinate j up and down by h
+        steps = h * np.array([1.0, -1.0])[:, None, None] * np.eye(width)
+        for i, g in enumerate(grads):
+            moved = list(rows)
+            moved[i] = rows[i] + steps
+            up, down = models.score_rows(kind, k, *moved)
+            fd = (up - down) / (2 * h)
+            bad = np.flatnonzero(np.abs(fd - g) > 1e-4 * (1 + np.abs(fd)))
+            if len(bad):
+                return f"{kind.value}: fd {fd[bad[0]]} vs analytic {g[bad[0]]}"
     return None
 
 
@@ -152,7 +141,7 @@ def _check_rkd_zero() -> str | None:
 def _check_samplers() -> str | None:
     g = _demo_graph()
     target = (0, 0, 1)
-    hood = _triples_at(g, one_hop_positions(g, 0, 1))
+    hood = _as_set(g.triples[one_hop_positions(g, 0, 1)])
     for method in ("pn", "rw"):
         spec = sampling.SubgraphSpec(method, 0, seed=5)
         sub = sampling.sample_subgraph(g, target, spec)
@@ -186,27 +175,16 @@ def _check_ranking() -> str | None:
     n_ent = 12
     m = models.init_model(models.ModelKind.DISTMULT, 4, n_ent, 2, 0)
     triples = [(int(rng.integers(n_ent)), int(rng.integers(2)), int(rng.integers(n_ent))) for _ in range(20)]
-    from .graph import Vocabulary
-
-    ev, rv = Vocabulary(), Vocabulary()
-    for i in range(n_ent):
-        ev.add(f"e{i}")
-    rv.add("p0")
-    rv.add("p1")
-    g = graph_from_triples(sorted(set(triples)), ev, rv)
-    flt = build_filter(g)
-    pool = np.arange(n_ent)
-    t = g.triple_at(0)
-    res = evaluation.rank_triple(m, t, pool, flt)
-    # brute force object side
-    pos = models.score_many(m, *t)
-    brute = 1
-    for e in range(n_ent):
-        cand = (t[0], t[1], int(e))
-        if e == t[2] or cand in flt:
-            continue
-        if models.score_many(m, *cand) >= pos:
-            brute += 1
+    entities = _vocabulary(f"e{i}" for i in range(n_ent))
+    g = graph_from_triples(sorted(set(triples)), entities, _vocabulary(["p0", "p1"]))
+    s, p, o = t = g.triple_at(0)
+    res = evaluation.rank_triple(m, t, np.arange(n_ent), build_filter(g))
+    # brute force object side: every candidate scoring at least the positive,
+    # except the known objects of (s, p), which include o itself
+    scores = models.score_many(m, s, p, np.arange(n_ent))
+    beats = scores >= scores[o]
+    beats[[b for a, r, b in triples if (a, r) == (s, p)]] = False
+    brute = 1 + int(np.count_nonzero(beats))
     if brute != res.object_rank:
         return f"object rank {res.object_rank} != brute force {brute}"
     metrics = evaluation.metrics_from_ranks([1, 2, 4])
@@ -217,13 +195,13 @@ def _check_ranking() -> str | None:
 
 def _check_corruptions() -> str | None:
     rng = np.random.default_rng(4)
-    pool = np.arange(50)
-    neg_s, neg_p, neg_o = training.corrupt_batch(np.array([[3, 1, 7]]), 30, pool, rng)
-    for s, p, o in zip(neg_s[0], neg_p[0], neg_o[0]):
-        subject_changed = s != 3
-        object_changed = o != 7
-        if p != 1 or subject_changed == object_changed:
-            return f"invalid corruption {(s, p, o)}"
+    negatives = training.corrupt_batch(np.array([[3, 1, 7]]), 30, np.arange(50), rng)
+    negatives = np.stack(negatives, axis=-1)[0]
+    neg_s, neg_p, neg_o = negatives.T
+    # each negative keeps the predicate and replaces exactly one side
+    bad = (neg_p != 1) | ((neg_s != 3) == (neg_o != 7))
+    if bad.any():
+        return f"invalid corruption {tuple(negatives[bad][0].tolist())}"
     return None
 
 

@@ -99,6 +99,45 @@ def huber(a: float, b: float) -> float:
     return d - 0.5
 
 
+def stacked_orderings_rkd(teacher_rows, student_rows):
+    """Reference angle-matching loss that stacks the three cyclic orderings of
+    the points, as `rkd_loss_batch` once did; returns its five outputs."""
+
+    def potentials(x, y, z):
+        u, v = x - y, y - z
+        nu, nv = np.sqrt((u * u).sum(axis=-1)), np.sqrt((v * v).sum(axis=-1))
+        valid = (nu != 0.0) & (nv != 0.0)
+        su, sv = np.where(nu == 0.0, 1.0, nu), np.where(nv == 0.0, 1.0, nv)
+        uh, vh = u / su[..., None], v / sv[..., None]
+        phi = np.where(valid, (uh * vh).sum(axis=-1), 0.0)
+        d_u = (vh - phi[..., None] * uh) / su[..., None]
+        d_v = (uh - phi[..., None] * vh) / sv[..., None]
+        d_u[~valid] = 0.0
+        d_v[~valid] = 0.0
+        return phi, valid, d_u, -d_u + d_v, -d_v
+
+    def orderings(rows):
+        spo = np.array(rows)
+        return spo, spo[[1, 2, 0]], spo[[2, 0, 1]]
+
+    phi_t, valid_t, *_ = potentials(*orderings(teacher_rows))
+    phi_s, valid_s, g1, g2, g3 = potentials(*orderings(student_rows))
+    valid = valid_t & valid_s
+    degenerate = int(valid.size - valid.sum())
+    diff = phi_s - phi_t
+    quad = np.abs(diff) <= 1.0
+    term = np.where(valid, np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5), 0.0)
+    dterm = np.where(valid, np.where(quad, diff, np.sign(diff)), 0.0)[..., None]
+    n, d = student_rows[0].shape
+    loss, gs, gp, go = np.zeros(n), np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+    for i, (first, second, third) in enumerate(((gs, gp, go), (gp, go, gs), (go, gs, gp))):
+        loss += term[i]
+        first += dterm[i] * g1[i]
+        second += dterm[i] * g2[i]
+        third += dterm[i] * g3[i]
+    return loss, gs, gp, go, degenerate
+
+
 def incident_triples(g, *entities) -> set[tuple[int, int, int]]:
     """Linear scan: every triple with one of `entities` as subject or object."""
     return {t for t in map(tuple, g.triples.tolist()) if t[0] in entities or t[2] in entities}

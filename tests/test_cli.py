@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kgex.cli import build_parser, run_cli
+from kgex.graph import load_graph
 from kgex.manifest import file_digest
 from kgex.modelio import (
     MAGIC, ModelFormatError, entity_sidecar, load_model, relation_sidecar, save_model,
@@ -347,6 +348,25 @@ class TestCliBehavior:
         assert status == 1
         assert f"{sidecar}:2: bad id 'one'" in capsys.readouterr().err
 
+    def test_explain_rejects_teacher_with_other_vocabularies(self, workspace, tmp_path, capsys):
+        root, g, _ = workspace
+        teacher = tmp_path / "teacher.kgex"
+        save_model(init_model("distmult", 2, g.n_entities, g.n_relations, seed=0), teacher,
+                   g.entity_vocab, g.relation_vocab)
+        # the same triples in reversed line order: same table sizes, other ids
+        lines = (root / "train.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        graph = tmp_path / "reversed.tsv"
+        graph.write_text("".join(reversed(lines)), encoding="utf-8")
+        out = tmp_path / "report.tsv"
+        status = run_cli([
+            "explain", "--teacher", str(teacher), "--graph", str(graph),
+            "--target", label_target(g, g.triples[0]), "--mc-runs", "1", "--epochs", "1",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert status == 1
+        assert f"{entity_sidecar(teacher)}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_target_label(self, workspace, capsys):
         root, _, _ = workspace
         status = run_cli([
@@ -393,7 +413,9 @@ class TestCliBehavior:
         root, g, held_out = workspace
         teacher = tmp_path / "teacher.kgex"
         model = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
-        save_model(model, teacher, g.entity_vocab, g.relation_vocab)
+        # the vocabularies explain reads from train.tsv, in its first-appearance order
+        loaded = load_graph(root / "train.tsv")
+        save_model(model, teacher, loaded.entity_vocab, loaded.relation_vocab)
         ev, rv = g.entity_vocab, g.relation_vocab
         s, p, o = map(int, held_out[4])
         base = [

@@ -8,7 +8,9 @@ from kgex.graph import graph_from_triples
 from kgex.models import init_model
 from kgex.training import TrainConfig, train
 
-from oracles import fd_gradients, huber, max_relative_error, normalized_difference_dot
+from oracles import (
+    fd_gradients, huber, max_relative_error, normalized_difference_dot, stacked_orderings_rkd,
+)
 from toygraphs import block_graph, random_graph
 
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -67,10 +69,9 @@ class TestAnglePotential:
 
     def test_coincident_points_flagged(self):
         v = np.ones(3)
-        value, valid, *grads = angle_potentials(v, v, np.zeros(3), with_grads=True)
+        value, valid = angle_potentials(v, v, np.zeros(3))
         assert not valid
         assert value == 0.0
-        assert all(np.array_equal(g, np.zeros(3)) for g in grads)
 
     def test_invariance_under_similarity_transforms(self):
         rng = np.random.default_rng(8)
@@ -142,10 +143,32 @@ class TestRkdLoss:
 
     def test_degenerate_rows_counted_and_zeroed(self):
         teacher = (np.ones((1, 4)), np.ones((1, 4)), np.zeros((1, 4)))  # s == p
-        student = tuple(np.random.default_rng(0).normal(size=(1, 4)) for _ in range(3))
+        point = np.random.default_rng(0).normal(size=(1, 4))
+        student = (point, point.copy(), point.copy())  # s == p == o
         loss, *grads, degenerate = rkd_loss_batch(teacher, student)
         assert degenerate == 3
         assert loss[0] == 0.0
+        assert all(np.array_equal(g, np.zeros((1, 4))) for g in grads)
+
+    @pytest.mark.parametrize("n", [1, 7, 45, 900])
+    def test_bitwise_equal_to_stacked_orderings(self, n):
+        rng = np.random.default_rng(n)
+        teacher, student = rows(rng, n, 6), rows(rng, n, 4)
+        if n == 7:
+            # coincident points in rows 0-4: teacher s == p; teacher p == o;
+            # student o == s; student s == p == o; s == p on both sides
+            teacher[1][0] = teacher[0][0]
+            teacher[2][1] = teacher[1][1]
+            student[2][2] = student[0][2]
+            student[1][3] = student[2][3] = student[0][3]
+            teacher[1][4] = teacher[0][4]
+            student[1][4] = student[0][4]
+        got = rkd_loss_batch(teacher, student)
+        want = stacked_orderings_rkd(teacher, student)
+        assert got[4] == want[4]
+        assert n != 7 or got[4] == 11
+        for a, b in zip(got[:4], want[:4]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_batch_matches_single(self):
         """Per-triple losses equal the Huber sum over the three orderings."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kgex.graph import one_hop_positions
+from kgex.graph import graph_from_triples, one_hop_positions
 from kgex.sampling import (
     SubgraphSpec,
     read_subgraph_tsv,
@@ -129,7 +129,8 @@ class TestSharedContracts:
         g = demo_graph()
         sub = sample_subgraph(g, (0, 0, 1), SubgraphSpec("pn", 2, 0))
         arr = sub.triple_array()
-        assert set(sub.entities().tolist()) == set(arr[:, 0]) | set(arr[:, 2])
+        sub_graph = graph_from_triples(arr, g.entity_vocab, g.relation_vocab)
+        assert set(sub_graph.entities_in_triples().tolist()) == set(arr[:, 0]) | set(arr[:, 2])
 
     def test_spec_validation(self):
         g = demo_graph()

@@ -1,0 +1,117 @@
+"""The built-in selftest: each check fails when the kernel it exercises breaks."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from kgex import distill, evaluation, focuse, losses, models, optim, sampling, selftest, training
+from kgex.graph import KnowledgeGraph
+
+NAMES = [
+    "graph indices match linear scan",
+    "scoring spot values",
+    "score gradients vs finite differences",
+    "multiclass NLL values and stabilization",
+    "modulating factor identity and beta schedule",
+    "angle potential invariance",
+    "angle-matching loss zero cases",
+    "sampler contracts",
+    "adam fixed points",
+    "ranking vs brute force and metrics",
+    "corruption invariants",
+]
+
+
+def _patch(monkeypatch, owner, attr, make):
+    """Replace owner.attr by make(original)."""
+    monkeypatch.setattr(owner, attr, make(getattr(owner, attr)))
+
+
+def _first_scaled(fn):
+    def broken(*args, **kwargs):
+        first, *rest = fn(*args, **kwargs)
+        return (1.01 * first, *rest)
+
+    return broken
+
+
+def _gradients_scaled(fn):
+    def broken(*args):
+        score, *grads = fn(*args)
+        return (score, *(1.01 * g for g in grads))
+
+    return broken
+
+
+def _rotation_variant(fn):
+    """Adds a term in components 2 and 3 of the differences: translations and
+    scalings keep it, rotations change it."""
+
+    def broken(x, y, z, *args, **kwargs):
+        phi, *rest = fn(x, y, z, *args, **kwargs)
+        u, v = x - y, y - z
+        cross = u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2]
+        return (phi + 1e-6 * cross / ((u * u).sum(axis=-1) + (v * v).sum(axis=-1)), *rest)
+
+    return broken
+
+
+def _first_position_dropped(fn):
+    def broken(g, target, spec):
+        sub = fn(g, target, spec)
+        sub.positions = sub.positions[1:]
+        return sub
+
+    return broken
+
+
+def _object_rank_off_by_one(fn):
+    def broken(*args, **kwargs):
+        res = fn(*args, **kwargs)
+        return dataclasses.replace(res, object_rank=res.object_rank + 1)
+
+    return broken
+
+
+def _both_sides_replaced(fn):
+    def broken(triples, eta, pool, rng):
+        neg_s, neg_p, neg_o = fn(triples, eta, pool, rng)
+        drawn = np.where(neg_s != triples[:, 0:1], neg_s, neg_o)
+        return drawn, neg_p, drawn
+
+    return broken
+
+
+FAULTS = {
+    "graph indices match linear scan": (
+        KnowledgeGraph, "predicate_positions", lambda fn: lambda g, p: fn(g, p)[:-1]),
+    "scoring spot values": (models, "score_many", lambda fn: lambda *a: fn(*a) + 1.0),
+    "score gradients vs finite differences": (models, "score_grad_rows", _gradients_scaled),
+    "multiclass NLL values and stabilization": (losses, "softmax_nll_batch", _first_scaled),
+    "modulating factor identity and beta schedule": (
+        focuse, "alpha_batch", lambda fn: lambda *a: 1.01 * fn(*a)),
+    "angle potential invariance": (distill, "angle_potentials", _rotation_variant),
+    "angle-matching loss zero cases": (distill, "rkd_loss_batch", _first_scaled),
+    "sampler contracts": (sampling, "sample_subgraph", _first_position_dropped),
+    "adam fixed points": (
+        optim.SparseAdam, "apply",
+        lambda fn: lambda self, params, rows, grads: fn(self, params, rows, grads + 1e-3)),
+    "ranking vs brute force and metrics": (evaluation, "rank_triple", _object_rank_off_by_one),
+    "corruption invariants": (training, "corrupt_batch", _both_sides_replaced),
+}
+
+
+def test_clean_run_passes_every_check_in_order():
+    lines = []
+    assert selftest.run_selftest(lines.append) == 0
+    assert lines == [f"PASS  {name}" for name in NAMES] + ["11/11 checks passed"]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fault_fails_exactly_its_check(name, monkeypatch):
+    _patch(monkeypatch, *FAULTS[name])
+    lines = []
+    assert selftest.run_selftest(lines.append) != 0
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [f"FAIL  {name}"]
+    assert lines[-1] == "10/11 checks passed"
