@@ -27,7 +27,7 @@ from kgex.explain import ExplainConfig, mc_explain
 from kgex.graph import build_filter, load_graph, load_split
 from kgex.modelio import load_model, save_model
 from kgex.sampling import SubgraphSpec
-from kgex.training import TrainConfig, train
+from kgex.training import TrainConfig, run_training
 
 # best training combinations per dataset/model
 BEST = {
@@ -96,8 +96,10 @@ def main() -> None:
             loss="multiclass_nll", **hp,
         )
         t0 = time.time()
-        teacher = train(g, cfg, progress=lambda e, l: print(f"  epoch {e}: {l:.5f}", flush=True)
-                        if e % 50 == 0 else None)
+        teacher, _ = run_training(
+            g, cfg, progress=lambda e, l: print(f"  epoch {e}: {l:.5f}", flush=True)
+            if e % 50 == 0 else None
+        )
         print(f"teacher trained in {time.time() - t0:.0f}s")
         save_model(teacher, teacher_path, g.entity_vocab, g.relation_vocab)
 

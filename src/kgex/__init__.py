@@ -25,7 +25,7 @@ from .modelio import load_model, save_model
 from .models import EmbeddingModel, ModelKind, init_model
 from .optim import SparseAdam
 from .sampling import Subgraph, SubgraphSpec, sample_pn, sample_rw, sample_subgraph
-from .training import TrainConfig, train
+from .training import TrainConfig, run_training
 
 __version__ = "0.1.0"
 
@@ -59,10 +59,10 @@ __all__ = [
     "mc_explain",
     "metrics_from_ranks",
     "rank_triple",
+    "run_training",
     "sample_pn",
     "sample_rw",
     "sample_subgraph",
     "save_model",
-    "train",
     "train_student",
 ]

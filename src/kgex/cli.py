@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distill import train_student
+from .distill import check_kd_lambda, train_student
 from .evaluation import evaluate
 from .explain import ExplainConfig, mc_explain, write_report_tsv
 from .focuse import FocusEConfig
@@ -34,7 +34,7 @@ from .modelio import entity_sidecar, load_model, relation_sidecar, save_model
 from .models import ModelKind
 from .sampling import SubgraphSpec, read_subgraph_tsv, sample_subgraph, write_subgraph_tsv
 from .selftest import run_selftest
-from .training import TrainConfig, train
+from .training import TrainConfig, run_training
 
 
 def _resolve_seed() -> int:
@@ -201,21 +201,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A handler gets the parsed paths, the resolved options and the manifest; it records
-# its inputs and any configuration beyond the options, and returns the files it wrote.
+# A handler gets the parsed paths, the resolved options and the manifest; it checks the
+# options, then records its inputs and any further configuration, and returns its outputs.
 
 
 def _cmd_train(args, opts, manifest) -> list:
-    manifest.add_input(args.graph)
-    g = load_graph(args.graph, has_weights=opts["weights"], weight_policy=opts["weight_policy"])
     kind = opts["model"] or ModelKind.TRANSE_L2.value
     focuse_cfg = FocusEConfig(decay=opts["focuse_decay"]) if opts["focuse"] else None
     cfg = _train_config(opts, kind, seed=opts["seed"], focuse=focuse_cfg)
+    cfg.validate()
+    manifest.add_input(args.graph)
+    g = load_graph(args.graph, has_weights=opts["weights"], weight_policy=opts["weight_policy"])
     manifest.set_config(model=kind, graph=str(args.graph), out=str(args.out))
 
     log_path = Path(str(args.out) + ".train.log")
     with open(log_path, "w", encoding="utf-8") as log:
-        model = train(g, cfg, progress=lambda e, l: log.write(f"{e}\t{l:.10g}\n"))
+        model, _ = run_training(g, cfg, progress=lambda e, l: log.write(f"{e}\t{l:.10g}\n"))
     save_model(model, args.out, g.entity_vocab, g.relation_vocab)
     print(
         f"trained {kind} on {g.n_triples} triples "
@@ -225,11 +226,14 @@ def _cmd_train(args, opts, manifest) -> list:
 
 
 def _cmd_distill_train(args, opts, manifest) -> list:
+    cfg = _train_config(opts, opts["model"], seed=opts["seed"])
+    cfg.validate()
+    check_kd_lambda(opts["kd_lambda"])
     manifest.add_input(args.teacher)
     manifest.add_input(args.subgraph)
     teacher, ev, rv = _load_with_vocabularies(args.teacher)
     sub_g = graph_from_triples(read_subgraph_tsv(args.subgraph, ev, rv), ev, rv)
-    cfg = _train_config(opts, opts["model"] or teacher.kind, seed=opts["seed"])
+    cfg.kind = cfg.kind or teacher.kind
     manifest.set_config(teacher=str(args.teacher), subgraph=str(args.subgraph))
 
     student = train_student(teacher, sub_g, cfg, opts["kd_lambda"])
@@ -239,10 +243,12 @@ def _cmd_distill_train(args, opts, manifest) -> list:
 
 
 def _cmd_sample_subgraph(args, opts, manifest) -> list:
+    spec = SubgraphSpec(opts["method"], opts["n"], opts["seed"])
+    spec.validate()
     manifest.add_input(args.graph)
     g = load_graph(args.graph)
     target = _parse_target(args.target, g)
-    sub = sample_subgraph(g, target, SubgraphSpec(opts["method"], opts["n"], opts["seed"]))
+    sub = sample_subgraph(g, target, spec)
     write_subgraph_tsv(sub, args.out)
     print(f"sampled {len(sub)} triples around {args.target!r} -> {args.out}")
     manifest.set_config(target=args.target)
@@ -250,6 +256,13 @@ def _cmd_sample_subgraph(args, opts, manifest) -> list:
 
 
 def _cmd_explain(args, opts, manifest) -> list:
+    config = ExplainConfig(
+        mc_runs=opts["mc_runs"], partitions=opts["partitions"],
+        student=_train_config(opts, opts["model"]),
+        kd_lambda=opts["kd_lambda"], sampler=SubgraphSpec(opts["method"], opts["n"]),
+        seed=opts["seed"], threads=opts["threads"],
+    )
+    config.validate()
     manifest.add_input(args.teacher)
     manifest.add_input(args.graph)
     g = load_graph(args.graph)
@@ -262,12 +275,7 @@ def _cmd_explain(args, opts, manifest) -> list:
     if teacher.n_entities != g.n_entities or teacher.n_relations != g.n_relations:
         raise ValueError("teacher tables do not match the graph vocabularies")
     target = _parse_target(args.target, g)
-    config = ExplainConfig(
-        mc_runs=opts["mc_runs"], partitions=opts["partitions"],
-        student=_train_config(opts, opts["model"] or teacher.kind),
-        kd_lambda=opts["kd_lambda"], sampler=SubgraphSpec(opts["method"], opts["n"]),
-        seed=opts["seed"], threads=opts["threads"],
-    )
+    config.student.kind = config.student.kind or teacher.kind
     manifest.set_config(target=args.target)
 
     report = mc_explain(teacher, g, target, config)

@@ -83,6 +83,11 @@ def rkd_loss_batch(
     return loss, gs, gp, go, degenerate
 
 
+def check_kd_lambda(kd_lambda: float) -> None:
+    if kd_lambda < 0 or not np.isfinite(kd_lambda):
+        raise ValueError("kd_lambda must be finite and >= 0")
+
+
 def train_student(
     teacher: EmbeddingModel,
     subgraph: KnowledgeGraph,
@@ -98,10 +103,7 @@ def train_student(
     """
     from .training import run_training  # local import to avoid a cycle
 
-    if subgraph.n_triples == 0:
-        raise ValueError("cannot train a student on an empty subgraph")
-    if kd_lambda < 0 or not np.isfinite(kd_lambda):
-        raise ValueError("kd_lambda must be finite and >= 0")
+    check_kd_lambda(kd_lambda)
     model, _ = run_training(
         subgraph, config, teacher=teacher, kd_lambda=kd_lambda, progress=progress
     )

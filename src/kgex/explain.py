@@ -12,11 +12,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .distill import train_student
+from .distill import check_kd_lambda, train_student
 from .evaluation import rank_triple
 from .graph import KnowledgeGraph, Triple, TrueTripleSet, build_filter, graph_from_triples
 from .models import EmbeddingModel
@@ -41,6 +42,8 @@ class ExplainConfig:
             raise ValueError("partitions must be >= 2")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        check_kd_lambda(self.kd_lambda)
+        self.student.validate()
         self.sampler.validate()
 
 
@@ -94,18 +97,12 @@ def _derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
-def _run_once(args) -> RunRecord:
-    (run, teacher, g, target, subset, student_cfg, kd_lambda, flt) = args
+def _run_once(teacher, g, target, student_cfg, kd_lambda, flt, plan) -> RunRecord:
+    run, subset, seed = plan
     sub_graph = graph_from_triples(g.triples[subset], g.entity_vocab, g.relation_vocab)
-    student = train_student(teacher, sub_graph, student_cfg, kd_lambda)
+    student = train_student(teacher, sub_graph, replace(student_cfg, seed=seed), kd_lambda)
     result = rank_triple(student, target, sub_graph.entities_in_triples(), flt)
-    return RunRecord(
-        run=run,
-        positions=subset,
-        rank=result.mean_rank,
-        subject_rank=result.subject_rank,
-        object_rank=result.object_rank,
-    )
+    return RunRecord(run, subset, result.mean_rank, result.subject_rank, result.object_rank)
 
 
 def mc_explain(
@@ -118,40 +115,36 @@ def mc_explain(
     """Sample, partition, train students, and aggregate target ranks.
 
     The subgraph is sampled once per target.  Each cycle of `partitions` runs
-    shares one freshly seeded partition and walks its subsets round-robin, so
-    every cycle covers the whole subgraph.  Students corrupt and rank only
-    over the entities of their own subset.  Runs are independent and may run in
-    min(threads, runs, CPUs) processes; the report does not depend on scheduling.
+    draws one seeded partition and takes its subsets in order, so every full
+    cycle covers the subgraph.  Students corrupt and rank only over the entities
+    of their own subset.  A run's plan is (run, subset, seed); the inputs all
+    runs share are bound once and sent once per process, each of the
+    min(threads, runs, CPUs) processes taking one chunk of plans.
     """
     config.validate()
-    sampler_seed = (
-        config.sampler.seed
-        if config.sampler.seed is not None
-        else _derive_seed(config.seed, 0)
-    )
-    sampler = SubgraphSpec(config.sampler.method, config.sampler.n, sampler_seed)
+    seed = config.sampler.seed
+    sampler = replace(config.sampler, seed=_derive_seed(config.seed, 0) if seed is None else seed)
     sub = sample_subgraph(g, target, sampler)
     if flt is None:
         flt = build_filter(g)
 
-    tasks = []
+    plans = []
     for run in range(config.mc_runs):
-        # one fresh partition per cycle of `partitions` runs; the runs of a
-        # cycle walk its subsets round-robin, so every cycle covers H fully
-        cycle = run // config.partitions
-        part_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, cycle]))
-        parts = partition_positions(sub.positions, config.partitions, part_rng)
-        subset = np.sort(parts[run % config.partitions])
-        cfg = replace(config.student, seed=_derive_seed(config.seed, 2, run), focuse=None)
-        tasks.append((run, teacher, g, target, subset, cfg, config.kd_lambda, flt))
+        cycle, part = divmod(run, config.partitions)
+        if part == 0:
+            part_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, cycle]))
+            parts = partition_positions(sub.positions, config.partitions, part_rng)
+        plans.append((run, np.sort(parts[part]), _derive_seed(config.seed, 2, run)))
+    run_plan = partial(
+        _run_once, teacher, g, target, replace(config.student, focuse=None), config.kd_lambda, flt
+    )
 
     workers = min(config.threads, config.mc_runs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            records = list(pool_exec.map(_run_once, tasks))
+            records = list(pool_exec.map(run_plan, plans, chunksize=-(-len(plans) // workers)))
     else:
-        records = [_run_once(t) for t in tasks]
-    records.sort(key=lambda r: r.run)
+        records = [run_plan(plan) for plan in plans]
 
     report = aggregate_contributions(records, sub)
     report.provenance.update(
@@ -173,35 +166,25 @@ def mc_explain(
 def aggregate_contributions(records: list[RunRecord], sub: Subgraph) -> ExplanationReport:
     """Average target rank per triple over the runs containing it.
 
+    Each triple's rank sum adds the ranks of its runs in record order.
     Entries are sorted ascending by average rank (stronger contribution
     first); ties break toward more containing runs, then source file order.
     Subgraph triples never picked by any run go to the tail, unranked.
     """
     if not records:
         raise ValueError("no run records to aggregate")
-    rank_sum: dict[int, float] = {}
-    count: dict[int, int] = {}
-    for rec in records:
-        for pos in rec.positions:
-            pos = int(pos)
-            rank_sum[pos] = rank_sum.get(pos, 0.0) + rec.rank
-            count[pos] = count.get(pos, 0) + 1
+    positions = np.concatenate([rec.positions for rec in records])
+    ranks = np.repeat([rec.rank for rec in records], [len(rec.positions) for rec in records])
+    seen, inverse = np.unique(positions, return_inverse=True)
+    rank_sum = np.bincount(inverse, weights=ranks)
+    count = np.bincount(inverse)
 
     entries = [
-        ExplanationEntry(
-            triple=sub.source.triple_at(pos),
-            position=pos,
-            rank_sum=rank_sum[pos],
-            runs_containing=count[pos],
-        )
-        for pos in sorted(count)
+        ExplanationEntry(sub.source.triple_at(pos), pos, total, n)
+        for pos, total, n in zip(seen.tolist(), rank_sum.tolist(), count.tolist())
     ]
     entries.sort(key=lambda e: (e.avg_target_rank, -e.runs_containing, e.position))
-    tail = [
-        (sub.source.triple_at(int(pos)), int(pos))
-        for pos in sub.positions
-        if int(pos) not in count
-    ]
+    tail = [(sub.source.triple_at(pos), pos) for pos in np.setdiff1d(sub.positions, seen).tolist()]
     return ExplanationReport(
         target=sub.target, entries=entries, tail=tail, records=records, provenance={}
     )

@@ -41,6 +41,8 @@ class TrainConfig:
     focuse: FocusEConfig | None = None
 
     def validate(self) -> None:
+        if self.k < 1:
+            raise ValueError("embedding dimensionality must be >= 1")
         if self.eta < 1:
             raise ValueError("eta must be >= 1")
         if self.lr <= 0:
@@ -53,12 +55,13 @@ class TrainConfig:
             raise ValueError("gamma must be >= 0")
         if self.loss not in ("multiclass_nll", "softplus_nll"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.focuse is not None and self.focuse.decay < 0:
+            raise ValueError("decay must be >= 0")
 
 
 @dataclass
 class TrainStats:
     epoch_losses: list[float] = field(default_factory=list)
-    steps: int = 0
 
 
 def corrupt_batch(
@@ -225,7 +228,6 @@ def run_training(
                 opt.apply(table, rows, grad)
                 if not np.isfinite(table[rows]).all():
                     raise TrainingDivergedError(f"non-finite embeddings at {where}")
-            stats.steps += 1
             loss_sum += batch_loss * bs
 
         epoch_mean = loss_sum / n
@@ -235,8 +237,3 @@ def run_training(
 
     return model, stats
 
-
-def train(g: KnowledgeGraph, config: TrainConfig, progress=None) -> EmbeddingModel:
-    """Train a standalone model on a graph; see `run_training`."""
-    model, _ = run_training(g, config, progress=progress)
-    return model

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from kgex.explain import ExplanationEntry
 from kgex.models import EmbeddingModel, score_many
 
 
@@ -190,3 +191,34 @@ def ingest_loop(rows, entity_labels=None, relation_labels=None):
         triples.append(t)
         weights.append(w)
     return list(entities), list(relations), triples, weights, dropped, oov
+
+
+def dict_loop_aggregate(records, sub):
+    """Reference contribution aggregation: one dict update per run position.
+
+    Returns (entries, tail) as `aggregate_contributions` builds them: each
+    position's rank sum adds its runs' ranks in record order.
+    """
+    rank_sum: dict[int, float] = {}
+    count: dict[int, int] = {}
+    for rec in records:
+        for pos in rec.positions:
+            pos = int(pos)
+            rank_sum[pos] = rank_sum.get(pos, 0.0) + rec.rank
+            count[pos] = count.get(pos, 0) + 1
+    entries = [
+        ExplanationEntry(
+            triple=sub.source.triple_at(pos),
+            position=pos,
+            rank_sum=rank_sum[pos],
+            runs_containing=count[pos],
+        )
+        for pos in sorted(count)
+    ]
+    entries.sort(key=lambda e: (e.avg_target_rank, -e.runs_containing, e.position))
+    tail = [
+        (sub.source.triple_at(int(pos)), int(pos))
+        for pos in sub.positions
+        if int(pos) not in count
+    ]
+    return entries, tail

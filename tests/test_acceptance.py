@@ -22,7 +22,7 @@ from kgex.graph import build_filter, graph_from_triples, load_graph
 from kgex.losses import l2_regularizer, softmax_nll_batch
 from kgex.models import EmbeddingModel, ModelKind, init_model, score_grad_rows, score_many
 from kgex.sampling import Subgraph, SubgraphSpec, sample_subgraph
-from kgex.training import TrainConfig, train
+from kgex.training import TrainConfig, run_training
 
 from oracles import brute_force_side_rank, fd_gradients, incident_triples
 from toygraphs import block_graph, demo_graph, random_graph
@@ -178,7 +178,7 @@ def test_criterion_2_reduction_identities():
     teacher = init_model("distmult", 8, g.n_entities, g.n_relations, seed=50)
     cfg = TrainConfig(kind="distmult", k=4, eta=2, lr=0.05, epochs=4, batch_size=16, seed=9)
     student = train_student(teacher, sub, cfg, kd_lambda=0.0)
-    plain = train(sub, cfg)
+    plain, _ = run_training(sub, cfg)
     assert np.array_equal(student.entity_table, plain.entity_table)
     assert np.array_equal(student.relation_table, plain.relation_table)
 
@@ -351,7 +351,7 @@ def test_criterion_8_learning_sanity():
         cfg = TrainConfig(
             kind="transe-l2", k=16, eta=2, lr=0.1, epochs=200, batch_size=512, seed=seed
         )
-        trained = train(g, cfg)
+        trained, _ = run_training(g, cfg)
         untrained = init_model(cfg.kind, cfg.k, g.n_entities, g.n_relations, seed=seed)
         trained_metrics, _ = evaluate(trained, held_out, pool, flt)
         untrained_metrics, _ = evaluate(untrained, held_out, pool, flt)
@@ -374,7 +374,7 @@ def test_criterion_9_kd_faithfulness_directional():
     g, held_out = block_graph(
         n_entities=100, n_blocks=20, n_relations=4, n_train=600, n_test=60, seed=29
     )
-    teacher = train(
+    teacher, _ = run_training(
         g, TrainConfig(kind="transe-l2", k=16, eta=4, lr=0.1, epochs=300, batch_size=256, seed=0)
     )
     flt = build_filter(g, graph_from_triples(held_out, g.entity_vocab, g.relation_vocab))

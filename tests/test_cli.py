@@ -499,6 +499,31 @@ class TestCliBehavior:
         assert f"{config}:2: bad value for {key!r}: {raw!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command, options, message", [
+        ("explain", ["--threads", "0"], "threads must be >= 1"),
+        ("explain", ["--kd-lambda", "-1"], "kd_lambda must be finite and >= 0"),
+        ("explain", ["--partitions", "1"], "partitions must be >= 2"),
+        ("train", ["--epochs", "0"], "epochs must be >= 1"),
+        ("train", ["--k", "0"], "embedding dimensionality must be >= 1"),
+        ("train", ["--focuse", "--focuse-decay", "-1"], "decay must be >= 0"),
+        ("distill-train", ["--kd-lambda", "nan"], "kd_lambda must be finite and >= 0"),
+        ("sample-subgraph", ["--n", "-1"], "neighbor/step count must be >= 0"),
+    ])
+    def test_bad_option_rejected_before_inputs(self, tmp_path, monkeypatch, capsys, command, options, message):
+        # no input exists: the value must be reported first, and nothing written
+        monkeypatch.chdir(tmp_path)
+        inputs = {
+            "train": ["--graph", "missing.tsv"],
+            "distill-train": ["--teacher", "missing.kgex", "--subgraph", "missing.tsv"],
+            "sample-subgraph": ["--graph", "missing.tsv", "--target", "a r b"],
+            "explain": ["--teacher", "missing.kgex", "--graph", "missing.tsv", "--target", "a r b"],
+        }
+        assert run_cli([command, *inputs[command], *options, "--seed", "1", "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"kgex {command}: error: {message}" in err
+        assert "No such file" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_option_strings_pinned(self):
         commands = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)

@@ -6,7 +6,7 @@ import pytest
 from kgex.distill import angle_potentials, rkd_loss_batch, train_student
 from kgex.graph import graph_from_triples
 from kgex.models import init_model
-from kgex.training import TrainConfig, train
+from kgex.training import TrainConfig, run_training
 
 from oracles import (
     fd_gradients, huber, max_relative_error, normalized_difference_dot, stacked_orderings_rkd,
@@ -201,7 +201,7 @@ class TestTrainStudent:
         teacher = init_model("distmult", 8, g.n_entities, g.n_relations, seed=99)
         cfg = TrainConfig(kind="distmult", k=4, eta=2, lr=0.05, epochs=5, batch_size=16, seed=7)
         student = train_student(teacher, sub, cfg, kd_lambda=0.0)
-        plain = train(sub, cfg)
+        plain, _ = run_training(sub, cfg)
         assert np.array_equal(student.entity_table, plain.entity_table)
         assert np.array_equal(student.relation_table, plain.relation_table)
 
@@ -295,7 +295,7 @@ class TestTrainStudent:
 
     def test_huge_lambda_pulls_student_angles_to_teacher(self):
         g, _ = block_graph(20, 10, 3, n_train=60, n_test=10, seed=21)
-        teacher = train(
+        teacher, _ = run_training(
             g, TrainConfig(kind="transe-l2", k=8, eta=2, lr=0.1, epochs=100, batch_size=64, seed=0)
         )
         gaps = {}

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgex.explain
 from kgex.explain import (
@@ -14,8 +16,9 @@ from kgex.explain import (
     partition_positions,
 )
 from kgex.sampling import Subgraph, SubgraphSpec
-from kgex.training import TrainConfig, train
+from kgex.training import TrainConfig, run_training
 
+from oracles import dict_loop_aggregate
 from toygraphs import block_graph, random_graph
 
 
@@ -145,6 +148,29 @@ class TestAggregation:
         # containing runs; then file order breaks 0 before 3
         assert [e.position for e in report.entries] == [2, 1, 0, 3]
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_dict_loop_reference(self, data):
+        """Entries, rank-sum bits and tail equal the one-position-at-a-time loop."""
+        g = random_graph(12, 2, 40, seed=10)
+        sub_positions = data.draw(st.lists(st.integers(0, 39), min_size=1, unique=True))
+        sub = make_subgraph(g, sub_positions)
+        subset = st.lists(st.sampled_from(sorted(sub_positions)), unique=True)
+        rank = st.floats(allow_nan=False, allow_infinity=False)
+        records = [
+            RunRecord(run, np.array(positions, dtype=np.int64), r, 1, 1)
+            for run, (positions, r) in enumerate(
+                data.draw(st.lists(st.tuples(subset, rank), min_size=1, max_size=12))
+            )
+        ]
+        report = aggregate_contributions(records, sub)
+        entries, tail = dict_loop_aggregate(records, sub)
+        rows = lambda es: [
+            (e.triple, e.position, np.float64(e.rank_sum).tobytes(), e.runs_containing) for e in es
+        ]
+        assert rows(report.entries) == rows(entries)
+        assert report.tail == tail
+
     def test_deleting_a_run_only_touches_its_triples(self):
         g = random_graph(12, 2, 40, seed=8)
         sub = make_subgraph(g, range(10))
@@ -169,7 +195,7 @@ class TestAggregation:
 @pytest.fixture(scope="module")
 def toy():
     g, held_out = block_graph(20, 10, 3, n_train=80, n_test=16, seed=13)
-    teacher = train(
+    teacher, _ = run_training(
         g,
         TrainConfig(kind="transe-l2", k=8, eta=2, lr=0.1, epochs=120, batch_size=128, seed=0),
     )
@@ -177,9 +203,11 @@ def toy():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers, the chunk size
+    and the tasks of each map, and maps serially."""
 
     created = []
+    maps = []
 
     def __init__(self, max_workers):
         RecordingPool.created.append(max_workers)
@@ -190,8 +218,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def map(self, fn, iterable, chunksize=1):
+        tasks = list(iterable)
+        RecordingPool.maps.append((chunksize, tasks))
+        return map(fn, tasks)
 
 
 class TestMcExplain:
@@ -206,6 +236,7 @@ class TestMcExplain:
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(RecordingPool, "created", [])
+        monkeypatch.setattr(RecordingPool, "maps", [])
         config = ExplainConfig(
             mc_runs=4, partitions=2, student=self.student_cfg(), kd_lambda=3.0,
             sampler=SubgraphSpec("pn", 1), seed=7, threads=10**6,
@@ -214,6 +245,34 @@ class TestMcExplain:
         assert RecordingPool.created == workers  # min(threads, mc_runs, cpus); 1 runs serially
         assert [r.run for r in report.records] == [0, 1, 2, 3]
         assert config.threads == 10**6
+        # one chunk of plans per worker; a plan is (run, subset, seed) only
+        assert [chunksize for chunksize, _ in RecordingPool.maps] == [
+            math.ceil(4 / w) for w in workers
+        ]
+        for _, tasks in RecordingPool.maps:
+            assert [(run, subset.tolist()) for run, subset, _ in tasks] == [
+                (r.run, r.positions.tolist()) for r in report.records
+            ]
+            assert all(isinstance(seed, int) for _, _, seed in tasks)
+
+    @pytest.mark.parametrize("runs, partitions, draws", [(4, 3, 2), (6, 3, 2), (1, 2, 1)])
+    def test_each_cycle_draws_one_partition(self, toy, monkeypatch, runs, partitions, draws):
+        g, held_out, teacher = toy
+        calls = []
+        original = kgex.explain.partition_positions
+
+        def counting_partition(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kgex.explain, "partition_positions", counting_partition)
+        config = ExplainConfig(
+            mc_runs=runs, partitions=partitions, student=self.student_cfg(), kd_lambda=3.0,
+            sampler=SubgraphSpec("pn", 2), seed=3,
+        )
+        report = mc_explain(teacher, g, tuple(map(int, held_out[2])), config)
+        assert len(calls) == draws  # ceil(runs / partitions)
+        assert [r.run for r in report.records] == list(range(runs))
 
     def student_cfg(self):
         return TrainConfig(kind="transe-l2", k=4, eta=2, lr=0.1, epochs=40, batch_size=64)

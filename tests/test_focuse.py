@@ -7,7 +7,7 @@ import pytest
 
 from kgex.focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch, softplus_score
 from kgex.losses import softmax_nll_batch
-from kgex.training import TrainConfig, train
+from kgex.training import TrainConfig, run_training
 
 from oracles import fd_gradients, max_relative_error
 from toygraphs import random_graph
@@ -157,12 +157,12 @@ class TestFocuseTraining:
             kind="distmult", k=4, eta=2, lr=0.05, epochs=4, batch_size=32, seed=11,
             loss="softplus_nll",
         )
-        baseline = train(g, base_cfg)
+        baseline, _ = run_training(g, base_cfg)
         focuse_cfg = TrainConfig(
             kind="distmult", k=4, eta=2, lr=0.05, epochs=4, batch_size=32, seed=11,
             focuse=FocusEConfig(decay=float("inf")),
         )
-        modulated = train(g, focuse_cfg)
+        modulated, _ = run_training(g, focuse_cfg)
         assert np.array_equal(baseline.entity_table, modulated.entity_table)
         assert np.array_equal(baseline.relation_table, modulated.relation_table)
 
@@ -170,7 +170,7 @@ class TestFocuseTraining:
         g = random_graph(12, 2, 30, seed=4)
         cfg = TrainConfig(focuse=FocusEConfig(decay=5), epochs=1)
         with pytest.raises(ValueError, match="weights"):
-            train(g, cfg)
+            run_training(g, cfg)
 
     def test_focuse_training_runs_with_decay(self):
         g = random_graph(12, 2, 50, seed=5)
@@ -179,5 +179,5 @@ class TestFocuseTraining:
             kind="transe-l2", k=4, eta=2, lr=0.05, epochs=6, batch_size=32, seed=2,
             focuse=FocusEConfig(decay=3),
         )
-        model = train(g, cfg)
+        model, _ = run_training(g, cfg)
         assert np.isfinite(model.entity_table).all()

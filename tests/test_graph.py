@@ -14,7 +14,7 @@ from kgex.graph import (
     one_hop_positions,
 )
 from kgex.focuse import FocusEConfig
-from kgex.training import TrainConfig, train
+from kgex.training import TrainConfig, run_training
 
 from toygraphs import DEMO_TRIPLES, demo_graph, label_graph, random_graph
 
@@ -83,7 +83,7 @@ class TestLoadGraph:
         assert g.n_triples == 0
         assert g.weights.shape == (0,)
         with pytest.raises(ValueError, match="empty graph"):
-            train(g, TrainConfig(focuse=FocusEConfig()))
+            run_training(g, TrainConfig(focuse=FocusEConfig()))
 
     def test_weights_require_fourth_column(self, tmp_path):
         path = write_tsv(tmp_path / "g.tsv", [("A", "r", "B")])

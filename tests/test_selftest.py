@@ -83,6 +83,20 @@ def _both_sides_replaced(fn):
     return broken
 
 
+def _no_redraw(fn):
+    """Keeps the first draw of every negative, collisions included."""
+
+    def broken(triples, eta, pool, rng):
+        n = len(triples)
+        sides = rng.integers(0, 2, size=(n, eta))
+        replacement = pool[rng.integers(0, len(pool), size=(n, eta))]
+        neg_s = np.where(sides == 0, replacement, triples[:, 0:1])
+        neg_o = np.where(sides == 1, replacement, triples[:, 2:3])
+        return neg_s, np.broadcast_to(triples[:, 1:2], (n, eta)).copy(), neg_o
+
+    return broken
+
+
 FAULTS = {
     "graph indices match linear scan": (
         KnowledgeGraph, "predicate_positions", lambda fn: lambda g, p: fn(g, p)[:-1]),
@@ -108,9 +122,18 @@ def test_clean_run_passes_every_check_in_order():
     assert lines == [f"PASS  {name}" for name in NAMES] + ["11/11 checks passed"]
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_fault_fails_exactly_its_check(name, monkeypatch):
-    _patch(monkeypatch, *FAULTS[name])
+# one broken kernel per check, plus a second one for the corruption check
+CASES = [pytest.param(name, FAULTS[name], id=name) for name in NAMES] + [
+    pytest.param(
+        "corruption invariants", (training, "corrupt_batch", _no_redraw),
+        id="corruption invariants without redraw",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, fault", CASES)
+def test_fault_fails_exactly_its_check(name, fault, monkeypatch):
+    _patch(monkeypatch, *fault)
     lines = []
     assert selftest.run_selftest(lines.append) != 0
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [f"FAIL  {name}"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kgex.training
 from kgex.evaluation import evaluate
 from kgex.graph import build_filter, graph_from_triples
 from kgex.losses import l2_regularizer, softmax_nll_batch
@@ -15,7 +16,6 @@ from kgex.training import (
     TrainingDivergedError,
     corrupt_batch,
     run_training,
-    train,
 )
 
 from oracles import ScalarAdam, fd_gradients, max_relative_error
@@ -191,30 +191,37 @@ class TestAdam:
 
 
 class TestTrainLoop:
-    def test_epoch_count_and_steps(self):
+    def test_epoch_count_and_steps(self, monkeypatch):
         g = random_graph(12, 2, 48, seed=0)
         cfg = TrainConfig(kind="distmult", k=4, eta=2, lr=0.05, epochs=1, batch_size=16, seed=1)
+        batches = []
+
+        def counting_corrupt_batch(batch, *args):
+            batches.append(len(batch))
+            return corrupt_batch(batch, *args)
+
+        monkeypatch.setattr(kgex.training, "corrupt_batch", counting_corrupt_batch)
         _, stats = run_training(g, cfg)
-        assert stats.steps == 3  # 48 / 16
+        assert batches == [16, 16, 16]  # one corruption draw per batch: 48 / 16
         assert len(stats.epoch_losses) == 1
 
     def test_epochs_zero_rejected(self):
         g = random_graph(12, 2, 20, seed=0)
         with pytest.raises(ValueError):
-            train(g, TrainConfig(epochs=0))
+            run_training(g, TrainConfig(epochs=0))
 
     def test_bitwise_determinism(self):
         g = random_graph(15, 3, 60, seed=2)
         cfg = TrainConfig(kind="complex", k=4, eta=2, lr=0.05, epochs=3, batch_size=32, gamma=1e-4, seed=9)
-        a = train(g, cfg)
-        b = train(g, cfg)
+        a, _ = run_training(g, cfg)
+        b, _ = run_training(g, cfg)
         assert np.array_equal(a.entity_table, b.entity_table)
         assert np.array_equal(a.relation_table, b.relation_table)
 
     def test_tables_stay_finite(self):
         g = random_graph(20, 3, 100, seed=4)
         cfg = TrainConfig(kind="transe-l1", k=6, eta=3, lr=0.1, epochs=5, batch_size=64, seed=0)
-        model = train(g, cfg)
+        model, _ = run_training(g, cfg)
         assert np.isfinite(model.entity_table).all()
         assert np.isfinite(model.relation_table).all()
 
@@ -228,7 +235,7 @@ class TestTrainLoop:
         wins = 0
         for seed in range(5):
             cfg = TrainConfig(kind="transe-l2", k=16, eta=2, lr=0.1, epochs=200, batch_size=512, seed=seed)
-            trained = train(g, cfg)
+            trained, _ = run_training(g, cfg)
             untrained = init_model(cfg.kind, cfg.k, g.n_entities, g.n_relations, seed=seed)
             trained_metrics, _ = evaluate(trained, held_out, pool, flt)
             untrained_metrics, _ = evaluate(untrained, held_out, pool, flt)
@@ -248,7 +255,7 @@ class TestTrainLoop:
         ev, rv = Vocabulary(), Vocabulary()
         ev.add("A"), ev.add("B"), rv.add("r")
         with pytest.raises(ValueError):
-            train(graph_from_triples([], ev, rv), TrainConfig())
+            run_training(graph_from_triples([], ev, rv), TrainConfig())
 
     def test_divergence_aborts_with_location(self):
         g = random_graph(10, 2, 30, seed=6)
@@ -256,7 +263,7 @@ class TestTrainLoop:
         cfg = TrainConfig(kind="distmult", k=4, eta=2, lr=1e150, epochs=50, batch_size=8, seed=0)
         with pytest.raises(TrainingDivergedError, match=r"epoch \d+"):
             with np.errstate(all="ignore"):
-                train(g, cfg)
+                run_training(g, cfg)
 
     def test_overflowing_step_aborts_before_the_epoch_ends(self):
         g = random_graph(10, 2, 30, seed=6)
@@ -266,5 +273,5 @@ class TestTrainLoop:
         epochs_reported = []
         with pytest.raises(TrainingDivergedError, match=r"non-finite embeddings.*epoch 0"):
             with np.errstate(all="ignore"):
-                train(g, cfg, progress=lambda epoch, loss: epochs_reported.append(epoch))
+                run_training(g, cfg, progress=lambda epoch, loss: epochs_reported.append(epoch))
         assert epochs_reported == []
