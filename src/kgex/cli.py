@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distill import check_kd_lambda, train_student
+from .distill import check_kd_lambda
 from .evaluation import evaluate
 from .explain import ExplainConfig, mc_explain, write_report_tsv
 from .focuse import FocusEConfig
@@ -150,6 +150,10 @@ def _train_config(opts: dict, kind, **extra) -> TrainConfig:
     return TrainConfig(kind=kind, **fields, **extra)
 
 
+def _batches(n_triples: int, cfg: TrainConfig) -> int:
+    return cfg.epochs * -(-n_triples // cfg.batch_size)
+
+
 def _load_with_vocabularies(path):
     model, ev, rv = load_model(path)
     if ev is None or rv is None:
@@ -211,13 +215,16 @@ def _cmd_train(args, opts, manifest) -> list:
     cfg = _train_config(opts, kind, seed=opts["seed"], focuse=focuse_cfg)
     cfg.validate()
     manifest.add_input(args.graph)
-    g = load_graph(args.graph, has_weights=opts["weights"], weight_policy=opts["weight_policy"])
+    with manifest.stage("load"):
+        g = load_graph(args.graph, has_weights=opts["weights"], weight_policy=opts["weight_policy"])
     manifest.set_config(model=kind, graph=str(args.graph), out=str(args.out))
 
     log_path = Path(str(args.out) + ".train.log")
-    with open(log_path, "w", encoding="utf-8") as log:
+    with open(log_path, "w", encoding="utf-8") as log, manifest.stage("train"):
         model, _ = run_training(g, cfg, progress=lambda e, l: log.write(f"{e}\t{l:.10g}\n"))
-    save_model(model, args.out, g.entity_vocab, g.relation_vocab)
+    with manifest.stage("save"):
+        save_model(model, args.out, g.entity_vocab, g.relation_vocab)
+    manifest.count(triples=g.n_triples, batches=_batches(g.n_triples, cfg))
     print(
         f"trained {kind} on {g.n_triples} triples "
         f"({g.n_entities} entities, {g.n_relations} relations) -> {args.out}"
@@ -231,13 +238,20 @@ def _cmd_distill_train(args, opts, manifest) -> list:
     check_kd_lambda(opts["kd_lambda"])
     manifest.add_input(args.teacher)
     manifest.add_input(args.subgraph)
-    teacher, ev, rv = _load_with_vocabularies(args.teacher)
-    sub_g = graph_from_triples(read_subgraph_tsv(args.subgraph, ev, rv), ev, rv)
+    with manifest.stage("load"):
+        teacher, ev, rv = _load_with_vocabularies(args.teacher)
+        sub_g = graph_from_triples(read_subgraph_tsv(args.subgraph, ev, rv), ev, rv)
     cfg.kind = cfg.kind or teacher.kind
     manifest.set_config(teacher=str(args.teacher), subgraph=str(args.subgraph))
 
-    student = train_student(teacher, sub_g, cfg, opts["kd_lambda"])
-    save_model(student, args.out, ev, rv)
+    with manifest.stage("train"):
+        student, stats = run_training(sub_g, cfg, teacher=teacher, kd_lambda=opts["kd_lambda"])
+    with manifest.stage("save"):
+        save_model(student, args.out, ev, rv)
+    manifest.count(
+        triples=sub_g.n_triples, batches=_batches(sub_g.n_triples, cfg),
+        degenerate_kd_terms=stats.degenerate_kd_terms,
+    )
     print(f"distilled student on {sub_g.n_triples} subgraph triples -> {args.out}")
     return [args.out]
 

@@ -25,7 +25,10 @@ class TrainConfig:
     uniform coin each).  `pool` optionally restricts corruption entities; by
     default corruptions are drawn from the entities occurring in the training
     triples.  `loss` is `multiclass_nll` (raw scores) or `softplus_nll`
-    (scores passed through softplus first).
+    (scores passed through softplus first).  One batch's heap peaks at about
+    three float64 arrays of `batch_size * (1 + eta)` rows for DistMult and
+    ComplEx, which score candidates against query rows, and at about eight
+    for TransE, which gathers and differentiates every negative row by row.
     """
 
     kind: ModelKind | str = ModelKind.TRANSE_L2
@@ -62,6 +65,7 @@ class TrainConfig:
 @dataclass
 class TrainStats:
     epoch_losses: list[float] = field(default_factory=list)
+    degenerate_kd_terms: int = 0  # angle terms skipped for coincident points, all batches
 
 
 def corrupt_batch(
@@ -72,7 +76,10 @@ def corrupt_batch(
     For each negative a fair coin picks the side to replace, then the
     replacement entity is drawn uniformly from `pool`, redrawing while it
     collides with the original entity on that side.  Returns the (n, eta)
-    subject/predicate/object id arrays of the negatives.
+    subject/predicate/object id arrays of the negatives; the predicate array
+    is a read-only broadcast of the positives' predicates.  Because of the
+    redraw, a negative replaced its subject exactly when its subject differs
+    from the positive's.
     """
     if len(pool) < 2:
         raise ValueError("corruption pool must contain at least 2 entities")
@@ -86,26 +93,130 @@ def corrupt_batch(
         colliding = replacement == original
     neg_s = np.where(sides == 0, replacement, triples[:, 0:1])
     neg_o = np.where(sides == 1, replacement, triples[:, 2:3])
-    neg_p = np.broadcast_to(triples[:, 1:2], (n, eta)).copy()
-    return neg_s, neg_p, neg_o
+    return neg_s, np.broadcast_to(triples[:, 1:2], (n, eta)), neg_o
 
 
 def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum one table's `(ids, weight, grads)` terms over the rows they touch.
+    """Sum one table's `(ids, grads)` terms over the rows they touch.
 
     Returns the sorted unique ids and their `(len(rows), width)` gradients;
-    each row sums `weight * grads` in term order, as a full-table scatter would.
+    each row sums its grads in term order, as a full-table scatter would.
     """
     rows, inverse = np.unique(
-        np.concatenate([ids.ravel() for ids, _, _ in terms]), return_inverse=True
+        np.concatenate([ids.ravel() for ids, _ in terms]), return_inverse=True
     )
     summed = np.zeros((len(rows), width))
     start = 0
-    for ids, weight, grads in terms:
+    for ids, grads in terms:
         stop = start + ids.size
-        np.add.at(summed, inverse[start:stop], (weight * grads).reshape(-1, width))
+        np.add.at(summed, inverse[start:stop], grads.reshape(-1, width))
         start = stop
     return rows, summed
+
+
+def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
+    """Scores of a batch and its negatives, and the map back to row gradients.
+
+    Returns the (n, 1 + eta) scores, positive in column 0, and `backward`,
+    which takes the loss gradient w.r.t. those scores and returns the entity
+    and relation `(ids, grads)` terms of `_summed_gradients`.
+    """
+    kind, k = model.kind, model.k
+    ent, rel = model.entity_table, model.relation_table
+    s_ids, p_ids, o_ids = batch.T
+    neg_s, neg_p, neg_o = negatives
+    es, rp, eo = ent[s_ids], rel[p_ids], ent[o_ids]
+
+    if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
+        # a distance is not linear in the replaced row: one gradient row per negative
+        pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(kind, k, es, rp, eo)
+        neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
+
+        def backward(d):
+            d_pos, d_neg = d[:, 0, None], d[:, 1:, None]
+            ent_terms = [(s_ids, d_pos * pos_gs), (o_ids, d_pos * pos_go),
+                         (neg_s, d_neg * neg_gs), (neg_o, d_neg * neg_go)]
+            return ent_terms, [(p_ids, d_pos * pos_gp), (neg_p, d_neg * neg_gp)]
+
+        return np.concatenate([pos_f[:, None], neg_f], axis=1), backward
+
+    # DistMult and ComplEx are linear in each entity row.  A candidate e scores
+    # q_obj . e in the object slot and q_sub . e in the subject slot, where the
+    # queries are the positive's own gradients g_eo(es, rp) and g_es(rp, eo).
+    # Column 0 holds the positive as its own object-side candidate.
+    _, q_sub, _, q_obj = score_grad_rows(kind, k, es, rp, eo)
+    obj_side = np.ones((len(batch), 1 + neg_s.shape[1]), dtype=bool)
+    obj_side[:, 1:] = neg_s == batch[:, :1]  # exact: a drawn subject never equals the positive's
+    cand = np.concatenate([o_ids[:, None], np.where(obj_side[:, 1:], neg_o, neg_s)], axis=1)
+    cand_rows = ent[cand]
+    queries = np.where(obj_side[..., None], q_obj[:, None], q_sub[:, None])
+
+    def backward(d):
+        # the gradients of the kept rows are linear in the candidates: sum over eta first
+        sum_obj = np.einsum("nc,ncw->nw", np.where(obj_side, d, 0.0), cand_rows)
+        sum_sub = np.einsum("nc,ncw->nw", np.where(obj_side, 0.0, d), cand_rows)
+        _, g_s, g_p_obj, _ = score_grad_rows(kind, k, es, rp, sum_obj)
+        _, _, g_p_sub, g_o = score_grad_rows(kind, k, sum_sub, rp, eo)
+        # each candidate's gradient, written over the queries, which are not read again
+        cand_grads = np.multiply(queries, d[..., None], out=queries)
+        return [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads)], [(p_ids, g_p_obj + g_p_sub)]
+
+    return np.einsum("ncw,ncw->nc", queries, cand_rows), backward
+
+
+def batch_gradients(
+    model: EmbeddingModel,
+    batch: np.ndarray,
+    negatives: tuple[np.ndarray, np.ndarray, np.ndarray],
+    config: TrainConfig,
+    alpha: np.ndarray | None = None,
+    teacher: EmbeddingModel | None = None,
+    kd_lambda: float = 0.0,
+) -> tuple[float, int, list]:
+    """Objective of one batch and its gradients, summed over the rows it touches.
+
+    The objective is the mean NLL over positives (FocusE-weighted by `alpha`
+    when given), plus kd_lambda times the mean teacher angle-matching loss
+    when a teacher is given, plus gamma times the squared norms of the touched
+    rows.  Returns the objective, the count of degenerate angle terms, and one
+    `(table, rows, grad)` update for the entity and then the relation table.
+    """
+    s_ids, p_ids, o_ids = batch.T
+    scale = 1.0 / len(batch)
+    # The angle term runs before the candidate arrays exist.  Run after them,
+    # its many small temporaries land in heap pages that freeing those arrays
+    # has just returned to the system, and fault them back in on every batch.
+    kd_ent, kd_rel, kd_loss, degenerate = [], [], 0.0, 0
+    if teacher is not None and kd_lambda > 0.0:
+        from .distill import rkd_loss_batch
+
+        kd_rows, kd_gs, kd_gp, kd_go, degenerate = rkd_loss_batch(
+            (teacher.entity_table[s_ids], teacher.relation_table[p_ids], teacher.entity_table[o_ids]),
+            (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids]),
+        )
+        kd_scale = kd_lambda * scale
+        kd_ent = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go)]
+        kd_rel = [(p_ids, kd_scale * kd_gp)]
+        kd_loss = kd_scale * float(kd_rows.sum())
+
+    scores, backward = _score_batch(model, batch, negatives)
+    if alpha is None and config.loss == "softplus_nll":
+        alpha = np.ones_like(scores)
+    loss_rows, dscores = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha)
+    ent_terms, rel_terms = backward(dscores * scale)
+    batch_loss = float(loss_rows.sum()) * scale + kd_loss
+    updates = [
+        (model.entity_table, *_summed_gradients(ent_terms + kd_ent, model.width)),
+        (model.relation_table, *_summed_gradients(rel_terms + kd_rel, model.width)),
+    ]
+    if config.gamma > 0.0:
+        l2 = []
+        for table, rows, grad in updates:
+            l2_loss, l2_grad = l2_regularizer(table[rows], config.gamma)
+            grad += l2_grad
+            l2.append(l2_loss)
+        batch_loss += l2[0] + l2[1]
+    return batch_loss, degenerate, updates
 
 
 def run_training(
@@ -115,15 +226,10 @@ def run_training(
     kd_lambda: float = 0.0,
     progress=None,
 ) -> tuple[EmbeddingModel, TrainStats]:
-    """Epoch loop: corrupt, score, combined loss, sparse Adam step per batch.
+    """Epoch loop: corrupt, `batch_gradients`, sparse Adam step per batch.
 
-    The per-batch objective is mean NLL over positives, plus gamma * squared
-    norms of the touched rows, plus kd_lambda times the mean teacher
-    angle-matching loss when a teacher is given.  Single-threaded and
-    bit-reproducible for a fixed seed.
+    Single-threaded and bit-reproducible for a fixed seed.
     """
-    from .distill import rkd_loss_batch
-
     config.validate()
     if g.n_triples == 0:
         raise ValueError("cannot train on an empty graph")
@@ -141,8 +247,10 @@ def run_training(
     model = init_model(kind, config.k, g.n_entities, g.n_relations, init_seq)
     rng = np.random.default_rng(loop_seq)
 
-    ent_opt = SparseAdam(model.entity_table.shape, config.lr)
-    rel_opt = SparseAdam(model.relation_table.shape, config.lr)
+    optimizers = (
+        SparseAdam(model.entity_table.shape, config.lr),
+        SparseAdam(model.relation_table.shape, config.lr),
+    )
 
     triples = g.triples
     n = len(triples)
@@ -155,80 +263,22 @@ def run_training(
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             batch = triples[batch_idx]
-            bs = len(batch)
-            neg_s, neg_p, neg_o = corrupt_batch(batch, config.eta, pool, rng)
-
-            s_ids, p_ids, o_ids = batch[:, 0], batch[:, 1], batch[:, 2]
-            pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(
-                kind, config.k,
-                model.entity_table[s_ids],
-                model.relation_table[p_ids],
-                model.entity_table[o_ids],
+            negatives = corrupt_batch(batch, config.eta, pool, rng)
+            alpha = None if focuse is None else alpha_batch(g.weights[batch_idx], beta, config.eta)
+            batch_loss, degenerate, updates = batch_gradients(
+                model, batch, negatives, config, alpha, teacher, kd_lambda
             )
-            neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(
-                kind, config.k,
-                model.entity_table[neg_s],
-                model.relation_table[neg_p],
-                model.entity_table[neg_o],
-            )
-
-            scores = np.concatenate([pos_f[:, None], neg_f], axis=1)
-            if focuse is not None:
-                alpha = alpha_batch(g.weights[batch_idx], beta, config.eta)
-                loss_rows, dscores = focused_nll_batch(scores, alpha)
-            elif config.loss == "softplus_nll":
-                alpha = np.ones_like(scores)
-                loss_rows, dscores = focused_nll_batch(scores, alpha)
-            else:
-                loss_rows, dscores = softmax_nll_batch(scores)
-
-            scale = 1.0 / bs
-            d_pos = dscores[:, 0, None] * scale
-            d_neg = dscores[:, 1:, None] * scale
-            ent_terms = [(s_ids, d_pos, pos_gs), (o_ids, d_pos, pos_go),
-                         (neg_s, d_neg, neg_gs), (neg_o, d_neg, neg_go)]
-            rel_terms = [(p_ids, d_pos, pos_gp), (neg_p, d_neg, neg_gp)]
-            batch_loss = float(loss_rows.sum()) * scale
-
-            if teacher is not None and kd_lambda > 0.0:
-                kd_rows, kd_gs, kd_gp, kd_go, _ = rkd_loss_batch(
-                    (
-                        teacher.entity_table[s_ids],
-                        teacher.relation_table[p_ids],
-                        teacher.entity_table[o_ids],
-                    ),
-                    (
-                        model.entity_table[s_ids],
-                        model.relation_table[p_ids],
-                        model.entity_table[o_ids],
-                    ),
-                )
-                kd_scale = kd_lambda * scale
-                ent_terms += [(s_ids, kd_scale, kd_gs), (o_ids, kd_scale, kd_go)]
-                rel_terms.append((p_ids, kd_scale, kd_gp))
-                batch_loss += kd_scale * float(kd_rows.sum())
-
-            updates = [
-                (model.entity_table, ent_opt, *_summed_gradients(ent_terms, model.width)),
-                (model.relation_table, rel_opt, *_summed_gradients(rel_terms, model.width)),
-            ]
-            if config.gamma > 0.0:
-                l2 = []
-                for table, _, rows, grad in updates:
-                    l2_loss, l2_grad = l2_regularizer(table[rows], config.gamma)
-                    grad += l2_grad
-                    l2.append(l2_loss)
-                batch_loss += l2[0] + l2[1]
+            stats.degenerate_kd_terms += degenerate
 
             where = f"epoch {epoch}, batch {start // config.batch_size}"
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(f"non-finite loss at {where}")
             # only the updated rows can change, and the initial tables are finite
-            for table, opt, rows, grad in updates:
+            for (table, rows, grad), opt in zip(updates, optimizers):
                 opt.apply(table, rows, grad)
                 if not np.isfinite(table[rows]).all():
                     raise TrainingDivergedError(f"non-finite embeddings at {where}")
-            loss_sum += batch_loss * bs
+            loss_sum += batch_loss * len(batch)
 
         epoch_mean = loss_sum / n
         stats.epoch_losses.append(epoch_mean)
@@ -236,4 +286,3 @@ def run_training(
             progress(epoch, epoch_mean)
 
     return model, stats
-

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from kgex.distill import rkd_loss_batch
 from kgex.explain import ExplanationEntry
-from kgex.models import EmbeddingModel, score_many
+from kgex.focuse import focused_nll_batch
+from kgex.losses import l2_regularizer, softmax_nll_batch
+from kgex.models import EmbeddingModel, score_grad_rows, score_many
 
 
 def fd_gradients(loss_fn, params: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
@@ -137,6 +140,66 @@ def stacked_orderings_rkd(teacher_rows, student_rows):
         second += dterm[i] * g2[i]
         third += dterm[i] * g3[i]
     return loss, gs, gp, go, degenerate
+
+
+def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, teacher=None, kd_lambda=0.0):
+    """Reference batch objective that scores every negative as a full triple and
+    scatters one weighted gradient row per negative and side, as `run_training`
+    once did; returns `(loss, degenerate, [(table, rows, grad) per table])`."""
+
+    def summed(terms, width):
+        rows, inverse = np.unique(
+            np.concatenate([ids.ravel() for ids, _, _ in terms]), return_inverse=True
+        )
+        out = np.zeros((len(rows), width))
+        start = 0
+        for ids, weight, grads in terms:
+            stop = start + ids.size
+            np.add.at(out, inverse[start:stop], (weight * grads).reshape(-1, width))
+            start = stop
+        return rows, out
+
+    kind, k = model.kind, model.k
+    ent, rel = model.entity_table, model.relation_table
+    neg_s, neg_p, neg_o = negatives
+    s_ids, p_ids, o_ids = batch[:, 0], batch[:, 1], batch[:, 2]
+    pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(kind, k, ent[s_ids], rel[p_ids], ent[o_ids])
+    neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
+    scores = np.concatenate([pos_f[:, None], neg_f], axis=1)
+    if alpha is not None:
+        loss_rows, dscores = focused_nll_batch(scores, alpha)
+    elif config.loss == "softplus_nll":
+        loss_rows, dscores = focused_nll_batch(scores, np.ones_like(scores))
+    else:
+        loss_rows, dscores = softmax_nll_batch(scores)
+
+    scale = 1.0 / len(batch)
+    d_pos = dscores[:, 0, None] * scale
+    d_neg = dscores[:, 1:, None] * scale
+    ent_terms = [(s_ids, d_pos, pos_gs), (o_ids, d_pos, pos_go),
+                 (neg_s, d_neg, neg_gs), (neg_o, d_neg, neg_go)]
+    rel_terms = [(p_ids, d_pos, pos_gp), (neg_p, d_neg, neg_gp)]
+    loss = float(loss_rows.sum()) * scale
+    degenerate = 0
+    if teacher is not None and kd_lambda > 0.0:
+        kd_rows, kd_gs, kd_gp, kd_go, degenerate = rkd_loss_batch(
+            (teacher.entity_table[s_ids], teacher.relation_table[p_ids], teacher.entity_table[o_ids]),
+            (ent[s_ids], rel[p_ids], ent[o_ids]),
+        )
+        kd_scale = kd_lambda * scale
+        ent_terms += [(s_ids, kd_scale, kd_gs), (o_ids, kd_scale, kd_go)]
+        rel_terms.append((p_ids, kd_scale, kd_gp))
+        loss += kd_scale * float(kd_rows.sum())
+
+    updates = [(ent, *summed(ent_terms, model.width)), (rel, *summed(rel_terms, model.width))]
+    if config.gamma > 0.0:
+        l2 = []
+        for table, rows, grad in updates:
+            l2_loss, l2_grad = l2_regularizer(table[rows], config.gamma)
+            grad += l2_grad
+            l2.append(l2_loss)
+        loss += l2[0] + l2[1]
+    return loss, degenerate, updates
 
 
 def incident_triples(g, *entities) -> set[tuple[int, int, int]]:

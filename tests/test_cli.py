@@ -231,6 +231,39 @@ class TestPipeline:
         }
         assert json.loads(out.read_text())["skipped"] == 1
 
+    def test_training_manifests_record_stages_and_counters(self, pipeline, tmp_path):
+        root, g, _ = pipeline
+        status = run_cli([
+            "train", "--graph", str(root / "train.tsv"), "--model", "distmult", "--k", "4",
+            "--epochs", "3", "--batch-size", "32", "--seed", "1", "--out", str(tmp_path / "m.kgex"),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "m.kgex.manifest.json").read_text())
+        assert set(manifest["stages_s"]) == {"load", "train", "save"}
+        assert all(t >= 0 for t in manifest["stages_s"].values())
+        assert manifest["counters"] == {"triples": g.n_triples, "batches": 3 * 3}  # 80 triples, 32 a batch
+
+        # a self-loop's object-to-subject difference is zero, which makes two of
+        # its three angle terms degenerate in every epoch
+        rows = [l.split("\t") for l in (root / "sub.tsv").read_text().splitlines() if not l.startswith("#")]
+        loop = (g.entity_vocab.label_of(0), g.relation_vocab.label_of(0), g.entity_vocab.label_of(0))
+        triples = {tuple(r) for r in rows} | {loop}
+        sub = tmp_path / "sub.tsv"
+        sub.write_text("".join("\t".join(t) + "\n" for t in sorted(triples)), encoding="utf-8")
+        status = run_cli([
+            "distill-train", "--teacher", str(root / "teacher.kgex"), "--subgraph", str(sub),
+            "--kd-lambda", "3", "--k", "4", "--epochs", "5", "--batch-size", "8", "--seed", "5",
+            "--out", str(tmp_path / "student.kgex"),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "student.kgex.manifest.json").read_text())
+        assert set(manifest["stages_s"]) == {"load", "train", "save"}
+        assert manifest["counters"] == {
+            "triples": len(triples),
+            "batches": 5 * -(-len(triples) // 8),
+            "degenerate_kd_terms": 5 * 2 * sum(s == o for s, _, o in triples),
+        }
+
     def test_explain_subcommand_and_replay_determinism(self, pipeline):
         root, g, held_out = pipeline
         ev, rv = g.entity_vocab, g.relation_vocab

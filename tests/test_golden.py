@@ -19,7 +19,7 @@ GOLDEN_NUMPY = "2.4.6"
 
 GOLDEN = {
     "complex.kgex":
-        "d9d2cfce1c36f4419de4be188e09da56c1693094e1071c35b30061eb6f9116cd",
+        "ca52669e2244d580bacf6fe1af3872e9f62564461349399712d7e1d244dae09a",
     "complex.kgex.train.log":
         "401d71a3e16dab15b2b81d8c33af774f3962399ff8030de1d2d4ccb8372e79b4",
     "transe.kgex":
@@ -27,11 +27,11 @@ GOLDEN = {
     "transe.kgex.train.log":
         "2cb0968265b819191754aa8290ade12cc70f7feaf4b541188abcce87e2637b1b",
     "focuse.kgex":
-        "b67f81aeec435e508e5864877fc7d373c5e41e550a83829b31853d3d64639089",
+        "ee956a269580d45a6581ef5091c8b6912e9c9437237560f04696313b1deee8b9",
     "focuse.kgex.train.log":
         "0cd09536fab52a07cc5c7fb147c2909215298b24a6478e69b4e59e8a0f7071e0",
     "student.kgex":
-        "d7a42570050e7c3c404972d80c6fcaf2d71fd4ecee3a08203429834c0ce7a22b",
+        "ed52250d4656ea85945e703519fdeeae4e1fac9398e0d6db2d000e466844d75d",
     "report.tsv":
         "fc0bc57079747166f0f169f263feccf90781cca732a3a0895b198c10e8a7c221",
     "metrics.json":

@@ -1,12 +1,14 @@
 """Corruption generation, losses, the optimizer, and the training loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kgex.training
 from kgex.evaluation import evaluate
+from kgex.focuse import alpha_batch
 from kgex.graph import build_filter, graph_from_triples
 from kgex.losses import l2_regularizer, softmax_nll_batch
 from kgex.models import init_model
@@ -14,11 +16,12 @@ from kgex.optim import SparseAdam
 from kgex.training import (
     TrainConfig,
     TrainingDivergedError,
+    batch_gradients,
     corrupt_batch,
     run_training,
 )
 
-from oracles import ScalarAdam, fd_gradients, max_relative_error
+from oracles import ScalarAdam, fd_gradients, max_relative_error, per_negative_batch_gradients
 from toygraphs import block_graph, random_graph
 
 # frozen via direct evaluation: -log(e^1 / (e^1 + 2*e^0)) = log(1 + 2/e)
@@ -275,3 +278,72 @@ class TestTrainLoop:
             with np.errstate(all="ignore"):
                 run_training(g, cfg, progress=lambda epoch, loss: epochs_reported.append(epoch))
         assert epochs_reported == []
+
+
+# Entity 1 is the object of positive 0, the subject of positive 2 and a
+# replacement (also as the object of positive 2's self-loop negative); entity 5
+# replaces positive 0's object twice.
+BATCH = np.array([[0, 0, 1], [2, 1, 3], [1, 0, 4]])
+NEG_S = np.array([[0, 2, 0], [1, 2, 5], [1, 0, 1]])
+NEG_O = np.array([[5, 1, 5], [3, 0, 3], [3, 4, 1]])
+NEGATIVES = (NEG_S, np.broadcast_to(BATCH[:, 1:2], NEG_S.shape), NEG_O)
+
+
+def assert_same_batch_gradients(got, want, rtol):
+    (loss, degenerate, updates), (ref_loss, ref_degenerate, ref_updates) = got, want
+    assert loss == pytest.approx(ref_loss, rel=rtol, abs=0.0)
+    assert degenerate == ref_degenerate
+    for (table, rows, grad), (ref_table, ref_rows, ref_grad) in zip(updates, ref_updates, strict=True):
+        assert table is ref_table
+        assert np.array_equal(rows, ref_rows)
+        np.testing.assert_allclose(grad, ref_grad, rtol=rtol, atol=0.0)
+
+
+class TestBatchGradients:
+    """`batch_gradients` against the per-negative scatter of `oracles`."""
+
+    @pytest.mark.parametrize("kd", [False, True], ids=["plain", "kd"])
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    @pytest.mark.parametrize("objective", ["multiclass_nll", "softplus_nll", "focuse"])
+    @pytest.mark.parametrize("kind", ["distmult", "complex"])
+    def test_bilinear_sums_over_eta_match_per_negative_rows(self, kind, objective, gamma, kd):
+        model = init_model(kind, 3, 8, 2, seed=1)
+        teacher = init_model(kind, 3, 8, 2, seed=2) if kd else None
+        loss = "softplus_nll" if objective == "softplus_nll" else "multiclass_nll"
+        config = TrainConfig(kind=kind, k=3, eta=3, gamma=gamma, loss=loss)
+        alpha = alpha_batch(np.array([0.2, 0.9, 0.5]), 0.3, 3) if objective == "focuse" else None
+        args = (model, BATCH, NEGATIVES, config, alpha, teacher, 2.0)
+        assert_same_batch_gradients(batch_gradients(*args), per_negative_batch_gradients(*args), 1e-12)
+
+    @pytest.mark.parametrize("kind", ["transe-l1", "transe-l2", "distmult", "complex"])
+    def test_drawn_corruptions(self, kind):
+        """Many repeats from a small pool; TransE keeps the per-negative rows bit for bit."""
+        g = random_graph(30, 3, 60, seed=8)
+        rng = np.random.default_rng(9)
+        negatives = corrupt_batch(g.triples, 6, np.arange(5, 12), rng)
+        model = init_model(kind, 4, g.n_entities, g.n_relations, seed=3)
+        teacher = init_model(kind, 4, g.n_entities, g.n_relations, seed=4)
+        config = TrainConfig(kind=kind, k=4, eta=6, gamma=1e-3)
+        args = (model, g.triples, negatives, config, None, teacher, 1.5)
+        rtol = 1e-12 if kind in ("distmult", "complex") else 0.0
+        assert_same_batch_gradients(batch_gradients(*args), per_negative_batch_gradients(*args), rtol)
+
+
+@pytest.mark.parametrize("kind", ["complex", "distmult"])
+def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
+    """One epoch's heap peak, in units of one float64 (batch, 1 + eta, width) array.
+
+    Scoring and scattering one row per candidate needs about two such arrays;
+    a gather and a gradient per negative and side needs about ten.
+    """
+    g = random_graph(500, 10, 4000, seed=12)
+    config = TrainConfig(kind=kind, k=50, eta=10, epochs=1, batch_size=2000, seed=0)
+    width = config.k * (2 if kind == "complex" else 1)
+    unit = config.batch_size * (1 + config.eta) * width * 8
+    tracemalloc.start()
+    try:
+        run_training(g, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * unit, f"heap peak {peak / unit:.1f} candidate arrays"
