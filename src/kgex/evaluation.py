@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from .graph import Triple, TrueTripleSet
-from .models import EmbeddingModel, ModelKind, score_grad_rows, score_many
+from .models import EmbeddingModel, ModelKind, bilinear_product, score_many
 
 
 @dataclass
@@ -49,10 +49,10 @@ def _scores(model: EmbeddingModel, s, p, o, columns) -> np.ndarray:
     """(2B, C) scores: row i < B replaces the object of triple i, row B + i its
     subject, each by the entity of every column (None: the whole table)."""
     if model.kind in (ModelKind.DISTMULT, ModelKind.COMPLEX):
-        # scores are linear in each entity row, so the gradient rows are the
-        # query rows: g_eo scores object candidates, g_es subject candidates
+        # scores are linear in each entity row: a side's query row is that row's gradient
         es, rp, eo = model.entity_table[s], model.relation_table[p], model.entity_table[o]
-        _, g_es, _, g_eo = score_grad_rows(model.kind, model.k, es, rp, eo)
+        g_eo = bilinear_product(model.kind, model.k, es, rp)
+        g_es = bilinear_product(model.kind, model.k, rp, eo, conj=True)
         rows = model.entity_table if columns is None else model.entity_table[columns]
         return np.concatenate([g_eo, g_es]) @ rows.T  # .T is a view: the table is read in place
     ids = np.arange(model.n_entities) if columns is None else columns

@@ -117,9 +117,10 @@ def mc_explain(
     The subgraph is sampled once per target.  Each cycle of `partitions` runs
     draws one seeded partition and takes its subsets in order, so every full
     cycle covers the subgraph.  Students corrupt and rank only over the entities
-    of their own subset.  A run's plan is (run, subset, seed); the inputs all
-    runs share are bound once and sent once per process, each of the
-    min(threads, runs, CPUs) processes taking one chunk of plans.
+    of their own subset, so a subset with one entity is rejected before any
+    run.  A run's plan is (run, subset, seed); the inputs all runs share are
+    bound once and sent once to each of min(threads, runs, CPUs) processes,
+    which take one chunk of plans each.
     """
     config.validate()
     seed = config.sampler.seed
@@ -134,7 +135,11 @@ def mc_explain(
         if part == 0:
             part_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, cycle]))
             parts = partition_positions(sub.positions, config.partitions, part_rng)
-        plans.append((run, np.sort(parts[part]), _derive_seed(config.seed, 2, run)))
+        subset = np.sort(parts[part])
+        if config.student.pool is None and len(np.unique(g.triples[subset][:, [0, 2]])) < 2:
+            raise ValueError(f"run {run} would train on a subset with one entity, too few to corrupt; "
+                             f"try fewer --partitions than {config.partitions} or a larger --n")
+        plans.append((run, subset, _derive_seed(config.seed, 2, run)))
     run_plan = partial(
         _run_once, teacher, g, target, replace(config.student, focuse=None), config.kd_lambda, flt
     )

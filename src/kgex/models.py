@@ -67,10 +67,6 @@ def init_model(
     return EmbeddingModel(kind, k, entity, relation)
 
 
-def _complex_parts(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return rows[..., :k], rows[..., k:]
-
-
 def score_rows(kind: ModelKind, k: int, es: np.ndarray, rp: np.ndarray, eo: np.ndarray) -> np.ndarray:
     """Score triples given their embedding rows; broadcasts over leading axes.
 
@@ -85,11 +81,23 @@ def score_rows(kind: ModelKind, k: int, es: np.ndarray, rp: np.ndarray, eo: np.n
     if kind is ModelKind.DISTMULT:
         # grouped (es*eo)*rp so score(s,p,o) == score(o,p,s) bitwise
         return (es * eo * rp).sum(axis=-1)
-    a, b = _complex_parts(es, k)
-    c, d = _complex_parts(rp, k)
-    e, f = _complex_parts(eo, k)
+    a, b = es[..., :k], es[..., k:]
+    c, d = rp[..., :k], rp[..., k:]
+    e, f = eo[..., :k], eo[..., k:]
     # grouped to reduce to the DistMult product exactly when b = d = f = 0
     return (a * e * c - b * e * d + a * f * d + b * f * c).sum(axis=-1)
+
+
+def bilinear_product(kind: ModelKind, k: int, x: np.ndarray, y: np.ndarray, conj: bool = False) -> np.ndarray:
+    """x∘y, or conj(x)∘y, of DistMult/ComplEx rows (x * y for DistMult). The gradient of
+    Re<es, rp, conj(eo)> is es∘rp w.r.t. eo, conj(rp)∘eo w.r.t. es and conj(es)∘eo w.r.t. rp."""
+    if kind is ModelKind.DISTMULT:
+        return x * y
+    a, b = x[..., :k], x[..., k:]
+    c, d = y[..., :k], y[..., k:]
+    if conj:
+        return np.concatenate([a * c + b * d, -b * c + a * d], axis=-1)
+    return np.concatenate([a * c - b * d, a * d + b * c], axis=-1)
 
 
 def score_grad_rows(
@@ -111,17 +119,9 @@ def score_grad_rows(
         safe = np.where(norm == 0.0, 1.0, norm)
         unit = np.where(norm[..., None] == 0.0, 0.0, d / safe[..., None])
         return -norm, -unit, -unit.copy(), unit.copy()
-    if kind is ModelKind.DISTMULT:
-        f = (es * eo * rp).sum(axis=-1)
-        return f, rp * eo, es * eo, es * rp
-    a, b = _complex_parts(es, k)
-    c, d = _complex_parts(rp, k)
-    e, f_im = _complex_parts(eo, k)
-    score = (a * e * c - b * e * d + a * f_im * d + b * f_im * c).sum(axis=-1)
-    g_es = np.concatenate([c * e + d * f_im, -d * e + c * f_im], axis=-1)
-    g_rp = np.concatenate([a * e + b * f_im, -b * e + a * f_im], axis=-1)
-    g_eo = np.concatenate([a * c - b * d, a * d + b * c], axis=-1)
-    return score, g_es, g_rp, g_eo
+    g_es = bilinear_product(kind, k, rp, eo, conj=True)
+    g_rp = bilinear_product(kind, k, es, eo, conj=True)
+    return score_rows(kind, k, es, rp, eo), g_es, g_rp, bilinear_product(kind, k, es, rp)
 
 
 def score_many(

@@ -10,7 +10,7 @@ the current triple's endpoints.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +42,9 @@ class Subgraph:
     target: Triple
     spec: SubgraphSpec
     steps_taken: int | None = None  # random walk only;< n when the walk died
-    _triples: list[Triple] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @property
-    def triples(self) -> list[Triple]:
-        if self._triples is None:
-            self._triples = [self.source.triple_at(int(p)) for p in self.positions]
-        return self._triples
 
     def triple_array(self) -> np.ndarray:
         return self.source.triples[self.positions]
@@ -145,7 +138,7 @@ def write_subgraph_tsv(sub: Subgraph, path: str | Path) -> None:
             )
         )
         fh.write(f"# triples\t{len(sub)}\n")
-        for ts, tp, to in sub.triples:
+        for ts, tp, to in sub.triple_array().tolist():
             fh.write(
                 f"{g.entity_vocab.label_of(ts)}\t{g.relation_vocab.label_of(tp)}\t{g.entity_vocab.label_of(to)}\n"
             )

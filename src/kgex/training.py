@@ -9,7 +9,7 @@ import numpy as np
 from .focuse import FocusEConfig, alpha_batch, focused_nll_batch
 from .graph import KnowledgeGraph
 from .losses import l2_regularizer, softmax_nll_batch
-from .models import EmbeddingModel, ModelKind, init_model, score_grad_rows
+from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, score_grad_rows
 from .optim import SparseAdam
 
 
@@ -142,9 +142,9 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
 
     # DistMult and ComplEx are linear in each entity row.  A candidate e scores
     # q_obj . e in the object slot and q_sub . e in the subject slot, where the
-    # queries are the positive's own gradients g_eo(es, rp) and g_es(rp, eo).
+    # queries are the positive's own gradients q_obj = es∘rp and q_sub = conj(rp)∘eo.
     # Column 0 holds the positive as its own object-side candidate.
-    _, q_sub, _, q_obj = score_grad_rows(kind, k, es, rp, eo)
+    q_obj, q_sub = bilinear_product(kind, k, es, rp), bilinear_product(kind, k, rp, eo, conj=True)
     obj_side = np.ones((len(batch), 1 + neg_s.shape[1]), dtype=bool)
     obj_side[:, 1:] = neg_s == batch[:, :1]  # exact: a drawn subject never equals the positive's
     cand = np.concatenate([o_ids[:, None], np.where(obj_side[:, 1:], neg_o, neg_s)], axis=1)
@@ -155,11 +155,13 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
         # the gradients of the kept rows are linear in the candidates: sum over eta first
         sum_obj = np.einsum("nc,ncw->nw", np.where(obj_side, d, 0.0), cand_rows)
         sum_sub = np.einsum("nc,ncw->nw", np.where(obj_side, 0.0, d), cand_rows)
-        _, g_s, g_p_obj, _ = score_grad_rows(kind, k, es, rp, sum_obj)
-        _, _, g_p_sub, g_o = score_grad_rows(kind, k, sum_sub, rp, eo)
+        g_s = bilinear_product(kind, k, rp, sum_obj, conj=True)
+        g_o = bilinear_product(kind, k, sum_sub, rp)
+        g_p = bilinear_product(kind, k, es, sum_obj, conj=True)
+        g_p += bilinear_product(kind, k, sum_sub, eo, conj=True)
         # each candidate's gradient, written over the queries, which are not read again
         cand_grads = np.multiply(queries, d[..., None], out=queries)
-        return [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads)], [(p_ids, g_p_obj + g_p_sub)]
+        return [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads)], [(p_ids, g_p)]
 
     return np.einsum("ncw,ncw->nc", queries, cand_rows), backward
 

@@ -8,7 +8,7 @@ from kgex.distill import rkd_loss_batch
 from kgex.explain import ExplanationEntry
 from kgex.focuse import focused_nll_batch
 from kgex.losses import l2_regularizer, softmax_nll_batch
-from kgex.models import EmbeddingModel, score_grad_rows, score_many
+from kgex.models import EmbeddingModel, ModelKind, score_grad_rows, score_many
 
 
 def fd_gradients(loss_fn, params: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
@@ -142,6 +142,22 @@ def stacked_orderings_rkd(teacher_rows, student_rows):
     return loss, gs, gp, go, degenerate
 
 
+def reference_bilinear_score_grad_rows(kind, k, es, rp, eo):
+    """DistMult/ComplEx scores and their (g_es, g_rp, g_eo) gradients, each
+    written out in full, as `score_grad_rows` once computed them."""
+    if kind is ModelKind.DISTMULT:
+        f = (es * eo * rp).sum(axis=-1)
+        return f, rp * eo, es * eo, es * rp
+    a, b = es[..., :k], es[..., k:]
+    c, d = rp[..., :k], rp[..., k:]
+    e, f_im = eo[..., :k], eo[..., k:]
+    score = (a * e * c - b * e * d + a * f_im * d + b * f_im * c).sum(axis=-1)
+    g_es = np.concatenate([c * e + d * f_im, -d * e + c * f_im], axis=-1)
+    g_rp = np.concatenate([a * e + b * f_im, -b * e + a * f_im], axis=-1)
+    g_eo = np.concatenate([a * c - b * d, a * d + b * c], axis=-1)
+    return score, g_es, g_rp, g_eo
+
+
 def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, teacher=None, kd_lambda=0.0):
     """Reference batch objective that scores every negative as a full triple and
     scatters one weighted gradient row per negative and side, as `run_training`
@@ -200,6 +216,11 @@ def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, te
             l2.append(l2_loss)
         loss += l2[0] + l2[1]
     return loss, degenerate, updates
+
+
+def subgraph_triples(sub) -> set[tuple[int, int, int]]:
+    """A subgraph's triples as id tuples, looked up one position at a time."""
+    return {sub.source.triple_at(int(pos)) for pos in sub.positions}
 
 
 def incident_triples(g, *entities) -> set[tuple[int, int, int]]:

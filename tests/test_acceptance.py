@@ -24,7 +24,7 @@ from kgex.models import EmbeddingModel, ModelKind, init_model, score_grad_rows, 
 from kgex.sampling import Subgraph, SubgraphSpec, sample_subgraph
 from kgex.training import TrainConfig, run_training
 
-from oracles import brute_force_side_rank, fd_gradients, incident_triples
+from oracles import brute_force_side_rank, fd_gradients, incident_triples, subgraph_triples
 from toygraphs import block_graph, demo_graph, random_graph
 
 ALL_KINDS = [ModelKind.TRANSE_L1, ModelKind.TRANSE_L2, ModelKind.DISTMULT, ModelKind.COMPLEX]
@@ -287,7 +287,7 @@ def test_criterion_6_sampler_contracts():
                 target = g.triple_at(seed % g.n_triples)
                 n = seed % 7
                 sub = sample_subgraph(g, target, SubgraphSpec(method, n, seed))
-                triples = set(sub.triples)
+                triples = subgraph_triples(sub)
                 assert triples >= incident_triples(g, target[0], target[2])
                 assert triples <= all_triples
                 again = sample_subgraph(g, target, SubgraphSpec(method, n, seed))

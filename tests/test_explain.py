@@ -15,11 +15,12 @@ from kgex.explain import (
     mc_explain,
     partition_positions,
 )
+from kgex.models import init_model
 from kgex.sampling import Subgraph, SubgraphSpec
 from kgex.training import TrainConfig, run_training
 
 from oracles import dict_loop_aggregate
-from toygraphs import block_graph, random_graph
+from toygraphs import block_graph, label_graph, random_graph
 
 
 def make_subgraph(g, positions, target=(0, 0, 1)):
@@ -358,3 +359,23 @@ class TestMcExplain:
         )
         report = mc_explain(teacher, g, target, config)
         assert len(report.records) == 8  # nothing dropped
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_entity_subset_rejected_before_any_run(self, monkeypatch, threads):
+        # the target's neighborhood is a self-loop and one other triple: split
+        # in two, one subset has a single entity and no corruption to draw
+        g = label_graph([("a", "r", "a"), ("b", "r", "c")])
+        teacher = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
+        trained = []
+        monkeypatch.setattr(kgex.explain, "train_student", lambda *a: trained.append(a))
+        monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(RecordingPool, "created", [])
+        config = ExplainConfig(
+            mc_runs=4, partitions=2, student=TrainConfig(kind="distmult", k=2, epochs=1),
+            sampler=SubgraphSpec("pn", 0), threads=threads,
+        )
+        with pytest.raises(ValueError, match=r"run \d+ would train on a subset with one "
+                           r"entity.*fewer --partitions than 2"):
+            mc_explain(teacher, g, (0, 0, 1), config)
+        assert trained == [] and RecordingPool.created == []

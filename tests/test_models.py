@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from kgex.models import EmbeddingModel, ModelKind, init_model, score_grad_rows, score_many
+from kgex.models import (
+    EmbeddingModel, ModelKind, bilinear_product, init_model, score_grad_rows, score_many,
+)
 
-from oracles import fd_gradients, max_relative_error
+from oracles import fd_gradients, max_relative_error, reference_bilinear_score_grad_rows
 
 
 def model_from_rows(kind, k, entity_rows, relation_rows):
@@ -172,3 +174,22 @@ class TestScoreGradients:
             rel_grad = g_p[None, :]
             assert max_relative_error(ent_grad, fd[0]) <= 1e-5, f"trial {trial}"
             assert max_relative_error(rel_grad, fd[1]) <= 1e-5, f"trial {trial}"
+
+
+class TestBilinearProduct:
+    @pytest.mark.parametrize("kind", [ModelKind.DISTMULT, ModelKind.COMPLEX])
+    @pytest.mark.parametrize("n", [1, 45, 900])
+    def test_slots_match_the_written_out_gradients_bitwise(self, kind, n):
+        rng = np.random.default_rng(n)
+        k = 50
+        es, rp, eo = rng.uniform(-1.0, 1.0, size=(3, n, k * kind.row_width_factor))
+        score, g_es, g_rp, g_eo = reference_bilinear_score_grad_rows(kind, k, es, rp, eo)
+        slots = [
+            (g_es, bilinear_product(kind, k, rp, eo, conj=True)),
+            (g_rp, bilinear_product(kind, k, es, eo, conj=True)),
+            (g_eo, bilinear_product(kind, k, es, rp)),
+        ]
+        for expected, got in slots:
+            assert got.tobytes() == expected.tobytes()
+        got = score_grad_rows(kind, k, es, rp, eo)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (score, g_es, g_rp, g_eo)]

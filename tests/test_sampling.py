@@ -13,7 +13,7 @@ from kgex.sampling import (
     write_subgraph_tsv,
 )
 
-from oracles import incident_triples
+from oracles import incident_triples, subgraph_triples
 from toygraphs import demo_graph, random_graph
 
 
@@ -26,7 +26,7 @@ class TestPredicateNeighborhood:
         g = demo_graph()
         target = (0, 0, 1)  # (A, r1, B)
         sub = sample_pn(g, target, 0, rng_for(1))
-        assert set(sub.triples) == incident_triples(g, 0, 1)
+        assert subgraph_triples(sub) == incident_triples(g, 0, 1)
 
     def test_covers_neighborhoods_of_drawn_predicate_triples(self):
         g = demo_graph()
@@ -43,7 +43,7 @@ class TestPredicateNeighborhood:
             drawn.add(pos)
             s_hat, _, o_hat = g.triple_at(pos)
             expected |= incident_triples(g, s_hat, o_hat)
-        assert set(sub.triples) == expected
+        assert subgraph_triples(sub) == expected
         # with 8 draws from 3 same-predicate triples, this seed covers them all
         assert drawn == set(g.predicate_positions(0).tolist())
 
@@ -52,7 +52,7 @@ class TestPredicateNeighborhood:
         unused = g.relation_vocab.id_of("unused0")
         target = (0, unused, 1)
         sub = sample_pn(g, target, 5, rng_for(3))
-        assert set(sub.triples) == incident_triples(g, 0, 1)
+        assert subgraph_triples(sub) == incident_triples(g, 0, 1)
 
     def test_prefix_nesting_monotone(self):
         """Same seed, larger n extends the draw sequence: H_n is nested."""
@@ -70,7 +70,7 @@ class TestRandomWalk:
     def test_n_zero_is_exactly_one_hop(self):
         g = demo_graph()
         sub = sample_rw(g, (0, 0, 1), 0, rng_for(1))
-        assert set(sub.triples) == incident_triples(g, 0, 1)
+        assert subgraph_triples(sub) == incident_triples(g, 0, 1)
         assert sub.steps_taken == 0
 
     def test_each_step_shares_an_entity_with_previous_origin(self):
@@ -111,7 +111,7 @@ class TestSharedContracts:
         for seed in range(50):
             target = g.triple_at(seed % g.n_triples)
             sub = sample_subgraph(g, target, SubgraphSpec(method, 6, seed))
-            triples = set(sub.triples)
+            triples = subgraph_triples(sub)
             assert triples <= all_triples  # nothing invented
             assert triples >= incident_triples(g, target[0], target[2])
             again = sample_subgraph(g, target, SubgraphSpec(method, 6, seed))
@@ -123,7 +123,7 @@ class TestSharedContracts:
         target = (0, 1, 1)
         for method in ("pn", "rw"):
             sub = sample_subgraph(g, target, SubgraphSpec(method, 4, 9))
-            assert target not in set(sub.triples)
+            assert target not in subgraph_triples(sub)
 
     def test_entities_derived_from_triples(self):
         g = demo_graph()
@@ -151,4 +151,4 @@ class TestSubgraphTsv:
         text = path.read_text(encoding="utf-8")
         assert text.startswith("# subgraph method=pn")
         loaded = read_subgraph_tsv(path, g.entity_vocab, g.relation_vocab)
-        assert set(loaded) == set(sub.triples)
+        assert set(loaded) == subgraph_triples(sub)

@@ -97,6 +97,18 @@ def _no_redraw(fn):
     return broken
 
 
+def _conj_imaginary_flipped(fn):
+    """Flips the sign of the imaginary half of conj(x)∘y, for ComplEx only."""
+
+    def broken(kind, k, x, y, conj=False):
+        out = fn(kind, k, x, y, conj)
+        if conj and kind is models.ModelKind.COMPLEX:
+            out[..., k:] *= -1.0
+        return out
+
+    return broken
+
+
 FAULTS = {
     "graph indices match linear scan": (
         KnowledgeGraph, "predicate_positions", lambda fn: lambda g, p: fn(g, p)[:-1]),
@@ -122,8 +134,13 @@ def test_clean_run_passes_every_check_in_order():
     assert lines == [f"PASS  {name}" for name in NAMES] + ["11/11 checks passed"]
 
 
-# one broken kernel per check, plus a second one for the corruption check
+# one broken kernel per check, plus second ones for the gradient and corruption checks
 CASES = [pytest.param(name, FAULTS[name], id=name) for name in NAMES] + [
+    pytest.param(
+        "score gradients vs finite differences",
+        (models, "bilinear_product", _conj_imaginary_flipped),
+        id="score gradients with a flipped conjugate",
+    ),
     pytest.param(
         "corruption invariants", (training, "corrupt_batch", _no_redraw),
         id="corruption invariants without redraw",
