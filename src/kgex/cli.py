@@ -260,10 +260,16 @@ def _cmd_sample_subgraph(args, opts, manifest) -> list:
     spec = SubgraphSpec(opts["method"], opts["n"], opts["seed"])
     spec.validate()
     manifest.add_input(args.graph)
-    g = load_graph(args.graph)
+    with manifest.stage("load"):
+        g = load_graph(args.graph)
     target = _parse_target(args.target, g)
-    sub = sample_subgraph(g, target, spec)
-    write_subgraph_tsv(sub, args.out)
+    with manifest.stage("sample"):
+        sub = sample_subgraph(g, target, spec)
+    with manifest.stage("write"):
+        write_subgraph_tsv(sub, args.out)
+    manifest.count(subgraph_triples=len(sub))
+    if sub.steps_taken is not None:
+        manifest.count(steps_taken=sub.steps_taken)
     print(f"sampled {len(sub)} triples around {args.target!r} -> {args.out}")
     manifest.set_config(target=args.target)
     return [args.out]
@@ -279,8 +285,9 @@ def _cmd_explain(args, opts, manifest) -> list:
     config.validate()
     manifest.add_input(args.teacher)
     manifest.add_input(args.graph)
-    g = load_graph(args.graph)
-    teacher, ev, rv = load_model(args.teacher)
+    with manifest.stage("load"):
+        g = load_graph(args.graph)
+        teacher, ev, rv = load_model(args.teacher)
     for vocab, graph_vocab, sidecar in (
         (ev, g.entity_vocab, entity_sidecar), (rv, g.relation_vocab, relation_sidecar)
     ):
@@ -292,8 +299,15 @@ def _cmd_explain(args, opts, manifest) -> list:
     config.student.kind = config.student.kind or teacher.kind
     manifest.set_config(target=args.target)
 
-    report = mc_explain(teacher, g, target, config)
-    write_report_tsv(report, g, args.out)
+    with manifest.stage("explain"):
+        report = mc_explain(teacher, g, target, config)
+    with manifest.stage("write"):
+        write_report_tsv(report, g, args.out)
+    subset_sizes = [len(rec.positions) for rec in report.records]
+    manifest.count(
+        subgraph_triples=report.provenance["subgraph_size"], ranked_triples=len(report.entries),
+        never_sampled=len(report.tail), min_subset=min(subset_sizes), max_subset=max(subset_sizes),
+    )
     print(
         f"explained {args.target!r}: {len(report.entries)} ranked triples, "
         f"{len(report.tail)} never sampled -> {args.out}"

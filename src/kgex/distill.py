@@ -44,20 +44,31 @@ def angle_potentials(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     return phi[0], valid[0]
 
 
+def triple_angles(model: EmbeddingModel, triples: np.ndarray, chunk: int):
+    """`(phi, valid)` of `_cyclic_angles` for the rows of each (s, p, o) triple,
+    each (3, len(triples)), computed `chunk` triples at a time to bound the heap."""
+    parts = [
+        _cyclic_angles((model.entity_table[s], model.relation_table[p], model.entity_table[o]))[:2]
+        for s, p, o in (triples[i : i + chunk].T for i in range(0, len(triples), chunk))
+    ]
+    return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+
+
 def rkd_loss_batch(
-    teacher_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    teacher_angles: tuple[np.ndarray, np.ndarray],
     student_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Cyclic angle-matching loss per triple with student-row gradients.
 
-    Inputs are the (n, d) subject/predicate/object rows of n triples in the
-    teacher and student spaces.  Each of the three cyclic orderings adds a
-    Huber term (quadratic within |diff| <= 1, linear with matched value and
-    slope outside) on the difference of student and teacher potentials.
-    Returns per-triple losses, the gradients w.r.t. the three student rows,
-    and the count of degenerate (coincident point) terms that contributed 0.
+    Inputs are the frozen teacher's `(phi, valid)` of `_cyclic_angles`, each
+    (3, n), and the (n, d) subject/predicate/object rows of the n triples in
+    the student space.  Each of the three cyclic orderings adds a Huber term
+    (quadratic within |diff| <= 1, linear with matched value and slope
+    outside) on the difference of student and teacher potentials.  Returns
+    per-triple losses, the gradients w.r.t. the three student rows, and the
+    count of degenerate (coincident point) terms that contributed 0.
     """
-    phi_t, valid_t, _, _ = _cyclic_angles(teacher_rows)
+    phi_t, valid_t = teacher_angles
     phi_s, valid_s, unit, norm = _cyclic_angles(student_rows)
     valid = valid_t & valid_s
     degenerate = int(valid.size - valid.sum())

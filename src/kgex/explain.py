@@ -153,17 +153,9 @@ def mc_explain(
 
     report = aggregate_contributions(records, sub)
     report.provenance.update(
-        {
-            "target": target,
-            "method": sampler.method,
-            "n": sampler.n,
-            "sampler_seed": sampler.seed,
-            "mc_runs": config.mc_runs,
-            "partitions": config.partitions,
-            "kd_lambda": config.kd_lambda,
-            "seed": config.seed,
-            "subgraph_size": len(sub),
-        }
+        target=target, method=sampler.method, n=sampler.n, sampler_seed=sampler.seed,
+        mc_runs=config.mc_runs, partitions=config.partitions, kd_lambda=config.kd_lambda,
+        seed=config.seed, subgraph_size=len(sub),
     )
     return report
 

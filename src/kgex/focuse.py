@@ -26,9 +26,6 @@ class FocusEConfig:
 
     decay: float = 0.0
 
-    def beta_at(self, epoch: int) -> float:
-        return beta_schedule(epoch, self.decay)
-
 
 def softplus_score(f: float | np.ndarray) -> float | np.ndarray:
     """ln(1 + e^f) >= 0, stable for large |f|."""
@@ -64,9 +61,7 @@ def beta_schedule(epoch: int, decay: float) -> float:
     return max(0.0, 1.0 - epoch / decay)
 
 
-def focused_nll_batch(
-    scores: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def focused_nll_batch(scores: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """NLL over modulated softplus scores; returns per-row loss and dL/dscores.
 
     `scores` is (n, 1 + eta) raw scores, positive first; `alpha` the matching

@@ -23,9 +23,7 @@ def softmax_nll_batch(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return loss, grad
 
 
-def l2_regularizer(
-    rows: np.ndarray, weight: float
-) -> tuple[float, np.ndarray]:
+def l2_regularizer(rows: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
     """weight * sum ||row||^2 over the given rows; gradient is 2 * weight * row."""
     if weight < 0:
         raise ValueError("regularizer weight must be >= 0")

@@ -49,15 +49,7 @@ def save_model(
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(
-            struct.pack(
-                "<4Q",
-                _KIND_TAGS[model.kind],
-                model.k,
-                model.n_entities,
-                model.n_relations,
-            )
-        )
+        fh.write(struct.pack("<4Q", _KIND_TAGS[model.kind], model.k, model.n_entities, model.n_relations))
         fh.write(np.ascontiguousarray(model.entity_table, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.relation_table, dtype="<f8").tobytes())
     if entity_vocab is not None:

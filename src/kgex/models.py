@@ -128,7 +128,5 @@ def score_many(
     model: EmbeddingModel, s: np.ndarray, p: np.ndarray, o: np.ndarray
 ) -> np.ndarray:
     """Vectorized scores for parallel id arrays (broadcast-compatible)."""
-    es = model.entity_table[s]
-    rp = model.relation_table[p]
-    eo = model.entity_table[o]
-    return score_rows(model.kind, model.k, es, rp, eo)
+    ent = model.entity_table
+    return score_rows(model.kind, model.k, ent[s], model.relation_table[p], ent[o])

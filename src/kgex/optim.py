@@ -13,22 +13,12 @@ class SparseAdam:
     """
 
     def __init__(
-        self,
-        shape: tuple[int, int],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        self, shape: tuple[int, int], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
     ) -> None:
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m, self.v, self.t = np.zeros(shape), np.zeros(shape), 0
 
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
         """Take one step: update `params[rows]` in place from per-row gradients."""

@@ -72,12 +72,7 @@ def sample_pn(
             pos = int(predicate_pool[rng.integers(len(predicate_pool))])
             s_hat, _, o_hat = g.triple_at(pos)
             positions = np.union1d(positions, one_hop_positions(g, s_hat, o_hat))
-    return Subgraph(
-        positions=positions,
-        source=g,
-        target=target,
-        spec=SubgraphSpec(method="pn", n=n),
-    )
+    return Subgraph(positions, g, target, SubgraphSpec("pn", n))
 
 
 def sample_rw(
@@ -101,13 +96,7 @@ def sample_rw(
         positions = np.union1d(positions, [pos])
         origin = g.triple_at(pos)
         steps += 1
-    return Subgraph(
-        positions=positions,
-        source=g,
-        target=target,
-        spec=SubgraphSpec(method="rw", n=n),
-        steps_taken=steps,
-    )
+    return Subgraph(positions, g, target, SubgraphSpec("rw", n), steps_taken=steps)
 
 
 def sample_subgraph(g: KnowledgeGraph, target: Triple, spec: SubgraphSpec) -> Subgraph:
@@ -116,10 +105,7 @@ def sample_subgraph(g: KnowledgeGraph, target: Triple, spec: SubgraphSpec) -> Su
     if spec.seed is None:
         raise ValueError("subgraph spec needs a concrete seed")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    if spec.method == "pn":
-        sub = sample_pn(g, target, spec.n, rng)
-    else:
-        sub = sample_rw(g, target, spec.n, rng)
+    sub = (sample_pn if spec.method == "pn" else sample_rw)(g, target, spec.n, rng)
     sub.spec = SubgraphSpec(spec.method, spec.n, spec.seed)
     return sub
 

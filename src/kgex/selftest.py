@@ -121,18 +121,19 @@ def _check_angle_invariance() -> str | None:
 def _check_rkd_zero() -> str | None:
     rng = np.random.default_rng(3)
     rows = tuple(rng.normal(size=(1, 6)) for _ in range(3))
-    loss = distill.rkd_loss_batch(rows, rows)[0][0]
+    angles = distill._cyclic_angles(rows)[:2]
+    loss = distill.rkd_loss_batch(angles, rows)[0][0]
     if loss != 0.0:
         return f"identical rows give loss {loss}"
     moved = tuple(2.0 * r + 7.5 for r in rows)
-    loss2 = distill.rkd_loss_batch(rows, moved)[0][0]
+    loss2 = distill.rkd_loss_batch(angles, moved)[0][0]
     if abs(loss2) > 1e-12:
         return f"scaled+translated rows give loss {loss2}"
     # a student with s == p leaves only the (p, o, s) term, at potential -1;
     # teacher potentials 1 and -1/2 then hit the linear and quadratic branches
     student = (np.zeros((2, 4)), np.zeros((2, 4)), np.ones((2, 4)))
     teacher_s = -np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 1.0, 1.0]])
-    teacher = (teacher_s, np.eye(4)[[0, 0]], np.zeros((2, 4)))
+    teacher = distill._cyclic_angles((teacher_s, np.eye(4)[[0, 0]], np.zeros((2, 4))))[:2]
     if distill.rkd_loss_batch(teacher, student)[0].tolist() != [1.5, 0.125]:
         return "huber branch values wrong"
     return None

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .focuse import FocusEConfig, alpha_batch, focused_nll_batch
+from . import distill
+from .focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch
 from .graph import KnowledgeGraph
 from .losses import l2_regularizer, softmax_nll_batch
 from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, score_grad_rows
@@ -28,7 +29,11 @@ class TrainConfig:
     (scores passed through softplus first).  One batch's heap peaks at about
     three float64 arrays of `batch_size * (1 + eta)` rows for DistMult and
     ComplEx, which score candidates against query rows, and at about eight
-    for TransE, which gathers and differentiates every negative row by row.
+    for TransE, which gathers and differentiates every negative row by row;
+    the scatter adds `_SCATTER_ELEMS` elements at a time, through an int64
+    index of at most 512 KiB (one row, if wider).  With a teacher, the run
+    also keeps the teacher's angles, a float64 and a bool (3, n_triples)
+    array, computed `batch_size` triples at a time.
     """
 
     kind: ModelKind | str = ModelKind.TRANSE_L2
@@ -81,8 +86,8 @@ def corrupt_batch(
     redraw, a negative replaced its subject exactly when its subject differs
     from the positive's.
     """
-    if len(pool) < 2:
-        raise ValueError("corruption pool must contain at least 2 entities")
+    if len(pool) < 2 or pool.min() == pool.max():
+        raise ValueError("corruption pool must contain at least 2 distinct entities")
     n = len(triples)
     sides = rng.integers(0, 2, size=(n, eta))  # 0 replaces subject, 1 object
     original = np.where(sides == 0, triples[:, 0:1], triples[:, 2:3])
@@ -96,21 +101,31 @@ def corrupt_batch(
     return neg_s, np.broadcast_to(triples[:, 1:2], (n, eta)), neg_o
 
 
+# Elements scattered per `np.add.at` call: an int64 index of at most 512 KiB.
+_SCATTER_ELEMS = 1 << 16
+
+
 def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum one table's `(ids, grads)` terms over the rows they touch.
 
-    Returns the sorted unique ids and their `(len(rows), width)` gradients;
-    each row sums its grads in term order, as a full-table scatter would.
+    Returns the sorted unique ids and their `(len(rows), width)` gradients.
+    Each term is scattered in chunks of rows of at most `_SCATTER_ELEMS`
+    elements (one row if wider) by a 1-D `np.add.at` into the flat buffer,
+    which adds in index order from 0.0: each row sums its grads in term order,
+    as a full-table scatter would.
     """
     rows, inverse = np.unique(
         np.concatenate([ids.ravel() for ids, _ in terms]), return_inverse=True
     )
     summed = np.zeros((len(rows), width))
+    cells, cols, step = summed.reshape(-1), np.arange(width), max(1, _SCATTER_ELEMS // width)
     start = 0
     for ids, grads in terms:
-        stop = start + ids.size
-        np.add.at(summed, inverse[start:stop], grads.reshape(-1, width))
-        start = stop
+        term_rows, grads = inverse[start : start + ids.size], grads.reshape(-1, width)
+        start += ids.size
+        for lo in range(0, ids.size, step):
+            index = term_rows[lo : lo + step, None] * width + cols
+            np.add.at(cells, index.ravel(), grads[lo : lo + step].ravel())
     return rows, summed
 
 
@@ -172,16 +187,17 @@ def batch_gradients(
     negatives: tuple[np.ndarray, np.ndarray, np.ndarray],
     config: TrainConfig,
     alpha: np.ndarray | None = None,
-    teacher: EmbeddingModel | None = None,
+    teacher_angles: tuple[np.ndarray, np.ndarray] | None = None,
     kd_lambda: float = 0.0,
 ) -> tuple[float, int, list]:
     """Objective of one batch and its gradients, summed over the rows it touches.
 
     The objective is the mean NLL over positives (FocusE-weighted by `alpha`
-    when given), plus kd_lambda times the mean teacher angle-matching loss
-    when a teacher is given, plus gamma times the squared norms of the touched
-    rows.  Returns the objective, the count of degenerate angle terms, and one
-    `(table, rows, grad)` update for the entity and then the relation table.
+    when given), plus kd_lambda times the mean angle-matching loss against the
+    frozen teacher's `(phi, valid)` of the batch's triples when given, plus
+    gamma times the squared norms of the touched rows.  Returns the objective,
+    the count of degenerate angle terms, and one `(table, rows, grad)` update
+    for the entity and then the relation table.
     """
     s_ids, p_ids, o_ids = batch.T
     scale = 1.0 / len(batch)
@@ -189,13 +205,9 @@ def batch_gradients(
     # its many small temporaries land in heap pages that freeing those arrays
     # has just returned to the system, and fault them back in on every batch.
     kd_ent, kd_rel, kd_loss, degenerate = [], [], 0.0, 0
-    if teacher is not None and kd_lambda > 0.0:
-        from .distill import rkd_loss_batch
-
-        kd_rows, kd_gs, kd_gp, kd_go, degenerate = rkd_loss_batch(
-            (teacher.entity_table[s_ids], teacher.relation_table[p_ids], teacher.entity_table[o_ids]),
-            (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids]),
-        )
+    if teacher_angles is not None and kd_lambda > 0.0:
+        student_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
+        kd_rows, kd_gs, kd_gp, kd_go, degenerate = distill.rkd_loss_batch(teacher_angles, student_rows)
         kd_scale = kd_lambda * scale
         kd_ent = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go)]
         kd_rel = [(p_ids, kd_scale * kd_gp)]
@@ -237,6 +249,8 @@ def run_training(
         raise ValueError("cannot train on an empty graph")
     kind = ModelKind(config.kind)
     pool = g.entities_in_triples() if config.pool is None else np.unique(np.int64(config.pool))
+    if np.any((pool < 0) | (pool >= g.n_entities)):
+        raise ValueError(f"corruption pool ids must lie in [0, {g.n_entities})")
 
     focuse = config.focuse
     if focuse is not None and g.weights is None:
@@ -257,9 +271,13 @@ def run_training(
     triples = g.triples
     n = len(triples)
     stats = TrainStats()
+    # the frozen teacher's angles never change: computed once, each batch reads its columns
+    angles = None
+    if teacher is not None and kd_lambda > 0.0:
+        angles = distill.triple_angles(teacher, triples, config.batch_size)
 
     for epoch in range(config.epochs):
-        beta = focuse.beta_at(epoch) if focuse is not None else None
+        beta = beta_schedule(epoch, focuse.decay) if focuse is not None else None
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
@@ -267,8 +285,9 @@ def run_training(
             batch = triples[batch_idx]
             negatives = corrupt_batch(batch, config.eta, pool, rng)
             alpha = None if focuse is None else alpha_batch(g.weights[batch_idx], beta, config.eta)
+            batch_angles = None if angles is None else tuple(a[:, batch_idx] for a in angles)
             batch_loss, degenerate, updates = batch_gradients(
-                model, batch, negatives, config, alpha, teacher, kd_lambda
+                model, batch, negatives, config, alpha, batch_angles, kd_lambda
             )
             stats.degenerate_kd_terms += degenerate
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from kgex.distill import rkd_loss_batch
 from kgex.explain import ExplanationEntry
 from kgex.focuse import focused_nll_batch
 from kgex.losses import l2_regularizer, softmax_nll_batch
@@ -158,22 +157,24 @@ def reference_bilinear_score_grad_rows(kind, k, es, rp, eo):
     return score, g_es, g_rp, g_eo
 
 
+def per_term_scatter(terms, width):
+    """Sorted unique ids of `(ids, grads)` terms and their summed gradients, one
+    2-D `np.add.at` of whole rows per term, as `_summed_gradients` once did."""
+    rows, inverse = np.unique(np.concatenate([ids.ravel() for ids, _ in terms]), return_inverse=True)
+    out = np.zeros((len(rows), width))
+    start = 0
+    for ids, grads in terms:
+        stop = start + ids.size
+        np.add.at(out, inverse[start:stop], grads.reshape(-1, width))
+        start = stop
+    return rows, out
+
+
 def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, teacher=None, kd_lambda=0.0):
     """Reference batch objective that scores every negative as a full triple and
     scatters one weighted gradient row per negative and side, as `run_training`
-    once did; returns `(loss, degenerate, [(table, rows, grad) per table])`."""
-
-    def summed(terms, width):
-        rows, inverse = np.unique(
-            np.concatenate([ids.ravel() for ids, _, _ in terms]), return_inverse=True
-        )
-        out = np.zeros((len(rows), width))
-        start = 0
-        for ids, weight, grads in terms:
-            stop = start + ids.size
-            np.add.at(out, inverse[start:stop], (weight * grads).reshape(-1, width))
-            start = stop
-        return rows, out
+    once did; the angle term is `stacked_orderings_rkd` of the teacher's rows.
+    Returns `(loss, degenerate, [(table, rows, grad) per table])`."""
 
     kind, k = model.kind, model.k
     ent, rel = model.entity_table, model.relation_table
@@ -192,22 +193,25 @@ def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, te
     scale = 1.0 / len(batch)
     d_pos = dscores[:, 0, None] * scale
     d_neg = dscores[:, 1:, None] * scale
-    ent_terms = [(s_ids, d_pos, pos_gs), (o_ids, d_pos, pos_go),
-                 (neg_s, d_neg, neg_gs), (neg_o, d_neg, neg_go)]
-    rel_terms = [(p_ids, d_pos, pos_gp), (neg_p, d_neg, neg_gp)]
+    ent_terms = [(s_ids, d_pos * pos_gs), (o_ids, d_pos * pos_go),
+                 (neg_s, d_neg * neg_gs), (neg_o, d_neg * neg_go)]
+    rel_terms = [(p_ids, d_pos * pos_gp), (neg_p, d_neg * neg_gp)]
     loss = float(loss_rows.sum()) * scale
     degenerate = 0
     if teacher is not None and kd_lambda > 0.0:
-        kd_rows, kd_gs, kd_gp, kd_go, degenerate = rkd_loss_batch(
+        kd_rows, kd_gs, kd_gp, kd_go, degenerate = stacked_orderings_rkd(
             (teacher.entity_table[s_ids], teacher.relation_table[p_ids], teacher.entity_table[o_ids]),
             (ent[s_ids], rel[p_ids], ent[o_ids]),
         )
         kd_scale = kd_lambda * scale
-        ent_terms += [(s_ids, kd_scale, kd_gs), (o_ids, kd_scale, kd_go)]
-        rel_terms.append((p_ids, kd_scale, kd_gp))
+        ent_terms += [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go)]
+        rel_terms.append((p_ids, kd_scale * kd_gp))
         loss += kd_scale * float(kd_rows.sum())
 
-    updates = [(ent, *summed(ent_terms, model.width)), (rel, *summed(rel_terms, model.width))]
+    updates = [
+        (ent, *per_term_scatter(ent_terms, model.width)),
+        (rel, *per_term_scatter(rel_terms, model.width)),
+    ]
     if config.gamma > 0.0:
         l2 = []
         for table, rows, grad in updates:

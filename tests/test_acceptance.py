@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgex.distill import angle_potentials, rkd_loss_batch, train_student
+from kgex.distill import _cyclic_angles, angle_potentials, rkd_loss_batch, train_student
 from kgex.evaluation import evaluate, metrics_from_ranks, rank_triple
 from kgex.explain import ExplainConfig, RunRecord, aggregate_contributions, mc_explain
 from kgex.focuse import alpha_batch, beta_schedule, focused_nll_batch, softplus_score
@@ -122,7 +122,8 @@ def test_criterion_1_gradients_match_finite_differences():
                     width = model.width
                     teacher = tuple(rng.normal(size=(1, width)) for _ in range(3))
                     student = [rng.normal(size=(1, width)) for _ in range(3)]
-                    _, *grads, _ = rkd_loss_batch(teacher, tuple(student))
+                    teacher_angles = _cyclic_angles(teacher)[:2]
+                    _, *grads, _ = rkd_loss_batch(teacher_angles, tuple(student))
                     # keep clear of the Huber switch where FD is invalid
                     probes = [
                         abs(abs(a - b) - 1.0)
@@ -130,7 +131,7 @@ def test_criterion_1_gradients_match_finite_differences():
                     ]
                     if min(probes) < 1e-4:
                         continue
-                    value = lambda: float(rkd_loss_batch(teacher, tuple(student))[0][0])
+                    value = lambda: float(rkd_loss_batch(teacher_angles, tuple(student))[0][0])
                     analytic, params = grads, student
                 else:
                     rows = rng.normal(size=(3, model.width))

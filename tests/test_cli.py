@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from kgex.cli import build_parser, run_cli
-from kgex.graph import load_graph
+from kgex.graph import load_graph, triple_of_labels
 from kgex.manifest import file_digest
 from kgex.modelio import (
     MAGIC, ModelFormatError, entity_sidecar, load_model, relation_sidecar, save_model,
 )
 from kgex.models import init_model
+from kgex.sampling import SubgraphSpec, sample_subgraph
 
 from toygraphs import block_graph
 
@@ -176,6 +177,29 @@ class TestPipeline:
         lines = (root / "sub.tsv").read_text().splitlines()
         assert sum(1 for l in lines if not l.startswith("#")) > 0
 
+    @pytest.mark.parametrize("method", ["pn", "rw"])
+    def test_sample_subgraph_manifest_stages_and_counters(self, workspace, tmp_path, method):
+        root, g, held_out = workspace
+        out = tmp_path / "sub.tsv"
+        status = run_cli([
+            "sample-subgraph", "--graph", str(root / "train.tsv"), "--target", label_target(g, held_out[0]),
+            "--method", method, "--n", "6", "--seed", "11", "--out", str(out),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "sub.tsv.manifest.json").read_text())
+        assert set(manifest["stages_s"]) == {"load", "sample", "write"}
+        assert all(t >= 0 for t in manifest["stages_s"].values())
+        loaded = load_graph(root / "train.tsv")  # ids in file order, not g's
+        target = triple_of_labels(label_target(g, held_out[0]).split(), loaded.entity_vocab,
+                                  loaded.relation_vocab)
+        sub = sample_subgraph(loaded, target, SubgraphSpec(method, 6, 11))
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == len(sub)
+        expected = {"subgraph_triples": len(sub)}
+        if method == "rw":
+            expected["steps_taken"] = sub.steps_taken
+        assert manifest["counters"] == expected
+
     def test_distill_train_subcommand(self, pipeline):
         root, _, _ = pipeline
         status = run_cli([
@@ -286,6 +310,18 @@ class TestPipeline:
             l for l in (root / "report.tsv").read_text().splitlines() if not l.startswith("#")
         ]
         assert all(len(l.split("\t")) == 6 for l in body)
+
+        assert set(manifest["stages_s"]) == {"load", "explain", "write"}
+        assert all(t >= 0 for t in manifest["stages_s"].values())
+        header = dict(l[2:].split("\t", 1) for l in (root / "report.tsv").read_text().splitlines()
+                      if l.startswith("# ") and "\t" in l)
+        size = int(header["subgraph_size"])
+        never = sum(l.startswith("-\t") for l in body)
+        # 4 runs over 2 partitions: each subset is one half of the subgraph
+        assert manifest["counters"] == {
+            "subgraph_triples": size, "ranked_triples": len(body) - never, "never_sampled": never,
+            "min_subset": size // 2, "max_subset": -(-size // 2),
+        }
 
     def test_explain_threads_match_serial(self, pipeline):
         root, g, held_out = pipeline

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from kgex.distill import angle_potentials, rkd_loss_batch, train_student
+import kgex.training
+from kgex.distill import _cyclic_angles, angle_potentials, rkd_loss_batch, train_student
 from kgex.graph import graph_from_triples
 from kgex.models import init_model
 from kgex.training import TrainConfig, run_training
@@ -20,6 +21,11 @@ def phi(a, b, c):
     return angle_potentials(np.asarray(a), np.asarray(b), np.asarray(c))[0]
 
 
+def angles(rows):
+    """The teacher `(phi, valid)` that `rkd_loss_batch` takes, of (s, p, o) rows."""
+    return _cyclic_angles(rows)[:2]
+
+
 def single_term_loss(v):
     """rkd_loss_batch on one triple where only the Huber term of the (p, o, s)
     ordering survives: student potential -1 against teacher potential
@@ -28,7 +34,7 @@ def single_term_loss(v):
     v = np.asarray(v, dtype=np.float64)
     teacher = (-v[None, :], np.eye(4)[:1], np.zeros((1, 4)))
     student = (np.zeros((1, 4)), np.zeros((1, 4)), np.ones((1, 4)))
-    loss, _, _, _, degenerate = rkd_loss_batch(teacher, student)
+    loss, _, _, _, degenerate = rkd_loss_batch(angles(teacher), student)
     assert degenerate == 2
     return loss[0]
 
@@ -93,7 +99,7 @@ class TestRkdLoss:
     def test_identical_rows_zero(self):
         rng = np.random.default_rng(1)
         same = rows(rng, 1, 5)
-        loss, *grads, degenerate = rkd_loss_batch(same, same)
+        loss, *grads, degenerate = rkd_loss_batch(angles(same), same)
         assert loss[0] == 0.0
         assert degenerate == 0
         for g in grads:
@@ -103,7 +109,7 @@ class TestRkdLoss:
         rng = np.random.default_rng(2)
         teacher = rows(rng, 1, 8)
         moved = tuple(2.0 * r + 3.25 for r in teacher)
-        loss = rkd_loss_batch(teacher, moved)[0]
+        loss = rkd_loss_batch(angles(teacher), moved)[0]
         assert loss[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_and_zero_iff_angles_match(self):
@@ -111,7 +117,7 @@ class TestRkdLoss:
         for _ in range(100):
             teacher = rows(rng, 1, 4)
             student = rows(rng, 1, 6)
-            loss = rkd_loss_batch(teacher, student)[0][0]
+            loss = rkd_loss_batch(angles(teacher), student)[0][0]
             assert loss >= 0.0
             if loss == 0.0:
                 for perm in CYCLIC:
@@ -126,9 +132,9 @@ class TestRkdLoss:
             student = list(rows(rng, 1, 7))
 
             def loss_value():
-                return rkd_loss_batch(teacher, tuple(student))[0][0]
+                return rkd_loss_batch(angles(teacher), tuple(student))[0][0]
 
-            _, *grads, _ = rkd_loss_batch(teacher, tuple(student))
+            _, *grads, _ = rkd_loss_batch(angles(teacher), tuple(student))
             fd = fd_gradients(loss_value, student)
             for analytic, numeric in zip(grads, fd):
                 assert max_relative_error(analytic, numeric) <= 1e-5
@@ -137,7 +143,7 @@ class TestRkdLoss:
         rng = np.random.default_rng(5)
         teacher = rows(rng, 1, 12)
         student = rows(rng, 1, 3)
-        loss, *grads, _ = rkd_loss_batch(teacher, student)
+        loss, *grads, _ = rkd_loss_batch(angles(teacher), student)
         assert np.isfinite(loss[0])
         assert all(g.shape == (1, 3) for g in grads)
 
@@ -145,7 +151,7 @@ class TestRkdLoss:
         teacher = (np.ones((1, 4)), np.ones((1, 4)), np.zeros((1, 4)))  # s == p
         point = np.random.default_rng(0).normal(size=(1, 4))
         student = (point, point.copy(), point.copy())  # s == p == o
-        loss, *grads, degenerate = rkd_loss_batch(teacher, student)
+        loss, *grads, degenerate = rkd_loss_batch(angles(teacher), student)
         assert degenerate == 3
         assert loss[0] == 0.0
         assert all(np.array_equal(g, np.zeros((1, 4))) for g in grads)
@@ -163,7 +169,7 @@ class TestRkdLoss:
             student[1][3] = student[2][3] = student[0][3]
             teacher[1][4] = teacher[0][4]
             student[1][4] = student[0][4]
-        got = rkd_loss_batch(teacher, student)
+        got = rkd_loss_batch(angles(teacher), student)
         want = stacked_orderings_rkd(teacher, student)
         assert got[4] == want[4]
         assert n != 7 or got[4] == 11
@@ -177,7 +183,7 @@ class TestRkdLoss:
         student = [rows(rng, 1, 6) for _ in range(5)]
         t_stack = tuple(np.concatenate([t[i] for t in teacher]) for i in range(3))
         s_stack = tuple(np.concatenate([s[i] for s in student]) for i in range(3))
-        losses, gs, gp, go, _ = rkd_loss_batch(t_stack, s_stack)
+        losses, gs, gp, go, _ = rkd_loss_batch(angles(t_stack), s_stack)
         for i in range(5):
             expected = sum(
                 huber(
@@ -187,7 +193,7 @@ class TestRkdLoss:
                 for perm in CYCLIC
             )
             assert losses[i] == pytest.approx(expected, abs=1e-14)
-            _, single_gs, single_gp, single_go, _ = rkd_loss_batch(teacher[i], student[i])
+            _, single_gs, single_gp, single_go, _ = rkd_loss_batch(angles(teacher[i]), student[i])
             assert np.allclose(gs[i], single_gs[0], atol=1e-14)
             assert np.allclose(gp[i], single_gp[0], atol=1e-14)
             assert np.allclose(go[i], single_go[0], atol=1e-14)
@@ -260,7 +266,7 @@ class TestTrainStudent:
             neg = score_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
             loss, _ = softmax_nll_batch(np.concatenate([pos[:, None], neg], axis=1))
             kd_rows, _, _, _, _ = rkd_loss_batch(
-                (teacher_ent[batch[:, 0]], teacher_rel[batch[:, 1]], teacher_ent[batch[:, 2]]),
+                angles((teacher_ent[batch[:, 0]], teacher_rel[batch[:, 1]], teacher_ent[batch[:, 2]])),
                 (ent[batch[:, 0]], rel[batch[:, 1]], ent[batch[:, 2]]),
             )
             return float(loss.mean() + lam * kd_rows.mean())
@@ -282,7 +288,7 @@ class TestTrainStudent:
             np.add.at(ge, neg_o.ravel(), (scale * dscores[:, 1:, None] * neg_go).reshape(-1, k))
             np.add.at(gr, neg_p.ravel(), (scale * dscores[:, 1:, None] * neg_gp).reshape(-1, k))
             _, kd_gs, kd_gp, kd_go, _ = rkd_loss_batch(
-                (teacher_ent[batch[:, 0]], teacher_rel[batch[:, 1]], teacher_ent[batch[:, 2]]),
+                angles((teacher_ent[batch[:, 0]], teacher_rel[batch[:, 1]], teacher_ent[batch[:, 2]])),
                 (ent[batch[:, 0]], rel[batch[:, 1]], ent[batch[:, 2]]),
             )
             np.add.at(ge, batch[:, 0], lam * scale * kd_gs)
@@ -312,6 +318,40 @@ class TestTrainStudent:
                     terms += 1
             gaps[lam] = gap_total / terms
         assert gaps[1e6] < gaps[0.0]
+
+    def test_teacher_angles_computed_once_match_each_batch(self, monkeypatch):
+        """Each batch's cached teacher columns are the angles of its gathered
+        teacher rows, and the degenerate count is that of the teacher's
+        coincident points in every epoch."""
+        g = random_graph(12, 3, 40, seed=6)
+        teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=7)
+        (s0, p0, _), (_, p1, o1) = g.triples[0], g.triples[g.triples[:, 1] != g.triples[0, 1]][0]
+        teacher.relation_table[p0] = teacher.entity_table[s0]  # s == p
+        teacher.relation_table[p1] = teacher.entity_table[o1]  # p == o
+        s, p, o = g.triples.T
+        es, rp, eo = teacher.entity_table[s], teacher.relation_table[p], teacher.entity_table[o]
+        zero = np.array([(es == rp).all(1), (rp == eo).all(1), (eo == es).all(1)])
+        coincident = int((zero | zero[[1, 2, 0]]).sum())
+        assert coincident >= 4
+
+        seen = []
+        original = kgex.training.batch_gradients
+
+        def checked(model, batch, negatives, config, alpha, teacher_angles, kd_lambda):
+            s, p, o = batch.T
+            phi, valid, _, _ = _cyclic_angles(
+                (teacher.entity_table[s], teacher.relation_table[p], teacher.entity_table[o])
+            )
+            assert teacher_angles[0].tobytes() == phi.tobytes()
+            assert np.array_equal(teacher_angles[1], valid)
+            seen.append(int((~valid).sum()))
+            return original(model, batch, negatives, config, alpha, teacher_angles, kd_lambda)
+
+        monkeypatch.setattr(kgex.training, "batch_gradients", checked)
+        cfg = TrainConfig(kind="distmult", k=3, eta=2, epochs=2, batch_size=16, seed=1)
+        _, stats = run_training(g, cfg, teacher=teacher, kd_lambda=2.0)
+        assert len(seen) == 2 * 3 and sum(seen) == 2 * coincident
+        assert stats.degenerate_kd_terms == 2 * coincident
 
     def test_empty_subgraph_rejected(self):
         g = random_graph(6, 2, 10, seed=3)

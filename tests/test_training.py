@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kgex.training
+from kgex.distill import triple_angles
 from kgex.evaluation import evaluate
 from kgex.focuse import alpha_batch
 from kgex.graph import build_filter, graph_from_triples
@@ -16,12 +17,15 @@ from kgex.optim import SparseAdam
 from kgex.training import (
     TrainConfig,
     TrainingDivergedError,
+    _summed_gradients,
     batch_gradients,
     corrupt_batch,
     run_training,
 )
 
-from oracles import ScalarAdam, fd_gradients, max_relative_error, per_negative_batch_gradients
+from oracles import (
+    ScalarAdam, fd_gradients, max_relative_error, per_negative_batch_gradients, per_term_scatter,
+)
 from toygraphs import block_graph, random_graph
 
 # frozen via direct evaluation: -log(e^1 / (e^1 + 2*e^0)) = log(1 + 2/e)
@@ -88,6 +92,11 @@ class TestCorruptions:
     def test_pool_too_small(self):
         with pytest.raises(ValueError):
             corruptions_of((0, 0, 1), 1, {0}, np.random.default_rng(0))
+
+    def test_pool_of_one_distinct_entity_rejected(self):
+        """Copies of one entity pass a length check, but a redraw could never end."""
+        with pytest.raises(ValueError, match="at least 2"):
+            corrupt_batch(np.array([[3, 0, 5]] * 8), 4, np.array([3, 3]), np.random.default_rng(0))
 
 
 class TestMulticlassNLL:
@@ -252,6 +261,18 @@ class TestTrainLoop:
         _, stats = run_training(g, cfg)
         assert np.mean(stats.epoch_losses[-5:]) < np.mean(stats.epoch_losses[:5])
 
+    @pytest.mark.parametrize("bad", [-1, 99])
+    def test_pool_ids_outside_the_tables_rejected(self, bad, monkeypatch):
+        g = random_graph(5, 2, 8, seed=1)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("the pool must be checked before the tables are drawn")
+
+        monkeypatch.setattr(kgex.training, "init_model", no_init)
+        config = TrainConfig(kind="distmult", k=2, epochs=1, pool=np.array([0, 1, bad]))
+        with pytest.raises(ValueError, match=r"corruption pool ids must lie in \[0, 5\)"):
+            run_training(g, config)
+
     def test_empty_graph_rejected(self):
         from kgex.graph import Vocabulary, graph_from_triples
 
@@ -312,8 +333,10 @@ class TestBatchGradients:
         loss = "softplus_nll" if objective == "softplus_nll" else "multiclass_nll"
         config = TrainConfig(kind=kind, k=3, eta=3, gamma=gamma, loss=loss)
         alpha = alpha_batch(np.array([0.2, 0.9, 0.5]), 0.3, 3) if objective == "focuse" else None
-        args = (model, BATCH, NEGATIVES, config, alpha, teacher, 2.0)
-        assert_same_batch_gradients(batch_gradients(*args), per_negative_batch_gradients(*args), 1e-12)
+        angles = None if teacher is None else triple_angles(teacher, BATCH, len(BATCH))
+        got = batch_gradients(model, BATCH, NEGATIVES, config, alpha, angles, 2.0)
+        want = per_negative_batch_gradients(model, BATCH, NEGATIVES, config, alpha, teacher, 2.0)
+        assert_same_batch_gradients(got, want, 1e-12)
 
     @pytest.mark.parametrize("kind", ["transe-l1", "transe-l2", "distmult", "complex"])
     def test_drawn_corruptions(self, kind):
@@ -324,9 +347,46 @@ class TestBatchGradients:
         model = init_model(kind, 4, g.n_entities, g.n_relations, seed=3)
         teacher = init_model(kind, 4, g.n_entities, g.n_relations, seed=4)
         config = TrainConfig(kind=kind, k=4, eta=6, gamma=1e-3)
-        args = (model, g.triples, negatives, config, None, teacher, 1.5)
+        angles = triple_angles(teacher, g.triples, 7)
+        got = batch_gradients(model, g.triples, negatives, config, None, angles, 1.5)
+        want = per_negative_batch_gradients(model, g.triples, negatives, config, None, teacher, 1.5)
         rtol = 1e-12 if kind in ("distmult", "complex") else 0.0
-        assert_same_batch_gradients(batch_gradients(*args), per_negative_batch_gradients(*args), rtol)
+        assert_same_batch_gradients(got, want, rtol)
+
+
+# ids of three terms over 4 rows; at 3 rows a chunk the first term ends on a
+# chunk boundary, the second is split by one, and ids repeat within a chunk,
+# across the chunks of a term and across terms
+SCATTER_IDS = [
+    np.array([0, 0, 1, 2, 1, 0]),
+    np.array([3, 1, 1, 0, 3]),
+    np.array([[2, 0, 2, 1], [1, 1, 3, 0], [0, 2, 2, 3]]),
+]
+
+
+class TestSummedGradients:
+    @pytest.mark.parametrize(
+        "elems", [12, 3, None], ids=["3-row chunks", "row wider than a chunk", "default"]
+    )
+    def test_bitwise_equal_to_per_term_scatter(self, elems, monkeypatch):
+        if elems is not None:
+            monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", elems)
+        rng = np.random.default_rng(5)
+        terms = [(ids, rng.normal(size=(*ids.shape, 4))) for ids in SCATTER_IDS]
+        rows, summed = _summed_gradients(terms, 4)
+        ref_rows, ref = per_term_scatter(terms, 4)
+        assert np.array_equal(rows, ref_rows)
+        assert summed.tobytes() == ref.tobytes()
+
+    def test_one_element_chunks_train_the_same_tables(self, monkeypatch):
+        g = random_graph(12, 3, 40, seed=4)
+        teacher = init_model("complex", 3, g.n_entities, g.n_relations, seed=5)
+        config = TrainConfig(kind="complex", k=3, eta=3, epochs=3, batch_size=16, gamma=1e-3, seed=2)
+        want, _ = run_training(g, config, teacher=teacher, kd_lambda=2.0)
+        monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", 1)
+        got, _ = run_training(g, config, teacher=teacher, kd_lambda=2.0)
+        assert got.entity_table.tobytes() == want.entity_table.tobytes()
+        assert got.relation_table.tobytes() == want.relation_table.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["complex", "distmult"])
