@@ -3,22 +3,10 @@ distillation, and Monte Carlo explanations of individual link predictions."""
 
 from .distill import angle_potentials, train_student
 from .evaluation import Metrics, RankResult, evaluate, metrics_from_ranks, rank_triple
-from .explain import (
-    ExplainConfig,
-    ExplanationReport,
-    RunRecord,
-    aggregate_contributions,
-    mc_explain,
-)
+from .explain import ExplainConfig, ExplanationReport, RunRecord, aggregate_contributions, mc_explain
 from .focuse import FocusEConfig, beta_schedule, softplus_score
 from .graph import (
-    KnowledgeGraph,
-    TrueTripleSet,
-    Vocabulary,
-    build_filter,
-    graph_from_triples,
-    load_graph,
-    load_split,
+    KnowledgeGraph, TrueTripleSet, Vocabulary, build_filter, graph_from_triples, load_graph, load_split,
 )
 from .losses import l2_regularizer
 from .modelio import load_model, save_model
@@ -29,40 +17,18 @@ from .training import TrainConfig, run_training
 
 __version__ = "0.1.0"
 
+# the names imported above, by module, except `softplus_score`
 __all__ = [
-    "EmbeddingModel",
-    "ExplainConfig",
-    "ExplanationReport",
-    "FocusEConfig",
-    "KnowledgeGraph",
-    "Metrics",
-    "ModelKind",
-    "RankResult",
-    "RunRecord",
-    "Subgraph",
-    "SubgraphSpec",
-    "SparseAdam",
-    "TrainConfig",
-    "TrueTripleSet",
-    "Vocabulary",
-    "aggregate_contributions",
-    "angle_potentials",
-    "beta_schedule",
-    "build_filter",
-    "evaluate",
-    "graph_from_triples",
-    "init_model",
+    "angle_potentials", "train_student",
+    "Metrics", "RankResult", "evaluate", "metrics_from_ranks", "rank_triple",
+    "ExplainConfig", "ExplanationReport", "RunRecord", "aggregate_contributions", "mc_explain",
+    "FocusEConfig", "beta_schedule",
+    "KnowledgeGraph", "TrueTripleSet", "Vocabulary", "build_filter", "graph_from_triples",
+    "load_graph", "load_split",
     "l2_regularizer",
-    "load_graph",
-    "load_model",
-    "load_split",
-    "mc_explain",
-    "metrics_from_ranks",
-    "rank_triple",
-    "run_training",
-    "sample_pn",
-    "sample_rw",
-    "sample_subgraph",
-    "save_model",
-    "train_student",
+    "load_model", "save_model",
+    "EmbeddingModel", "ModelKind", "init_model",
+    "SparseAdam",
+    "Subgraph", "SubgraphSpec", "sample_pn", "sample_rw", "sample_subgraph",
+    "TrainConfig", "run_training",
 ]

@@ -224,7 +224,9 @@ def _cmd_train(args, opts, manifest) -> list:
         model, _ = run_training(g, cfg, progress=lambda e, l: log.write(f"{e}\t{l:.10g}\n"))
     with manifest.stage("save"):
         save_model(model, args.out, g.entity_vocab, g.relation_vocab)
-    manifest.count(triples=g.n_triples, batches=_batches(g.n_triples, cfg))
+    manifest.count(
+        triples=g.n_triples, batches=_batches(g.n_triples, cfg), duplicates_dropped=g.duplicates_dropped
+    )
     print(
         f"trained {kind} on {g.n_triples} triples "
         f"({g.n_entities} entities, {g.n_relations} relations) -> {args.out}"
@@ -267,7 +269,7 @@ def _cmd_sample_subgraph(args, opts, manifest) -> list:
         sub = sample_subgraph(g, target, spec)
     with manifest.stage("write"):
         write_subgraph_tsv(sub, args.out)
-    manifest.count(subgraph_triples=len(sub))
+    manifest.count(subgraph_triples=len(sub), duplicates_dropped=g.duplicates_dropped)
     if sub.steps_taken is not None:
         manifest.count(steps_taken=sub.steps_taken)
     print(f"sampled {len(sub)} triples around {args.target!r} -> {args.out}")
@@ -307,6 +309,7 @@ def _cmd_explain(args, opts, manifest) -> list:
     manifest.count(
         subgraph_triples=report.provenance["subgraph_size"], ranked_triples=len(report.entries),
         never_sampled=len(report.tail), min_subset=min(subset_sizes), max_subset=max(subset_sizes),
+        duplicates_dropped=g.duplicates_dropped,
     )
     print(
         f"explained {args.target!r}: {len(report.entries)} ranked triples, "
@@ -333,13 +336,14 @@ def _cmd_evaluate(args, opts, manifest) -> list:
     for path in args.filter:
         manifest.add_input(path)
     with manifest.stage("filter"):
-        flt = build_filter(*(load_split(path, ev, rv) for path in args.filter)) if args.filter else None
+        filters = [load_split(path, ev, rv) for path in args.filter]
+        flt = build_filter(*filters) if filters else None
 
     with manifest.stage("rank"):
         metrics, skipped = evaluate(model, test.triples, pool, flt)
     manifest.count(
         ranked_triples=test.n_triples - skipped, out_of_table_skipped=skipped,
-        oov_skipped=test.oov_skipped,
+        oov_skipped=test.oov_skipped, filter_oov_skipped=sum(f.oov_skipped for f in filters),
     )
     payload = {**metrics.as_dict(), "skipped": skipped + test.oov_skipped}
     text = json.dumps(payload, indent=2, sort_keys=True)

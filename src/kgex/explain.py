@@ -19,7 +19,7 @@ import numpy as np
 
 from .distill import check_kd_lambda, train_student
 from .evaluation import rank_triple
-from .graph import KnowledgeGraph, Triple, TrueTripleSet, build_filter, graph_from_triples
+from .graph import KnowledgeGraph, Triple, TrueTripleSet, build_filter, graph_from_triples, label_rows
 from .models import EmbeddingModel
 from .sampling import Subgraph, SubgraphSpec, sample_subgraph
 from .training import TrainConfig
@@ -189,21 +189,16 @@ def aggregate_contributions(records: list[RunRecord], sub: Subgraph) -> Explanat
 
 def write_report_tsv(report: ExplanationReport, g: KnowledgeGraph, path: str | Path) -> None:
     """Write the ranked explanation as TSV with `#` provenance headers."""
-    ev, rv = g.entity_vocab, g.relation_vocab
-    s, p, o = report.target
+    triples = [report.target] + [e.triple for e in report.entries] + [t for t, _pos in report.tail]
+    target, *rows = label_rows(triples, g.entity_vocab, g.relation_vocab)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# explanation report\n")
-        fh.write(f"# target\t{ev.label_of(s)}\t{rv.label_of(p)}\t{ev.label_of(o)}\n")
+        fh.write(f"# explanation report\n# target\t{target}\n")
         for key, value in sorted(report.provenance.items()):
             if key == "target":
                 continue
             fh.write(f"# {key}\t{value}\n")
         fh.write("# columns\tposition\ts\tp\to\tavg_target_rank\truns_containing\n")
-        for i, e in enumerate(report.entries, start=1):
-            ts, tp, to = e.triple
-            fh.write(
-                f"{i}\t{ev.label_of(ts)}\t{rv.label_of(tp)}\t{ev.label_of(to)}"
-                f"\t{e.avg_target_rank:.6f}\t{e.runs_containing}\n"
-            )
-        for (ts, tp, to), _pos in report.tail:
-            fh.write(f"-\t{ev.label_of(ts)}\t{rv.label_of(tp)}\t{ev.label_of(to)}\t-\t0\n")
+        for i, (e, row) in enumerate(zip(report.entries, rows), start=1):
+            fh.write(f"{i}\t{row}\t{e.avg_target_rank:.6f}\t{e.runs_containing}\n")
+        for row in rows[len(report.entries) :]:
+            fh.write(f"-\t{row}\t-\t0\n")

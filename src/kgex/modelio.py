@@ -75,19 +75,13 @@ def load_model(
         raise ModelFormatError(f"{path}: unknown model kind tag {tag}")
     kind = _TAG_KINDS[tag]
     width = k * kind.row_width_factor
-    ent_bytes = n_entities * width * 8
-    rel_bytes = n_relations * width * 8
-    expected = header_end + ent_bytes + rel_bytes
+    expected = header_end + (n_entities + n_relations) * width * 8
     if len(blob) != expected:
         raise ModelFormatError(
             f"{path}: expected {expected} bytes, found {len(blob)} (truncated or trailing data)"
         )
-    entity = np.frombuffer(
-        blob, dtype="<f8", count=n_entities * width, offset=header_end
-    ).reshape(n_entities, width).astype(np.float64)
-    relation = np.frombuffer(
-        blob, dtype="<f8", count=n_relations * width, offset=header_end + ent_bytes
-    ).reshape(n_relations, width).astype(np.float64)
+    tables = np.frombuffer(blob, dtype="<f8", offset=header_end).reshape(n_entities + n_relations, width)
+    entity, relation = tables[:n_entities].astype(np.float64), tables[n_entities:].astype(np.float64)
     model = EmbeddingModel(kind=kind, k=int(k), entity_table=entity, relation_table=relation)
 
     entity_vocab = _load_sidecar(entity_sidecar(path), n_entities, "entity")

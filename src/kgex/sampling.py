@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import GraphFormatError, KnowledgeGraph, Triple, one_hop_positions, triple_of_labels
+from .graph import (
+    GraphFormatError, KnowledgeGraph, Triple, label_rows, one_hop_positions, triple_of_labels,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -112,22 +114,12 @@ def sample_subgraph(g: KnowledgeGraph, target: Triple, spec: SubgraphSpec) -> Su
 
 def write_subgraph_tsv(sub: Subgraph, path: str | Path) -> None:
     """Dump sampled triples as labels, with `#` provenance header lines."""
-    g = sub.source
-    s, p, o = sub.target
+    g, spec = sub.source, sub.spec
+    target, *rows = label_rows(np.vstack([sub.target, sub.triple_array()]), g.entity_vocab, g.relation_vocab)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# subgraph method={sub.spec.method} n={sub.spec.n} seed={sub.spec.seed}\n"
-        )
-        fh.write(
-            "# target\t{}\t{}\t{}\n".format(
-                g.entity_vocab.label_of(s), g.relation_vocab.label_of(p), g.entity_vocab.label_of(o)
-            )
-        )
-        fh.write(f"# triples\t{len(sub)}\n")
-        for ts, tp, to in sub.triple_array().tolist():
-            fh.write(
-                f"{g.entity_vocab.label_of(ts)}\t{g.relation_vocab.label_of(tp)}\t{g.entity_vocab.label_of(to)}\n"
-            )
+        fh.write(f"# subgraph method={spec.method} n={spec.n} seed={spec.seed}\n")
+        fh.write(f"# target\t{target}\n# triples\t{len(sub)}\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def read_subgraph_tsv(path: str | Path, entity_vocab, relation_vocab) -> list[Triple]:

@@ -20,15 +20,8 @@ _SPOT_SCORES = [
 ]
 
 
-def _vocabulary(labels) -> Vocabulary:
-    vocab = Vocabulary()
-    for label in labels:
-        vocab.add(label)
-    return vocab
-
-
 def _demo_graph():
-    return graph_from_triples(_DEMO_TRIPLES, _vocabulary("ABCD"), _vocabulary(["r1", "r2"]))
+    return graph_from_triples(_DEMO_TRIPLES, Vocabulary("ABCD"), Vocabulary(["r1", "r2"]))
 
 
 def _as_set(triples) -> set:
@@ -176,8 +169,8 @@ def _check_ranking() -> str | None:
     n_ent = 12
     m = models.init_model(models.ModelKind.DISTMULT, 4, n_ent, 2, 0)
     triples = [(int(rng.integers(n_ent)), int(rng.integers(2)), int(rng.integers(n_ent))) for _ in range(20)]
-    entities = _vocabulary(f"e{i}" for i in range(n_ent))
-    g = graph_from_triples(sorted(set(triples)), entities, _vocabulary(["p0", "p1"]))
+    entities = Vocabulary(f"e{i}" for i in range(n_ent))
+    g = graph_from_triples(sorted(set(triples)), entities, Vocabulary(["p0", "p1"]))
     s, p, o = t = g.triple_at(0)
     res = evaluation.rank_triple(m, t, np.arange(n_ent), build_filter(g))
     # brute force object side: every candidate scoring at least the positive,

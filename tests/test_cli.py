@@ -195,7 +195,7 @@ class TestPipeline:
         sub = sample_subgraph(loaded, target, SubgraphSpec(method, 6, 11))
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == len(sub)
-        expected = {"subgraph_triples": len(sub)}
+        expected = {"subgraph_triples": len(sub), "duplicates_dropped": 0}
         if method == "rw":
             expected["steps_taken"] = sub.steps_taken
         assert manifest["counters"] == expected
@@ -252,8 +252,40 @@ class TestPipeline:
         assert all(t >= 0 for t in manifest["stages_s"].values())
         assert manifest["counters"] == {
             "ranked_triples": len(held_out), "out_of_table_skipped": 0, "oov_skipped": 1,
+            "filter_oov_skipped": 0,
         }
         assert json.loads(out.read_text())["skipped"] == 1
+
+    def test_manifests_count_duplicate_and_filter_oov_rows(self, pipeline, tmp_path, capsys):
+        root, g, held_out = pipeline
+        rows = (root / "train.tsv").read_text().splitlines(keepends=True)
+        train = tmp_path / "train.tsv"
+        train.write_text("".join(rows[:40] + rows[3:4] + rows[40:]), encoding="utf-8")  # row 4 twice
+        status = run_cli([
+            "train", "--graph", str(train), "--k", "2", "--epochs", "1", "--batch-size", "40",
+            "--seed", "1", "--out", str(tmp_path / "m.kgex"),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "m.kgex.manifest.json").read_text())
+        assert manifest["counters"] == {"triples": g.n_triples, "batches": 2, "duplicates_dropped": 1}
+        status = run_cli([
+            "sample-subgraph", "--graph", str(train), "--target", label_target(g, held_out[0]),
+            "--n", "2", "--seed", "3", "--out", str(tmp_path / "sub.tsv"),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "sub.tsv.manifest.json").read_text())
+        assert manifest["counters"]["duplicates_dropped"] == 1
+
+        flt = tmp_path / "filter.tsv"  # the test rows plus one row with an unknown label
+        flt.write_text((root / "test.tsv").read_text() + "e1\tnosuch\te2\n", encoding="utf-8")
+        status = run_cli([
+            "evaluate", "--model", str(root / "teacher.kgex"), "--test", str(root / "test.tsv"),
+            "--filter", str(flt), str(root / "test.tsv"), "--out", str(tmp_path / "metrics.json"),
+        ])
+        assert status == 0
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["counters"]["filter_oov_skipped"] == 1
+        assert manifest["counters"]["oov_skipped"] == 0
 
     def test_training_manifests_record_stages_and_counters(self, pipeline, tmp_path):
         root, g, _ = pipeline
@@ -265,7 +297,9 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "m.kgex.manifest.json").read_text())
         assert set(manifest["stages_s"]) == {"load", "train", "save"}
         assert all(t >= 0 for t in manifest["stages_s"].values())
-        assert manifest["counters"] == {"triples": g.n_triples, "batches": 3 * 3}  # 80 triples, 32 a batch
+        assert manifest["counters"] == {  # 80 triples, 32 a batch
+            "triples": g.n_triples, "batches": 3 * 3, "duplicates_dropped": 0,
+        }
 
         # a self-loop's object-to-subject difference is zero, which makes two of
         # its three angle terms degenerate in every epoch
@@ -320,7 +354,7 @@ class TestPipeline:
         # 4 runs over 2 partitions: each subset is one half of the subgraph
         assert manifest["counters"] == {
             "subgraph_triples": size, "ranked_triples": len(body) - never, "never_sampled": never,
-            "min_subset": size // 2, "max_subset": -(-size // 2),
+            "min_subset": size // 2, "max_subset": -(-size // 2), "duplicates_dropped": 0,
         }
 
     def test_explain_threads_match_serial(self, pipeline):
