@@ -295,8 +295,6 @@ def _cmd_explain(args, opts, manifest) -> list:
     ):
         if vocab is not None and vocab != graph_vocab:
             raise ValueError(f"{sidecar(args.teacher)}: labels or ids differ from the graph's")
-    if teacher.n_entities != g.n_entities or teacher.n_relations != g.n_relations:
-        raise ValueError("teacher tables do not match the graph vocabularies")
     target = _parse_target(args.target, g)
     config.student.kind = config.student.kind or teacher.kind
     manifest.set_config(target=args.target)

@@ -99,6 +99,11 @@ def check_kd_lambda(kd_lambda: float) -> None:
         raise ValueError("kd_lambda must be finite and >= 0")
 
 
+def check_teacher(teacher: EmbeddingModel, g: KnowledgeGraph) -> None:
+    if teacher.n_entities != g.n_entities or teacher.n_relations != g.n_relations:
+        raise ValueError("teacher tables do not match the graph vocabularies")
+
+
 def train_student(
     teacher: EmbeddingModel,
     subgraph: KnowledgeGraph,
@@ -114,7 +119,6 @@ def train_student(
     """
     from .training import run_training  # local import to avoid a cycle
 
-    check_kd_lambda(kd_lambda)
     model, _ = run_training(
         subgraph, config, teacher=teacher, kd_lambda=kd_lambda, progress=progress
     )

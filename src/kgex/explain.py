@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distill import check_kd_lambda, train_student
+from .distill import check_kd_lambda, check_teacher, train_student
 from .evaluation import rank_triple
 from .graph import KnowledgeGraph, Triple, TrueTripleSet, build_filter, graph_from_triples, label_rows
 from .models import EmbeddingModel
@@ -97,9 +97,9 @@ def _derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
-def _run_once(teacher, g, target, student_cfg, kd_lambda, flt, plan) -> RunRecord:
+def _run_once(teacher, triples, vocabs, target, student_cfg, kd_lambda, flt, plan) -> RunRecord:
     run, subset, seed = plan
-    sub_graph = graph_from_triples(g.triples[subset], g.entity_vocab, g.relation_vocab)
+    sub_graph = graph_from_triples(triples[subset], *vocabs)
     student = train_student(teacher, sub_graph, replace(student_cfg, seed=seed), kd_lambda)
     result = rank_triple(student, target, sub_graph.entities_in_triples(), flt)
     return RunRecord(run, subset, result.mean_rank, result.subject_rank, result.object_rank)
@@ -118,11 +118,12 @@ def mc_explain(
     draws one seeded partition and takes its subsets in order, so every full
     cycle covers the subgraph.  Students corrupt and rank only over the entities
     of their own subset, so a subset with one entity is rejected before any
-    run.  A run's plan is (run, subset, seed); the inputs all runs share are
-    bound once and sent once to each of min(threads, runs, CPUs) processes,
-    which take one chunk of plans each.
+    run.  A run's plan is (run, subset, seed); the inputs all runs share (of
+    the graph, its triples and vocabularies) are bound once and sent once to
+    each of min(threads, runs, CPUs) processes, one chunk of plans each.
     """
     config.validate()
+    check_teacher(teacher, g)
     seed = config.sampler.seed
     sampler = replace(config.sampler, seed=_derive_seed(config.seed, 0) if seed is None else seed)
     sub = sample_subgraph(g, target, sampler)
@@ -141,7 +142,8 @@ def mc_explain(
                              f"try fewer --partitions than {config.partitions} or a larger --n")
         plans.append((run, subset, _derive_seed(config.seed, 2, run)))
     run_plan = partial(
-        _run_once, teacher, g, target, replace(config.student, focuse=None), config.kd_lambda, flt
+        _run_once, teacher, g.triples, (g.entity_vocab, g.relation_vocab), target,
+        replace(config.student, focuse=None), config.kd_lambda, flt,
     )
 
     workers = min(config.threads, config.mc_runs, os.cpu_count() or 1)

@@ -1,9 +1,9 @@
 """Binary model persistence with vocabulary sidecar files.
 
 Layout: magic `KGEX1`, then kind tag, k, |E|, |R| as unsigned 64-bit
-little-endian, then the entity and relation tables as row-major
-little-endian float64.  Vocabularies travel in `<path>.entities.tsv` and
-`<path>.relations.tsv` sidecars.
+little-endian, then the model's (|E| + |R|, d) table, entity rows first, as
+row-major little-endian float64.  Vocabularies travel in `<path>.entities.tsv`
+and `<path>.relations.tsv` sidecars.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ def save_model(
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<4Q", _KIND_TAGS[model.kind], model.k, model.n_entities, model.n_relations))
-        fh.write(np.ascontiguousarray(model.entity_table, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.relation_table, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.table, dtype="<f8").tobytes())
     if entity_vocab is not None:
         entity_vocab.dump(entity_sidecar(path))
     if relation_vocab is not None:
@@ -80,9 +79,8 @@ def load_model(
         raise ModelFormatError(
             f"{path}: expected {expected} bytes, found {len(blob)} (truncated or trailing data)"
         )
-    tables = np.frombuffer(blob, dtype="<f8", offset=header_end).reshape(n_entities + n_relations, width)
-    entity, relation = tables[:n_entities].astype(np.float64), tables[n_entities:].astype(np.float64)
-    model = EmbeddingModel(kind=kind, k=int(k), entity_table=entity, relation_table=relation)
+    table = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
+    model = EmbeddingModel(kind, k, table.reshape(n_entities + n_relations, width), n_entities)
 
     entity_vocab = _load_sidecar(entity_sidecar(path), n_entities, "entity")
     relation_vocab = _load_sidecar(relation_sidecar(path), n_relations, "relation")

@@ -22,28 +22,31 @@ class ModelKind(str, Enum):
 
 @dataclass
 class EmbeddingModel:
-    """Model kind plus dense entity/relation tables of shape (n, d).
-
-    d equals k for the real-valued models and 2k for ComplEx, whose rows
-    store the k real components followed by the k imaginary ones.
-    """
+    """Model kind plus one (|E| + |R|, d) table, entity rows first, of which
+    `entity_table` and `relation_table` are views.  d equals k for the
+    real-valued models and 2k for ComplEx, whose rows store the k real
+    components followed by the k imaginary ones."""
 
     kind: ModelKind
     k: int
-    entity_table: np.ndarray
-    relation_table: np.ndarray
+    table: np.ndarray
+    n_entities: int
 
     @property
-    def n_entities(self) -> int:
-        return self.entity_table.shape[0]
+    def entity_table(self) -> np.ndarray:
+        return self.table[: self.n_entities]
+
+    @property
+    def relation_table(self) -> np.ndarray:
+        return self.table[self.n_entities :]
 
     @property
     def n_relations(self) -> int:
-        return self.relation_table.shape[0]
+        return self.table.shape[0] - self.n_entities
 
     @property
     def width(self) -> int:
-        return self.entity_table.shape[1]
+        return self.table.shape[1]
 
 
 def init_model(
@@ -53,18 +56,16 @@ def init_model(
     n_relations: int,
     seed: int | np.random.SeedSequence,
 ) -> EmbeddingModel:
-    """Initialize tables i.i.d. uniform in [-6/sqrt(k), +6/sqrt(k)], seeded."""
+    """Initialize the table i.i.d. uniform in [-6/sqrt(k), +6/sqrt(k)], seeded."""
     kind = ModelKind(kind)
     if k < 1:
         raise ValueError("embedding dimensionality must be >= 1")
     if n_entities < 1 or n_relations < 1:
         raise ValueError("vocabularies must be nonempty")
     rng = np.random.default_rng(seed)
-    width = k * kind.row_width_factor
     bound = 6.0 / np.sqrt(k)
-    entity = rng.uniform(-bound, bound, size=(n_entities, width))
-    relation = rng.uniform(-bound, bound, size=(n_relations, width))
-    return EmbeddingModel(kind, k, entity, relation)
+    table = rng.uniform(-bound, bound, size=(n_entities + n_relations, k * kind.row_width_factor))
+    return EmbeddingModel(kind, k, table, n_entities)
 
 
 def score_rows(kind: ModelKind, k: int, es: np.ndarray, rp: np.ndarray, eo: np.ndarray) -> np.ndarray:

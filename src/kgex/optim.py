@@ -23,8 +23,6 @@ class SparseAdam:
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
         """Take one step: update `params[rows]` in place from per-row gradients."""
         self.t += 1
-        if len(rows) == 0:
-            return
         m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * grads
         v = self.beta2 * self.v[rows] + (1.0 - self.beta2) * (grads * grads)
         self.m[rows] = m

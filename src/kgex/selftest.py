@@ -44,8 +44,8 @@ def _check_graph_indices() -> str | None:
 
 def _check_score_values() -> str | None:
     for case, kind, k, entity_rows, relation_row, s, o, expected in _SPOT_SCORES:
-        entity, relation = np.array(entity_rows), np.array([relation_row])
-        m = models.EmbeddingModel(models.ModelKind(kind), k, entity, relation)
+        table = np.array([*entity_rows, relation_row])
+        m = models.EmbeddingModel(models.ModelKind(kind), k, table, len(entity_rows))
         if models.score_many(m, s, 0, o) != expected:
             return f"{case} failed"
     return None

@@ -106,7 +106,7 @@ _SCATTER_ELEMS = 1 << 16
 
 
 def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum one table's `(ids, grads)` terms over the rows they touch.
+    """Sum `(ids, grads)` terms over the table rows they touch.
 
     Returns the sorted unique ids and their `(len(rows), width)` gradients.
     Each term is scattered in chunks of rows of at most `_SCATTER_ELEMS`
@@ -133,10 +133,10 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
     """Scores of a batch and its negatives, and the map back to row gradients.
 
     Returns the (n, 1 + eta) scores, positive in column 0, and `backward`,
-    which takes the loss gradient w.r.t. those scores and returns the entity
-    and relation `(ids, grads)` terms of `_summed_gradients`.
+    which takes the loss gradient w.r.t. those scores and returns the
+    `(ids, grads)` terms of `_summed_gradients`, relation ids offset by |E|.
     """
-    kind, k = model.kind, model.k
+    kind, k, n_ent = model.kind, model.k, model.n_entities
     ent, rel = model.entity_table, model.relation_table
     s_ids, p_ids, o_ids = batch.T
     neg_s, neg_p, neg_o = negatives
@@ -149,9 +149,9 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
 
         def backward(d):
             d_pos, d_neg = d[:, 0, None], d[:, 1:, None]
-            ent_terms = [(s_ids, d_pos * pos_gs), (o_ids, d_pos * pos_go),
-                         (neg_s, d_neg * neg_gs), (neg_o, d_neg * neg_go)]
-            return ent_terms, [(p_ids, d_pos * pos_gp), (neg_p, d_neg * neg_gp)]
+            return [(s_ids, d_pos * pos_gs), (o_ids, d_pos * pos_go),
+                    (neg_s, d_neg * neg_gs), (neg_o, d_neg * neg_go),
+                    (p_ids + n_ent, d_pos * pos_gp), (neg_p + n_ent, d_neg * neg_gp)]
 
         return np.concatenate([pos_f[:, None], neg_f], axis=1), backward
 
@@ -176,7 +176,7 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
         g_p += bilinear_product(kind, k, sum_sub, eo, conj=True)
         # each candidate's gradient, written over the queries, which are not read again
         cand_grads = np.multiply(queries, d[..., None], out=queries)
-        return [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads)], [(p_ids, g_p)]
+        return [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads), (p_ids + n_ent, g_p)]
 
     return np.einsum("ncw,ncw->nc", queries, cand_rows), backward
 
@@ -189,48 +189,45 @@ def batch_gradients(
     alpha: np.ndarray | None = None,
     teacher_angles: tuple[np.ndarray, np.ndarray] | None = None,
     kd_lambda: float = 0.0,
-) -> tuple[float, int, list]:
+) -> tuple[float, int, np.ndarray, np.ndarray]:
     """Objective of one batch and its gradients, summed over the rows it touches.
 
     The objective is the mean NLL over positives (FocusE-weighted by `alpha`
     when given), plus kd_lambda times the mean angle-matching loss against the
     frozen teacher's `(phi, valid)` of the batch's triples when given, plus
     gamma times the squared norms of the touched rows.  Returns the objective,
-    the count of degenerate angle terms, and one `(table, rows, grad)` update
-    for the entity and then the relation table.
+    the count of degenerate angle terms, the sorted ids of the touched
+    `model.table` rows and their gradients.
     """
     s_ids, p_ids, o_ids = batch.T
     scale = 1.0 / len(batch)
     # The angle term runs before the candidate arrays exist.  Run after them,
     # its many small temporaries land in heap pages that freeing those arrays
     # has just returned to the system, and fault them back in on every batch.
-    kd_ent, kd_rel, kd_loss, degenerate = [], [], 0.0, 0
+    kd_terms, kd_loss, degenerate = [], 0.0, 0
     if teacher_angles is not None and kd_lambda > 0.0:
         student_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
         kd_rows, kd_gs, kd_gp, kd_go, degenerate = distill.rkd_loss_batch(teacher_angles, student_rows)
         kd_scale = kd_lambda * scale
-        kd_ent = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go)]
-        kd_rel = [(p_ids, kd_scale * kd_gp)]
+        kd_terms = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go),
+                    (p_ids + model.n_entities, kd_scale * kd_gp)]
         kd_loss = kd_scale * float(kd_rows.sum())
 
     scores, backward = _score_batch(model, batch, negatives)
     if alpha is None and config.loss == "softplus_nll":
         alpha = np.ones_like(scores)
     loss_rows, dscores = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha)
-    ent_terms, rel_terms = backward(dscores * scale)
     batch_loss = float(loss_rows.sum()) * scale + kd_loss
-    updates = [
-        (model.entity_table, *_summed_gradients(ent_terms + kd_ent, model.width)),
-        (model.relation_table, *_summed_gradients(rel_terms + kd_rel, model.width)),
-    ]
+    rows, grad = _summed_gradients(backward(dscores * scale) + kd_terms, model.width)
     if config.gamma > 0.0:
-        l2 = []
-        for table, rows, grad in updates:
-            l2_loss, l2_grad = l2_regularizer(table[rows], config.gamma)
-            grad += l2_grad
-            l2.append(l2_loss)
-        batch_loss += l2[0] + l2[1]
-    return batch_loss, degenerate, updates
+        # the L2 loss sums the entity rows and the relation rows apart
+        split = np.searchsorted(rows, model.n_entities)
+        l2_ent, grad_ent = l2_regularizer(model.table[rows[:split]], config.gamma)
+        l2_rel, grad_rel = l2_regularizer(model.table[rows[split:]], config.gamma)
+        grad[:split] += grad_ent
+        grad[split:] += grad_rel
+        batch_loss += l2_ent + l2_rel
+    return batch_loss, degenerate, rows, grad
 
 
 def run_training(
@@ -245,6 +242,7 @@ def run_training(
     Single-threaded and bit-reproducible for a fixed seed.
     """
     config.validate()
+    distill.check_kd_lambda(kd_lambda)
     if g.n_triples == 0:
         raise ValueError("cannot train on an empty graph")
     kind = ModelKind(config.kind)
@@ -258,15 +256,15 @@ def run_training(
             "weight-modulated training requested but the graph has no weights column"
         )
 
+    if teacher is not None:
+        distill.check_teacher(teacher, g)
+
     seed_root = np.random.SeedSequence(config.seed)
     init_seq, loop_seq = seed_root.spawn(2)
     model = init_model(kind, config.k, g.n_entities, g.n_relations, init_seq)
     rng = np.random.default_rng(loop_seq)
 
-    optimizers = (
-        SparseAdam(model.entity_table.shape, config.lr),
-        SparseAdam(model.relation_table.shape, config.lr),
-    )
+    optimizer = SparseAdam(model.table.shape, config.lr)
 
     triples = g.triples
     n = len(triples)
@@ -286,7 +284,7 @@ def run_training(
             negatives = corrupt_batch(batch, config.eta, pool, rng)
             alpha = None if focuse is None else alpha_batch(g.weights[batch_idx], beta, config.eta)
             batch_angles = None if angles is None else tuple(a[:, batch_idx] for a in angles)
-            batch_loss, degenerate, updates = batch_gradients(
+            batch_loss, degenerate, rows, grad = batch_gradients(
                 model, batch, negatives, config, alpha, batch_angles, kd_lambda
             )
             stats.degenerate_kd_terms += degenerate
@@ -294,11 +292,10 @@ def run_training(
             where = f"epoch {epoch}, batch {start // config.batch_size}"
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(f"non-finite loss at {where}")
-            # only the updated rows can change, and the initial tables are finite
-            for (table, rows, grad), opt in zip(updates, optimizers):
-                opt.apply(table, rows, grad)
-                if not np.isfinite(table[rows]).all():
-                    raise TrainingDivergedError(f"non-finite embeddings at {where}")
+            optimizer.apply(model.table, rows, grad)
+            # only the updated rows can change, and the initial table is finite
+            if not np.isfinite(model.table[rows]).all():
+                raise TrainingDivergedError(f"non-finite embeddings at {where}")
             loss_sum += batch_loss * len(batch)
 
         epoch_mean = loss_sum / n

@@ -44,7 +44,7 @@ def rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 def _random_tables(kind: ModelKind, rng) -> EmbeddingModel:
     k = int(rng.integers(2, 9))
     width = k * kind.row_width_factor
-    return EmbeddingModel(kind, k, rng.normal(size=(5, width)), rng.normal(size=(2, width)))
+    return EmbeddingModel(kind, k, rng.normal(size=(5 + 2, width)), 5)
 
 
 _POS = np.array([[0, 0, 1]])
@@ -187,12 +187,9 @@ def test_criterion_2_reduction_identities():
     k = 6
     ent = rng.normal(size=(10, k))
     rel = rng.normal(size=(4, k))
-    cx = EmbeddingModel(
-        ModelKind.COMPLEX, k,
-        np.concatenate([ent, np.zeros_like(ent)], axis=1),
-        np.concatenate([rel, np.zeros_like(rel)], axis=1),
-    )
-    dm = EmbeddingModel(ModelKind.DISTMULT, k, ent, rel)
+    dm = EmbeddingModel(ModelKind.DISTMULT, k, np.vstack([ent, rel]), len(ent))
+    cx_table = np.concatenate([dm.table, np.zeros_like(dm.table)], axis=1)
+    cx = EmbeddingModel(ModelKind.COMPLEX, k, cx_table, len(ent))
     s = rng.integers(10, size=300)
     p = rng.integers(4, size=300)
     o = rng.integers(10, size=300)

@@ -131,10 +131,11 @@ def test_tracer_counts_the_sparse_training_step(monkeypatch):
     adam = [span.counts["optim.adam_rows"] for span in tracer.spans if span.name == "optim.adam_apply"]
     expected = []
     for batch, (neg_s, neg_p, neg_o) in corruptions:
-        expected.append(len(np.unique(np.concatenate([batch[:, [0, 2]].ravel(), neg_s.ravel(), neg_o.ravel()]))))
-        expected.append(len(np.unique(np.concatenate([batch[:, 1], neg_p.ravel()]))))
+        entities = np.unique(np.concatenate([batch[:, [0, 2]].ravel(), neg_s.ravel(), neg_o.ravel()]))
+        relations = np.unique(np.concatenate([batch[:, 1], neg_p.ravel()]))
+        expected.append(len(entities) + len(relations))
     assert len(corruptions) == config.epochs * -(-g.n_triples // config.batch_size)
-    assert adam == expected  # entity table, then relation table, once per batch
+    assert adam == expected  # one step per batch over the entity and relation rows
     rkd = [span.counts["distill.rkd_triples"] for span in tracer.spans if span.name == "distill.rkd_loss_batch"]
     assert len(rkd) == len(corruptions)
     assert sum(rkd) == config.epochs * g.n_triples

@@ -103,8 +103,10 @@ class TestModelPersistence:
         loaded, ev, rv = load_model(path)
         assert loaded.kind == model.kind
         assert loaded.k == model.k
-        assert np.array_equal(loaded.entity_table, model.entity_table)
-        assert np.array_equal(loaded.relation_table, model.relation_table)
+        assert (loaded.n_entities, loaded.n_relations) == (9, 4)
+        assert loaded.table.tobytes() == model.table.tobytes()
+        assert path.read_bytes().endswith(model.table.tobytes())  # entity rows first
+        assert loaded.table.flags.writeable
         assert ev is None and rv is None
 
     def test_sidecar_vocabularies(self, tmp_path):

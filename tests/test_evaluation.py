@@ -28,18 +28,13 @@ def side_ranks(model, triples, pool, flt):
 
 def constant_model(n_entities, n_relations):
     """All scores equal: the pessimistic tie rule puts the positive last."""
-    return EmbeddingModel(
-        ModelKind.DISTMULT, 2, np.ones((n_entities, 2)), np.ones((n_relations, 2))
-    )
+    return EmbeddingModel(ModelKind.DISTMULT, 2, np.ones((n_entities + n_relations, 2)), n_entities)
 
 
 class TestRankTriple:
     def test_clear_winner(self):
-        m = EmbeddingModel(
-            ModelKind.DISTMULT, 1,
-            np.array([[3.0], [1.0], [0.5], [0.3]]),  # scores s*o for r=[1]
-            np.array([[1.0]]),
-        )
+        # entity rows 0-3 then relation row [1]: scores s*o
+        m = EmbeddingModel(ModelKind.DISTMULT, 1, np.array([[3.0], [1.0], [0.5], [0.3], [1.0]]), 4)
         # positive (0, 0, 1): score 3; candidates 2, 3 score 1.5, 0.9
         result = rank_triple(m, (0, 0, 1), np.array([1, 2, 3]))
         assert result.object_rank == 1
@@ -139,7 +134,8 @@ class TestRankTriple:
         # any strictly increasing transform applied to *all* scores is
         # equivalent to comparing the original order, so scaled tables with
         # a positive factor must reproduce the ranks exactly
-        scaled = EmbeddingModel(m.kind, m.k, 2.0 * m.entity_table, 1.5 * m.relation_table)
+        scaled_table = np.vstack([2.0 * m.entity_table, 1.5 * m.relation_table])
+        scaled = EmbeddingModel(m.kind, m.k, scaled_table, m.n_entities)
         pool = np.arange(g.n_entities)
         for i in range(20):
             t = g.triple_at(i)

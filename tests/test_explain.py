@@ -1,6 +1,7 @@
 """Subgraph partitioning, Monte Carlo runs, and contribution aggregation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kgex.explain import (
     mc_explain,
     partition_positions,
 )
+from kgex.graph import KnowledgeGraph
 from kgex.models import init_model
 from kgex.sampling import Subgraph, SubgraphSpec
 from kgex.training import TrainConfig, run_training
@@ -209,6 +211,7 @@ class RecordingPool:
 
     created = []
     maps = []
+    functions = []
 
     def __init__(self, max_workers):
         RecordingPool.created.append(max_workers)
@@ -222,6 +225,7 @@ class RecordingPool:
     def map(self, fn, iterable, chunksize=1):
         tasks = list(iterable)
         RecordingPool.maps.append((chunksize, tasks))
+        RecordingPool.functions.append(fn)
         return map(fn, tasks)
 
 
@@ -255,6 +259,34 @@ class TestMcExplain:
                 (r.run, r.positions.tolist()) for r in report.records
             ]
             assert all(isinstance(seed, int) for _, _, seed in tasks)
+
+    def test_shared_worker_inputs_hold_no_graph_index(self, toy, monkeypatch):
+        g, held_out, teacher = toy
+        monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(RecordingPool, "functions", [])
+        config = ExplainConfig(
+            mc_runs=2, partitions=2, student=self.student_cfg(), sampler=SubgraphSpec("pn", 1), threads=2,
+        )
+        mc_explain(teacher, g, tuple(map(int, held_out[2])), config)
+        assert {"by_entity", "by_predicate"} <= vars(g).keys()  # the sampler built both indices
+        (shared,) = RecordingPool.functions
+        flat = [a for arg in shared.args for a in (arg if isinstance(arg, tuple) else (arg,))]
+        assert not any(isinstance(a, KnowledgeGraph) for a in flat)
+        assert any(a is g.triples for a in flat)
+        payload = pickle.dumps(shared)
+        assert b"by_entity" not in payload and b"by_predicate" not in payload
+
+    @pytest.mark.parametrize("extra", [(-1, 0), (0, -1), (1, 0), (0, 1)])
+    def test_teacher_of_other_vocabulary_sizes_rejected(self, toy, monkeypatch, extra):
+        g, held_out, _ = toy
+        teacher = init_model("transe-l2", 8, g.n_entities + extra[0], g.n_relations + extra[1], seed=0)
+        sampled = []
+        monkeypatch.setattr(kgex.explain, "sample_subgraph", lambda *a: sampled.append(a))
+        config = ExplainConfig(mc_runs=2, partitions=2, student=self.student_cfg())
+        with pytest.raises(ValueError, match="teacher tables do not match the graph vocabularies"):
+            mc_explain(teacher, g, tuple(map(int, held_out[2])), config)
+        assert sampled == []
 
     @pytest.mark.parametrize("runs, partitions, draws", [(4, 3, 2), (6, 3, 2), (1, 2, 1)])
     def test_each_cycle_draws_one_partition(self, toy, monkeypatch, runs, partitions, draws):

@@ -11,12 +11,8 @@ from oracles import fd_gradients, max_relative_error, reference_bilinear_score_g
 
 
 def model_from_rows(kind, k, entity_rows, relation_rows):
-    return EmbeddingModel(
-        ModelKind(kind),
-        k,
-        np.asarray(entity_rows, dtype=np.float64),
-        np.asarray(relation_rows, dtype=np.float64),
-    )
+    table = np.vstack([entity_rows, relation_rows], dtype=np.float64)
+    return EmbeddingModel(ModelKind(kind), k, table, len(entity_rows))
 
 
 def score_grads(m, t):
@@ -59,6 +55,24 @@ class TestInit:
             init_model("distmult", 4, 0, 3, seed=0)
         with pytest.raises(ValueError):
             init_model("distmult", 0, 3, 3, seed=0)
+
+
+class TestOneTable:
+    def test_entity_rows_then_relation_rows_of_one_stream(self):
+        m = init_model("complex", 3, 5, 2, seed=4)
+        rng, bound = np.random.default_rng(4), 6.0 / np.sqrt(3)
+        entity = rng.uniform(-bound, bound, size=(5, 6))
+        relation = rng.uniform(-bound, bound, size=(2, 6))
+        assert m.table.tobytes() == np.vstack([entity, relation]).tobytes()
+        assert (m.n_entities, m.n_relations, m.width) == (5, 2, 6)
+
+    def test_writes_through_the_views_reach_the_table(self):
+        m = init_model("distmult", 2, 4, 3, seed=0)
+        m.entity_table[1] = 7.0
+        m.relation_table[2] = -3.0
+        assert (m.table[1] == 7.0).all() and (m.table[4 + 2] == -3.0).all()
+        m.table[5] = 0.5
+        assert (m.relation_table[1] == 0.5).all()
 
 
 class TestScoreValues:
@@ -134,9 +148,7 @@ class TestScoreGradients:
         rng = np.random.default_rng(11)
         k = 8
         width = k * ModelKind(kind).row_width_factor
-        m = EmbeddingModel(
-            ModelKind(kind), k, rng.normal(size=(2, width)), rng.normal(size=(1, width))
-        )
+        m = EmbeddingModel(ModelKind(kind), k, rng.normal(size=(3, width)), 2)
         if kind == "transe-l1":
             # keep clear of the |.| kink where central differences are invalid
             residual = m.entity_table[0] + m.relation_table[0] - m.entity_table[1]
@@ -159,9 +171,7 @@ class TestScoreGradients:
         for trial in range(100):
             k = int(rng.integers(2, 9))
             width = k * ModelKind(kind).row_width_factor
-            m = EmbeddingModel(
-                ModelKind(kind), k, rng.normal(size=(2, width)), rng.normal(size=(1, width))
-            )
+            m = EmbeddingModel(ModelKind(kind), k, rng.normal(size=(3, width)), 2)
             if kind == "transe-l1":
                 residual = m.entity_table[0] + m.relation_table[0] - m.entity_table[1]
                 m.entity_table[0][np.abs(residual) < 1e-3] += 0.01

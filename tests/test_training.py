@@ -273,6 +273,27 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=r"corruption pool ids must lie in \[0, 5\)"):
             run_training(g, config)
 
+    @pytest.mark.parametrize("kd_lambda", [math.nan, -1.0])
+    def test_bad_kd_lambda_rejected(self, kd_lambda):
+        g = random_graph(5, 2, 8, seed=1)
+        teacher = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
+        config = TrainConfig(kind="distmult", k=2, epochs=1)
+        with pytest.raises(ValueError, match="kd_lambda must be finite and >= 0"):
+            run_training(g, config, teacher=teacher, kd_lambda=kd_lambda)
+
+    @pytest.mark.parametrize("extra", [(-1, 0), (0, -1), (1, 0), (0, 1)])
+    def test_teacher_of_other_vocabulary_sizes_rejected(self, extra, monkeypatch):
+        g = random_graph(5, 2, 8, seed=1)
+        teacher = init_model("distmult", 2, g.n_entities + extra[0], g.n_relations + extra[1], seed=0)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("the teacher must be checked before the tables are drawn")
+
+        monkeypatch.setattr(kgex.training, "init_model", no_init)
+        config = TrainConfig(kind="distmult", k=2, epochs=1)
+        with pytest.raises(ValueError, match="teacher tables do not match the graph vocabularies"):
+            run_training(g, config, teacher=teacher, kd_lambda=1.0)
+
     def test_empty_graph_rejected(self):
         from kgex.graph import Vocabulary, graph_from_triples
 
@@ -310,14 +331,16 @@ NEG_O = np.array([[5, 1, 5], [3, 0, 3], [3, 4, 1]])
 NEGATIVES = (NEG_S, np.broadcast_to(BATCH[:, 1:2], NEG_S.shape), NEG_O)
 
 
-def assert_same_batch_gradients(got, want, rtol):
-    (loss, degenerate, updates), (ref_loss, ref_degenerate, ref_updates) = got, want
+def assert_same_batch_gradients(n_entities, got, want, rtol):
+    """The table rows split at |E| match the oracle's entity and relation updates."""
+    (loss, degenerate, rows, grad), (ref_loss, ref_degenerate, ref_updates) = got, want
     assert loss == pytest.approx(ref_loss, rel=rtol, abs=0.0)
     assert degenerate == ref_degenerate
-    for (table, rows, grad), (ref_table, ref_rows, ref_grad) in zip(updates, ref_updates, strict=True):
-        assert table is ref_table
-        assert np.array_equal(rows, ref_rows)
-        np.testing.assert_allclose(grad, ref_grad, rtol=rtol, atol=0.0)
+    split = np.searchsorted(rows, n_entities)
+    parts = [(rows[:split], grad[:split]), (rows[split:] - n_entities, grad[split:])]
+    for (part_rows, part_grad), (_, ref_rows, ref_grad) in zip(parts, ref_updates, strict=True):
+        assert np.array_equal(part_rows, ref_rows)
+        np.testing.assert_allclose(part_grad, ref_grad, rtol=rtol, atol=0.0)
 
 
 class TestBatchGradients:
@@ -336,7 +359,7 @@ class TestBatchGradients:
         angles = None if teacher is None else triple_angles(teacher, BATCH, len(BATCH))
         got = batch_gradients(model, BATCH, NEGATIVES, config, alpha, angles, 2.0)
         want = per_negative_batch_gradients(model, BATCH, NEGATIVES, config, alpha, teacher, 2.0)
-        assert_same_batch_gradients(got, want, 1e-12)
+        assert_same_batch_gradients(model.n_entities, got, want, 1e-12)
 
     @pytest.mark.parametrize("kind", ["transe-l1", "transe-l2", "distmult", "complex"])
     def test_drawn_corruptions(self, kind):
@@ -351,7 +374,7 @@ class TestBatchGradients:
         got = batch_gradients(model, g.triples, negatives, config, None, angles, 1.5)
         want = per_negative_batch_gradients(model, g.triples, negatives, config, None, teacher, 1.5)
         rtol = 1e-12 if kind in ("distmult", "complex") else 0.0
-        assert_same_batch_gradients(got, want, rtol)
+        assert_same_batch_gradients(model.n_entities, got, want, rtol)
 
 
 # ids of three terms over 4 rows; at 3 rows a chunk the first term ends on a
