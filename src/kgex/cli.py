@@ -44,7 +44,11 @@ def _resolve_seed() -> int:
 
 
 def _resolve_threads() -> int:
-    return int(os.environ.get("KGEX_THREADS") or 1)
+    raw = os.environ.get("KGEX_THREADS") or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"KGEX_THREADS must be an integer, got {raw!r}") from None
 
 
 # Every option, declared once: key -> (type, default, choices, help).  The flag
@@ -74,15 +78,6 @@ _OPTIONS = {
 
 # the TrainConfig fields, with `model` standing for `kind`
 _TRAIN_FIELDS = ("model", "k", "eta", "lr", "epochs", "batch_size", "gamma", "loss")
-
-_COMMAND_OPTIONS = {
-    "train": (*_TRAIN_FIELDS, "weights", "weight_policy", "focuse", "focuse_decay", "seed"),
-    "distill-train": ("kd_lambda", *_TRAIN_FIELDS, "seed"),
-    "sample-subgraph": ("method", "n", "seed"),
-    "explain": (
-        "method", "n", "mc_runs", "partitions", "kd_lambda", "threads", *_TRAIN_FIELDS, "seed",
-    ),
-}
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -116,7 +111,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     """The command's options: CLI flag > config file > default."""
     file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
-    for key in _COMMAND_OPTIONS.get(args.command, ()):
+    for key in _COMMANDS[args.command][2] if args.command in _COMMANDS else ():
         default = _OPTIONS[key][1]
         value = getattr(args, key)
         if value is None and key in file_cfg:
@@ -127,8 +122,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _add_options(p: argparse.ArgumentParser, command: str) -> None:
-    for key in _COMMAND_OPTIONS[command]:
+def _add_options(p: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
         caster, _, choices, help_text = _OPTIONS[key]
         flag = "--" + key.replace("_", "-")
         if caster is bool:
@@ -164,34 +159,12 @@ def _load_with_vocabularies(path):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgex", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("train", help="train an embedding model on a triple TSV")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", required=True)
-    _add_options(p, "train")
-    p.set_defaults(handler=_cmd_train)
-
-    p = commands.add_parser("distill-train", help="train a student on a subgraph with a frozen teacher")
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--subgraph", required=True)
-    p.add_argument("--out", required=True)
-    _add_options(p, "distill-train")
-    p.set_defaults(handler=_cmd_distill_train)
-
-    p = commands.add_parser("sample-subgraph", help="sample an explanation subgraph around a target")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", required=True, help='"s p o" labels')
-    p.add_argument("--out", required=True)
-    _add_options(p, "sample-subgraph")
-    p.set_defaults(handler=_cmd_sample_subgraph)
-
-    p = commands.add_parser("explain", help="rank training triples by contribution to a prediction")
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", required=True, help='"s p o" labels')
-    p.add_argument("--out", required=True)
-    _add_options(p, "explain")
-    p.set_defaults(handler=_cmd_explain)
+    for command, (help_text, paths, keys, handler) in _COMMANDS.items():
+        p = commands.add_parser(command, help=help_text)
+        for path in paths.split():
+            p.add_argument("--" + path, required=True, help='"s p o" labels' if path == "target" else None)
+        _add_options(p, keys)
+        p.set_defaults(handler=handler)
 
     p = commands.add_parser("evaluate", help="filtered MR/MRR/Hits@N of a model on a test TSV")
     p.add_argument("--model", required=True, help="model file (vocabulary sidecars required)")
@@ -351,6 +324,28 @@ def _cmd_evaluate(args, opts, manifest) -> list:
         return []
     Path(args.out).write_text(text + "\n", encoding="utf-8")
     return [args.out]
+
+
+# Each command with options, declared once: name -> (help, required path flags, `_OPTIONS` keys, handler).
+_COMMANDS = {
+    "train": (
+        "train an embedding model on a triple TSV", "graph out",
+        (*_TRAIN_FIELDS, "weights", "weight_policy", "focuse", "focuse_decay", "seed"), _cmd_train,
+    ),
+    "distill-train": (
+        "train a student on a subgraph with a frozen teacher", "teacher subgraph out",
+        ("kd_lambda", *_TRAIN_FIELDS, "seed"), _cmd_distill_train,
+    ),
+    "sample-subgraph": (
+        "sample an explanation subgraph around a target", "graph target out",
+        ("method", "n", "seed"), _cmd_sample_subgraph,
+    ),
+    "explain": (
+        "rank training triples by contribution to a prediction", "teacher graph target out",
+        ("method", "n", "mc_runs", "partitions", "kd_lambda", "threads", *_TRAIN_FIELDS, "seed"),
+        _cmd_explain,
+    ),
+}
 
 
 def run_cli(argv: list[str] | None = None) -> int:

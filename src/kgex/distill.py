@@ -79,8 +79,6 @@ def rkd_loss_batch(
     # gradients of unit[i] . unit[i + 1] w.r.t. differences i and i + 1
     d_u = (unit[_NEXT] - phi_s[..., None] * unit) / norm[..., None]
     d_v = (unit - phi_s[..., None] * unit[_NEXT]) / norm[_NEXT][..., None]
-    d_u[~valid_s] = 0.0
-    d_v[~valid_s] = 0.0
     g1, g2, g3 = d_u, -d_u + d_v, -d_v
     n, d = student_rows[0].shape
     loss = np.zeros(n)

@@ -54,7 +54,7 @@ def beta_schedule(epoch: int, decay: float) -> float:
     """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    if decay < 0:
+    if not decay >= 0:
         raise ValueError("decay must be >= 0")
     if decay == 0:
         return 0.0

@@ -183,8 +183,10 @@ def _raise_first_bad_line(path, lines, lineno: int, n_cols: int, weight_policy: 
             raise GraphFormatError(f"{where} expected {n_cols} tab-separated columns, got {len(parts)}")
         try:
             w = float(parts[3]) if n_cols == 4 else 0.0
-        except ValueError as exc:
-            raise GraphFormatError(f"{where} bad weight {parts[3]!r}") from exc
+        except ValueError:
+            w = np.nan
+        if _unusable(w, weight_policy):
+            raise GraphFormatError(f"{where} bad weight {parts[3]!r}")
         if (w < 0.0 or w > 1.0) and weight_policy == "strict":
             raise WeightRangeError(f"{where} weight {w} outside [0, 1] (strict policy)")
 
@@ -198,11 +200,18 @@ def _block_columns(lines, n_cols: int, weight_policy: str) -> tuple[list, list, 
         raise ValueError("column count")
     fields = "".join(lines).replace("\n", "\t").split("\t")[: len(lines) * n_cols]  # no final ""
     weights = np.fromiter(map(float, fields[3::4] if n_cols == 4 else ()), np.float64)
+    if _unusable(weights, weight_policy).any():
+        raise ValueError("bad weight")
     if weight_policy == "strict" and ((weights < 0.0) | (weights > 1.0)).any():
         raise ValueError("weight range")
     ends = [""] * (2 * len(lines))
     ends[0::2], ends[1::2] = fields[0::n_cols], fields[2::n_cols]
     return ends, fields[1::n_cols], weights
+
+
+def _unusable(weights, policy: str):
+    """Where a weight is NaN, or infinite under `minmax`: no policy maps it into [0, 1]."""
+    return np.isnan(weights) | ((policy == "minmax") & np.isinf(weights))
 
 
 def _normalize_weights(weights: np.ndarray, policy: str) -> np.ndarray:
@@ -290,7 +299,8 @@ def load_graph(
 
     Vocabulary ids are assigned in first-appearance order; duplicate triples
     are dropped (count kept in `duplicates_dropped`).  `weight_policy` is one
-    of `strict` (out-of-range weight is an error), `clamp`, or `minmax`.
+    of `strict` (out-of-range weight is an error), `clamp`, or `minmax`
+    (an infinite weight is an error); a NaN weight is an error under each.
     """
     return _ingest(path, Vocabulary(), Vocabulary(), True, has_weights, weight_policy)
 
@@ -314,15 +324,13 @@ def graph_from_triples(
     triples: np.ndarray | list[Triple],
     entity_vocab: Vocabulary,
     relation_vocab: Vocabulary,
-    weights: np.ndarray | None = None,
 ) -> KnowledgeGraph:
-    """Wrap an id-triple array (sharing existing vocabularies) as a graph."""
+    """Wrap an id-triple array (sharing existing vocabularies) as an unweighted graph."""
     arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     sizes = (len(entity_vocab), len(relation_vocab), len(entity_vocab))
     if not ((arr >= 0) & (arr < sizes)).all():
         raise IndexError("triple ids outside the vocabularies")
-    weights = None if weights is None else np.asarray(weights, dtype=np.float64)
-    return KnowledgeGraph(arr, entity_vocab, relation_vocab, weights=weights)
+    return KnowledgeGraph(arr, entity_vocab, relation_vocab)
 
 
 def triple_of_labels(

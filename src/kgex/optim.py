@@ -20,8 +20,8 @@ class SparseAdam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m, self.v, self.t = np.zeros(shape), np.zeros(shape), 0
 
-    def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-        """Take one step: update `params[rows]` in place from per-row gradients."""
+    def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Take one step: update `params[rows]` in place from per-row gradients; return them."""
         self.t += 1
         m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * grads
         v = self.beta2 * self.v[rows] + (1.0 - self.beta2) * (grads * grads)
@@ -29,4 +29,5 @@ class SparseAdam:
         self.v[rows] = v
         m_hat = m / (1.0 - self.beta1**self.t)
         v_hat = v / (1.0 - self.beta2**self.t)
-        params[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params[rows] = updated = params[rows] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return updated

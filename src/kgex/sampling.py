@@ -63,7 +63,7 @@ def sample_pn(
     returned with a warning.
     """
     s, p, o = target
-    positions = one_hop_positions(g, s, o)
+    endpoints = {s, o}
     predicate_pool = g.predicate_positions(p)
     if n > 0 and len(predicate_pool) == 0:
         logger.warning(
@@ -73,7 +73,8 @@ def sample_pn(
         for _ in range(n):
             pos = int(predicate_pool[rng.integers(len(predicate_pool))])
             s_hat, _, o_hat = g.triple_at(pos)
-            positions = np.union1d(positions, one_hop_positions(g, s_hat, o_hat))
+            endpoints.update((s_hat, o_hat))
+    positions = np.unique(np.concatenate([g.entity_positions(e) for e in endpoints]))
     return Subgraph(positions, g, target, SubgraphSpec("pn", n))
 
 
@@ -86,19 +87,15 @@ def sample_rw(
     1-hop neighborhood of the current triple's endpoints, adds the draw, and
     makes it the new origin.  An isolated origin terminates the walk early.
     """
-    s, p, o = target
-    positions = one_hop_positions(g, s, o)
-    origin = target
-    steps = 0
+    origin, walked = target, []
     for _ in range(n):
         neighborhood = one_hop_positions(g, origin[0], origin[2])
         if len(neighborhood) == 0:
             break
-        pos = int(neighborhood[rng.integers(len(neighborhood))])
-        positions = np.union1d(positions, [pos])
-        origin = g.triple_at(pos)
-        steps += 1
-    return Subgraph(positions, g, target, SubgraphSpec("rw", n), steps_taken=steps)
+        walked.append(int(neighborhood[rng.integers(len(neighborhood))]))
+        origin = g.triple_at(walked[-1])
+    positions = np.union1d(one_hop_positions(g, target[0], target[2]), np.array(walked, dtype=np.int64))
+    return Subgraph(positions, g, target, SubgraphSpec("rw", n), steps_taken=len(walked))
 
 
 def sample_subgraph(g: KnowledgeGraph, target: Triple, spec: SubgraphSpec) -> Subgraph:

@@ -53,17 +53,17 @@ class TrainConfig:
             raise ValueError("embedding dimensionality must be >= 1")
         if self.eta < 1:
             raise ValueError("eta must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:  # inf is legal: the first step's rows fail the finiteness check
             raise ValueError("learning rate must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and >= 0")
         if self.loss not in ("multiclass_nll", "softplus_nll"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.focuse is not None and self.focuse.decay < 0:
+        if self.focuse is not None and not self.focuse.decay >= 0:  # inf is beta = 1
             raise ValueError("decay must be >= 0")
 
 
@@ -129,9 +129,10 @@ def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, summed
 
 
-def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
+def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_rows):
     """Scores of a batch and its negatives, and the map back to row gradients.
 
+    `positive_rows` holds the batch's subject, predicate and object rows.
     Returns the (n, 1 + eta) scores, positive in column 0, and `backward`,
     which takes the loss gradient w.r.t. those scores and returns the
     `(ids, grads)` terms of `_summed_gradients`, relation ids offset by |E|.
@@ -140,7 +141,7 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives):
     ent, rel = model.entity_table, model.relation_table
     s_ids, p_ids, o_ids = batch.T
     neg_s, neg_p, neg_o = negatives
-    es, rp, eo = ent[s_ids], rel[p_ids], ent[o_ids]
+    es, rp, eo = positive_rows
 
     if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
         # a distance is not linear in the replaced row: one gradient row per negative
@@ -201,19 +202,19 @@ def batch_gradients(
     """
     s_ids, p_ids, o_ids = batch.T
     scale = 1.0 / len(batch)
+    positive_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
     # The angle term runs before the candidate arrays exist.  Run after them,
     # its many small temporaries land in heap pages that freeing those arrays
     # has just returned to the system, and fault them back in on every batch.
     kd_terms, kd_loss, degenerate = [], 0.0, 0
     if teacher_angles is not None and kd_lambda > 0.0:
-        student_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
-        kd_rows, kd_gs, kd_gp, kd_go, degenerate = distill.rkd_loss_batch(teacher_angles, student_rows)
+        kd_rows, kd_gs, kd_gp, kd_go, degenerate = distill.rkd_loss_batch(teacher_angles, positive_rows)
         kd_scale = kd_lambda * scale
         kd_terms = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go),
                     (p_ids + model.n_entities, kd_scale * kd_gp)]
         kd_loss = kd_scale * float(kd_rows.sum())
 
-    scores, backward = _score_batch(model, batch, negatives)
+    scores, backward = _score_batch(model, batch, negatives, positive_rows)
     if alpha is None and config.loss == "softplus_nll":
         alpha = np.ones_like(scores)
     loss_rows, dscores = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha)
@@ -292,9 +293,8 @@ def run_training(
             where = f"epoch {epoch}, batch {start // config.batch_size}"
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(f"non-finite loss at {where}")
-            optimizer.apply(model.table, rows, grad)
             # only the updated rows can change, and the initial table is finite
-            if not np.isfinite(model.table[rows]).all():
+            if not np.isfinite(optimizer.apply(model.table, rows, grad)).all():
                 raise TrainingDivergedError(f"non-finite embeddings at {where}")
             loss_sum += batch_loss * len(batch)
 

@@ -536,6 +536,17 @@ class TestCliBehavior:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "report.tsv").exists()
 
+    def test_threads_variable_not_an_integer_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("KGEX_THREADS", "abc")
+        status = run_cli([
+            "explain", "--teacher", "missing.kgex", "--graph", "missing.tsv", "--target", "a r b",
+            "--seed", "1", "--out", "out",
+        ])
+        assert status == 1
+        assert "kgex explain: error: KGEX_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_seed_is_drawn_and_recorded(self, workspace, tmp_path, capsys):
         root, _, _ = workspace
         out = tmp_path / "m.kgex"
@@ -611,6 +622,10 @@ class TestCliBehavior:
         ("train", ["--epochs", "0"], "epochs must be >= 1"),
         ("train", ["--k", "0"], "embedding dimensionality must be >= 1"),
         ("train", ["--focuse", "--focuse-decay", "-1"], "decay must be >= 0"),
+        ("train", ["--focuse", "--focuse-decay", "nan"], "decay must be >= 0"),
+        ("train", ["--lr", "nan"], "learning rate must be > 0"),
+        ("explain", ["--lr", "nan"], "learning rate must be > 0"),
+        ("train", ["--gamma", "nan"], "gamma must be finite and >= 0"),
         ("distill-train", ["--kd-lambda", "nan"], "kd_lambda must be finite and >= 0"),
         ("sample-subgraph", ["--n", "-1"], "neighbor/step count must be >= 0"),
     ])

@@ -1,5 +1,7 @@
 """Triple store: loading, indices, neighborhood/predicate queries, filters."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,21 @@ class TestLoadGraph:
         assert clamped.weights.tolist() == [1.0, 0.0, 1.0]
         scaled = load_graph(path, has_weights=True, weight_policy="minmax")
         assert scaled.weights.tolist() == [1.0, 0.0, 0.5]
+
+    @pytest.mark.parametrize("policy, weight, loaded", [
+        ("strict", "nan", None), ("clamp", "nan", None), ("minmax", "nan", None),
+        ("minmax", "inf", None), ("minmax", "-inf", None), ("clamp", "inf", 1.0), ("clamp", "-inf", 0.0),
+    ])
+    def test_nan_and_infinite_weights(self, tmp_path, policy, weight, loaded):
+        """NaN is a bad weight under every policy and ±inf under minmax, which would turn them into NaN."""
+        path = tmp_path / "g.tsv"
+        path.write_text(f"A\tr\tB\t0.5\nB\tr\tC\t{weight}\nC\tr\tA\t0\n", encoding="utf-8")
+        if loaded is None:
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}:2: bad weight '{weight}'$"):
+                load_graph(path, has_weights=True, weight_policy=policy)
+        else:
+            g = load_graph(path, has_weights=True, weight_policy=policy)
+            assert g.weights.tolist() == [0.5, loaded, 0.0]
 
     def test_deterministic_reload(self, tmp_path):
         rows = [(f"e{i % 7}", f"r{i % 3}", f"e{(i * 5) % 7}") for i in range(30)]

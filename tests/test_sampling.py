@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgex.graph import graph_from_triples, one_hop_positions
 from kgex.sampling import (
@@ -152,3 +154,57 @@ class TestSubgraphTsv:
         assert text.startswith("# subgraph method=pn")
         loaded = read_subgraph_tsv(path, g.entity_vocab, g.relation_vocab)
         assert set(loaded) == subgraph_triples(sub)
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sampling_cases(draw):
+    """(graph, target, n, seed): a `random_graph` and a triple of it, or any triple of
+    its vocabulary ids, which may be unseen or have isolated endpoints."""
+    n_e, n_r = draw(st.integers(2, 20)), draw(st.integers(1, 4))
+    g = random_graph(n_e, n_r, draw(st.integers(1, min(60, n_e * n_e * n_r))), seed=draw(st.integers(0, 999)))
+    in_graph = st.integers(0, g.n_triples - 1).map(g.triple_at)
+    any_ids = st.tuples(st.integers(0, n_e - 1), st.integers(0, n_r - 1), st.integers(0, n_e - 1))
+    return g, draw(st.one_of(in_graph, any_ids)), draw(st.integers(0, 30)), draw(st.integers(0, 2**31))
+
+
+def replay_pn(g, target, n, seed):
+    """The endpoints of the target and of each same-predicate draw, replayed one at a time."""
+    rng, pool, ends = rng_for(seed), g.predicate_positions(target[1]), [target[0], target[2]]
+    for _ in range(n if len(pool) else 0):
+        s, _, o = g.triple_at(int(pool[rng.integers(len(pool))]))
+        ends += [s, o]
+    return ends
+
+
+def replay_rw(g, target, n, seed):
+    """The position of each walk step, replayed one at a time."""
+    rng, origin, walked = rng_for(seed), target, []
+    for _ in range(n):
+        hood = one_hop_positions(g, origin[0], origin[2])
+        if len(hood) == 0:
+            break
+        walked.append(int(hood[rng.integers(len(hood))]))
+        origin = g.triple_at(walked[-1])
+    return walked
+
+
+@PROPERTY
+@given(sampling_cases())
+def test_samples_are_the_one_hop_neighborhood_united_with_the_replayed_draws(case):
+    g, target, n, seed = case
+    hood = set(one_hop_positions(g, target[0], target[2]).tolist())
+    subs = {method: sample_subgraph(g, target, SubgraphSpec(method, n, seed)) for method in ("pn", "rw")}
+    for method, sub in subs.items():
+        assert sub.positions.dtype == np.int64
+        assert (np.diff(sub.positions) > 0).all()  # sorted and unique
+        assert hood <= set(sub.positions.tolist())
+        again = sample_subgraph(g, target, SubgraphSpec(method, n, seed))
+        assert np.array_equal(sub.positions, again.positions) and sub.steps_taken == again.steps_taken
+    pn_hoods = (g.entity_positions(e).tolist() for e in replay_pn(g, target, n, seed))
+    assert subs["pn"].positions.tolist() == sorted(set().union(*pn_hoods))
+    walked = replay_rw(g, target, n, seed)
+    assert subs["rw"].steps_taken == len(walked) <= n
+    assert subs["rw"].positions.tolist() == sorted(hood | set(walked))

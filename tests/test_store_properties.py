@@ -131,6 +131,9 @@ BAD_FILES = {
     "weight out of range before a bad weight": (
         "a\tr\tb\t0.5\nb\tr\tc\t0\nc\tr\ta\t1.5\na\tq\tc\t1\nb\tq\tc\t?\n",
         WeightRangeError, ":3: weight 1.5 outside [0, 1] (strict policy)"),
+    "NaN weight before a short line": (
+        "a\tr\tb\t0.5\nb\tr\tc\t1\nc\tr\ta\tnan\na\tq\tc\t0\nb\tq\n",
+        GraphFormatError, ":3: bad weight 'nan'"),
     "long line before an out-of-range weight": (
         "a\tr\tb\t0.5\tz\nb\tr\tc\t0\nc\tr\ta\t1\na\tq\tc\t-0.5\n",
         GraphFormatError, ":1: expected 4 tab-separated columns, got 5"),

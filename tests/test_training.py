@@ -193,6 +193,14 @@ class TestAdam:
         opt.apply(params, np.array([0]), np.array([[9.0, -9.0]]))
         assert np.array_equal(params, [[1.0, 2.0]])
 
+    def test_returns_the_rows_it_wrote(self):
+        params = np.arange(12.0).reshape(6, 2)
+        opt = SparseAdam(params.shape, lr=0.3)
+        rows = np.array([0, 2, 5])
+        for grads in (np.ones((3, 2)), np.array([[0.5, -2.0], [0.0, 3.0], [-1.0, 1e-9]])):
+            updated = opt.apply(params, rows, grads)
+            assert updated.tobytes() == params[rows].tobytes()
+
     def test_untouched_rows_never_move(self):
         params = np.arange(8.0).reshape(4, 2)
         before = params.copy()
@@ -320,6 +328,14 @@ class TestTrainLoop:
             with np.errstate(all="ignore"):
                 run_training(g, cfg, progress=lambda epoch, loss: epochs_reported.append(epoch))
         assert epochs_reported == []
+
+    def test_finiteness_check_reads_the_rows_adam_returns(self, monkeypatch):
+        g = random_graph(10, 2, 30, seed=6)
+        apply = SparseAdam.apply
+        monkeypatch.setattr(SparseAdam, "apply", lambda *args: apply(*args) * np.nan)
+        cfg = TrainConfig(kind="distmult", k=4, eta=2, lr=0.1, epochs=1, batch_size=30, seed=0)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite embeddings at epoch 0, batch 0$"):
+            run_training(g, cfg)
 
 
 # Entity 1 is the object of positive 0, the subject of positive 2 and a
