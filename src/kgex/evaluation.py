@@ -66,7 +66,8 @@ def _scores(model: EmbeddingModel, s, p, o, columns) -> np.ndarray:
 
 
 def _rank_block(
-    model: EmbeddingModel, triples: np.ndarray, pool: np.ndarray | None, flt: TrueTripleSet | None
+    model: EmbeddingModel, triples: np.ndarray, pool: np.ndarray | None, flt: TrueTripleSet | None,
+    local: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """(B, 2) filtered (subject, object) ranks of a block of triples against a
     pool (None: the whole table, in id order).
@@ -75,25 +76,29 @@ def _rank_block(
     one product, so a candidate whose score ties the positive's exactly counts
     against it (the pessimistic rule).  The rows of a small pool are gathered,
     with the positives appended as extra columns; otherwise the whole table is
-    scored in place and the pool's columns are read from the result.
+    scored in place and the pool's columns are read from the result.  On a
+    compact table, which holds only some rows, `local` gives the block and the
+    pool in table ids: the filter reads their ids in `triples` and `pool`, and
+    the pool is always gathered.
     """
-    s, p, o = triples.T
-    replaced = np.concatenate([o, s])  # the entity each query row replaces
-    rows = np.arange(len(replaced))
     ids = triples.tolist()
     known = [] if flt is None else (
         [flt.objects_for(a, b) for a, b, _ in ids] + [flt.subjects_for(b, c) for _, b, c in ids]
     )
+    s, p, o = (triples if local is None else local[0]).T
+    replaced = np.concatenate([o, s])  # the entity each query row replaces
+    rows = np.arange(len(replaced))
     n = model.n_entities
     # gather when the gathered columns are under half the table: with random
     # pools at FB15K-237 shape (ComplEx k=100), gathering was faster at a
     # quarter of the table (1.75 against 2.05 ms for one triple, 4.9 against
     # 7.0 ms for 18) and slower at half (3.4 against 2.2 ms, 8.8 against 7.5)
-    gathered = pool is not None and 2 * (len(pool) + len(rows)) < n
+    gathered = local is not None or (pool is not None and 2 * (len(pool) + len(rows)) < n)
     if gathered:
-        scores = _scores(model, s, p, o, np.concatenate([pool, replaced]))
+        columns = pool if local is None else local[1]
+        scores = _scores(model, s, p, o, np.concatenate([columns, replaced]))
         hits = scores[:, : len(pool)] >= scores[rows, len(pool) + rows][:, None]
-        hits &= pool != replaced[:, None]
+        hits &= columns != replaced[:, None]
     else:
         scores = _scores(model, s, p, o, None)
         hits = scores >= scores[rows, replaced][:, None]
@@ -136,20 +141,20 @@ def rank_blocks(
 
 
 def rank_triple(
-    model: EmbeddingModel,
-    t: Triple,
-    pool: np.ndarray,
-    flt: TrueTripleSet | None = None,
+    model: EmbeddingModel, t: Triple, pool: np.ndarray, flt: TrueTripleSet | None = None,
+    local: tuple[Triple, np.ndarray] | None = None,
 ) -> RankResult:
     """Both-side filtered ranks of a triple against a candidate entity pool.
 
     Candidates replace one side at a time, never equal the original entity,
     and are dropped when the filter knows the resulting triple to be true.
     The positive itself is always scored even if its entities are outside
-    the pool.
+    the pool.  `local` ranks on a compact table: it gives the triple and the
+    pool in table ids, whose rows are gathered as a full table's are.
     """
-    block = np.array([t], dtype=np.int64)
-    subject_rank, object_rank = _rank_block(model, block, _as_pool(pool, model.n_entities), flt)[0].tolist()
+    block, pool = np.array([t], dtype=np.int64), _as_pool(pool, model.n_entities) if local is None else pool
+    local = local and (np.array([local[0]], dtype=np.int64), local[1])
+    subject_rank, object_rank = _rank_block(model, block, pool, flt, local)[0].tolist()
     return RankResult(triple=t, subject_rank=subject_rank, object_rank=object_rank)
 
 

@@ -17,12 +17,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .distill import check_kd_lambda, check_teacher, train_student
+from .distill import check_kd_lambda, check_teacher, train_student, triple_angles
 from .evaluation import rank_triple
 from .graph import KnowledgeGraph, Triple, TrueTripleSet, build_filter, graph_from_triples, label_rows
-from .models import EmbeddingModel
+from .models import EmbeddingModel, ModelKind, init_model
 from .sampling import Subgraph, SubgraphSpec, sample_subgraph
-from .training import TrainConfig
+from .training import LockstepRun, TrainConfig, corruption_pool, train_lockstep
+
+# `train_student` and `graph_from_triples` stay importable here for tools that wrap them.
+
+# bound on a lockstep step's stacked (rows, 1 + eta, width) float64 candidate array: a run joins
+# a group while the group's sum stays within it.  One explain-fb237 call (20 ComplEx k=50 runs of
+# 47-row batches, eta 2; 2-vCPU x86 VM, L2 2 MiB a core) took a median 6.2 s one run at a time,
+# 4.6 s at 256 KiB (2 runs a group), 4.2 s at 512 KiB (4) to 1 MiB (9), 4.5 s at 2 MiB (18) and
+# 4.3 s with all 20 runs in one group, over 4 calls each; across three such sweeps 512 KiB was
+# fastest or within noise of it, and it keeps a step's arrays within L2
+_STEP_BYTES = 1 << 19
 
 
 @dataclass
@@ -56,6 +66,7 @@ class RunRecord:
     rank: float  # mean of the two side ranks, >= 1
     subject_rank: int
     object_rank: int
+    degenerate_kd_terms: int = 0  # the student's angle terms skipped for coincident points
 
 
 @dataclass
@@ -79,6 +90,7 @@ class ExplanationReport:
     tail: list[tuple[Triple, int]]  # (triple, graph position), never sampled
     records: list[RunRecord]
     provenance: dict
+    workers: int = 1  # processes the runs were spread over
 
 
 def partition_positions(
@@ -97,12 +109,51 @@ def _derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
-def _run_once(teacher, triples, vocabs, target, student_cfg, kd_lambda, flt, plan) -> RunRecord:
-    run, subset, seed = plan
-    sub_graph = graph_from_triples(triples[subset], *vocabs)
-    student = train_student(teacher, sub_graph, replace(student_cfg, seed=seed), kd_lambda)
-    result = rank_triple(student, target, sub_graph.entities_in_triples(), flt)
-    return RunRecord(run, subset, result.mean_rank, result.subject_rank, result.object_rank)
+def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[RunRecord]:
+    """Train and rank consecutive runs in lockstep groups: a run joins a group
+    while the group's stacked step stays within `_STEP_BYTES`."""
+    row_bytes = 8 * (1 + config.eta) * config.k * ModelKind(config.kind).row_width_factor
+    groups, used = [], _STEP_BYTES  # full: the first run opens a group
+    for plan in plans:
+        step = row_bytes * min(len(plan[1]), config.batch_size)
+        if used + step > _STEP_BYTES:
+            groups, used = groups + [[]], 0
+        groups[-1].append(plan)
+        used += step
+    run_group = partial(_run_group, teacher, triples, target, config, kd_lambda, flt)
+    return [record for group in groups for record in run_group(group)]
+
+
+def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[RunRecord]:
+    """Train a group of runs in lockstep on the stack of their compact tables; rank the target.
+
+    A compact table holds the rows a run reads: those of its subset's entities
+    and predicates, the target's and the corruption pool's, each drawn as the
+    full table draws it.  The stack holds every run's entity rows, then every
+    run's relation rows.
+    """
+    kind, n_ent, (s, p, o) = ModelKind(config.kind), teacher.n_entities, target
+    tables, runs, ranking, e0, r0 = [], [], [], 0, 0
+    for run, subset, seed in group:
+        sub = triples[subset]
+        ranked, pool = np.unique(sub[:, [0, 2]]), corruption_pool(config, sub, n_ent)
+        ents, rels = np.unique(np.r_[ranked, pool, s, o]), np.union1d(sub[:, 1], p)
+        ent, rel = lambda ids: e0 + np.searchsorted(ents, ids), lambda ids: r0 + np.searchsorted(rels, ids)
+        init_seq, loop_seq = np.random.SeedSequence(seed).spawn(2)
+        rows = np.r_[ents, n_ent + rels]
+        tables.append(init_model(kind, config.k, n_ent, teacher.n_relations, init_seq, rows))
+        local = np.stack([ent(sub[:, 0]), rel(sub[:, 1]), ent(sub[:, 2])], axis=1)
+        angles = triple_angles(teacher, sub, config.batch_size) if kd_lambda > 0.0 else None
+        runs.append(LockstepRun(local, ent(pool), np.random.default_rng(loop_seq), (e0, r0), angles=angles))
+        ranking.append((ranked, ((int(ent(s)), int(rel(p)), int(ent(o))), ent(ranked))))
+        e0, r0 = e0 + len(ents), r0 + len(rels)
+    stack = np.concatenate([t.entity_table for t in tables] + [t.relation_table for t in tables])
+    model, records = EmbeddingModel(kind, config.k, stack, e0), []
+    degenerate = [stats.degenerate_kd_terms for stats in train_lockstep(model, runs, config, kd_lambda)]
+    for (run, subset, _), (ranked, local), count in zip(group, ranking, degenerate):
+        r = rank_triple(model, target, ranked, flt, local)
+        records.append(RunRecord(run, subset, r.mean_rank, r.subject_rank, r.object_rank, count))
+    return records
 
 
 def mc_explain(
@@ -119,8 +170,9 @@ def mc_explain(
     cycle covers the subgraph.  Students corrupt and rank only over the entities
     of their own subset, so a subset with one entity is rejected before any
     run.  A run's plan is (run, subset, seed); the inputs all runs share (of
-    the graph, its triples and vocabularies) are bound once and sent once to
-    each of min(threads, runs, CPUs) processes, one chunk of plans each.
+    the graph, its triples only) are bound once and sent once to each of
+    min(threads, runs, CPUs) processes, one chunk of consecutive plans each,
+    which it trains in lockstep groups (`_run_chunk`).
     """
     config.validate()
     check_teacher(teacher, g)
@@ -141,19 +193,21 @@ def mc_explain(
             raise ValueError(f"run {run} would train on a subset with one entity, too few to corrupt; "
                              f"try fewer --partitions than {config.partitions} or a larger --n")
         plans.append((run, subset, _derive_seed(config.seed, 2, run)))
-    run_plan = partial(
-        _run_once, teacher, g.triples, (g.entity_vocab, g.relation_vocab), target,
-        replace(config.student, focuse=None), config.kd_lambda, flt,
+    run_chunk = partial(
+        _run_chunk, teacher, g.triples, target, replace(config.student, focuse=None), config.kd_lambda, flt
     )
 
     workers = min(config.threads, config.mc_runs, os.cpu_count() or 1)
     if workers > 1:
+        size = -(-len(plans) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            records = list(pool_exec.map(run_plan, plans, chunksize=-(-len(plans) // workers)))
+            chunks = pool_exec.map(run_chunk, [plans[i : i + size] for i in range(0, len(plans), size)])
+            records = [record for chunk in chunks for record in chunk]
     else:
-        records = [run_plan(plan) for plan in plans]
+        records = run_chunk(plans)
 
     report = aggregate_contributions(records, sub)
+    report.workers = workers
     report.provenance.update(
         target=target, method=sampler.method, n=sampler.n, sampler_seed=sampler.seed,
         mc_runs=config.mc_runs, partitions=config.partitions, kd_lambda=config.kd_lambda,

@@ -220,7 +220,8 @@ def _normalize_weights(weights: np.ndarray, policy: str) -> np.ndarray:
         arr = np.clip(arr, 0.0, 1.0)
     elif policy == "minmax" and len(arr):
         lo, hi = arr.min(), arr.max()
-        arr = np.zeros_like(arr) if hi == lo else (arr - lo) / (hi - lo)
+        # in halves, exact outside the subnormals: hi - lo itself may overflow
+        arr = np.zeros_like(arr) if hi == lo else (arr / 2 - lo / 2) / (hi / 2 - lo / 2)
     return arr
 
 

@@ -50,22 +50,33 @@ class EmbeddingModel:
 
 
 def init_model(
-    kind: ModelKind | str,
-    k: int,
-    n_entities: int,
-    n_relations: int,
-    seed: int | np.random.SeedSequence,
+    kind: ModelKind | str, k: int, n_entities: int, n_relations: int, seed: int | np.random.SeedSequence,
+    rows: np.ndarray | None = None,
 ) -> EmbeddingModel:
-    """Initialize the table i.i.d. uniform in [-6/sqrt(k), +6/sqrt(k)], seeded."""
+    """Initialize the table i.i.d. uniform in [-6/sqrt(k), +6/sqrt(k)], seeded.
+
+    `rows` (sorted entity ids, then |E| + relation ids) keeps only those rows
+    of the full table, a compact table: each is drawn as the full draw draws
+    it, by skipping the generator past the others (one 64-bit step a value).
+    """
     kind = ModelKind(kind)
     if k < 1:
         raise ValueError("embedding dimensionality must be >= 1")
     if n_entities < 1 or n_relations < 1:
         raise ValueError("vocabularies must be nonempty")
+    outside = rows is not None and np.any((rows < 0) | (rows >= n_entities + n_relations))
+    if rows is not None and (outside or np.any(np.diff(rows) <= 0)):
+        raise ValueError("rows must be sorted, distinct rows of the full table")
     rng = np.random.default_rng(seed)
-    bound = 6.0 / np.sqrt(k)
-    table = rng.uniform(-bound, bound, size=(n_entities + n_relations, k * kind.row_width_factor))
-    return EmbeddingModel(kind, k, table, n_entities)
+    bound, width = 6.0 / np.sqrt(k), k * kind.row_width_factor
+    if rows is None:
+        table = rng.uniform(-bound, bound, size=(n_entities + n_relations, width))
+        return EmbeddingModel(kind, k, table, n_entities)
+    table, end = np.empty((len(rows), width)), 0
+    for i, row in enumerate(rows.tolist()):
+        rng.bit_generator.advance((row - end) * width)
+        table[i], end = rng.uniform(-bound, bound, width), row + 1
+    return EmbeddingModel(kind, k, table, int(np.searchsorted(rows, n_entities)))
 
 
 def score_rows(kind: ModelKind, k: int, es: np.ndarray, rp: np.ndarray, eo: np.ndarray) -> np.ndarray:

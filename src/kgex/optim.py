@@ -15,7 +15,7 @@ class SparseAdam:
     def __init__(
         self, shape: tuple[int, int], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
     ) -> None:
-        if lr < 0:
+        if not lr >= 0:  # NaN too; inf stays legal, as in TrainConfig
             raise ValueError("learning rate must be >= 0")
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m, self.v, self.t = np.zeros(shape), np.zeros(shape), 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +28,15 @@ class TrainConfig:
     uniform coin each).  `pool` optionally restricts corruption entities; by
     default corruptions are drawn from the entities occurring in the training
     triples.  `loss` is `multiclass_nll` (raw scores) or `softplus_nll`
-    (scores passed through softplus first).  One batch's heap peaks at about
-    three float64 arrays of `batch_size * (1 + eta)` rows for DistMult and
-    ComplEx, which score candidates against query rows, and at about eight
-    for TransE, which gathers and differentiates every negative row by row;
-    the scatter adds `_SCATTER_ELEMS` elements at a time, through an int64
-    index of at most 512 KiB (one row, if wider).  With a teacher, the run
+    (scores passed through softplus first).  One step's heap peaks at about
+    three float64 arrays of `rows * (1 + eta)` rows for DistMult and ComplEx,
+    which score candidates against query rows, and at about eight for TransE,
+    which gathers and differentiates every negative row by row.  `rows` is
+    `batch_size`, or, for the lockstep students of `mc_explain`, the batch
+    rows of a group, whose `(rows, 1 + eta, width)` candidate array stays
+    within `explain._STEP_BYTES` (512 KiB) unless one run alone exceeds it.
+    The scatter adds `_SCATTER_ELEMS` elements at a time, through an int64
+    index of at most 512 KiB (one row, if wider).  With a teacher, a run
     also keeps the teacher's angles, a float64 and a bool (3, n_triples)
     array, computed `batch_size` triples at a time.
     """
@@ -71,6 +76,14 @@ class TrainConfig:
 class TrainStats:
     epoch_losses: list[float] = field(default_factory=list)
     degenerate_kd_terms: int = 0  # angle terms skipped for coincident points, all batches
+
+
+def corruption_pool(config: TrainConfig, triples: np.ndarray, n_entities: int) -> np.ndarray:
+    """The sorted ids of `config.pool`, or else of the entities of `triples`."""
+    pool = np.unique(triples[:, [0, 2]]) if config.pool is None else np.unique(np.int64(config.pool))
+    if np.any((pool < 0) | (pool >= n_entities)):
+        raise ValueError(f"corruption pool ids must lie in [0, {n_entities})")
+    return pool
 
 
 def corrupt_batch(
@@ -183,52 +196,119 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
 
 
 def batch_gradients(
-    model: EmbeddingModel,
-    batch: np.ndarray,
-    negatives: tuple[np.ndarray, np.ndarray, np.ndarray],
-    config: TrainConfig,
-    alpha: np.ndarray | None = None,
-    teacher_angles: tuple[np.ndarray, np.ndarray] | None = None,
-    kd_lambda: float = 0.0,
-) -> tuple[float, int, np.ndarray, np.ndarray]:
+    model: EmbeddingModel, batch: np.ndarray, negatives: tuple[np.ndarray, np.ndarray, np.ndarray],
+    config: TrainConfig, alpha: np.ndarray | None = None,
+    teacher_angles: tuple[np.ndarray, np.ndarray] | None = None, kd_lambda: float = 0.0,
+    sizes: list[int] | None = None, bounds: list[int] | None = None,
+) -> tuple[list[float], list[int], np.ndarray, np.ndarray]:
     """Objective of one batch and its gradients, summed over the rows it touches.
 
-    The objective is the mean NLL over positives (FocusE-weighted by `alpha`
-    when given), plus kd_lambda times the mean angle-matching loss against the
-    frozen teacher's `(phi, valid)` of the batch's triples when given, plus
-    gamma times the squared norms of the touched rows.  Returns the objective,
-    the count of degenerate angle terms, the sorted ids of the touched
-    `model.table` rows and their gradients.
+    The objective is the mean NLL over positives (FocusE-weighted by `alpha` when given), plus
+    kd_lambda times the mean angle-matching loss against the frozen teacher's `(phi, valid)` of the
+    batch's triples when given, plus gamma times the squared norms of the touched rows.  The batch
+    may stack runs on disjoint table rows: run j has `sizes[j]` consecutive triples, and its entity
+    and relation rows start at table rows `bounds[j]` and `bounds[len(sizes) + j]` (`bounds[-1]`
+    ends the table); by default one run has the whole table.  Returns each run's objective and count
+    of degenerate angle terms, the sorted ids of the touched `model.table` rows and their gradients.
     """
     s_ids, p_ids, o_ids = batch.T
-    scale = 1.0 / len(batch)
+    sizes, bounds = sizes or [len(batch)], bounds or [0, model.n_entities, len(model.table)]
+    runs = [(slice(end - n, end), 1.0 / n) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
+    scale = np.repeat([s for _, s in runs], sizes)[:, None]
     positive_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
     # The angle term runs before the candidate arrays exist.  Run after them,
     # its many small temporaries land in heap pages that freeing those arrays
     # has just returned to the system, and fault them back in on every batch.
-    kd_terms, kd_loss, degenerate = [], 0.0, 0
+    kd_terms, losses, degenerate = [], [0.0] * len(runs), [0] * len(runs)
     if teacher_angles is not None and kd_lambda > 0.0:
-        kd_rows, kd_gs, kd_gp, kd_go, degenerate = distill.rkd_loss_batch(teacher_angles, positive_rows)
+        kd_rows, kd_gs, kd_gp, kd_go, total = distill.rkd_loss_batch(teacher_angles, positive_rows)
         kd_scale = kd_lambda * scale
         kd_terms = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go),
                     (p_ids + model.n_entities, kd_scale * kd_gp)]
-        kd_loss = kd_scale * float(kd_rows.sum())
+        losses = [kd_lambda * s * float(kd_rows[sl].sum()) for sl, s in runs]
+        if len(runs) == 1:
+            degenerate = [total]
+        elif total:  # the kernel counts over the whole stack: recount each run's terms
+            invalid = 3 - (teacher_angles[1] & distill._cyclic_angles(positive_rows)[1]).sum(axis=0)
+            degenerate = [int(invalid[sl].sum()) for sl, _ in runs]
 
     scores, backward = _score_batch(model, batch, negatives, positive_rows)
     if alpha is None and config.loss == "softplus_nll":
         alpha = np.ones_like(scores)
     loss_rows, dscores = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha)
-    batch_loss = float(loss_rows.sum()) * scale + kd_loss
+    losses = [float(loss_rows[sl].sum()) * s + kd for (sl, s), kd in zip(runs, losses)]
     rows, grad = _summed_gradients(backward(dscores * scale) + kd_terms, model.width)
     if config.gamma > 0.0:
-        # the L2 loss sums the entity rows and the relation rows apart
-        split = np.searchsorted(rows, model.n_entities)
-        l2_ent, grad_ent = l2_regularizer(model.table[rows[:split]], config.gamma)
-        l2_rel, grad_rel = l2_regularizer(model.table[rows[split:]], config.gamma)
-        grad[:split] += grad_ent
-        grad[split:] += grad_rel
-        batch_loss += l2_ent + l2_rel
-    return batch_loss, degenerate, rows, grad
+        # each run's L2 loss sums its entity rows and its relation rows apart
+        cuts, l2 = np.searchsorted(rows, bounds).tolist(), []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part_loss, part_grad = l2_regularizer(model.table[rows[lo:hi]], config.gamma)
+            grad[lo:hi] += part_grad
+            l2.append(part_loss)
+        losses = [loss + (l2[j] + l2[len(runs) + j]) for j, loss in enumerate(losses)]
+    return losses, degenerate, rows, grad
+
+
+# a `train_lockstep` run: triples and pool in table ids, generator, row starts, FocusE weights, angles
+LockstepRun = namedtuple("LockstepRun", "triples pool rng starts weights angles", defaults=(None, None))
+
+
+def train_lockstep(
+    model: EmbeddingModel, runs: list[LockstepRun], config: TrainConfig, kd_lambda: float = 0.0, progress=None
+) -> list[TrainStats]:
+    """The epoch loop of runs on disjoint rows of one table, in lockstep.
+
+    Each step stacks the next batch of every run that has one (permutation, corruptions, FocusE
+    factors, teacher angles) for one `batch_gradients` call and one Adam step.  A run keeps its
+    own generator, scale, loss and finiteness checks, so its rows come out as trained alone; all
+    runs take their first step together, so the shared Adam step count is each one's.  A
+    diverging run stops, with the runs after it: the error raised is the first diverging run's,
+    as when the runs train one after another.  `progress(epoch, mean loss)` follows each epoch.
+    """
+    bs, focuse, optimizer = config.batch_size, config.focuse, SparseAdam(model.table.shape, config.lr)
+    stats, per_epoch = [TrainStats() for _ in runs], [-(-len(run.triples) // bs) for run in runs]
+    orders, loss_sums, errors, active = [None] * len(runs), [0.0] * len(runs), {}, range(len(runs))
+    for step in itertools.count():
+        last = min(errors, default=len(runs))  # the runs after a diverged one stop
+        active = [j for j in active if j < last and step < config.epochs * per_epoch[j]]
+        if not active:
+            break
+        parts = []
+        for j in active:
+            run, (epoch, b) = runs[j], divmod(step, per_epoch[j])
+            if b == 0:
+                orders[j] = run.rng.permutation(len(run.triples))
+            idx = orders[j][b * bs : (b + 1) * bs]
+            batch = run.triples[idx]
+            alpha = focuse and alpha_batch(run.weights[idx], beta_schedule(epoch, focuse.decay), config.eta)
+            angles = run.angles and tuple(a[:, idx] for a in run.angles)
+            parts.append((batch, corrupt_batch(batch, config.eta, run.pool, run.rng), alpha, angles))
+        batches, negatives, alphas, angles = zip(*parts)
+        sizes = [len(batch) for batch in batches]
+        bounds = [runs[j].starts[0] for j in active] + [model.n_entities + runs[j].starts[1] for j in active]
+        losses, degenerate, rows, grad = batch_gradients(
+            model, np.concatenate(batches), tuple(map(np.concatenate, zip(*negatives))), config,
+            focuse and np.concatenate(alphas), angles[0] and tuple(map(np.hstack, zip(*angles))),
+            kd_lambda, sizes, bounds + [len(model.table)],
+        )
+        failed = {j: "loss" for j, loss in zip(active, losses) if not np.isfinite(loss)}
+        # only the updated rows can change, and the initial table is finite
+        finite = np.isfinite(optimizer.apply(model.table, rows, grad)).all(axis=1)
+        for seg in np.searchsorted(bounds, rows[~finite], side="right") - 1:
+            failed.setdefault(active[seg % len(active)], "embeddings")
+        for j, what in failed.items():
+            errors[j] = "non-finite {} at epoch {}, batch {}".format(what, *divmod(step, per_epoch[j]))
+        for j, loss, size, count in zip(active, losses, sizes, degenerate):
+            stats[j].degenerate_kd_terms += count
+            loss_sums[j] += loss * size
+            if (step + 1) % per_epoch[j] == 0 and j not in errors:
+                stats[j].epoch_losses.append(loss_sums[j] / len(runs[j].triples))
+                loss_sums[j] = 0.0
+                if progress is not None:
+                    progress(step // per_epoch[j], stats[j].epoch_losses[-1])
+    if errors:
+        raise TrainingDivergedError(errors[min(errors)])
+    return stats
 
 
 def run_training(
@@ -238,69 +318,21 @@ def run_training(
     kd_lambda: float = 0.0,
     progress=None,
 ) -> tuple[EmbeddingModel, TrainStats]:
-    """Epoch loop: corrupt, `batch_gradients`, sparse Adam step per batch.
-
-    Single-threaded and bit-reproducible for a fixed seed.
-    """
+    """Train one model on a graph: `train_lockstep` of one run over the full table."""
     config.validate()
     distill.check_kd_lambda(kd_lambda)
     if g.n_triples == 0:
         raise ValueError("cannot train on an empty graph")
-    kind = ModelKind(config.kind)
-    pool = g.entities_in_triples() if config.pool is None else np.unique(np.int64(config.pool))
-    if np.any((pool < 0) | (pool >= g.n_entities)):
-        raise ValueError(f"corruption pool ids must lie in [0, {g.n_entities})")
-
-    focuse = config.focuse
-    if focuse is not None and g.weights is None:
-        raise ValueError(
-            "weight-modulated training requested but the graph has no weights column"
-        )
-
+    kind, pool = ModelKind(config.kind), corruption_pool(config, g.triples, g.n_entities)
+    if config.focuse is not None and g.weights is None:
+        raise ValueError("weight-modulated training requested but the graph has no weights column")
     if teacher is not None:
         distill.check_teacher(teacher, g)
-
-    seed_root = np.random.SeedSequence(config.seed)
-    init_seq, loop_seq = seed_root.spawn(2)
+    init_seq, loop_seq = np.random.SeedSequence(config.seed).spawn(2)
     model = init_model(kind, config.k, g.n_entities, g.n_relations, init_seq)
-    rng = np.random.default_rng(loop_seq)
-
-    optimizer = SparseAdam(model.table.shape, config.lr)
-
-    triples = g.triples
-    n = len(triples)
-    stats = TrainStats()
     # the frozen teacher's angles never change: computed once, each batch reads its columns
-    angles = None
-    if teacher is not None and kd_lambda > 0.0:
-        angles = distill.triple_angles(teacher, triples, config.batch_size)
-
-    for epoch in range(config.epochs):
-        beta = beta_schedule(epoch, focuse.decay) if focuse is not None else None
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            batch = triples[batch_idx]
-            negatives = corrupt_batch(batch, config.eta, pool, rng)
-            alpha = None if focuse is None else alpha_batch(g.weights[batch_idx], beta, config.eta)
-            batch_angles = None if angles is None else tuple(a[:, batch_idx] for a in angles)
-            batch_loss, degenerate, rows, grad = batch_gradients(
-                model, batch, negatives, config, alpha, batch_angles, kd_lambda
-            )
-            stats.degenerate_kd_terms += degenerate
-
-            where = f"epoch {epoch}, batch {start // config.batch_size}"
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(f"non-finite loss at {where}")
-            # only the updated rows can change, and the initial table is finite
-            if not np.isfinite(optimizer.apply(model.table, rows, grad)).all():
-                raise TrainingDivergedError(f"non-finite embeddings at {where}")
-            loss_sum += batch_loss * len(batch)
-
-        epoch_mean = loss_sum / n
-        stats.epoch_losses.append(epoch_mean)
-        if progress is not None:
-            progress(epoch, epoch_mean)
-
+    kd = teacher is not None and kd_lambda > 0.0
+    angles = distill.triple_angles(teacher, g.triples, config.batch_size) if kd else None
+    run = LockstepRun(g.triples, pool, np.random.default_rng(loop_seq), (0, 0), g.weights, angles)
+    (stats,) = train_lockstep(model, [run], config, kd_lambda, progress)
     return model, stats

@@ -310,3 +310,33 @@ def dict_loop_aggregate(records, sub):
         if int(pos) not in count
     ]
     return entries, tail
+
+
+def sequential_runs(teacher, g, target, config, records, flt=None):
+    """The Monte Carlo runs of `records` one at a time on full-vocabulary
+    students, as `mc_explain` ran them before lockstep groups and compact
+    tables: `graph_from_triples`, `run_training`, then `rank_triple`.
+
+    Returns the reference `RunRecord`s and the trained students, in record
+    order; raises the error of the first run that raises.
+    """
+    from dataclasses import replace
+
+    from kgex.evaluation import rank_triple
+    from kgex.explain import RunRecord
+    from kgex.graph import build_filter, graph_from_triples
+    from kgex.training import run_training
+
+    flt = build_filter(g) if flt is None else flt
+    out, students = [], []
+    for rec in records:
+        seed = int(np.random.SeedSequence([config.seed, 2, rec.run]).generate_state(1, np.uint64)[0])
+        sub_graph = graph_from_triples(g.triples[rec.positions], g.entity_vocab, g.relation_vocab)
+        student, stats = run_training(
+            sub_graph, replace(config.student, seed=seed, focuse=None), teacher=teacher, kd_lambda=config.kd_lambda
+        )
+        result = rank_triple(student, target, sub_graph.entities_in_triples(), flt)
+        out.append(RunRecord(rec.run, rec.positions, result.mean_rank, result.subject_rank,
+                             result.object_rank, stats.degenerate_kd_terms))
+        students.append(student)
+    return out, students

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kgex.cli import build_parser, run_cli
+from kgex.explain import ExplainConfig, mc_explain
 from kgex.graph import load_graph, triple_of_labels
 from kgex.manifest import file_digest
 from kgex.modelio import (
@@ -15,7 +16,9 @@ from kgex.modelio import (
 )
 from kgex.models import init_model
 from kgex.sampling import SubgraphSpec, sample_subgraph
+from kgex.training import TrainConfig
 
+from oracles import sequential_runs
 from toygraphs import block_graph
 
 
@@ -357,6 +360,7 @@ class TestPipeline:
         assert manifest["counters"] == {
             "subgraph_triples": size, "ranked_triples": len(body) - never, "never_sampled": never,
             "min_subset": size // 2, "max_subset": -(-size // 2), "duplicates_dropped": 0,
+            "workers": 1, "degenerate_kd_terms": 0,
         }
 
     def test_explain_threads_match_serial(self, pipeline):
@@ -372,6 +376,31 @@ class TestPipeline:
         assert run_cli(base + ["--threads", "1", "--out", str(root / "serial.tsv")]) == 0
         assert run_cli(base + ["--threads", "2", "--out", str(root / "parallel.tsv")]) == 0
         assert file_digest(root / "serial.tsv") == file_digest(root / "parallel.tsv")
+
+    def test_explain_counts_the_degenerate_terms_of_every_run(self, workspace, tmp_path):
+        root, g, held_out = workspace
+        # self-loops at the target's subject: two of each loop's three angle terms degenerate
+        s = g.entity_vocab.label_of(int(held_out[1][0]))
+        with open(write_graph_tsv(g, tmp_path / "loops.tsv"), "a", encoding="utf-8") as fh:
+            fh.writelines(f"{s}\t{r}\t{s}\n" for r in g.relation_vocab.labels)
+        loops = load_graph(tmp_path / "loops.tsv")
+        teacher = init_model("distmult", 4, loops.n_entities, loops.n_relations, seed=0)
+        save_model(teacher, tmp_path / "t.kgex", loops.entity_vocab, loops.relation_vocab)
+        assert run_cli([
+            "explain", "--teacher", str(tmp_path / "t.kgex"), "--graph", str(tmp_path / "loops.tsv"),
+            "--target", label_target(g, held_out[1]), "--n", "3", "--mc-runs", "4", "--partitions", "2",
+            "--k", "4", "--epochs", "5", "--batch-size", "8", "--seed", "3", "--out", str(tmp_path / "r.tsv"),
+        ]) == 0
+        counters = json.loads((tmp_path / "r.tsv.manifest.json").read_text())["counters"]
+        target = triple_of_labels(label_target(g, held_out[1]).split(), loops.entity_vocab, loops.relation_vocab)
+        config = ExplainConfig(
+            mc_runs=4, partitions=2, student=TrainConfig(kind="distmult", k=4, epochs=5, batch_size=8),
+            sampler=SubgraphSpec("pn", 3), seed=3,
+        )
+        records = mc_explain(teacher, loops, target, config).records
+        reference, _ = sequential_runs(teacher, loops, target, config, records)
+        total = sum(rec.degenerate_kd_terms for rec in reference)
+        assert total > 0 and counters["degenerate_kd_terms"] == total and counters["workers"] == 1
 
     def test_selftest_subcommand(self, capsys):
         assert run_cli(["selftest"]) == 0

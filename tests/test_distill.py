@@ -337,7 +337,7 @@ class TestTrainStudent:
         seen = []
         original = kgex.training.batch_gradients
 
-        def checked(model, batch, negatives, config, alpha, teacher_angles, kd_lambda):
+        def checked(model, batch, negatives, config, alpha, teacher_angles, kd_lambda, *layout):
             s, p, o = batch.T
             phi, valid, _, _ = _cyclic_angles(
                 (teacher.entity_table[s], teacher.relation_table[p], teacher.entity_table[o])
@@ -345,7 +345,7 @@ class TestTrainStudent:
             assert teacher_angles[0].tobytes() == phi.tobytes()
             assert np.array_equal(teacher_angles[1], valid)
             seen.append(int((~valid).sum()))
-            return original(model, batch, negatives, config, alpha, teacher_angles, kd_lambda)
+            return original(model, batch, negatives, config, alpha, teacher_angles, kd_lambda, *layout)
 
         monkeypatch.setattr(kgex.training, "batch_gradients", checked)
         cfg = TrainConfig(kind="distmult", k=3, eta=2, epochs=2, batch_size=16, seed=1)

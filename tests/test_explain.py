@@ -250,15 +250,15 @@ class TestMcExplain:
         assert RecordingPool.created == workers  # min(threads, mc_runs, cpus); 1 runs serially
         assert [r.run for r in report.records] == [0, 1, 2, 3]
         assert config.threads == 10**6
-        # one chunk of plans per worker; a plan is (run, subset, seed) only
-        assert [chunksize for chunksize, _ in RecordingPool.maps] == [
-            math.ceil(4 / w) for w in workers
-        ]
-        for _, tasks in RecordingPool.maps:
+        # one task per worker, a chunk of consecutive plans; a plan is (run, subset, seed) only
+        for w, (_, chunks) in zip(workers, RecordingPool.maps, strict=True):
+            assert [len(chunk) for chunk in chunks] == [math.ceil(4 / w)] * math.ceil(4 / math.ceil(4 / w))
+            tasks = [plan for chunk in chunks for plan in chunk]
             assert [(run, subset.tolist()) for run, subset, _ in tasks] == [
                 (r.run, r.positions.tolist()) for r in report.records
             ]
             assert all(isinstance(seed, int) for _, _, seed in tasks)
+        assert report.workers == (workers or [1])[0]
 
     def test_shared_worker_inputs_hold_no_graph_index(self, toy, monkeypatch):
         g, held_out, teacher = toy
@@ -399,7 +399,7 @@ class TestMcExplain:
         g = label_graph([("a", "r", "a"), ("b", "r", "c")])
         teacher = init_model("distmult", 2, g.n_entities, g.n_relations, seed=0)
         trained = []
-        monkeypatch.setattr(kgex.explain, "train_student", lambda *a: trained.append(a))
+        monkeypatch.setattr(kgex.explain, "train_lockstep", lambda *a: trained.append(a))
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(RecordingPool, "created", [])

@@ -71,6 +71,11 @@ class TestLoadGraph:
         scaled = load_graph(path, has_weights=True, weight_policy="minmax")
         assert scaled.weights.tolist() == [1.0, 0.0, 0.5]
 
+    def test_minmax_weights_whose_range_overflows(self, tmp_path):
+        path = write_tsv(tmp_path / "g.tsv", [("A", "r", "B", -1e308), ("B", "r", "C", 1e308), ("C", "r", "A", 0.0)])
+        g = load_graph(path, has_weights=True, weight_policy="minmax")
+        assert g.weights.tolist() == [0.0, 1.0, 0.5]
+
     @pytest.mark.parametrize("policy, weight, loaded", [
         ("strict", "nan", None), ("clamp", "nan", None), ("minmax", "nan", None),
         ("minmax", "inf", None), ("minmax", "-inf", None), ("clamp", "inf", 1.0), ("clamp", "-inf", 0.0),

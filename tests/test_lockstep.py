@@ -1,0 +1,140 @@
+"""Lockstep students on compact tables against the one-run-at-a-time reference."""
+
+import re
+
+import numpy as np
+import pytest
+
+import kgex.explain
+from kgex.explain import ExplainConfig, mc_explain
+from kgex.models import ModelKind, init_model
+from kgex.sampling import SubgraphSpec
+from kgex.training import TrainConfig, TrainingDivergedError
+
+from oracles import sequential_runs
+from toygraphs import block_graph
+
+KINDS = [kind.value for kind in ModelKind]
+
+
+@pytest.fixture(scope="module")
+def graph():
+    g, held_out = block_graph(20, 10, 3, n_train=80, n_test=16, seed=13)
+    return g, tuple(map(int, held_out[2]))
+
+
+def explain_config(kind, kd_lambda=3.0, mc_runs=6, **student):
+    student = {"k": 3, "eta": 2, "lr": 0.1, "epochs": 8, "batch_size": 64, "seed": 0, **student}
+    return ExplainConfig(
+        mc_runs=mc_runs, partitions=3, student=TrainConfig(kind=kind, **student), kd_lambda=kd_lambda,
+        sampler=SubgraphSpec("pn", 2), seed=4,
+    )
+
+
+def traced_explain(monkeypatch, teacher, g, target, config):
+    """`mc_explain`, and the trained stack and runs of each lockstep group."""
+    groups = []
+    train = kgex.explain.train_lockstep
+
+    def recording(model, runs, *args):
+        stats = train(model, runs, *args)
+        groups.append((model, runs))
+        return stats
+
+    monkeypatch.setattr(kgex.explain, "train_lockstep", recording)
+    return mc_explain(teacher, g, target, config), groups
+
+
+def record_bytes(records):
+    return [(r.run, r.positions.tobytes(), r.rank.hex(), r.subject_rank, r.object_rank,
+             r.degenerate_kd_terms) for r in records]
+
+
+def compact_rows(g, target, config, positions):
+    """The entity and relation ids a run's compact table holds, sorted."""
+    sub = g.triples[positions]
+    pool = sub[:, [0, 2]].ravel() if config.student.pool is None else config.student.pool
+    ents = np.unique(np.r_[sub[:, [0, 2]].ravel(), pool, target[0], target[2]])
+    return ents, np.union1d(sub[:, 1], target[1])
+
+
+def assert_matches_sequential(monkeypatch, g, target, config):
+    teacher = init_model(config.student.kind, 4, g.n_entities, g.n_relations, seed=9)
+    report, groups = traced_explain(monkeypatch, teacher, g, target, config)
+    reference, students = sequential_runs(teacher, g, target, config, report.records)
+    assert record_bytes(report.records) == record_bytes(reference)
+    runs = [(model, run) for model, group in groups for run in group]
+    assert len(runs) == len(students)
+    for rec, (model, run), student in zip(report.records, runs, students, strict=True):
+        ents, rels = compact_rows(g, target, config, rec.positions)
+        (e0, r0) = run.starts
+        assert model.entity_table[e0 : e0 + len(ents)].tobytes() == student.entity_table[ents].tobytes()
+        assert model.relation_table[r0 : r0 + len(rels)].tobytes() == student.relation_table[rels].tobytes()
+    return report, groups
+
+
+@pytest.mark.parametrize("kd_lambda", [0.0, 3.0], ids=["plain", "kd"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_lockstep_runs_match_sequential_runs(monkeypatch, graph, kind, kd_lambda):
+    report, groups = assert_matches_sequential(monkeypatch, *graph, explain_config(kind, kd_lambda))
+    assert len(groups) == 1 and len(groups[0][1]) == 6  # every run in one stack
+
+
+@pytest.mark.parametrize(
+    "kind, student",
+    [("complex", {"gamma": 1e-3}), ("distmult", {"batch_size": 4}), ("transe-l2", {"batch_size": 4, "gamma": 1e-3}),
+     ("complex", {"pool": np.arange(0, 20, 3)})],
+    ids=["gamma", "batches-per-epoch", "batches-and-gamma", "explicit-pool"],
+)
+def test_lockstep_options_match_sequential_runs(monkeypatch, graph, kind, student):
+    config = explain_config(kind, **student)
+    report, _ = assert_matches_sequential(monkeypatch, *graph, config)
+    if student.get("batch_size") == 4:  # runs take different numbers of Adam steps
+        assert len({-(-len(r.positions) // 4) for r in report.records}) > 1
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 6])
+def test_groups_do_not_change_any_run(monkeypatch, graph, per_group):
+    g, target = graph
+    config = explain_config("complex", batch_size=4)
+    # every run stacks 4 rows a step, so the bound holds `per_group` runs
+    monkeypatch.setattr(kgex.explain, "_STEP_BYTES", per_group * 8 * 4 * 3 * 6)
+    teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
+    report, groups = traced_explain(monkeypatch, teacher, g, target, config)
+    assert [len(runs) for _, runs in groups] == [per_group] * (6 // per_group)
+    monkeypatch.setattr(kgex.explain, "_STEP_BYTES", 1 << 30)
+    together, _ = traced_explain(monkeypatch, teacher, g, target, config)
+    assert record_bytes(report.records) == record_bytes(together.records)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compact_init_is_the_sliced_full_draw(kind):
+    full = init_model(kind, 5, 40, 7, seed=np.random.SeedSequence(3))
+    rows = np.array([0, 3, 4, 5, 17, 39, 40, 43, 46])  # entity rows, then 40 + relation rows
+    compact = init_model(kind, 5, 40, 7, seed=np.random.SeedSequence(3), rows=rows)
+    assert compact.n_entities == 6 and compact.n_relations == 3
+    assert compact.table.tobytes() == full.table[rows].tobytes()
+    for bad in ([3, 3], [4, 3], [-1, 2], [0, 47]):
+        with pytest.raises(ValueError, match="sorted, distinct rows"):
+            init_model(kind, 5, 40, 7, seed=0, rows=np.array(bad))
+
+
+def test_divergence_raises_the_lowest_numbered_runs_error(monkeypatch, graph):
+    """Run 1 diverges many steps before run 0; one at a time, run 0's error
+    comes first, and the lockstep group raises that one."""
+    g, target = graph
+    teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
+    plans = mc_explain(teacher, g, target, explain_config("distmult", mc_runs=3, batch_size=4)).records
+    # Adam moves each row by about lr a step: near 3e102 the scores overflow
+    # after a number of steps that differs from run to run
+    config = explain_config("distmult", mc_runs=3, batch_size=4, lr=2.85e102, epochs=30)
+    errors = []
+    for rec in plans:
+        with pytest.raises(TrainingDivergedError) as caught, np.errstate(all="ignore"):
+            sequential_runs(teacher, g, target, config, [rec])
+        errors.append(str(caught.value))
+    epochs = [int(re.search(r"epoch (\d+)", error).group(1)) for error in errors]
+    assert epochs[1] < epochs[0]
+    with pytest.raises(TrainingDivergedError) as caught, np.errstate(all="ignore"):
+        mc_explain(teacher, g, target, config)
+    assert str(caught.value) == errors[0]

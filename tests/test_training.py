@@ -187,6 +187,11 @@ class TestAdam:
             assert params[0, 0] == pytest.approx(theta, abs=1e-15)
             assert params[0, 0] < 5.0  # monotone along -sign(g)
 
+    def test_nan_learning_rate_rejected_and_inf_kept(self):
+        with pytest.raises(ValueError, match="learning rate must be >= 0"):
+            SparseAdam((2, 2), float("nan"))
+        assert SparseAdam((2, 2), float("inf")).lr == float("inf")
+
     def test_lr_zero_keeps_parameters(self):
         params = np.array([[1.0, 2.0]])
         opt = SparseAdam(params.shape, lr=0.0)
@@ -349,7 +354,7 @@ NEGATIVES = (NEG_S, np.broadcast_to(BATCH[:, 1:2], NEG_S.shape), NEG_O)
 
 def assert_same_batch_gradients(n_entities, got, want, rtol):
     """The table rows split at |E| match the oracle's entity and relation updates."""
-    (loss, degenerate, rows, grad), (ref_loss, ref_degenerate, ref_updates) = got, want
+    ((loss,), (degenerate,), rows, grad), (ref_loss, ref_degenerate, ref_updates) = got, want
     assert loss == pytest.approx(ref_loss, rel=rtol, abs=0.0)
     assert degenerate == ref_degenerate
     split = np.searchsorted(rows, n_entities)
