@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import training
 from .distill import check_kd_lambda, check_teacher, train_student, triple_angles
 from .evaluation import rank_triple
 from .graph import KnowledgeGraph, Triple, TrueTripleSet, build_filter, graph_from_triples, label_rows
@@ -25,14 +26,6 @@ from .sampling import Subgraph, SubgraphSpec, sample_subgraph
 from .training import LockstepRun, TrainConfig, corruption_pool, train_lockstep
 
 # `train_student` and `graph_from_triples` stay importable here for tools that wrap them.
-
-# bound on a lockstep step's stacked (rows, 1 + eta, width) float64 candidate array: a run joins
-# a group while the group's sum stays within it.  One explain-fb237 call (20 ComplEx k=50 runs of
-# 47-row batches, eta 2; 2-vCPU x86 VM, L2 2 MiB a core) took a median 6.2 s one run at a time,
-# 4.6 s at 256 KiB (2 runs a group), 4.2 s at 512 KiB (4) to 1 MiB (9), 4.5 s at 2 MiB (18) and
-# 4.3 s with all 20 runs in one group, over 4 calls each; across three such sweeps 512 KiB was
-# fastest or within noise of it, and it keeps a step's arrays within L2
-_STEP_BYTES = 1 << 19
 
 
 @dataclass
@@ -110,13 +103,14 @@ def _derive_seed(master: int, *path: int) -> int:
 
 
 def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[RunRecord]:
-    """Train and rank consecutive runs in lockstep groups: a run joins a group
-    while the group's stacked step stays within `_STEP_BYTES`."""
-    row_bytes = 8 * (1 + config.eta) * config.k * ModelKind(config.kind).row_width_factor
-    groups, used = [], _STEP_BYTES  # full: the first run opens a group
+    """Train and rank consecutive runs in lockstep groups: a run joins a group while the
+    group's stacked (rows, 1 + eta, width) candidate block stays within `_SCATTER_ELEMS`
+    elements, the training step's own budget (README has the sweep behind it)."""
+    row_elems = (1 + config.eta) * config.k * ModelKind(config.kind).row_width_factor
+    groups, used = [], training._SCATTER_ELEMS  # full: the first run opens a group
     for plan in plans:
-        step = row_bytes * min(len(plan[1]), config.batch_size)
-        if used + step > _STEP_BYTES:
+        step = row_elems * min(len(plan[1]), config.batch_size)
+        if used + step > training._SCATTER_ELEMS:
             groups, used = groups + [[]], 0
         groups[-1].append(plan)
         used += step

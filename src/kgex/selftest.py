@@ -200,6 +200,25 @@ def _check_corruptions() -> str | None:
     return None
 
 
+def _check_chunked_step() -> str | None:
+    # training's byte identity rests on einsum giving each row the same bits for any row slice
+    rng = np.random.default_rng(13)
+    model = models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 0)
+    batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
+    negatives = training.corrupt_batch(batch, 3, np.arange(20), rng)
+    config, budget, steps = training.TrainConfig(kind="complex", k=4, eta=3), training._SCATTER_ELEMS, []
+    try:
+        for elems in (budget, 1):  # one chunk of 12 rows, then 12 chunks of one row
+            training._SCATTER_ELEMS = elems
+            losses, _, rows, grad = training.batch_gradients(model, batch, negatives, config)
+            steps.append(np.r_[losses, rows, grad.ravel()].tobytes())
+    finally:
+        training._SCATTER_ELEMS = budget
+    if steps[0] != steps[1]:
+        return "1-row candidate chunks change the step's loss or gradients"
+    return None
+
+
 CHECKS = [
     ("graph indices match linear scan", _check_graph_indices),
     ("scoring spot values", _check_score_values),
@@ -212,6 +231,7 @@ CHECKS = [
     ("adam fixed points", _check_adam),
     ("ranking vs brute force and metrics", _check_ranking),
     ("corruption invariants", _check_corruptions),
+    ("training step invariant to candidate chunking", _check_chunked_step),
 ]
 
 

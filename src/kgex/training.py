@@ -28,17 +28,20 @@ class TrainConfig:
     uniform coin each).  `pool` optionally restricts corruption entities; by
     default corruptions are drawn from the entities occurring in the training
     triples.  `loss` is `multiclass_nll` (raw scores) or `softplus_nll`
-    (scores passed through softplus first).  One step's heap peaks at about
-    three float64 arrays of `rows * (1 + eta)` rows for DistMult and ComplEx,
-    which score candidates against query rows, and at about eight for TransE,
-    which gathers and differentiates every negative row by row.  `rows` is
-    `batch_size`, or, for the lockstep students of `mc_explain`, the batch
-    rows of a group, whose `(rows, 1 + eta, width)` candidate array stays
-    within `explain._STEP_BYTES` (512 KiB) unless one run alone exceeds it.
-    The scatter adds `_SCATTER_ELEMS` elements at a time, through an int64
-    index of at most 512 KiB (one row, if wider).  With a teacher, a run
-    also keeps the teacher's angles, a float64 and a bool (3, n_triples)
-    array, computed `batch_size` triples at a time.
+    (scores passed through softplus first).  For DistMult and ComplEx, which
+    score candidates against query rows, one step holds about a dozen float64
+    `(rows, width)` arrays and its `(rows, 1 + eta, width)` candidate block
+    only in chunks of positives of at most `_SCATTER_ELEMS` elements (one
+    positive, if wider): train-fb237 (10,000 rows, eta 10, width 200) peaks at
+    about 370 MiB resident, tables included.  TransE gathers and
+    differentiates every negative row by row, about eight float64 arrays of
+    `rows * (1 + eta)` rows.  `rows` is `batch_size`, or, for the lockstep
+    students of `mc_explain`, the batch rows of a group, whose candidate block
+    stays within that budget unless one run alone exceeds it.  The scatter
+    adds as many elements at a time, through an int64 index of at most
+    512 KiB (one row, or one positive's candidates, if wider).  With a
+    teacher, a run also keeps the teacher's angles, a float64 and a bool
+    (3, n_triples) array, computed `batch_size` triples at a time.
     """
 
     kind: ModelKind | str = ModelKind.TRANSE_L2
@@ -114,7 +117,9 @@ def corrupt_batch(
     return neg_s, np.broadcast_to(triples[:, 1:2], (n, eta)), neg_o
 
 
-# Elements scattered per `np.add.at` call: an int64 index of at most 512 KiB.
+# The one working-set budget, in float64 elements: a scatter call's chunk (an
+# int64 index of at most 512 KiB), a chunk of a step's candidate block, and a
+# lockstep group's stacked candidate block (`explain._run_chunk`)
 _SCATTER_ELEMS = 1 << 16
 
 
@@ -122,10 +127,11 @@ def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum `(ids, grads)` terms over the table rows they touch.
 
     Returns the sorted unique ids and their `(len(rows), width)` gradients.
-    Each term is scattered in chunks of rows of at most `_SCATTER_ELEMS`
-    elements (one row if wider) by a 1-D `np.add.at` into the flat buffer,
-    which adds in index order from 0.0: each row sums its grads in term order,
-    as a full-table scatter would.
+    A term's grads are an array, scattered in chunks of at most
+    `_SCATTER_ELEMS` elements (one row if wider), or an iterable of its
+    consecutive blocks, each made as the scatter reaches it.  A 1-D
+    `np.add.at` into the flat buffer adds in index order from 0.0: each row
+    sums its grads in term order, as a full-table scatter would.
     """
     rows, inverse = np.unique(
         np.concatenate([ids.ravel() for ids, _ in terms]), return_inverse=True
@@ -133,22 +139,26 @@ def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
     summed = np.zeros((len(rows), width))
     cells, cols, step = summed.reshape(-1), np.arange(width), max(1, _SCATTER_ELEMS // width)
     start = 0
-    for ids, grads in terms:
-        term_rows, grads = inverse[start : start + ids.size], grads.reshape(-1, width)
-        start += ids.size
-        for lo in range(0, ids.size, step):
-            index = term_rows[lo : lo + step, None] * width + cols
-            np.add.at(cells, index.ravel(), grads[lo : lo + step].ravel())
+    for _, grads in terms:
+        if isinstance(grads, np.ndarray):
+            flat = grads.reshape(-1, width)
+            grads = (flat[lo : lo + step] for lo in range(0, len(flat), step))
+        for block in grads:
+            block = block.reshape(-1, width)
+            index = inverse[start : start + len(block), None] * width + cols
+            np.add.at(cells, index.ravel(), block.ravel())
+            start += len(block)
     return rows, summed
 
 
-def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_rows):
-    """Scores of a batch and its negatives, and the map back to row gradients.
+def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_rows, row_loss):
+    """Loss rows of a batch and its negatives, and their gradient terms.
 
     `positive_rows` holds the batch's subject, predicate and object rows.
-    Returns the (n, 1 + eta) scores, positive in column 0, and `backward`,
-    which takes the loss gradient w.r.t. those scores and returns the
-    `(ids, grads)` terms of `_summed_gradients`, relation ids offset by |E|.
+    `row_loss(rows, scores)` takes the (len(rows), 1 + eta) scores of a slice
+    of positives, positive in column 0, and returns their loss rows and scaled
+    loss gradients.  Returns the (n,) loss rows and the `(ids, grads)` terms
+    of `_summed_gradients`, relation ids offset by |E|.
     """
     kind, k, n_ent = model.kind, model.k, model.n_entities
     ent, rel = model.entity_table, model.relation_table
@@ -160,14 +170,11 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
         # a distance is not linear in the replaced row: one gradient row per negative
         pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(kind, k, es, rp, eo)
         neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
-
-        def backward(d):
-            d_pos, d_neg = d[:, 0, None], d[:, 1:, None]
-            return [(s_ids, d_pos * pos_gs), (o_ids, d_pos * pos_go),
-                    (neg_s, d_neg * neg_gs), (neg_o, d_neg * neg_go),
-                    (p_ids + n_ent, d_pos * pos_gp), (neg_p + n_ent, d_neg * neg_gp)]
-
-        return np.concatenate([pos_f[:, None], neg_f], axis=1), backward
+        loss, d = row_loss(slice(None), np.concatenate([pos_f[:, None], neg_f], axis=1))
+        d_pos, d_neg = d[:, 0, None], d[:, 1:, None]
+        return loss, [(s_ids, d_pos * pos_gs), (o_ids, d_pos * pos_go),
+                      (neg_s, d_neg * neg_gs), (neg_o, d_neg * neg_go),
+                      (p_ids + n_ent, d_pos * pos_gp), (neg_p + n_ent, d_neg * neg_gp)]
 
     # DistMult and ComplEx are linear in each entity row.  A candidate e scores
     # q_obj . e in the object slot and q_sub . e in the subject slot, where the
@@ -177,22 +184,36 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     obj_side = np.ones((len(batch), 1 + neg_s.shape[1]), dtype=bool)
     obj_side[:, 1:] = neg_s == batch[:, :1]  # exact: a drawn subject never equals the positive's
     cand = np.concatenate([o_ids[:, None], np.where(obj_side[:, 1:], neg_o, neg_s)], axis=1)
-    cand_rows = ent[cand]
-    queries = np.where(obj_side[..., None], q_obj[:, None], q_sub[:, None])
+    # the (n, 1 + eta, width) candidate block is never held: chunks of positives
+    # of at most `_SCATTER_ELEMS` elements (one positive, if wider) each gather,
+    # score and sum their candidates over eta, and make their candidates'
+    # gradients again when the scatter reaches them
+    n, width = cand.shape[0], model.width
+    step = max(1, _SCATTER_ELEMS // (cand.shape[1] * width))
+    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
 
-    def backward(d):
+    def queries(rows):
+        return np.where(obj_side[rows, :, None], q_obj[rows, None], q_sub[rows, None])
+
+    loss, d = np.empty(n), np.empty(cand.shape)
+    sum_obj, sum_sub = np.empty((n, width)), np.empty((n, width))
+    for rows in chunks:
+        q, cand_rows = queries(rows), ent[cand[rows]]
+        loss[rows], d[rows] = row_loss(rows, np.einsum("ncw,ncw->nc", q, cand_rows))
         # the gradients of the kept rows are linear in the candidates: sum over eta first
-        sum_obj = np.einsum("nc,ncw->nw", np.where(obj_side, d, 0.0), cand_rows)
-        sum_sub = np.einsum("nc,ncw->nw", np.where(obj_side, 0.0, d), cand_rows)
-        g_s = bilinear_product(kind, k, rp, sum_obj, conj=True)
-        g_o = bilinear_product(kind, k, sum_sub, rp)
-        g_p = bilinear_product(kind, k, es, sum_obj, conj=True)
-        g_p += bilinear_product(kind, k, sum_sub, eo, conj=True)
-        # each candidate's gradient, written over the queries, which are not read again
-        cand_grads = np.multiply(queries, d[..., None], out=queries)
-        return [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads), (p_ids + n_ent, g_p)]
+        np.einsum("nc,ncw->nw", np.where(obj_side[rows], d[rows], 0.0), cand_rows, out=sum_obj[rows])
+        np.einsum("nc,ncw->nw", np.where(obj_side[rows], 0.0, d[rows]), cand_rows, out=sum_sub[rows])
+    g_s = bilinear_product(kind, k, rp, sum_obj, conj=True)
+    g_o = bilinear_product(kind, k, sum_sub, rp)
+    g_p = bilinear_product(kind, k, es, sum_obj, conj=True)
+    g_p += bilinear_product(kind, k, sum_sub, eo, conj=True)
 
-    return np.einsum("ncw,ncw->nc", queries, cand_rows), backward
+    def cand_grads():  # written over each chunk's queries; the last chunk's are still held
+        for rows in chunks:
+            grads = q if rows is chunks[-1] else queries(rows)
+            yield np.multiply(grads, d[rows, :, None], out=grads)
+
+    return loss, [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads()), (p_ids + n_ent, g_p)]
 
 
 def batch_gradients(
@@ -232,12 +253,16 @@ def batch_gradients(
             invalid = 3 - (teacher_angles[1] & distill._cyclic_angles(positive_rows)[1]).sum(axis=0)
             degenerate = [int(invalid[sl].sum()) for sl, _ in runs]
 
-    scores, backward = _score_batch(model, batch, negatives, positive_rows)
     if alpha is None and config.loss == "softplus_nll":
-        alpha = np.ones_like(scores)
-    loss_rows, dscores = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha)
+        alpha = np.ones((len(batch), 1 + negatives[0].shape[1]))
+
+    def row_loss(rows, scores):
+        loss, d = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha[rows])
+        return loss, d * scale[rows]
+
+    loss_rows, terms = _score_batch(model, batch, negatives, positive_rows, row_loss)
     losses = [float(loss_rows[sl].sum()) * s + kd for (sl, s), kd in zip(runs, losses)]
-    rows, grad = _summed_gradients(backward(dscores * scale) + kd_terms, model.width)
+    rows, grad = _summed_gradients(terms + kd_terms, model.width)
     if config.gamma > 0.0:
         # each run's L2 loss sums its entity rows and its relation rows apart
         cuts, l2 = np.searchsorted(rows, bounds).tolist(), []

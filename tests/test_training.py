@@ -423,6 +423,8 @@ class TestSummedGradients:
         assert summed.tobytes() == ref.tobytes()
 
     def test_one_element_chunks_train_the_same_tables(self, monkeypatch):
+        """A one-element budget scatters one row a call and scores one positive's
+        candidates a chunk; the default scores each batch in one chunk."""
         g = random_graph(12, 3, 40, seed=4)
         teacher = init_model("complex", 3, g.n_entities, g.n_relations, seed=5)
         config = TrainConfig(kind="complex", k=3, eta=3, epochs=3, batch_size=16, gamma=1e-3, seed=2)
@@ -433,12 +435,94 @@ class TestSummedGradients:
         assert got.relation_table.tobytes() == want.relation_table.tobytes()
 
 
+def stacked_step(kind, objective, gamma, kd):
+    """A `batch_gradients` call on two stacked runs and its bytes.
+
+    Run 0 has 7 triples over table rows 0-9 and relation rows 22-23, run 1 has
+    9 over rows 10-21 and 24-26; each holds a self-loop, whose angle terms are
+    degenerate.  eta is 3, so 5-row chunks end at row 10, inside run 1.
+    """
+    rng = np.random.default_rng(21)
+    model = init_model(kind, 3, 22, 5, seed=1)
+    parts = []
+    for (e0, e1), (r0, r1), n in [((0, 10), (0, 2), 7), ((10, 22), (2, 5), 9)]:
+        batch = np.stack([rng.integers(e0, e1, n), rng.integers(r0, r1, n), rng.integers(e0, e1, n)], axis=1)
+        batch[0, 2] = batch[0, 0]
+        parts.append((batch, corrupt_batch(batch, 3, np.arange(e0, e1), rng)))
+    batch = np.concatenate([b for b, _ in parts])
+    negatives = tuple(np.concatenate(side) for side in zip(*(neg for _, neg in parts)))
+    loss = "softplus_nll" if objective == "softplus_nll" else "multiclass_nll"
+    config = TrainConfig(kind=kind, k=3, eta=3, gamma=gamma, loss=loss)
+    alpha = alpha_batch(rng.uniform(size=len(batch)), 0.3, 3) if objective == "focuse" else None
+    angles = triple_angles(init_model(kind, 3, 22, 5, seed=2), batch, 16) if kd else None
+    losses, degenerate, rows, grad = batch_gradients(
+        model, batch, negatives, config, alpha, angles, 2.0, [7, 9], [0, 10, 22, 24, 27]
+    )
+    return np.array(losses).tobytes(), degenerate, rows.tobytes(), grad.tobytes(), model.width
+
+
+@pytest.mark.parametrize("kd", [False, True], ids=["plain", "kd"])
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+@pytest.mark.parametrize("objective", ["multiclass_nll", "softplus_nll", "focuse"])
+@pytest.mark.parametrize("kind", ["distmult", "complex"])
+def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd):
+    """The default budget scores the 16 rows in one chunk; 1-row and 5-row
+    chunks give the same losses, degenerate counts, rows and gradients."""
+    *want, width = stacked_step(kind, objective, gamma, kd)
+    assert (sum(want[1]) > 0) == kd and 16 * 4 * width <= kgex.training._SCATTER_ELEMS
+    for rows_per_chunk in (1, 5):
+        monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", rows_per_chunk * 4 * width)
+        assert stacked_step(kind, objective, gamma, kd)[:-1] == tuple(want)
+
+
+def test_step_heap_holds_no_candidate_block():
+    """One ComplEx step's traced peak, against its (n, W) arrays and a few chunks.
+
+    n = 2,000 positives, eta = 10 and W = 100 make the (n, 1 + eta, W)
+    candidate block 17.6 MB; a step that holds it twice, gathered rows and
+    queries, needs 35.2 MB for those alone.  The bound adds three terms:
+
+    - 12 float64 (n, W) arrays: ten held until the scatter (the positive rows
+      es, rp, eo; the queries q_obj, q_sub; the sums over eta sum_obj, sum_sub;
+      the gradients g_s, g_o, g_p), and two more, either while the product
+      kernel builds the last of them (its half-width terms and the joined
+      row), or in the scatter, for the buffer of touched rows (1,010 at most,
+      about half an array) and `np.unique`'s copies of the 14n row ids;
+    - 4 chunks of `_SCATTER_ELEMS` float64 (512 KiB each): a chunk's gathered
+      candidates and queries (the last chunk's stay held after the loop, its
+      queries until the scatter writes its gradients over them), and a
+      chunk's einsum operands, or, in the scatter, its gradients and index;
+    - 3 float64 (n, 1 + eta) arrays: the candidate ids, their side mask and
+      their loss gradients.
+
+    That bound is 21.8 MB, 62% of the two blocks.
+    """
+    n, eta, k, n_entities = 2000, 10, 50, 1000
+    rng = np.random.default_rng(0)
+    model = init_model("complex", k, n_entities, 10, seed=1)
+    batch = np.stack([rng.integers(0, n_entities, n), rng.integers(0, 10, n), rng.integers(0, n_entities, n)], 1)
+    negatives = corrupt_batch(batch, eta, np.arange(n_entities), rng)
+    config = TrainConfig(kind="complex", k=k, eta=eta)
+    tracemalloc.start()
+    try:
+        batch_gradients(model, batch, negatives, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = n * (1 + eta) * model.width * 8
+    bound = 12 * n * model.width * 8 + 4 * kgex.training._SCATTER_ELEMS * 8 + 3 * n * (1 + eta) * 8
+    assert block >= 16e6 and bound < 2 * block
+    assert peak <= bound, f"heap peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("kind", ["complex", "distmult"])
 def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
     """One epoch's heap peak, in units of one float64 (batch, 1 + eta, width) array.
 
-    Scoring and scattering one row per candidate needs about two such arrays;
-    a gather and a gradient per negative and side needs about ten.
+    Scoring and scattering the candidates in chunks holds no such array: the
+    peak, about 1.3, is the batch's (batch, width) rows and the tables.  The
+    whole block, gathered and as queries, took about 3.2; a gather and a
+    gradient per negative and side needs about ten.
     """
     g = random_graph(500, 10, 4000, seed=12)
     config = TrainConfig(kind=kind, k=50, eta=10, epochs=1, batch_size=2000, seed=0)
