@@ -23,9 +23,22 @@ def softmax_nll_batch(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return loss, grad
 
 
-def l2_regularizer(rows: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
-    """weight * sum ||row||^2 over the given rows; gradient is 2 * weight * row."""
+def l2_regularizer(
+    rows: np.ndarray, weight: float, grad: np.ndarray | None = None, step: int | None = None
+) -> tuple[float, np.ndarray]:
+    """weight * sum ||row||^2 over the given rows; gradient is 2 * weight * row.
+
+    Given `grad`, the gradient is added into it `step` rows at a time (all at
+    once by default) and `grad` is returned; the loss then squares `rows` in
+    place, so no array of their size is allocated.  Without it, `rows` is
+    copied and a new gradient returned.
+    """
     if weight < 0:
         raise ValueError("regularizer weight must be >= 0")
     rows = np.atleast_2d(rows)
-    return float(weight * (rows * rows).sum()), 2.0 * weight * rows
+    if grad is None:
+        rows, grad = rows.copy(), np.zeros(rows.shape)
+    step = step or max(1, len(rows))
+    for lo in range(0, len(rows), step):
+        grad[lo : lo + step] += 2.0 * weight * rows[lo : lo + step]
+    return float(weight * np.multiply(rows, rows, out=rows).sum()), grad

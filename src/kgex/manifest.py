@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,7 +21,7 @@ def file_digest(path: str | Path) -> str:
 
 
 class RunManifest:
-    """Collects command, resolved configuration, seeds, digests, timing, and counters."""
+    """Collects command, resolved configuration, seeds, digests, timing, peak memory and counters."""
 
     def __init__(self, command: str, argv: list[str]) -> None:
         self.data: dict = {
@@ -54,6 +55,9 @@ class RunManifest:
 
     def write(self, path: str | Path) -> None:
         self.data["duration_s"] = round(time.monotonic() - self._t0, 3)
+        # this process's peak resident memory so far, worker processes not included
+        # (`ru_maxrss` is in KiB on Linux)
+        self.data["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -9,25 +9,34 @@ class SparseAdam:
     """Standard Adam; moment rows are read and written only for touched rows.
 
     Bias correction uses a single step counter, advanced by every `apply`
-    call regardless of which rows the call touches.
+    call regardless of which rows the call touches.  `apply` works through
+    its rows `chunk_rows` at a time (all at once by default); every chunk
+    size gives the same bytes.
     """
 
     def __init__(
-        self, shape: tuple[int, int], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
+        self, shape: tuple[int, int], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+        chunk_rows: int | None = None,
     ) -> None:
         if not lr >= 0:  # NaN too; inf stays legal, as in TrainConfig
             raise ValueError("learning rate must be >= 0")
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m, self.v, self.t = np.zeros(shape), np.zeros(shape), 0
+        self.m, self.v, self.t, self.chunk_rows = np.zeros(shape), np.zeros(shape), 0, chunk_rows
 
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Take one step: update `params[rows]` in place from per-row gradients; return them."""
+        """Take one step: update `params[rows]` in place from per-row gradients.
+
+        `rows` are distinct.  The updated rows are written over `grads`, which
+        is returned.
+        """
         self.t += 1
-        m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * grads
-        v = self.beta2 * self.v[rows] + (1.0 - self.beta2) * (grads * grads)
-        self.m[rows] = m
-        self.v[rows] = v
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        params[rows] = updated = params[rows] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return updated
+        m_scale, v_scale = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        size = self.chunk_rows or max(1, len(rows))
+        for lo in range(0, len(rows), size):
+            ids, g = rows[lo : lo + size], grads[lo : lo + size]
+            m = self.beta1 * self.m[ids] + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v[ids] + (1.0 - self.beta2) * (g * g)
+            self.m[ids], self.v[ids] = m, v
+            delta = self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)
+            params[ids] = np.subtract(params[ids], delta, out=g)
+        return grads

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -206,16 +207,24 @@ def _check_chunked_step() -> str | None:
     model = models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 0)
     batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
     negatives = training.corrupt_batch(batch, 3, np.arange(20), rng)
-    config, budget, steps = training.TrainConfig(kind="complex", k=4, eta=3), training._SCATTER_ELEMS, []
+    budget, steps = training._SCATTER_ELEMS, []
     try:
-        for elems in (budget, 1):  # one chunk of 12 rows, then 12 chunks of one row
+        # adding the L2 loss can round away a last-bit change of the NLL in the
+        # batch loss: gamma 0 keeps that change in sight
+        for gamma, elems in itertools.product((0.0, 1e-3), (budget, 1)):
+            # one chunk of 12 positives, then one positive or touched row a chunk
             training._SCATTER_ELEMS = elems
+            config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=gamma)
             losses, _, rows, grad = training.batch_gradients(model, batch, negatives, config)
-            steps.append(np.r_[losses, rows, grad.ravel()].tobytes())
+            step = np.r_[losses, rows, grad.ravel()].tobytes()
+            table = model.table.copy()
+            adam = SparseAdam(table.shape, 0.1, chunk_rows=training._chunk_rows(model.width))
+            updated = adam.apply(table, rows, grad)
+            steps.append(step + np.r_[updated.ravel(), adam.m.ravel(), adam.v.ravel()].tobytes())
     finally:
         training._SCATTER_ELEMS = budget
-    if steps[0] != steps[1]:
-        return "1-row candidate chunks change the step's loss or gradients"
+    if steps[::2] != steps[1::2]:
+        return "1-row chunks change the step's loss, gradients or Adam update"
     return None
 
 
@@ -231,7 +240,7 @@ CHECKS = [
     ("adam fixed points", _check_adam),
     ("ranking vs brute force and metrics", _check_ranking),
     ("corruption invariants", _check_corruptions),
-    ("training step invariant to candidate chunking", _check_chunked_step),
+    ("training step and Adam invariant to row chunking", _check_chunked_step),
 ]
 
 

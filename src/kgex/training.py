@@ -29,11 +29,15 @@ class TrainConfig:
     default corruptions are drawn from the entities occurring in the training
     triples.  `loss` is `multiclass_nll` (raw scores) or `softplus_nll`
     (scores passed through softplus first).  For DistMult and ComplEx, which
-    score candidates against query rows, one step holds about a dozen float64
-    `(rows, width)` arrays and its `(rows, 1 + eta, width)` candidate block
-    only in chunks of positives of at most `_SCATTER_ELEMS` elements (one
-    positive, if wider): train-fb237 (10,000 rows, eta 10, width 200) peaks at
-    about 370 MiB resident, tables included.  TransE gathers and
+    score candidates against query rows, one step holds two float64
+    `(rows, width)` arrays, the sums over eta (with the angle term, also the
+    three positive rows), and the buffer of touched rows (for gamma > 0, also
+    one gather of them for the L2 loss); its
+    `(rows, 1 + eta, width)` candidate block is held only in chunks of
+    positives of at most `_SCATTER_ELEMS` elements (one positive, if wider),
+    and its other `(rows, width)` arrays and the Adam update in chunks of
+    `_chunk_rows(width)` rows: train-fb237 (10,000 rows, eta 10, width 200)
+    peaks at about 231 MiB resident, tables included.  TransE gathers and
     differentiates every negative row by row, about eight float64 arrays of
     `rows * (1 + eta)` rows.  `rows` is `batch_size`, or, for the lockstep
     students of `mc_explain`, the batch rows of a group, whose candidate block
@@ -123,6 +127,11 @@ def corrupt_batch(
 _SCATTER_ELEMS = 1 << 16
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows of `width` floats in one `_SCATTER_ELEMS` chunk (one row, if wider)."""
+    return max(1, _SCATTER_ELEMS // width)
+
+
 def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum `(ids, grads)` terms over the table rows they touch.
 
@@ -137,7 +146,7 @@ def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate([ids.ravel() for ids, _ in terms]), return_inverse=True
     )
     summed = np.zeros((len(rows), width))
-    cells, cols, step = summed.reshape(-1), np.arange(width), max(1, _SCATTER_ELEMS // width)
+    cells, cols, step = summed.reshape(-1), np.arange(width), _chunk_rows(width)
     start = 0
     for _, grads in terms:
         if isinstance(grads, np.ndarray):
@@ -154,21 +163,27 @@ def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
 def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_rows, row_loss):
     """Loss rows of a batch and its negatives, and their gradient terms.
 
-    `positive_rows` holds the batch's subject, predicate and object rows.
-    `row_loss(rows, scores)` takes the (len(rows), 1 + eta) scores of a slice
-    of positives, positive in column 0, and returns their loss rows and scaled
-    loss gradients.  Returns the (n,) loss rows and the `(ids, grads)` terms
-    of `_summed_gradients`, relation ids offset by |E|.
+    `positive_rows` holds the batch's subject, predicate and object rows, or
+    is None: each chunk then gathers its own from the table, which does not
+    change before the Adam step.  `row_loss(rows, scores)` takes the
+    (len(rows), 1 + eta) scores of a slice of positives, positive in column 0,
+    and returns their loss rows and scaled loss gradients.  Returns the (n,)
+    loss rows and the `(ids, grads)` terms of `_summed_gradients`, relation
+    ids offset by |E|.
     """
     kind, k, n_ent = model.kind, model.k, model.n_entities
     ent, rel = model.entity_table, model.relation_table
     s_ids, p_ids, o_ids = batch.T
     neg_s, neg_p, neg_o = negatives
-    es, rp, eo = positive_rows
+
+    def positive(side, rows=slice(None)):  # the subject (0), predicate (1) or object (2) rows of positives `rows`
+        if positive_rows is not None:
+            return positive_rows[side][rows]
+        return (rel if side == 1 else ent)[batch[rows, side]]
 
     if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
         # a distance is not linear in the replaced row: one gradient row per negative
-        pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(kind, k, es, rp, eo)
+        pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(kind, k, positive(0), positive(1), positive(2))
         neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
         loss, d = row_loss(slice(None), np.concatenate([pos_f[:, None], neg_f], axis=1))
         d_pos, d_neg = d[:, 0, None], d[:, 1:, None]
@@ -180,7 +195,6 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     # q_obj . e in the object slot and q_sub . e in the subject slot, where the
     # queries are the positive's own gradients q_obj = es∘rp and q_sub = conj(rp)∘eo.
     # Column 0 holds the positive as its own object-side candidate.
-    q_obj, q_sub = bilinear_product(kind, k, es, rp), bilinear_product(kind, k, rp, eo, conj=True)
     obj_side = np.ones((len(batch), 1 + neg_s.shape[1]), dtype=bool)
     obj_side[:, 1:] = neg_s == batch[:, :1]  # exact: a drawn subject never equals the positive's
     cand = np.concatenate([o_ids[:, None], np.where(obj_side[:, 1:], neg_o, neg_s)], axis=1)
@@ -193,7 +207,9 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
 
     def queries(rows):
-        return np.where(obj_side[rows, :, None], q_obj[rows, None], q_sub[rows, None])
+        es, rp, eo = positive(0, rows), positive(1, rows), positive(2, rows)
+        q_obj, q_sub = bilinear_product(kind, k, es, rp), bilinear_product(kind, k, rp, eo, conj=True)
+        return np.where(obj_side[rows, :, None], q_obj[:, None], q_sub[:, None])
 
     loss, d = np.empty(n), np.empty(cand.shape)
     sum_obj, sum_sub = np.empty((n, width)), np.empty((n, width))
@@ -203,16 +219,20 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
         # the gradients of the kept rows are linear in the candidates: sum over eta first
         np.einsum("nc,ncw->nw", np.where(obj_side[rows], d[rows], 0.0), cand_rows, out=sum_obj[rows])
         np.einsum("nc,ncw->nw", np.where(obj_side[rows], 0.0, d[rows]), cand_rows, out=sum_sub[rows])
-    g_s = bilinear_product(kind, k, rp, sum_obj, conj=True)
-    g_o = bilinear_product(kind, k, sum_sub, rp)
-    g_p = bilinear_product(kind, k, es, sum_obj, conj=True)
-    g_p += bilinear_product(kind, k, sum_sub, eo, conj=True)
 
     def cand_grads():  # written over each chunk's queries; the last chunk's are still held
         for rows in chunks:
             grads = q if rows is chunks[-1] else queries(rows)
             yield np.multiply(grads, d[rows, :, None], out=grads)
 
+    def by_rows(grads):  # a kept row's gradients, made a row chunk at a time as the scatter reaches them
+        size = _chunk_rows(width)
+        return (grads(slice(lo, lo + size)) for lo in range(0, n, size))
+
+    g_s = by_rows(lambda rows: bilinear_product(kind, k, positive(1, rows), sum_obj[rows], conj=True))
+    g_o = by_rows(lambda rows: bilinear_product(kind, k, sum_sub[rows], positive(1, rows)))
+    g_p = by_rows(lambda rows: bilinear_product(kind, k, positive(0, rows), sum_obj[rows], conj=True)
+                  + bilinear_product(kind, k, sum_sub[rows], positive(2, rows), conj=True))
     return loss, [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads()), (p_ids + n_ent, g_p)]
 
 
@@ -236,12 +256,14 @@ def batch_gradients(
     sizes, bounds = sizes or [len(batch)], bounds or [0, model.n_entities, len(model.table)]
     runs = [(slice(end - n, end), 1.0 / n) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
     scale = np.repeat([s for _, s in runs], sizes)[:, None]
-    positive_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
-    # The angle term runs before the candidate arrays exist.  Run after them,
-    # its many small temporaries land in heap pages that freeing those arrays
-    # has just returned to the system, and fault them back in on every batch.
-    kd_terms, losses, degenerate = [], [0.0] * len(runs), [0] * len(runs)
+    # The angle term reads the positive rows whole (without it the scorer
+    # gathers them a chunk at a time) and runs before the candidate arrays
+    # exist.  Run after them, its many small temporaries land in heap pages
+    # that freeing those arrays has just returned to the system, and fault
+    # them back in on every batch.
+    kd_terms, losses, degenerate, positive_rows = [], [0.0] * len(runs), [0] * len(runs), None
     if teacher_angles is not None and kd_lambda > 0.0:
+        positive_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
         kd_rows, kd_gs, kd_gp, kd_go, total = distill.rkd_loss_batch(teacher_angles, positive_rows)
         kd_scale = kd_lambda * scale
         kd_terms = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go),
@@ -263,13 +285,13 @@ def batch_gradients(
     loss_rows, terms = _score_batch(model, batch, negatives, positive_rows, row_loss)
     losses = [float(loss_rows[sl].sum()) * s + kd for (sl, s), kd in zip(runs, losses)]
     rows, grad = _summed_gradients(terms + kd_terms, model.width)
+    del positive_rows, terms, kd_terms  # the L2 gather does not stack on them
     if config.gamma > 0.0:
         # each run's L2 loss sums its entity rows and its relation rows apart
         cuts, l2 = np.searchsorted(rows, bounds).tolist(), []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            part_loss, part_grad = l2_regularizer(model.table[rows[lo:hi]], config.gamma)
-            grad[lo:hi] += part_grad
-            l2.append(part_loss)
+            part = model.table[rows[lo:hi]]
+            l2.append(l2_regularizer(part, config.gamma, grad[lo:hi], _chunk_rows(model.width))[0])
         losses = [loss + (l2[j] + l2[len(runs) + j]) for j, loss in enumerate(losses)]
     return losses, degenerate, rows, grad
 
@@ -290,7 +312,8 @@ def train_lockstep(
     diverging run stops, with the runs after it: the error raised is the first diverging run's,
     as when the runs train one after another.  `progress(epoch, mean loss)` follows each epoch.
     """
-    bs, focuse, optimizer = config.batch_size, config.focuse, SparseAdam(model.table.shape, config.lr)
+    bs, focuse = config.batch_size, config.focuse
+    optimizer = SparseAdam(model.table.shape, config.lr, chunk_rows=_chunk_rows(model.width))
     stats, per_epoch = [TrainStats() for _ in runs], [-(-len(run.triples) // bs) for run in runs]
     orders, loss_sums, errors, active = [None] * len(runs), [0.0] * len(runs), {}, range(len(runs))
     for step in itertools.count():

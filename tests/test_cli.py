@@ -175,6 +175,12 @@ class TestPipeline:
         assert manifest["config"]["seed"] == 3
         assert str(root / "train.tsv") in manifest["inputs"]
 
+    def test_train_manifest_records_peak_memory(self, workspace):
+        root, _, _ = workspace
+        assert run_cli(train_argv(root)) == 0
+        manifest = json.loads((root / "teacher.kgex.manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mib"], float) and manifest["peak_rss_mib"] > 0
+
     def test_sample_subgraph_subcommand(self, workspace):
         root, g, held_out = workspace
         status = run_cli(sample_argv(root, g, held_out))

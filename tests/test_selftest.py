@@ -20,7 +20,7 @@ NAMES = [
     "adam fixed points",
     "ranking vs brute force and metrics",
     "corruption invariants",
-    "training step invariant to candidate chunking",
+    "training step and Adam invariant to row chunking",
 ]
 
 
@@ -131,6 +131,17 @@ def _einsum_rounds_single_rows(fn):
     return broken
 
 
+def _adam_stops_after_one_chunk(fn):
+    """Updates only the first chunk of rows, as a chunk loop that returns early might."""
+
+    def broken(self, params, rows, grads):
+        size = self.chunk_rows or len(rows)
+        fn(self, params, rows[:size], grads[:size])
+        return grads
+
+    return broken
+
+
 FAULTS = {
     "graph indices match linear scan": (
         KnowledgeGraph, "predicate_positions", lambda fn: lambda g, p: fn(g, p)[:-1]),
@@ -147,7 +158,7 @@ FAULTS = {
         lambda fn: lambda self, params, rows, grads: fn(self, params, rows, grads + 1e-3)),
     "ranking vs brute force and metrics": (evaluation, "rank_triple", _object_rank_off_by_one),
     "corruption invariants": (training, "corrupt_batch", _both_sides_replaced),
-    "training step invariant to candidate chunking": (training, "softmax_nll_batch", _loss_reads_across_rows),
+    "training step and Adam invariant to row chunking": (training, "softmax_nll_batch", _loss_reads_across_rows),
 }
 
 
@@ -169,8 +180,13 @@ CASES = [pytest.param(name, FAULTS[name], id=name) for name in NAMES] + [
         id="corruption invariants without redraw",
     ),
     pytest.param(
-        "training step invariant to candidate chunking", (np, "einsum", _einsum_rounds_single_rows),
+        "training step and Adam invariant to row chunking", (np, "einsum", _einsum_rounds_single_rows),
         id="chunking with a row-count-dependent einsum",
+    ),
+    pytest.param(
+        "training step and Adam invariant to row chunking",
+        (optim.SparseAdam, "apply", _adam_stops_after_one_chunk),
+        id="chunking with an Adam step that stops after one chunk",
     ),
 ]
 

@@ -158,6 +158,18 @@ class TestL2Regularizer:
         with pytest.raises(ValueError):
             l2_regularizer(np.ones((1, 2)), -1.0)
 
+    @pytest.mark.parametrize("step", [1, 7, None])
+    def test_gradient_added_in_row_chunks_changes_no_byte(self, step):
+        """The loss sums the rows whole (summed a row at a time, it rounds
+        apart at this size) and the gradient adds into `grad` as `grad + 2 w row`."""
+        rng = np.random.default_rng(3)
+        rows, grad = rng.normal(size=(300, 40)), rng.normal(size=(300, 40))
+        want_loss, want_grad = l2_regularizer(rows, 0.37)
+        want_grad += grad
+        loss, got = l2_regularizer(rows.copy(), 0.37, grad, step)
+        assert got is grad and loss.hex() == want_loss.hex()
+        assert grad.tobytes() == want_grad.tobytes()
+
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
@@ -172,8 +184,8 @@ class TestAdam:
         params = np.array([[10.0, -3.0]])
         g = np.array([[0.2, -7.0]])
         opt = SparseAdam(params.shape, lr=0.01)
-        opt.apply(params, np.array([0]), g)
         expected = np.array([[10.0, -3.0]]) - 0.01 * g / (np.abs(g) + 1e-8)
+        opt.apply(params, np.array([0]), g)  # writes the updated row over g
         assert np.allclose(params, expected, atol=1e-12)
 
     def test_two_identical_steps_match_scalar_trace(self):
@@ -205,6 +217,37 @@ class TestAdam:
         for grads in (np.ones((3, 2)), np.array([[0.5, -2.0], [0.0, 3.0], [-1.0, 1e-9]])):
             updated = opt.apply(params, rows, grads)
             assert updated.tobytes() == params[rows].tobytes()
+
+    def test_row_chunks_change_no_byte(self):
+        """Three steps over overlapping row sets, all rows at once, at the
+        training step's budget and one row at a time."""
+        rng = np.random.default_rng(8)
+        row_sets = [np.array([0, 3, 4, 9]), np.arange(10), np.array([2, 3, 7])]
+        grads = [rng.normal(size=(len(rows), 6)) for rows in row_sets]
+        start, results = rng.normal(size=(10, 6)), []
+        for chunk_rows in (None, kgex.training._chunk_rows(6), 1):
+            params, updated = start.copy(), []
+            opt = SparseAdam(params.shape, lr=0.3, chunk_rows=chunk_rows)
+            for rows, g in zip(row_sets, grads):
+                updated.append(opt.apply(params, rows, g.copy()).tobytes())
+            results.append((params.tobytes(), opt.m.tobytes(), opt.v.tobytes(), updated))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_heap_holds_a_few_chunks(self):
+        """One step over 20,000 rows of width 100 (16 MB a grad-sized array) at
+        the training budget of 655 rows (512 KiB): the moments, their bias-
+        corrected copies and the update take about six chunks at a time,
+        where the whole rows took about seven 16 MB arrays (112 MB)."""
+        rng = np.random.default_rng(9)
+        params, grads, rows = rng.normal(size=(20_000, 100)), rng.normal(size=(20_000, 100)), np.arange(20_000)
+        opt = SparseAdam(params.shape, lr=0.1, chunk_rows=kgex.training._chunk_rows(100))
+        tracemalloc.start()
+        try:
+            opt.apply(params, rows, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * kgex.training._SCATTER_ELEMS * 8, f"heap peak {peak / 1e6:.1f} MB"
 
     def test_untouched_rows_never_move(self):
         params = np.arange(8.0).reshape(4, 2)
@@ -467,7 +510,9 @@ def stacked_step(kind, objective, gamma, kd):
 @pytest.mark.parametrize("kind", ["distmult", "complex"])
 def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd):
     """The default budget scores the 16 rows in one chunk; 1-row and 5-row
-    chunks give the same losses, degenerate counts, rows and gradients."""
+    candidate chunks give the same losses, degenerate counts, rows and
+    gradients.  The 1-row budget, 4 * width elements, also makes the positive
+    rows' gradient terms and, at gamma 1e-3, the L2 gradient in 4-row chunks."""
     *want, width = stacked_step(kind, objective, gamma, kd)
     assert (sum(want[1]) > 0) == kd and 16 * 4 * width <= kgex.training._SCATTER_ELEMS
     for rows_per_chunk in (1, 5):
@@ -475,43 +520,43 @@ def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd
         assert stacked_step(kind, objective, gamma, kd)[:-1] == tuple(want)
 
 
-def test_step_heap_holds_no_candidate_block():
-    """One ComplEx step's traced peak, against its (n, W) arrays and a few chunks.
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+def test_step_heap_holds_no_candidate_block(gamma):
+    """One ComplEx step's traced peak, against two (n, W) arrays and a few chunks.
 
     n = 2,000 positives, eta = 10 and W = 100 make the (n, 1 + eta, W)
-    candidate block 17.6 MB; a step that holds it twice, gathered rows and
-    queries, needs 35.2 MB for those alone.  The bound adds three terms:
+    candidate block 17.6 MB; a step that held ten (n, W) arrays until the
+    scatter (the positive rows, the queries q_obj and q_sub, the sums over
+    eta and the kept rows' gradients) peaked at 20.6 MB.  The bound adds:
 
-    - 12 float64 (n, W) arrays: ten held until the scatter (the positive rows
-      es, rp, eo; the queries q_obj, q_sub; the sums over eta sum_obj, sum_sub;
-      the gradients g_s, g_o, g_p), and two more, either while the product
-      kernel builds the last of them (its half-width terms and the joined
-      row), or in the scatter, for the buffer of touched rows (1,010 at most,
-      about half an array) and `np.unique`'s copies of the 14n row ids;
+    - 2 float64 (n, W) arrays, the sums over eta sum_obj and sum_sub (3.2 MB);
+    - the buffer of touched rows (1,010 at most) and, for gamma > 0, the L2
+      gather of its rows (1.6 MB);
     - 4 chunks of `_SCATTER_ELEMS` float64 (512 KiB each): a chunk's gathered
-      candidates and queries (the last chunk's stay held after the loop, its
-      queries until the scatter writes its gradients over them), and a
-      chunk's einsum operands, or, in the scatter, its gradients and index;
+      candidates and queries, and its einsum operands, or, in the scatter, a
+      chunk's gradients and index (2.1 MB);
     - 3 float64 (n, 1 + eta) arrays: the candidate ids, their side mask and
-      their loss gradients.
+      their loss gradients (0.5 MB);
+    - 5 copies of the 14n int64 row ids of `np.unique` (1.1 MB).
 
-    That bound is 21.8 MB, 62% of the two blocks.
+    That bound is 8.6 MB, under half the block.
     """
     n, eta, k, n_entities = 2000, 10, 50, 1000
     rng = np.random.default_rng(0)
     model = init_model("complex", k, n_entities, 10, seed=1)
     batch = np.stack([rng.integers(0, n_entities, n), rng.integers(0, 10, n), rng.integers(0, n_entities, n)], 1)
     negatives = corrupt_batch(batch, eta, np.arange(n_entities), rng)
-    config = TrainConfig(kind="complex", k=k, eta=eta)
+    config = TrainConfig(kind="complex", k=k, eta=eta, gamma=gamma)
     tracemalloc.start()
     try:
         batch_gradients(model, batch, negatives, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = n * (1 + eta) * model.width * 8
-    bound = 12 * n * model.width * 8 + 4 * kgex.training._SCATTER_ELEMS * 8 + 3 * n * (1 + eta) * 8
-    assert block >= 16e6 and bound < 2 * block
+    block, row_bytes = n * (1 + eta) * model.width * 8, model.width * 8
+    bound = (2 * n * row_bytes + 2 * len(model.table) * row_bytes + 4 * kgex.training._SCATTER_ELEMS * 8
+             + 3 * n * (1 + eta) * 8 + 5 * 14 * n * 8)
+    assert block >= 16e6 and bound < block / 2
     assert peak <= bound, f"heap peak {peak / 1e6:.1f} MB"
 
 
@@ -519,10 +564,13 @@ def test_step_heap_holds_no_candidate_block():
 def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
     """One epoch's heap peak, in units of one float64 (batch, 1 + eta, width) array.
 
-    Scoring and scattering the candidates in chunks holds no such array: the
-    peak, about 1.3, is the batch's (batch, width) rows and the tables.  The
-    whole block, gathered and as queries, took about 3.2; a gather and a
-    gradient per negative and side needs about ten.
+    Scoring and scattering the candidates in chunks holds no such array, and
+    the positive rows, queries and kept rows' gradients are made a chunk at a
+    time: the peak, about 0.6 (ComplEx) and 0.75 (DistMult), is the batch's two
+    (batch, width) sums over eta, a few chunks and the tables.  Holding ten
+    (batch, width) arrays took about 1.35; the whole block, gathered and as
+    queries, about 3.2; a gather and a gradient per negative and side needs
+    about ten.
     """
     g = random_graph(500, 10, 4000, seed=12)
     config = TrainConfig(kind=kind, k=50, eta=10, epochs=1, batch_size=2000, seed=0)
