@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import training
+from . import optim
 from .distill import check_kd_lambda, check_teacher, train_student, triple_angles
 from .evaluation import rank_triple
 from .graph import KnowledgeGraph, Triple, TrueTripleSet, build_filter, graph_from_triples, label_rows
@@ -104,13 +104,13 @@ def _derive_seed(master: int, *path: int) -> int:
 
 def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[RunRecord]:
     """Train and rank consecutive runs in lockstep groups: a run joins a group while the
-    group's stacked (rows, 1 + eta, width) candidate block stays within `_SCATTER_ELEMS`
+    group's stacked (rows, 1 + eta, width) candidate block stays within `optim._CHUNK_ELEMS`
     elements, the training step's own budget (README has the sweep behind it)."""
     row_elems = (1 + config.eta) * config.k * ModelKind(config.kind).row_width_factor
-    groups, used = [], training._SCATTER_ELEMS  # full: the first run opens a group
+    groups, used = [], optim._CHUNK_ELEMS  # full: the first run opens a group
     for plan in plans:
         step = row_elems * min(len(plan[1]), config.batch_size)
-        if used + step > training._SCATTER_ELEMS:
+        if used + step > optim._CHUNK_ELEMS:
             groups, used = groups + [[]], 0
         groups[-1].append(plan)
         used += step

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optim import _chunk_rows
+
 
 def softmax_nll_batch(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multiclass NLL of the positive against its negatives, stabilized.
@@ -23,22 +25,23 @@ def softmax_nll_batch(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return loss, grad
 
 
-def l2_regularizer(
-    rows: np.ndarray, weight: float, grad: np.ndarray | None = None, step: int | None = None
-) -> tuple[float, np.ndarray]:
-    """weight * sum ||row||^2 over the given rows; gradient is 2 * weight * row.
+def l2_regularizer(rows: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+    """weight * sum ||row||^2 over the given rows; gradient is 2 * weight * row."""
+    rows = np.atleast_2d(rows)
+    grad = np.zeros(rows.shape)
+    return l2_regularizer_into(rows.copy(), weight, grad), grad
 
-    Given `grad`, the gradient is added into it `step` rows at a time (all at
-    once by default) and `grad` is returned; the loss then squares `rows` in
-    place, so no array of their size is allocated.  Without it, `rows` is
-    copied and a new gradient returned.
+
+def l2_regularizer_into(rows: np.ndarray, weight: float, grad: np.ndarray) -> float:
+    """Add the gradient of `l2_regularizer(rows, weight)` into `grad`, a
+    `_chunk_rows` chunk at a time, and return its loss.
+
+    `rows` must be a 2-D array the caller owns and no longer needs (a gather):
+    it is overwritten with its squares, so no array of its size is allocated.
     """
     if weight < 0:
         raise ValueError("regularizer weight must be >= 0")
-    rows = np.atleast_2d(rows)
-    if grad is None:
-        rows, grad = rows.copy(), np.zeros(rows.shape)
-    step = step or max(1, len(rows))
+    step = _chunk_rows(rows.shape[1])
     for lo in range(0, len(rows), step):
         grad[lo : lo + step] += 2.0 * weight * rows[lo : lo + step]
-    return float(weight * np.multiply(rows, rows, out=rows).sum()), grad
+    return float(weight * np.multiply(rows, rows, out=rows).sum())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import resource
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -56,8 +57,9 @@ class RunManifest:
     def write(self, path: str | Path) -> None:
         self.data["duration_s"] = round(time.monotonic() - self._t0, 3)
         # this process's peak resident memory so far, worker processes not included
-        # (`ru_maxrss` is in KiB on Linux)
-        self.data["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        # (`ru_maxrss` is in bytes on macOS, in KiB elsewhere)
+        per_mib = 1 << (20 if sys.platform == "darwin" else 10)
+        self.data["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mib, 1)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from . import distill, evaluation, focuse, losses, models, sampling, training
+from . import distill, evaluation, focuse, losses, models, optim, sampling, training
 from .graph import Vocabulary, build_filter, graph_from_triples, one_hop_positions
 from .optim import SparseAdam
 
@@ -207,22 +207,21 @@ def _check_chunked_step() -> str | None:
     model = models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 0)
     batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
     negatives = training.corrupt_batch(batch, 3, np.arange(20), rng)
-    budget, steps = training._SCATTER_ELEMS, []
+    budget, steps = optim._CHUNK_ELEMS, []
     try:
         # adding the L2 loss can round away a last-bit change of the NLL in the
         # batch loss: gamma 0 keeps that change in sight
         for gamma, elems in itertools.product((0.0, 1e-3), (budget, 1)):
             # one chunk of 12 positives, then one positive or touched row a chunk
-            training._SCATTER_ELEMS = elems
+            optim._CHUNK_ELEMS = elems
             config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=gamma)
             losses, _, rows, grad = training.batch_gradients(model, batch, negatives, config)
             step = np.r_[losses, rows, grad.ravel()].tobytes()
-            table = model.table.copy()
-            adam = SparseAdam(table.shape, 0.1, chunk_rows=training._chunk_rows(model.width))
+            table, adam = model.table.copy(), SparseAdam(model.table.shape, 0.1)
             updated = adam.apply(table, rows, grad)
             steps.append(step + np.r_[updated.ravel(), adam.m.ravel(), adam.v.ravel()].tobytes())
     finally:
-        training._SCATTER_ELEMS = budget
+        optim._CHUNK_ELEMS = budget
     if steps[::2] != steps[1::2]:
         return "1-row chunks change the step's loss, gradients or Adam update"
     return None

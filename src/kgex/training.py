@@ -11,9 +11,9 @@ import numpy as np
 from . import distill
 from .focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch
 from .graph import KnowledgeGraph
-from .losses import l2_regularizer, softmax_nll_batch
+from .losses import l2_regularizer_into, softmax_nll_batch
 from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, score_grad_rows
-from .optim import SparseAdam
+from .optim import SparseAdam, _chunk_rows
 
 
 class TrainingDivergedError(RuntimeError):
@@ -31,10 +31,10 @@ class TrainConfig:
     (scores passed through softplus first).  For DistMult and ComplEx, which
     score candidates against query rows, one step holds two float64
     `(rows, width)` arrays, the sums over eta (with the angle term, also the
-    three positive rows), and the buffer of touched rows (for gamma > 0, also
-    one gather of them for the L2 loss); its
+    three positive rows and their two queries), and the buffer of touched rows
+    (for gamma > 0, also one gather of them for the L2 loss); its
     `(rows, 1 + eta, width)` candidate block is held only in chunks of
-    positives of at most `_SCATTER_ELEMS` elements (one positive, if wider),
+    positives of at most `optim._CHUNK_ELEMS` elements (one positive, if wider),
     and its other `(rows, width)` arrays and the Adam update in chunks of
     `_chunk_rows(width)` rows: train-fb237 (10,000 rows, eta 10, width 200)
     peaks at about 231 MiB resident, tables included.  TransE gathers and
@@ -121,23 +121,12 @@ def corrupt_batch(
     return neg_s, np.broadcast_to(triples[:, 1:2], (n, eta)), neg_o
 
 
-# The one working-set budget, in float64 elements: a scatter call's chunk (an
-# int64 index of at most 512 KiB), a chunk of a step's candidate block, and a
-# lockstep group's stacked candidate block (`explain._run_chunk`)
-_SCATTER_ELEMS = 1 << 16
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows of `width` floats in one `_SCATTER_ELEMS` chunk (one row, if wider)."""
-    return max(1, _SCATTER_ELEMS // width)
-
-
 def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum `(ids, grads)` terms over the table rows they touch.
 
     Returns the sorted unique ids and their `(len(rows), width)` gradients.
     A term's grads are an array, scattered in chunks of at most
-    `_SCATTER_ELEMS` elements (one row if wider), or an iterable of its
+    `optim._CHUNK_ELEMS` elements (one row if wider), or an iterable of its
     consecutive blocks, each made as the scatter reaches it.  A 1-D
     `np.add.at` into the flat buffer adds in index order from 0.0: each row
     sums its grads in term order, as a full-table scatter would.
@@ -199,16 +188,23 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     obj_side[:, 1:] = neg_s == batch[:, :1]  # exact: a drawn subject never equals the positive's
     cand = np.concatenate([o_ids[:, None], np.where(obj_side[:, 1:], neg_o, neg_s)], axis=1)
     # the (n, 1 + eta, width) candidate block is never held: chunks of positives
-    # of at most `_SCATTER_ELEMS` elements (one positive, if wider) each gather,
+    # of at most `optim._CHUNK_ELEMS` elements (one positive, if wider) each gather,
     # score and sum their candidates over eta, and make their candidates'
     # gradients again when the scatter reaches them
     n, width = cand.shape[0], model.width
-    step = max(1, _SCATTER_ELEMS // (cand.shape[1] * width))
+    step = _chunk_rows(cand.shape[1] * width)
     chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
 
-    def queries(rows):
+    def pair(rows):  # the object- and subject-side queries of positives `rows`
         es, rp, eo = positive(0, rows), positive(1, rows), positive(2, rows)
-        q_obj, q_sub = bilinear_product(kind, k, es, rp), bilinear_product(kind, k, rp, eo, conj=True)
+        return bilinear_product(kind, k, es, rp), bilinear_product(kind, k, rp, eo, conj=True)
+
+    # with the positive rows held whole for the angle term, their queries are
+    # built whole too, so a step of many chunks builds them once
+    held = positive_rows is not None and pair(slice(None))
+
+    def queries(rows):
+        q_obj, q_sub = (held[0][rows], held[1][rows]) if held else pair(rows)
         return np.where(obj_side[rows, :, None], q_obj[:, None], q_sub[:, None])
 
     loss, d = np.empty(n), np.empty(cand.shape)
@@ -291,7 +287,7 @@ def batch_gradients(
         cuts, l2 = np.searchsorted(rows, bounds).tolist(), []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             part = model.table[rows[lo:hi]]
-            l2.append(l2_regularizer(part, config.gamma, grad[lo:hi], _chunk_rows(model.width))[0])
+            l2.append(l2_regularizer_into(part, config.gamma, grad[lo:hi]))
         losses = [loss + (l2[j] + l2[len(runs) + j]) for j, loss in enumerate(losses)]
     return losses, degenerate, rows, grad
 
@@ -313,7 +309,7 @@ def train_lockstep(
     as when the runs train one after another.  `progress(epoch, mean loss)` follows each epoch.
     """
     bs, focuse = config.batch_size, config.focuse
-    optimizer = SparseAdam(model.table.shape, config.lr, chunk_rows=_chunk_rows(model.width))
+    optimizer = SparseAdam(model.table.shape, config.lr)
     stats, per_epoch = [TrainStats() for _ in runs], [-(-len(run.triples) // bs) for run in runs]
     orders, loss_sums, errors, active = [None] * len(runs), [0.0] * len(runs), {}, range(len(runs))
     for step in itertools.count():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-import kgex.training
+import kgex.optim
 from kgex.explain import ExplainConfig, mc_explain
 from kgex.models import ModelKind, init_model
 from kgex.sampling import SubgraphSpec
@@ -98,11 +98,11 @@ def test_groups_do_not_change_any_run(monkeypatch, graph, per_group):
     g, target = graph
     config = explain_config("complex", batch_size=4)
     # every run stacks 4 rows a step, so the bound holds `per_group` runs
-    monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", per_group * 4 * 3 * 6)
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", per_group * 4 * 3 * 6)
     teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
     report, groups = traced_explain(monkeypatch, teacher, g, target, config)
     assert [len(runs) for _, runs in groups] == [per_group] * (6 // per_group)
-    monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", 1 << 30)
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1 << 30)
     together, _ = traced_explain(monkeypatch, teacher, g, target, config)
     assert record_bytes(report.records) == record_bytes(together.records)
 

@@ -135,7 +135,7 @@ def _adam_stops_after_one_chunk(fn):
     """Updates only the first chunk of rows, as a chunk loop that returns early might."""
 
     def broken(self, params, rows, grads):
-        size = self.chunk_rows or len(rows)
+        size = optim._chunk_rows(params.shape[1])
         fn(self, params, rows[:size], grads[:size])
         return grads
 

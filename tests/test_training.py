@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kgex.optim
 import kgex.training
 from kgex.distill import triple_angles
 from kgex.evaluation import evaluate
 from kgex.focuse import alpha_batch
 from kgex.graph import build_filter, graph_from_triples
-from kgex.losses import l2_regularizer, softmax_nll_batch
+from kgex.losses import l2_regularizer, l2_regularizer_into, softmax_nll_batch
 from kgex.models import init_model
 from kgex.optim import SparseAdam
 from kgex.training import (
@@ -158,16 +159,25 @@ class TestL2Regularizer:
         with pytest.raises(ValueError):
             l2_regularizer(np.ones((1, 2)), -1.0)
 
+    def test_rows_are_not_written(self):
+        table = np.arange(12.0).reshape(4, 3)
+        l2_regularizer(table[1:3], 0.5)
+        assert np.array_equal(table, np.arange(12.0).reshape(4, 3))
+
     @pytest.mark.parametrize("step", [1, 7, None])
-    def test_gradient_added_in_row_chunks_changes_no_byte(self, step):
-        """The loss sums the rows whole (summed a row at a time, it rounds
-        apart at this size) and the gradient adds into `grad` as `grad + 2 w row`."""
+    def test_gradient_added_in_row_chunks_changes_no_byte(self, step, monkeypatch):
+        """`l2_regularizer_into` at chunks of `step` rows (the default budget
+        holds all 300): the loss sums the rows whole (summed a row at a time, it
+        rounds apart at this size) and the gradient adds into `grad` as
+        `grad + 2 w row`."""
+        if step is not None:
+            monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", step * 40)
         rng = np.random.default_rng(3)
         rows, grad = rng.normal(size=(300, 40)), rng.normal(size=(300, 40))
         want_loss, want_grad = l2_regularizer(rows, 0.37)
         want_grad += grad
-        loss, got = l2_regularizer(rows.copy(), 0.37, grad, step)
-        assert got is grad and loss.hex() == want_loss.hex()
+        loss = l2_regularizer_into(rows.copy(), 0.37, grad)
+        assert loss.hex() == want_loss.hex()
         assert grad.tobytes() == want_grad.tobytes()
 
 
@@ -218,20 +228,45 @@ class TestAdam:
             updated = opt.apply(params, rows, grads)
             assert updated.tobytes() == params[rows].tobytes()
 
-    def test_row_chunks_change_no_byte(self):
-        """Three steps over overlapping row sets, all rows at once, at the
-        training step's budget and one row at a time."""
+    def test_row_chunks_change_no_byte(self, monkeypatch):
+        """Three steps over overlapping row sets at the default budget (all
+        rows in one chunk) and at a budget of one row a chunk."""
         rng = np.random.default_rng(8)
         row_sets = [np.array([0, 3, 4, 9]), np.arange(10), np.array([2, 3, 7])]
         grads = [rng.normal(size=(len(rows), 6)) for rows in row_sets]
         start, results = rng.normal(size=(10, 6)), []
-        for chunk_rows in (None, kgex.training._chunk_rows(6), 1):
+        for elems in (kgex.optim._CHUNK_ELEMS, 1):
+            monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", elems)
             params, updated = start.copy(), []
-            opt = SparseAdam(params.shape, lr=0.3, chunk_rows=chunk_rows)
+            opt = SparseAdam(params.shape, lr=0.3)
             for rows, g in zip(row_sets, grads):
                 updated.append(opt.apply(params, rows, g.copy()).tobytes())
             results.append((params.tobytes(), opt.m.tobytes(), opt.v.tobytes(), updated))
+        assert results[1] == results[0]
+
+    def test_foreign_grads_are_not_written(self):
+        """float32 and read-only gradients step as their float64 values do;
+        only a writable float64 buffer is written over."""
+        params, rows = np.arange(12.0).reshape(6, 2), np.array([1, 4])
+        grads = np.array([[0.1, -2.5], [3.0, 1e-3]], dtype=np.float32)
+        frozen = grads.astype(np.float64)
+        frozen.flags.writeable = False
+        results = []
+        for g in (grads.astype(np.float64), grads, frozen):
+            before, p, opt = g.copy(), params.copy(), SparseAdam(params.shape, lr=0.3)
+            updated = opt.apply(p, rows, g)
+            assert (updated is g) == (g.dtype == np.float64 and g.flags.writeable)
+            if updated is not g:
+                assert g.tobytes() == before.tobytes()
+            results.append((p.tobytes(), updated.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_repeated_rows_rejected(self):
+        opt = SparseAdam((6, 2), lr=0.3)
+        with pytest.raises(ValueError, match="rows must be distinct"):
+            opt.apply(np.zeros((6, 2)), np.array([4, 1, 4]), np.ones((3, 2)))
+        assert opt.t == 0
+        opt.apply(np.zeros((6, 2)), np.array([4, 1, 3]), np.ones((3, 2)))  # unsorted but distinct
 
     def test_heap_holds_a_few_chunks(self):
         """One step over 20,000 rows of width 100 (16 MB a grad-sized array) at
@@ -240,14 +275,14 @@ class TestAdam:
         where the whole rows took about seven 16 MB arrays (112 MB)."""
         rng = np.random.default_rng(9)
         params, grads, rows = rng.normal(size=(20_000, 100)), rng.normal(size=(20_000, 100)), np.arange(20_000)
-        opt = SparseAdam(params.shape, lr=0.1, chunk_rows=kgex.training._chunk_rows(100))
+        opt = SparseAdam(params.shape, lr=0.1)
         tracemalloc.start()
         try:
             opt.apply(params, rows, grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * kgex.training._SCATTER_ELEMS * 8, f"heap peak {peak / 1e6:.1f} MB"
+        assert peak <= 8 * kgex.optim._CHUNK_ELEMS * 8, f"heap peak {peak / 1e6:.1f} MB"
 
     def test_untouched_rows_never_move(self):
         params = np.arange(8.0).reshape(4, 2)
@@ -457,7 +492,7 @@ class TestSummedGradients:
     )
     def test_bitwise_equal_to_per_term_scatter(self, elems, monkeypatch):
         if elems is not None:
-            monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", elems)
+            monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", elems)
         rng = np.random.default_rng(5)
         terms = [(ids, rng.normal(size=(*ids.shape, 4))) for ids in SCATTER_IDS]
         rows, summed = _summed_gradients(terms, 4)
@@ -472,7 +507,7 @@ class TestSummedGradients:
         teacher = init_model("complex", 3, g.n_entities, g.n_relations, seed=5)
         config = TrainConfig(kind="complex", k=3, eta=3, epochs=3, batch_size=16, gamma=1e-3, seed=2)
         want, _ = run_training(g, config, teacher=teacher, kd_lambda=2.0)
-        monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", 1)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1)
         got, _ = run_training(g, config, teacher=teacher, kd_lambda=2.0)
         assert got.entity_table.tobytes() == want.entity_table.tobytes()
         assert got.relation_table.tobytes() == want.relation_table.tobytes()
@@ -514,9 +549,9 @@ def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd
     gradients.  The 1-row budget, 4 * width elements, also makes the positive
     rows' gradient terms and, at gamma 1e-3, the L2 gradient in 4-row chunks."""
     *want, width = stacked_step(kind, objective, gamma, kd)
-    assert (sum(want[1]) > 0) == kd and 16 * 4 * width <= kgex.training._SCATTER_ELEMS
+    assert (sum(want[1]) > 0) == kd and 16 * 4 * width <= kgex.optim._CHUNK_ELEMS
     for rows_per_chunk in (1, 5):
-        monkeypatch.setattr(kgex.training, "_SCATTER_ELEMS", rows_per_chunk * 4 * width)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", rows_per_chunk * 4 * width)
         assert stacked_step(kind, objective, gamma, kd)[:-1] == tuple(want)
 
 
@@ -554,7 +589,7 @@ def test_step_heap_holds_no_candidate_block(gamma):
     finally:
         tracemalloc.stop()
     block, row_bytes = n * (1 + eta) * model.width * 8, model.width * 8
-    bound = (2 * n * row_bytes + 2 * len(model.table) * row_bytes + 4 * kgex.training._SCATTER_ELEMS * 8
+    bound = (2 * n * row_bytes + 2 * len(model.table) * row_bytes + 4 * kgex.optim._CHUNK_ELEMS * 8
              + 3 * n * (1 + eta) * 8 + 5 * 14 * n * 8)
     assert block >= 16e6 and bound < block / 2
     assert peak <= bound, f"heap peak {peak / 1e6:.1f} MB"
