@@ -36,12 +36,11 @@ class SparseAdam:
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Take one step: update `params[rows]` in place from per-row gradients.
 
-        `rows` must be distinct.  Returns the updated rows, written over
-        `grads` when it is a writable array of `params`' dtype, else over a
-        copy of it.
+        `rows` must be distinct, as `np.unique` gives them (not checked: a
+        row repeated across chunks would read moments already updated).
+        Returns the updated rows, written over `grads` when it is a writable
+        array of `params`' dtype, else over a copy of it.
         """
-        if len(rows) > 1 and not (rows[1:] > rows[:-1]).all() and len(np.unique(rows)) < len(rows):
-            raise ValueError("rows must be distinct")
         grads = np.require(grads, params.dtype, "W")
         self.t += 1
         m_scale, v_scale = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t

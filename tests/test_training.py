@@ -261,13 +261,6 @@ class TestAdam:
             results.append((p.tobytes(), updated.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
         assert results[1] == results[0] and results[2] == results[0]
 
-    def test_repeated_rows_rejected(self):
-        opt = SparseAdam((6, 2), lr=0.3)
-        with pytest.raises(ValueError, match="rows must be distinct"):
-            opt.apply(np.zeros((6, 2)), np.array([4, 1, 4]), np.ones((3, 2)))
-        assert opt.t == 0
-        opt.apply(np.zeros((6, 2)), np.array([4, 1, 3]), np.ones((3, 2)))  # unsorted but distinct
-
     def test_heap_holds_a_few_chunks(self):
         """One step over 20,000 rows of width 100 (16 MB a grad-sized array) at
         the training budget of 655 rows (512 KiB): the moments, their bias-
