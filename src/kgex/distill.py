@@ -77,19 +77,23 @@ def rkd_loss_batch(
     term = np.where(valid, np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5), 0.0)
     dterm = np.where(valid, np.where(quad, diff, np.sign(diff)), 0.0)[..., None]
     # gradients of unit[i] . unit[i + 1] w.r.t. differences i and i + 1
-    d_u = (unit[_NEXT] - phi_s[..., None] * unit) / norm[..., None]
-    d_v = (unit - phi_s[..., None] * unit[_NEXT]) / norm[_NEXT][..., None]
-    g1, g2, g3 = d_u, -d_u + d_v, -d_v
-    n, d = student_rows[0].shape
-    loss = np.zeros(n)
-    gs, gp, go = np.zeros((3, n, d))
-    # ordering i contributes g1/g2/g3 to the rows it visits first/second/third
-    for i, (first, second, third) in enumerate(((gs, gp, go), (gp, go, gs), (go, gs, gp))):
-        loss += term[i]
-        first += dterm[i] * g1[i]
-        second += dterm[i] * g2[i]
-        third += dterm[i] * g3[i]
-    return loss, gs, gp, go, degenerate
+    unit_next = unit[_NEXT]
+    d_u = (unit_next - phi_s[..., None] * unit) / norm[..., None]
+    d_v = (unit - phi_s[..., None] * unit_next) / norm[_NEXT][..., None]
+    # ordering i adds dterm[i] times d_u, d_v - d_u and -d_v to the rows it visits
+    # first, second and third (s, p, o turned i times), summed in place from +0.0
+    # as from zeros; subtracting dterm * d_v adds dterm * -d_v, bit for bit
+    u, v, w = d_u, d_v, d_v - d_u
+    for part in (u, v, w):
+        part *= dterm
+    gs, gp, go = 0.0 + u[0], 0.0 + w[0], 0.0 - v[0]
+    gs -= v[1]
+    gp += u[1]
+    go += w[1]
+    gs += w[2]
+    gp -= v[2]
+    go += u[2]
+    return 0.0 + term[0] + term[1] + term[2], gs, gp, go, degenerate
 
 
 def check_kd_lambda(kd_lambda: float) -> None:

@@ -103,9 +103,10 @@ def _derive_seed(master: int, *path: int) -> int:
 
 
 def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[RunRecord]:
-    """Train and rank consecutive runs in lockstep groups: a run joins a group while the
-    group's stacked (rows, 1 + eta, width) candidate block stays within `optim._CHUNK_ELEMS`
-    elements, the training step's own budget (README has the sweep behind it)."""
+    """Train and rank consecutive runs in lockstep groups, on this thread alone: a run joins
+    a group while the group's stacked (rows, 1 + eta, width) candidate block stays within
+    `optim._CHUNK_ELEMS` elements, the training step's own budget (README has the sweep
+    behind it)."""
     row_elems = (1 + config.eta) * config.k * ModelKind(config.kind).row_width_factor
     groups, used = [], optim._CHUNK_ELEMS  # full: the first run opens a group
     for plan in plans:
@@ -115,7 +116,8 @@ def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[
         groups[-1].append(plan)
         used += step
     run_group = partial(_run_group, teacher, triples, target, config, kd_lambda, flt)
-    return [record for group in groups for record in run_group(group)]
+    with optim.serial():  # `threads` alone spreads an explanation over CPUs
+        return [record for group in groups for record in run_group(group)]
 
 
 def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[RunRecord]:

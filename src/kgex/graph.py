@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, filterfalse, repeat
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,16 @@ class Vocabulary:
         return idx
 
     def ids_of(self, labels, grow: bool = False) -> np.ndarray:
-        """The int64 id of each label, -1 for an unseen one; `grow` first adds the unseen
-        labels, in first-appearance order."""
-        if grow:
-            fresh = list(filterfalse(self.label_to_id.__contains__, dict.fromkeys(labels)))
-            self.label_to_id.update(zip(fresh, count(len(self.labels))))
-            self.labels.extend(fresh)
-        return np.fromiter(map(self.label_to_id.get, labels, repeat(-1)), np.int64, len(labels))
+        """The int64 id of each label of the list `labels`, -1 for an unseen one; `grow`
+        first adds the unseen labels, in first-appearance order."""
+        ids = np.fromiter(map(self.label_to_id.get, labels, repeat(-1)), np.int64, len(labels))
+        if grow and (unseen := np.flatnonzero(ids < 0)).size:
+            fresh = [labels[i] for i in unseen.tolist()]
+            added = list(dict.fromkeys(fresh))
+            self.label_to_id.update(zip(added, count(len(self.labels))))
+            self.labels.extend(added)
+            ids[unseen] = np.fromiter(map(self.label_to_id.__getitem__, fresh), np.int64, len(fresh))
+        return ids
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -8,6 +8,7 @@ and `<path>.relations.tsv` sidecars.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -63,24 +64,27 @@ def load_model(
     """Read a model file; sidecar vocabularies are returned when present
     and must have one label per table row."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ModelFormatError(f"{path}: bad magic; not a model file")
-    header_end = len(MAGIC) + 32
-    if len(blob) < header_end:
-        raise ModelFormatError(f"{path}: truncated header")
-    tag, k, n_entities, n_relations = struct.unpack("<4Q", blob[len(MAGIC) : header_end])
-    if tag not in _TAG_KINDS:
-        raise ModelFormatError(f"{path}: unknown model kind tag {tag}")
-    kind = _TAG_KINDS[tag]
-    width = k * kind.row_width_factor
-    expected = header_end + (n_entities + n_relations) * width * 8
-    if len(blob) != expected:
-        raise ModelFormatError(
-            f"{path}: expected {expected} bytes, found {len(blob)} (truncated or trailing data)"
-        )
-    table = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
-    model = EmbeddingModel(kind, k, table.reshape(n_entities + n_relations, width), n_entities)
+    with open(path, "rb") as fh:  # the table is read straight into its array: one copy held
+        header_end = len(MAGIC) + 32
+        head = fh.read(header_end)
+        if head[: len(MAGIC)] != MAGIC:
+            raise ModelFormatError(f"{path}: bad magic; not a model file")
+        if len(head) < header_end:
+            raise ModelFormatError(f"{path}: truncated header")
+        tag, k, n_entities, n_relations = struct.unpack("<4Q", head[len(MAGIC) :])
+        if tag not in _TAG_KINDS:
+            raise ModelFormatError(f"{path}: unknown model kind tag {tag}")
+        kind = _TAG_KINDS[tag]
+        width = k * kind.row_width_factor
+        expected, found = header_end + (n_entities + n_relations) * width * 8, os.fstat(fh.fileno()).st_size
+        if found == expected:
+            table = np.empty((n_entities + n_relations, width), dtype="<f8")
+            found = header_end + fh.readinto(table)  # short only if the file shrank meanwhile
+        if found != expected:
+            raise ModelFormatError(
+                f"{path}: expected {expected} bytes, found {found} (truncated or trailing data)"
+            )
+    model = EmbeddingModel(kind, k, table.astype(np.float64, copy=False), n_entities)
 
     entity_vocab = _load_sidecar(entity_sidecar(path), n_entities, "entity")
     relation_vocab = _load_sidecar(relation_sidecar(path), n_relations, "relation")

@@ -100,16 +100,19 @@ def score_rows(kind: ModelKind, k: int, es: np.ndarray, rp: np.ndarray, eo: np.n
     return (a * e * c - b * e * d + a * f * d + b * f * c).sum(axis=-1)
 
 
-def bilinear_product(kind: ModelKind, k: int, x: np.ndarray, y: np.ndarray, conj: bool = False) -> np.ndarray:
-    """x∘y, or conj(x)∘y, of DistMult/ComplEx rows (x * y for DistMult). The gradient of
-    Re<es, rp, conj(eo)> is es∘rp w.r.t. eo, conj(rp)∘eo w.r.t. es and conj(es)∘eo w.r.t. rp."""
+def bilinear_product(
+    kind: ModelKind, k: int, x: np.ndarray, y: np.ndarray, conj: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
+    """x∘y, or conj(x)∘y, of DistMult/ComplEx rows (x * y for DistMult), written to `out`
+    when given. The gradient of Re<es, rp, conj(eo)> is es∘rp w.r.t. eo, conj(rp)∘eo
+    w.r.t. es and conj(es)∘eo w.r.t. rp."""
     if kind is ModelKind.DISTMULT:
-        return x * y
+        return np.multiply(x, y, out=out)
     a, b = x[..., :k], x[..., k:]
     c, d = y[..., :k], y[..., k:]
     if conj:
-        return np.concatenate([a * c + b * d, -b * c + a * d], axis=-1)
-    return np.concatenate([a * c - b * d, a * d + b * c], axis=-1)
+        return np.concatenate([a * c + b * d, -b * c + a * d], axis=-1, out=out)
+    return np.concatenate([a * c - b * d, a * d + b * c], axis=-1, out=out)
 
 
 def score_grad_rows(

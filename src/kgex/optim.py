@@ -1,6 +1,12 @@
-"""Adam with lazy (touched-rows-only) sparse updates for embedding tables."""
+"""Adam with lazy (touched-rows-only) sparse updates for embedding tables, and
+the thread pool that a training step of more than one chunk spreads over."""
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -10,10 +16,82 @@ import numpy as np
 # and a lockstep group's stacked candidate block (`explain._run_chunk`)
 _CHUNK_ELEMS = 1 << 16
 
+# Threads of a step of more than one chunk: None is the CPUs this process may
+# run on.  No output depends on the count.
+_THREADS: int | None = None
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, its threads - 1 helpers)
+_local = threading.local()  # `serial`: this thread's steps run on it alone
+
 
 def _chunk_rows(width: int) -> int:
     """Rows of `width` floats in one `_CHUNK_ELEMS` chunk (one row, if wider)."""
     return max(1, _CHUNK_ELEMS // width)
+
+
+def _step_pool(chunks: int) -> tuple[int, ThreadPoolExecutor] | None:
+    """The pool a step of `chunks` chunks spreads over, made on first use, or
+    None: one chunk, one thread, or a thread inside `serial()`."""
+    global _pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = _THREADS or cpus
+    if chunks < 2 or threads < 2 or getattr(_local, "serial", False):
+        return None
+    # threads racing here may each make a pool; a dropped pool's helpers end with it
+    if _pool is None or _pool[0] != threads:
+        _pool = threads, ThreadPoolExecutor(threads - 1, "kgex-step")
+    return _pool
+
+
+def _forget_pool() -> None:  # a fork child has none of its parent's helper threads
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+@contextmanager
+def serial():
+    """Run the training steps that this thread takes inside the block on this thread alone."""
+    before, _local.serial = getattr(_local, "serial", False), True
+    try:
+        yield
+    finally:
+        _local.serial = before
+
+
+def _spread(fn, items, pool) -> list:
+    """`[fn(item) for item in items]`, on this thread and the helpers of a
+    `_step_pool` pool when given: each thread takes the next item left."""
+    if pool is None:
+        return [fn(item) for item in items]
+    results, left = [None] * len(items), iter(range(len(items)))
+
+    def work():
+        for i in left:  # a range iterator hands each index to one thread
+            results[i] = fn(items[i])
+
+    helpers = [pool[1].submit(work) for _ in range(pool[0] - 1)]
+    try:
+        work()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()  # raises a helper's error
+    return results
+
+
+def _ahead(blocks, pool):
+    """The items of `blocks`, each next one made on a helper of a `_step_pool` pool
+    while this thread uses the one before."""
+    blocks = iter(blocks)
+    pending = pool[1].submit(next, blocks, None)
+    try:
+        while (block := pending.result()) is not None:
+            pending = pool[1].submit(next, blocks, None)
+            yield block
+    finally:
+        wait([pending])  # a caller that stops early leaves no item in the making
 
 
 class SparseAdam:
@@ -21,8 +99,8 @@ class SparseAdam:
 
     Bias correction uses a single step counter, advanced by every `apply`
     call regardless of which rows the call touches.  `apply` works through
-    its rows a `_chunk_rows` chunk at a time; every chunk size gives the same
-    bytes.
+    its rows a `_chunk_rows` chunk at a time, spread over the step pool when
+    there are several; every chunk size and thread count gives the same bytes.
     """
 
     def __init__(
@@ -43,13 +121,28 @@ class SparseAdam:
         """
         grads = np.require(grads, params.dtype, "W")
         self.t += 1
-        m_scale, v_scale = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        b1, b2, m_scale, v_scale = self.beta1, self.beta2, 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
         size = _chunk_rows(params.shape[1])
-        for lo in range(0, len(rows), size):
+        starts = range(0, len(rows), size)
+
+        def update(lo):  # the whole-array form's operations, in its order, in place
             ids, g = rows[lo : lo + size], grads[lo : lo + size]
-            m = self.beta1 * self.m[ids] + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v[ids] + (1.0 - self.beta2) * (g * g)
+            m, v, scaled = self.m.take(ids, axis=0), self.v.take(ids, axis=0), np.multiply(1.0 - b1, g)
+            m *= b1
+            m += scaled  # m = b1 * m + (1 - b1) * g
+            np.multiply(g, g, out=scaled)
+            scaled *= 1.0 - b2
+            v *= b2
+            v += scaled  # v = b2 * v + (1 - b2) * (g * g)
+            del scaled
             self.m[ids], self.v[ids] = m, v
-            delta = self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)
-            params[ids] = np.subtract(params[ids], delta, out=g)
+            m /= m_scale
+            m *= self.lr
+            v /= v_scale
+            np.sqrt(v, out=v)
+            v += self.eps
+            m /= v  # the update, lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
+            params[ids] = np.subtract(params.take(ids, axis=0), m, out=g)
+
+        _spread(update, starts, _step_pool(len(starts)))
         return grads

@@ -201,29 +201,59 @@ def _check_corruptions() -> str | None:
     return None
 
 
-def _check_chunked_step() -> str | None:
-    # training's byte identity rests on einsum giving each row the same bits for any row slice
+def _step_bytes(model, batch, negatives, config, angles=None) -> bytes:
+    """The bytes of one `batch_gradients` call and of one Adam step on its gradients."""
+    losses, degenerate, rows, grad = training.batch_gradients(
+        model, batch, negatives, config, None, angles, 2.0
+    )
+    table, adam = model.table.copy(), SparseAdam(model.table.shape, 0.1)
+    updated = adam.apply(table, rows, grad.copy())
+    parts = [losses, degenerate, rows, grad.ravel(), updated.ravel(), adam.m.ravel(), adam.v.ravel()]
+    return np.r_[tuple(parts)].tobytes()
+
+
+def _demo_step():
     rng = np.random.default_rng(13)
     model = models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 0)
     batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
-    negatives = training.corrupt_batch(batch, 3, np.arange(20), rng)
-    budget, steps = optim._CHUNK_ELEMS, []
+    return model, batch, training.corrupt_batch(batch, 3, np.arange(20), rng)
+
+
+def _check_chunked_step() -> str | None:
+    # training's byte identity rests on einsum giving each row the same bits for any row slice
+    model, batch, negatives = _demo_step()
+    budget, threads, steps = optim._CHUNK_ELEMS, optim._THREADS, []
     try:
+        optim._THREADS = 1  # the next check covers threads
         # adding the L2 loss can round away a last-bit change of the NLL in the
         # batch loss: gamma 0 keeps that change in sight
         for gamma, elems in itertools.product((0.0, 1e-3), (budget, 1)):
             # one chunk of 12 positives, then one positive or touched row a chunk
             optim._CHUNK_ELEMS = elems
             config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=gamma)
-            losses, _, rows, grad = training.batch_gradients(model, batch, negatives, config)
-            step = np.r_[losses, rows, grad.ravel()].tobytes()
-            table, adam = model.table.copy(), SparseAdam(model.table.shape, 0.1)
-            updated = adam.apply(table, rows, grad)
-            steps.append(step + np.r_[updated.ravel(), adam.m.ravel(), adam.v.ravel()].tobytes())
+            steps.append(_step_bytes(model, batch, negatives, config))
     finally:
-        optim._CHUNK_ELEMS = budget
+        optim._CHUNK_ELEMS, optim._THREADS = budget, threads
     if steps[::2] != steps[1::2]:
         return "1-row chunks change the step's loss, gradients or Adam update"
+    return None
+
+
+def _check_threaded_step() -> str | None:
+    # a step of many chunks spreads them over threads, which must not move a bit
+    model, batch, negatives = _demo_step()
+    angles = distill.triple_angles(models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 1), batch, 12)
+    config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=1e-3)
+    budget, threads, steps = optim._CHUNK_ELEMS, optim._THREADS, []
+    try:
+        optim._CHUNK_ELEMS = 2 * 4 * 8  # 2 positives, or 8 touched rows, a chunk
+        for count in (1, 2):
+            optim._THREADS = count
+            steps.append(_step_bytes(model, batch, negatives, config, angles))
+    finally:
+        optim._CHUNK_ELEMS, optim._THREADS = budget, threads
+    if steps[0] != steps[1]:
+        return "2 threads change a many-chunk step's loss, gradients or Adam update"
     return None
 
 
@@ -240,6 +270,7 @@ CHECKS = [
     ("ranking vs brute force and metrics", _check_ranking),
     ("corruption invariants", _check_corruptions),
     ("training step and Adam invariant to row chunking", _check_chunked_step),
+    ("many-chunk training step and Adam invariant to threads", _check_threaded_step),
 ]
 
 

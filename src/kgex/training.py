@@ -13,7 +13,7 @@ from .focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch
 from .graph import KnowledgeGraph
 from .losses import l2_regularizer_into, softmax_nll_batch
 from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, score_grad_rows
-from .optim import SparseAdam, _chunk_rows
+from .optim import SparseAdam, _ahead, _chunk_rows, _spread, _step_pool
 
 
 class TrainingDivergedError(RuntimeError):
@@ -37,15 +37,21 @@ class TrainConfig:
     positives of at most `optim._CHUNK_ELEMS` elements (one positive, if wider),
     and its other `(rows, width)` arrays and the Adam update in chunks of
     `_chunk_rows(width)` rows: train-fb237 (10,000 rows, eta 10, width 200)
-    peaks at about 231 MiB resident, tables included.  TransE gathers and
-    differentiates every negative row by row, about eight float64 arrays of
-    `rows * (1 + eta)` rows.  `rows` is `batch_size`, or, for the lockstep
-    students of `mc_explain`, the batch rows of a group, whose candidate block
-    stays within that budget unless one run alone exceeds it.  The scatter
-    adds as many elements at a time, through an int64 index of at most
-    512 KiB (one row, or one positive's candidates, if wider).  With a
-    teacher, a run also keeps the teacher's angles, a float64 and a bool
-    (3, n_triples) array, computed `batch_size` triples at a time.
+    peaks at about 214 MiB resident, tables included.  A step of more than one
+    candidate chunk spreads its scoring and its gradient blocks, and an Adam
+    update of more than one row chunk its chunks, over a thread pool, one
+    thread per CPU the process may run on (`optim._step_pool`; no byte
+    depends on the count), each thread holding its own few chunks and each
+    helper its own malloc arena.  Every step of `mc_explain`'s students runs
+    on the calling thread.  TransE gathers and differentiates every negative
+    row by row, about eight float64 arrays of `rows * (1 + eta)` rows.  `rows`
+    is `batch_size`, or, for the lockstep students of `mc_explain`, the batch
+    rows of a group, whose candidate block stays within that budget unless
+    one run alone exceeds it.  The scatter adds as many elements at a time,
+    through an int64 index of at most 512 KiB (one row, or one positive's
+    candidates, if wider).  With a teacher, a run also keeps the teacher's
+    angles, a float64 and a bool (3, n_triples) array, computed `batch_size`
+    triples at a time.
     """
 
     kind: ModelKind | str = ModelKind.TRANSE_L2
@@ -168,7 +174,7 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     def positive(side, rows=slice(None)):  # the subject (0), predicate (1) or object (2) rows of positives `rows`
         if positive_rows is not None:
             return positive_rows[side][rows]
-        return (rel if side == 1 else ent)[batch[rows, side]]
+        return np.take(rel if side == 1 else ent, batch[rows, side], axis=0)
 
     if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
         # a distance is not linear in the replaced row: one gradient row per negative
@@ -194,32 +200,53 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     n, width = cand.shape[0], model.width
     step = _chunk_rows(cand.shape[1] * width)
     chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    # a query group, consecutive chunks whose positives' two queries fit one
+    # chunk, builds them at once: each small NumPy call hands the GIL over, and
+    # per-chunk queries left the step's threads waiting on each other
+    per_group = max(1, _chunk_rows(2 * width) // step)
+    groups = [chunks[i : i + per_group] for i in range(0, len(chunks), per_group)]
+    # a step of several chunks spreads its groups over the step pool, and a
+    # helper makes each next gradient block while this thread scatters one
+    pool = _step_pool(len(chunks))
 
-    def pair(rows):  # the object- and subject-side queries of positives `rows`
+    def pair(rows):  # the object-side queries of positives `rows`, then their subject-side ones
         es, rp, eo = positive(0, rows), positive(1, rows), positive(2, rows)
-        return bilinear_product(kind, k, es, rp), bilinear_product(kind, k, rp, eo, conj=True)
+        stack = np.empty((2, *es.shape))
+        bilinear_product(kind, k, es, rp, out=stack[0])
+        bilinear_product(kind, k, rp, eo, conj=True, out=stack[1])
+        return stack.reshape(-1, width)
 
     # with the positive rows held whole for the angle term, their queries are
     # built whole too, so a step of many chunks builds them once
-    held = positive_rows is not None and pair(slice(None))
+    held = None if positive_rows is None else pair(slice(None))
 
-    def queries(rows):
-        q_obj, q_sub = (held[0][rows], held[1][rows]) if held else pair(rows)
-        return np.where(obj_side[rows, :, None], q_obj[:, None], q_sub[:, None])
+    def group_queries(group):  # the candidates' queries of each chunk of `group`, made as read
+        lo = group[0].start
+        pairs, first = (pair(slice(lo, group[-1].stop)), lo) if held is None else (held, 0)
+        for rows in group:
+            own = np.arange(rows.start - first, min(rows.stop, n) - first)[:, None]
+            yield np.take(pairs, np.where(obj_side[rows], own, own + len(pairs) // 2), axis=0)
 
     loss, d = np.empty(n), np.empty(cand.shape)
     sum_obj, sum_sub = np.empty((n, width)), np.empty((n, width))
-    for rows in chunks:
-        q, cand_rows = queries(rows), ent[cand[rows]]
-        loss[rows], d[rows] = row_loss(rows, np.einsum("ncw,ncw->nc", q, cand_rows))
-        # the gradients of the kept rows are linear in the candidates: sum over eta first
-        np.einsum("nc,ncw->nw", np.where(obj_side[rows], d[rows], 0.0), cand_rows, out=sum_obj[rows])
-        np.einsum("nc,ncw->nw", np.where(obj_side[rows], 0.0, d[rows]), cand_rows, out=sum_sub[rows])
+
+    def score(group):  # fills the group's rows alone; returns the last chunk's queries
+        for rows, q in zip(group, group_queries(group)):
+            cand_rows = np.take(ent, cand[rows], axis=0)
+            loss[rows], d[rows] = row_loss(rows, np.einsum("ncw,ncw->nc", q, cand_rows))
+            # the gradients of the kept rows are linear in the candidates: sum over eta first
+            np.einsum("nc,ncw->nw", np.where(obj_side[rows], d[rows], 0.0), cand_rows, out=sum_obj[rows])
+            np.einsum("nc,ncw->nw", np.where(obj_side[rows], 0.0, d[rows]), cand_rows, out=sum_sub[rows])
+        return q if group is groups[-1] else None
+
+    last_q = _spread(score, groups, pool)[-1]
 
     def cand_grads():  # written over each chunk's queries; the last chunk's are still held
-        for rows in chunks:
-            grads = q if rows is chunks[-1] else queries(rows)
-            yield np.multiply(grads, d[rows, :, None], out=grads)
+        for group in groups:
+            made = group_queries(group)
+            for rows in group:
+                grads = last_q if rows is chunks[-1] else next(made)
+                yield np.multiply(grads, d[rows, :, None], out=grads)
 
     def by_rows(grads):  # a kept row's gradients, made a row chunk at a time as the scatter reaches them
         size = _chunk_rows(width)
@@ -229,7 +256,8 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     g_o = by_rows(lambda rows: bilinear_product(kind, k, sum_sub[rows], positive(1, rows)))
     g_p = by_rows(lambda rows: bilinear_product(kind, k, positive(0, rows), sum_obj[rows], conj=True)
                   + bilinear_product(kind, k, sum_sub[rows], positive(2, rows), conj=True))
-    return loss, [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads()), (p_ids + n_ent, g_p)]
+    terms = [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads()), (p_ids + n_ent, g_p)]
+    return loss, terms if pool is None else [(ids, _ahead(blocks, pool)) for ids, blocks in terms]
 
 
 def batch_gradients(
@@ -338,6 +366,7 @@ def train_lockstep(
         failed = {j: "loss" for j, loss in zip(active, losses) if not np.isfinite(loss)}
         # only the updated rows can change, and the initial table is finite
         finite = np.isfinite(optimizer.apply(model.table, rows, grad)).all(axis=1)
+        del grad  # freed before the next step makes its own
         for seg in np.searchsorted(bounds, rows[~finite], side="right") - 1:
             failed.setdefault(active[seg % len(active)], "embeddings")
         for j, what in failed.items():

@@ -3,6 +3,7 @@
 import argparse
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,29 @@ class TestModelPersistence:
         _, ev2, rv2 = load_model(path)
         assert ev2.labels == ["a", "b", "c"]
         assert rv2.labels == ["r"]
+
+    def test_load_holds_one_copy_of_the_table(self, tmp_path):
+        """The table is read straight into its array: a 4 MB table peaks at
+        one copy, where the file's bytes and their float64 copy took two."""
+        model = init_model("complex", 50, 5000, 10, seed=1)
+        path = tmp_path / "m.kgex"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            loaded, _, _ = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.table.tobytes() == model.table.tobytes() and loaded.table.flags.writeable
+        assert peak <= model.table.nbytes + 2**20, f"heap peak {peak / 1e6:.1f} MB"
+
+    def test_trailing_data_rejected(self, tmp_path):
+        model = init_model("distmult", 2, 3, 1, seed=0)
+        path = tmp_path / "m.kgex"
+        save_model(model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ModelFormatError, match="expected 101 bytes, found 102"):
+            load_model(path)
 
     def test_corrupted_magic_rejected(self, tmp_path):
         model = init_model("distmult", 2, 3, 1, seed=0)

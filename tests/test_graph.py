@@ -241,6 +241,17 @@ class TestFilter:
         assert set(flt.subjects_for(r, ev.id_of("B")).tolist()) == {a, ev.id_of("D")}
 
 
+def test_ids_of_adds_unseen_labels_in_first_appearance_order():
+    from kgex.graph import Vocabulary
+
+    vocab = Vocabulary(["b", "a"])
+    ids = vocab.ids_of(["c", "a", "d", "c", "b", "d", "e"], grow=True)
+    assert ids.tolist() == [2, 1, 3, 2, 0, 3, 4]
+    assert vocab.labels == ["b", "a", "c", "d", "e"] and vocab.id_of("e") == 4
+    assert vocab.ids_of(["e", "x", "b"]).tolist() == [4, -1, 0] and len(vocab) == 5
+    assert vocab.ids_of(["a", "b"], grow=True).tolist() == [1, 0] and len(vocab) == 5
+
+
 class TestVocabularyDump:
     def test_round_trip(self, tmp_path):
         g = demo_graph()

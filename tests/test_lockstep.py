@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kgex.optim
+import kgex.training
 from kgex.explain import ExplainConfig, mc_explain
 from kgex.models import ModelKind, init_model
 from kgex.sampling import SubgraphSpec
@@ -105,6 +106,25 @@ def test_groups_do_not_change_any_run(monkeypatch, graph, per_group):
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1 << 30)
     together, _ = traced_explain(monkeypatch, teacher, g, target, config)
     assert record_bytes(report.records) == record_bytes(together.records)
+
+
+def test_students_train_on_the_calling_thread(monkeypatch, graph):
+    """Student steps of many chunks take no step pool: `threads` alone spreads
+    an explanation over CPUs."""
+    g, target = graph
+    monkeypatch.setattr(kgex.optim, "_THREADS", 2)
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 3 * 6)  # 2 positives, or 2 rows, a chunk
+    calls = []
+    for owner in (kgex.optim, kgex.training):
+        def recording(chunks, make=owner._step_pool):
+            calls.append((chunks, make(chunks)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(owner, "_step_pool", recording)
+    teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
+    mc_explain(teacher, g, target, explain_config("complex", mc_runs=2))
+    assert max(chunks for chunks, _ in calls) > 1
+    assert all(pool is None for _, pool in calls)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -21,6 +21,7 @@ NAMES = [
     "ranking vs brute force and metrics",
     "corruption invariants",
     "training step and Adam invariant to row chunking",
+    "many-chunk training step and Adam invariant to threads",
 ]
 
 
@@ -142,6 +143,28 @@ def _adam_stops_after_one_chunk(fn):
     return broken
 
 
+def _blocks_swapped(fn):
+    """Hands the helper's gradient blocks over in swapped pairs, as an unordered queue might."""
+
+    def broken(blocks, pool):
+        made = list(fn(blocks, pool))
+        made[: len(made) // 2 * 2] = [b for pair in zip(made[1::2], made[::2]) for b in pair]
+        return iter(made)
+
+    return broken
+
+
+def _items_handed_out_twice(fn):
+    """With a pool, runs each Adam chunk twice, as a racy work queue might."""
+
+    def broken(work, items, pool):
+        if pool is None:
+            return fn(work, items, pool)
+        return fn(work, [item for item in items for _ in range(2)], pool)[::2]
+
+    return broken
+
+
 FAULTS = {
     "graph indices match linear scan": (
         KnowledgeGraph, "predicate_positions", lambda fn: lambda g, p: fn(g, p)[:-1]),
@@ -159,13 +182,14 @@ FAULTS = {
     "ranking vs brute force and metrics": (evaluation, "rank_triple", _object_rank_off_by_one),
     "corruption invariants": (training, "corrupt_batch", _both_sides_replaced),
     "training step and Adam invariant to row chunking": (training, "softmax_nll_batch", _loss_reads_across_rows),
+    "many-chunk training step and Adam invariant to threads": (training, "_ahead", _blocks_swapped),
 }
 
 
 def test_clean_run_passes_every_check_in_order():
     lines = []
     assert selftest.run_selftest(lines.append) == 0
-    assert lines == [f"PASS  {name}" for name in NAMES] + ["12/12 checks passed"]
+    assert lines == [f"PASS  {name}" for name in NAMES] + ["13/13 checks passed"]
 
 
 # one broken kernel per check, plus second ones for the gradient and corruption checks
@@ -188,6 +212,10 @@ CASES = [pytest.param(name, FAULTS[name], id=name) for name in NAMES] + [
         (optim.SparseAdam, "apply", _adam_stops_after_one_chunk),
         id="chunking with an Adam step that stops after one chunk",
     ),
+    pytest.param(
+        "many-chunk training step and Adam invariant to threads", (optim, "_spread", _items_handed_out_twice),
+        id="threads handed a chunk twice",
+    ),
 ]
 
 
@@ -197,4 +225,4 @@ def test_fault_fails_exactly_its_check(name, fault, monkeypatch):
     lines = []
     assert selftest.run_selftest(lines.append) != 0
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [f"FAIL  {name}"]
-    assert lines[-1] == "11/12 checks passed"
+    assert lines[-1] == "12/13 checks passed"

@@ -1,6 +1,8 @@
 """Corruption generation, losses, the optimizer, and the training loop."""
 
 import math
+import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,18 +12,20 @@ import kgex.optim
 import kgex.training
 from kgex.distill import triple_angles
 from kgex.evaluation import evaluate
-from kgex.focuse import alpha_batch
+from kgex.focuse import FocusEConfig, alpha_batch
 from kgex.graph import build_filter, graph_from_triples
 from kgex.losses import l2_regularizer, l2_regularizer_into, softmax_nll_batch
 from kgex.models import init_model
 from kgex.optim import SparseAdam
 from kgex.training import (
+    LockstepRun,
     TrainConfig,
     TrainingDivergedError,
     _summed_gradients,
     batch_gradients,
     corrupt_batch,
     run_training,
+    train_lockstep,
 )
 
 from oracles import (
@@ -230,19 +234,22 @@ class TestAdam:
 
     def test_row_chunks_change_no_byte(self, monkeypatch):
         """Three steps over overlapping row sets at the default budget (all
-        rows in one chunk) and at a budget of one row a chunk."""
+        rows in one chunk) and at a budget of one row a chunk, on 1, 2 and 3
+        threads: the chunks of a step are spread over the step pool."""
         rng = np.random.default_rng(8)
         row_sets = [np.array([0, 3, 4, 9]), np.arange(10), np.array([2, 3, 7])]
         grads = [rng.normal(size=(len(rows), 6)) for rows in row_sets]
         start, results = rng.normal(size=(10, 6)), []
-        for elems in (kgex.optim._CHUNK_ELEMS, 1):
+        for elems, threads in [(kgex.optim._CHUNK_ELEMS, 1), (1, 1), (1, 2), (1, 3)]:
             monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", elems)
+            monkeypatch.setattr(kgex.optim, "_THREADS", threads)
             params, updated = start.copy(), []
             opt = SparseAdam(params.shape, lr=0.3)
             for rows, g in zip(row_sets, grads):
                 updated.append(opt.apply(params, rows, g.copy()).tobytes())
             results.append((params.tobytes(), opt.m.tobytes(), opt.v.tobytes(), updated))
-        assert results[1] == results[0]
+        assert results[1:] == results[:1] * 3
+        assert kgex.optim._pool[0] == 3  # the pool was made, at the last count
 
     def test_foreign_grads_are_not_written(self):
         """float32 and read-only gradients step as their float64 values do;
@@ -261,11 +268,13 @@ class TestAdam:
             results.append((p.tobytes(), updated.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
         assert results[1] == results[0] and results[2] == results[0]
 
-    def test_heap_holds_a_few_chunks(self):
+    def test_heap_holds_a_few_chunks(self, monkeypatch):
         """One step over 20,000 rows of width 100 (16 MB a grad-sized array) at
-        the training budget of 655 rows (512 KiB): the moments, their bias-
-        corrected copies and the update take about six chunks at a time,
-        where the whole rows took about seven 16 MB arrays (112 MB)."""
+        the training budget of 655 rows (512 KiB): each chunk's moments and
+        update take three chunks, updated in place, so the peak is 3 chunks on
+        1 thread and 6 on 2, where the whole rows took about seven 16 MB
+        arrays (112 MB)."""
+        monkeypatch.setattr(kgex.optim, "_THREADS", 2)  # the heap grows with the threads
         rng = np.random.default_rng(9)
         params, grads, rows = rng.normal(size=(20_000, 100)), rng.normal(size=(20_000, 100)), np.arange(20_000)
         opt = SparseAdam(params.shape, lr=0.1)
@@ -549,7 +558,7 @@ def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3])
-def test_step_heap_holds_no_candidate_block(gamma):
+def test_step_heap_holds_no_candidate_block(gamma, monkeypatch):
     """One ComplEx step's traced peak, against two (n, W) arrays and a few chunks.
 
     n = 2,000 positives, eta = 10 and W = 100 make the (n, 1 + eta, W)
@@ -560,15 +569,17 @@ def test_step_heap_holds_no_candidate_block(gamma):
     - 2 float64 (n, W) arrays, the sums over eta sum_obj and sum_sub (3.2 MB);
     - the buffer of touched rows (1,010 at most) and, for gamma > 0, the L2
       gather of its rows (1.6 MB);
-    - 4 chunks of `_SCATTER_ELEMS` float64 (512 KiB each): a chunk's gathered
-      candidates and queries, and its einsum operands, or, in the scatter, a
-      chunk's gradients and index (2.1 MB);
+    - 4 chunks of `optim._CHUNK_ELEMS` float64 (512 KiB each): a chunk's
+      gathered candidates and queries on each of 2 threads, or, in the
+      scatter, a chunk's gradients and index and a helper's next chunk (2.1 MB);
     - 3 float64 (n, 1 + eta) arrays: the candidate ids, their side mask and
       their loss gradients (0.5 MB);
     - 5 copies of the 14n int64 row ids of `np.unique` (1.1 MB).
 
-    That bound is 8.6 MB, under half the block.
+    That bound is 8.6 MB, under half the block.  The peak was 7.9 MB on 1 or 2
+    threads and 9.2 MB on 3.
     """
+    monkeypatch.setattr(kgex.optim, "_THREADS", 2)  # the heap grows with the threads
     n, eta, k, n_entities = 2000, 10, 50, 1000
     rng = np.random.default_rng(0)
     model = init_model("complex", k, n_entities, 10, seed=1)
@@ -589,7 +600,7 @@ def test_step_heap_holds_no_candidate_block(gamma):
 
 
 @pytest.mark.parametrize("kind", ["complex", "distmult"])
-def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
+def test_epoch_heap_peak_is_a_few_candidate_arrays(kind, monkeypatch):
     """One epoch's heap peak, in units of one float64 (batch, 1 + eta, width) array.
 
     Scoring and scattering the candidates in chunks holds no such array, and
@@ -600,6 +611,7 @@ def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
     queries, about 3.2; a gather and a gradient per negative and side needs
     about ten.
     """
+    monkeypatch.setattr(kgex.optim, "_THREADS", 2)  # the heap grows with the threads
     g = random_graph(500, 10, 4000, seed=12)
     config = TrainConfig(kind=kind, k=50, eta=10, epochs=1, batch_size=2000, seed=0)
     width = config.k * (2 if kind == "complex" else 1)
@@ -611,3 +623,97 @@ def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
     finally:
         tracemalloc.stop()
     assert peak < 6 * unit, f"heap peak {peak / unit:.1f} candidate arrays"
+
+
+class TestThreads:
+    """A step of several chunks spreads its scoring, gradient blocks and Adam
+    chunks over a pool of `optim._THREADS` threads; no count moves a byte."""
+
+    @staticmethod
+    def at_each_count(monkeypatch, train, width, eta=3):
+        """`train()` at 1, 2 and 3 threads, with chunks of 2 positives' candidates."""
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * (1 + eta) * width)
+        results = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(kgex.optim, "_THREADS", threads)
+            results.append(train())
+            assert threads == 1 or kgex.optim._pool[0] == threads  # made at this count
+        return results
+
+    @pytest.mark.parametrize("variant", ["plain", "kd", "focuse"])
+    @pytest.mark.parametrize("kind", ["complex", "distmult"])
+    def test_run_training_gives_the_same_bytes(self, monkeypatch, kind, variant):
+        """20-positive batches in 10 chunks and 5 query groups; each step's 10
+        or so touched rows make 2 or 3 Adam chunks.  The graph's self-loops
+        make degenerate angle terms."""
+        g = random_graph(12, 3, 48, seed=4)
+        g.weights = np.random.default_rng(1).uniform(size=g.n_triples)
+        teacher = init_model(kind, 3, g.n_entities, g.n_relations, seed=5) if variant == "kd" else None
+        config = TrainConfig(
+            kind=kind, k=3, eta=3, epochs=2, batch_size=20, gamma=0.0 if variant == "plain" else 1e-3,
+            seed=2, focuse=FocusEConfig(decay=1.0) if variant == "focuse" else None,
+        )
+
+        def train():
+            model, stats = run_training(g, config, teacher=teacher, kd_lambda=2.0)
+            return model.table.tobytes(), stats.epoch_losses, stats.degenerate_kd_terms
+
+        want, *others = self.at_each_count(monkeypatch, train, 3 * (2 if kind == "complex" else 1))
+        assert (want[2] > 0) == (variant == "kd")
+        assert others == [want, want]
+
+    def test_two_run_lockstep_gives_the_same_bytes(self, monkeypatch):
+        """Two runs on disjoint rows of one table, stacked into each step."""
+        graphs = [random_graph(10, 2, 30, seed=s) for s in (6, 7)]
+
+        def train():
+            model = init_model("complex", 3, 20, 4, seed=1)
+            runs = [
+                LockstepRun(g.triples + [10 * j, 2 * j, 10 * j], np.arange(10 * j, 10 * j + 10),
+                            np.random.default_rng(j), (10 * j, 2 * j))
+                for j, g in enumerate(graphs)
+            ]
+            config = TrainConfig(kind="complex", k=3, eta=3, epochs=2, batch_size=16, gamma=1e-3)
+            stats = train_lockstep(model, runs, config)
+            return model.table.tobytes(), [s.epoch_losses for s in stats]
+
+        want, *others = self.at_each_count(monkeypatch, train, 6)
+        assert others == [want, want]
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
+        """8 threads that hand the interpreter lock over every microsecond: a
+        lost, doubled or misplaced write to a shared array would move a byte."""
+        g = random_graph(12, 3, 48, seed=4)
+        config = TrainConfig(kind="complex", k=3, eta=3, epochs=2, batch_size=20, gamma=1e-3, seed=2)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 4 * 6)
+        monkeypatch.setattr(kgex.optim, "_THREADS", 1)
+        want = run_training(g, config)[0].table.tobytes()
+        monkeypatch.setattr(kgex.optim, "_THREADS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_training(g, config)[0].table.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want and kgex.optim._pool[0] == 8
+
+    def test_a_fork_child_trains_on_its_own_pool(self, monkeypatch):
+        """The parent's helper threads do not exist in a fork child: the child
+        makes its own pool, where reusing the parent's would wait forever."""
+        g = random_graph(12, 3, 48, seed=4)
+        config = TrainConfig(kind="distmult", k=4, eta=3, epochs=2, batch_size=20, seed=2)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 4 * 4)
+        monkeypatch.setattr(kgex.optim, "_THREADS", 2)
+        want = run_training(g, config)[0].table.tobytes()
+        assert kgex.optim._pool is not None
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: sender.send(run_training(g, config)[0].table.tobytes()))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung, "the fork child's training hung"
+        assert child.exitcode == 0 and receiver.recv() == want
