@@ -643,8 +643,8 @@ class TestThreads:
     @pytest.mark.parametrize("variant", ["plain", "kd", "focuse"])
     @pytest.mark.parametrize("kind", ["complex", "distmult"])
     def test_run_training_gives_the_same_bytes(self, monkeypatch, kind, variant):
-        """20-positive batches in 10 chunks and 5 query groups; each step's 10
-        or so touched rows make 2 or 3 Adam chunks.  The graph's self-loops
+        """20-positive batches in 10 chunks and 5 query groups; each step's up
+        to 15 touched rows make 2 Adam chunks of 8.  The graph's self-loops
         make degenerate angle terms."""
         g = random_graph(12, 3, 48, seed=4)
         g.weights = np.random.default_rng(1).uniform(size=g.n_triples)
