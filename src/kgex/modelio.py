@@ -9,6 +9,7 @@ and `<path>.relations.tsv` sidecars.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -76,10 +77,14 @@ def load_model(
             raise ModelFormatError(f"{path}: unknown model kind tag {tag}")
         kind = _TAG_KINDS[tag]
         width = k * kind.row_width_factor
-        expected, found = header_end + (n_entities + n_relations) * width * 8, os.fstat(fh.fileno()).st_size
+        expected, size = header_end + (n_entities + n_relations) * width * 8, os.fstat(fh.fileno())
+        # a regular file's size is checked before the table is made; a pipe's is counted as read
+        found = size.st_size if stat.S_ISREG(size.st_mode) else expected
         if found == expected:
             table = np.empty((n_entities + n_relations, width), dtype="<f8")
-            found = header_end + fh.readinto(table)  # short only if the file shrank meanwhile
+            found = header_end + fh.readinto(table)
+            while rest := fh.read(1 << 16):  # trailing data
+                found += len(rest)
         if found != expected:
             raise ModelFormatError(
                 f"{path}: expected {expected} bytes, found {found} (truncated or trailing data)"

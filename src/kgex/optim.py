@@ -17,8 +17,11 @@ import numpy as np
 _CHUNK_ELEMS = 1 << 16
 
 # Threads of a step of more than one chunk: None is the CPUs this process may
-# run on.  No output depends on the count.
+# run on, at most `_MAX_THREADS`.  No output depends on the count.
 _THREADS: int | None = None
+# the count whose speed, CPU time, resident memory and heap bounds were
+# measured (each thread holds its own chunks, each helper its malloc arena)
+_MAX_THREADS = 2
 _pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, its threads - 1 helpers)
 _local = threading.local()  # `serial`: this thread's steps run on it alone
 
@@ -33,7 +36,7 @@ def _step_pool(chunks: int) -> tuple[int, ThreadPoolExecutor] | None:
     None: one chunk, one thread, or a thread inside `serial()`."""
     global _pool
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = _THREADS or cpus
+    threads = _THREADS or min(cpus, _MAX_THREADS)
     if chunks < 2 or threads < 2 or getattr(_local, "serial", False):
         return None
     # threads racing here may each make a pool; a dropped pool's helpers end with it
@@ -71,7 +74,7 @@ def _spread(fn, items, pool) -> list:
         for i in left:  # a range iterator hands each index to one thread
             results[i] = fn(items[i])
 
-    helpers = [pool[1].submit(work) for _ in range(pool[0] - 1)]
+    helpers = [pool[1].submit(work) for _ in range(min(pool[0], len(items)) - 1)]
     try:
         work()
     finally:

@@ -39,10 +39,10 @@ class TrainConfig:
     `_chunk_rows(width)` rows: train-fb237 (10,000 rows, eta 10, width 200)
     peaks at about 214 MiB resident, tables included.  A step of more than one
     candidate chunk spreads its scoring and its gradient blocks, and an Adam
-    update of more than one row chunk its chunks, over a thread pool, one
-    thread per CPU the process may run on (`optim._step_pool`; no byte
-    depends on the count), each thread holding its own few chunks and each
-    helper its own malloc arena.  Every step of `mc_explain`'s students runs
+    update of more than one row chunk its chunks, over a thread pool of one
+    thread per CPU the process may run on, at most `optim._MAX_THREADS` (2,
+    the count measured; no byte depends on the count), each thread holding
+    its own few chunks and each helper its own malloc arena.  Every step of `mc_explain`'s students runs
     on the calling thread.  TransE gathers and differentiates every negative
     row by row, about eight float64 arrays of `rows * (1 + eta)` rows.  `rows`
     is `batch_size`, or, for the lockstep students of `mc_explain`, the batch

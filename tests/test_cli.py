@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -141,6 +143,26 @@ class TestModelPersistence:
             tracemalloc.stop()
         assert loaded.table.tobytes() == model.table.tobytes() and loaded.table.flags.writeable
         assert peak <= model.table.nbytes + 2**20, f"heap peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("trailing", [b"", b"\0\0\0"])
+    def test_load_from_a_pipe(self, tmp_path, trailing):
+        """A pipe has no size to check first: the bytes read are counted."""
+        model = init_model("distmult", 2, 3, 1, seed=0)
+        save_model(model, tmp_path / "m.kgex")
+        blob, pipe = (tmp_path / "m.kgex").read_bytes() + trailing, tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(blob,))
+        writer.start()
+        try:
+            if trailing:
+                with pytest.raises(ModelFormatError, match="expected 101 bytes, found 104"):
+                    load_model(pipe)
+            else:
+                assert load_model(pipe)[0].table.tobytes() == model.table.tobytes()
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
     def test_trailing_data_rejected(self, tmp_path):
         model = init_model("distmult", 2, 3, 1, seed=0)

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -268,13 +269,13 @@ class TestAdam:
             results.append((p.tobytes(), updated.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
         assert results[1] == results[0] and results[2] == results[0]
 
-    def test_heap_holds_a_few_chunks(self, monkeypatch):
+    def test_heap_holds_a_few_chunks(self):
         """One step over 20,000 rows of width 100 (16 MB a grad-sized array) at
         the training budget of 655 rows (512 KiB): each chunk's moments and
         update take three chunks, updated in place, so the peak is 3 chunks on
         1 thread and 6 on 2, where the whole rows took about seven 16 MB
-        arrays (112 MB)."""
-        monkeypatch.setattr(kgex.optim, "_THREADS", 2)  # the heap grows with the threads
+        arrays (112 MB).  It was 9 on 3 threads, more than the step pool takes."""
+        assert kgex.optim._MAX_THREADS <= 2
         rng = np.random.default_rng(9)
         params, grads, rows = rng.normal(size=(20_000, 100)), rng.normal(size=(20_000, 100)), np.arange(20_000)
         opt = SparseAdam(params.shape, lr=0.1)
@@ -558,7 +559,7 @@ def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3])
-def test_step_heap_holds_no_candidate_block(gamma, monkeypatch):
+def test_step_heap_holds_no_candidate_block(gamma):
     """One ComplEx step's traced peak, against two (n, W) arrays and a few chunks.
 
     n = 2,000 positives, eta = 10 and W = 100 make the (n, 1 + eta, W)
@@ -577,9 +578,9 @@ def test_step_heap_holds_no_candidate_block(gamma, monkeypatch):
     - 5 copies of the 14n int64 row ids of `np.unique` (1.1 MB).
 
     That bound is 8.6 MB, under half the block.  The peak was 7.9 MB on 1 or 2
-    threads and 9.2 MB on 3.
+    threads and 9.2 MB on 3, more than the step pool takes.
     """
-    monkeypatch.setattr(kgex.optim, "_THREADS", 2)  # the heap grows with the threads
+    assert kgex.optim._MAX_THREADS <= 2
     n, eta, k, n_entities = 2000, 10, 50, 1000
     rng = np.random.default_rng(0)
     model = init_model("complex", k, n_entities, 10, seed=1)
@@ -600,7 +601,7 @@ def test_step_heap_holds_no_candidate_block(gamma, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["complex", "distmult"])
-def test_epoch_heap_peak_is_a_few_candidate_arrays(kind, monkeypatch):
+def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
     """One epoch's heap peak, in units of one float64 (batch, 1 + eta, width) array.
 
     Scoring and scattering the candidates in chunks holds no such array, and
@@ -611,7 +612,6 @@ def test_epoch_heap_peak_is_a_few_candidate_arrays(kind, monkeypatch):
     queries, about 3.2; a gather and a gradient per negative and side needs
     about ten.
     """
-    monkeypatch.setattr(kgex.optim, "_THREADS", 2)  # the heap grows with the threads
     g = random_graph(500, 10, 4000, seed=12)
     config = TrainConfig(kind=kind, k=50, eta=10, epochs=1, batch_size=2000, seed=0)
     width = config.k * (2 if kind == "complex" else 1)
@@ -679,6 +679,24 @@ class TestThreads:
 
         want, *others = self.at_each_count(monkeypatch, train, 6)
         assert others == [want, want]
+
+    def test_default_count_is_capped(self, monkeypatch):
+        """Unset, the count is the CPUs the process may run on, at most
+        `optim._MAX_THREADS`, the count whose heap and speed were measured."""
+        monkeypatch.setattr(kgex.optim, "_THREADS", None)
+        for cpus, want in ((1, None), (2, 2), (64, kgex.optim._MAX_THREADS)):
+            monkeypatch.setattr(kgex.optim.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            pool = kgex.optim._step_pool(2)
+            assert (pool and pool[0]) == want
+
+    def test_few_items_take_few_helpers(self):
+        """Two items on a pool of 8 threads take one helper."""
+        calls = []
+        with ThreadPoolExecutor(7) as executor:
+            submit = executor.submit
+            executor.submit = lambda fn: calls.append(fn) or submit(fn)
+            assert kgex.optim._spread(lambda x: 2 * x, [1, 2], (8, executor)) == [2, 4]
+        assert len(calls) == 1
 
     def test_more_threads_than_cpus_switching_often(self, monkeypatch):
         """8 threads that hand the interpreter lock over every microsecond: a
