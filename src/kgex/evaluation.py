@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from .graph import Triple, TrueTripleSet
-from .models import EmbeddingModel, ModelKind, bilinear_product, score_many
+from .models import EmbeddingModel, ModelKind, query_pairs, score_many
 
 
 @dataclass
@@ -49,12 +49,10 @@ def _scores(model: EmbeddingModel, s, p, o, columns) -> np.ndarray:
     """(2B, C) scores: row i < B replaces the object of triple i, row B + i its
     subject, each by the entity of every column (None: the whole table)."""
     if model.kind in (ModelKind.DISTMULT, ModelKind.COMPLEX):
-        # scores are linear in each entity row: a side's query row is that row's gradient
-        es, rp, eo = model.entity_table[s], model.relation_table[p], model.entity_table[o]
-        g_eo = bilinear_product(model.kind, model.k, es, rp)
-        g_es = bilinear_product(model.kind, model.k, rp, eo, conj=True)
-        rows = model.entity_table if columns is None else model.entity_table[columns]
-        return np.concatenate([g_eo, g_es]) @ rows.T  # .T is a view: the table is read in place
+        ent = model.entity_table
+        queries = query_pairs(model.kind, model.k, ent[s], model.relation_table[p], ent[o])
+        rows = ent if columns is None else ent[columns]
+        return queries @ rows.T  # .T is a view: the table is read in place
     ids = np.arange(model.n_entities) if columns is None else columns
     out = np.empty((2 * len(s), len(ids)))
     step = max(1, _CHUNK_BYTES // (8 * model.width * len(s)))

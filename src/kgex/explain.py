@@ -9,7 +9,6 @@ rank means the triple tends to make the prediction succeed.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -116,8 +115,7 @@ def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[
         groups[-1].append(plan)
         used += step
     run_group = partial(_run_group, teacher, triples, target, config, kd_lambda, flt)
-    with optim.serial():  # `threads` alone spreads an explanation over CPUs
-        return [record for group in groups for record in run_group(group)]
+    return [record for group in groups for record in run_group(group)]
 
 
 def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[RunRecord]:
@@ -193,7 +191,7 @@ def mc_explain(
         _run_chunk, teacher, g.triples, target, replace(config.student, focuse=None), config.kd_lambda, flt
     )
 
-    workers = min(config.threads, config.mc_runs, os.cpu_count() or 1)
+    workers = min(config.threads, config.mc_runs, optim._cpus())
     if workers > 1:
         size = -(-len(plans) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:

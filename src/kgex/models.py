@@ -115,6 +115,16 @@ def bilinear_product(
     return np.concatenate([a * c - b * d, a * d + b * c], axis=-1, out=out)
 
 
+def query_pairs(kind: ModelKind, k: int, es: np.ndarray, rp: np.ndarray, eo: np.ndarray) -> np.ndarray:
+    """(2n, W) query rows of n DistMult/ComplEx triples' (n, W) rows: the object-side
+    es∘rp of each, then the subject-side conj(rp)∘eo.  A candidate entity e scores
+    query . e in that slot, as the query is the score's gradient there."""
+    pairs = np.empty((2, *es.shape))
+    bilinear_product(kind, k, es, rp, out=pairs[0])
+    bilinear_product(kind, k, rp, eo, conj=True, out=pairs[1])
+    return pairs.reshape(-1, es.shape[-1])
+
+
 def score_grad_rows(
     kind: ModelKind, k: int, es: np.ndarray, rp: np.ndarray, eo: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -1,10 +1,9 @@
 """Adam with lazy (touched-rows-only) sparse updates for embedding tables, and
-the thread pool that a training step of more than one chunk spreads over."""
+the helper thread that a training step of more than one chunk shares."""
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -16,57 +15,33 @@ import numpy as np
 # and a lockstep group's stacked candidate block (`explain._run_chunk`)
 _CHUNK_ELEMS = 1 << 16
 
-# Threads of a step of more than one chunk: None is the CPUs this process may
-# run on, at most `_MAX_THREADS`.  No output depends on the count.
-_THREADS: int | None = None
-# the count whose speed, CPU time, resident memory and heap bounds were
-# measured (each thread holds its own chunks, each helper its malloc arena)
-_MAX_THREADS = 2
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, its threads - 1 helpers)
-_local = threading.local()  # `serial`: this thread's steps run on it alone
-
 
 def _chunk_rows(width: int) -> int:
     """Rows of `width` floats in one `_CHUNK_ELEMS` chunk (one row, if wider)."""
     return max(1, _CHUNK_ELEMS // width)
 
 
-def _step_pool(chunks: int) -> tuple[int, ThreadPoolExecutor] | None:
-    """The pool a step of `chunks` chunks spreads over, made on first use, or
-    None: one chunk, one thread, or a thread inside `serial()`."""
-    global _pool
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = _THREADS or min(cpus, _MAX_THREADS)
-    if chunks < 2 or threads < 2 or getattr(_local, "serial", False):
-        return None
-    # threads racing here may each make a pool; a dropped pool's helpers end with it
-    if _pool is None or _pool[0] != threads:
-        _pool = threads, ThreadPoolExecutor(threads - 1, "kgex-step")
-    return _pool
-
-
-def _forget_pool() -> None:  # a fork child has none of its parent's helper threads
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+def _cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @contextmanager
-def serial():
-    """Run the training steps that this thread takes inside the block on this thread alone."""
-    before, _local.serial = getattr(_local, "serial", False), True
-    try:
-        yield
-    finally:
-        _local.serial = before
+def step_helper():
+    """A one-thread executor for the steps inside the block, whose thread ends with it, or None
+    where the process may run on one CPU (two threads are the count whose speed and heap were measured)."""
+    if _cpus() < 2:
+        yield None
+        return
+    with ThreadPoolExecutor(1, "kgex-step") as helper:
+        yield helper
 
 
-def _spread(fn, items, pool) -> list:
-    """`[fn(item) for item in items]`, on this thread and the helpers of a
-    `_step_pool` pool when given: each thread takes the next item left."""
-    if pool is None:
+def _spread(fn, items, helper) -> list:
+    """`[fn(item) for item in items]`, on this thread and on `helper` when given
+    and there are several items: each thread takes the next item left.  An
+    item's error is raised once both threads have stopped."""
+    if helper is None or len(items) < 2:
         return [fn(item) for item in items]
     results, left = [None] * len(items), iter(range(len(items)))
 
@@ -74,24 +49,23 @@ def _spread(fn, items, pool) -> list:
         for i in left:  # a range iterator hands each index to one thread
             results[i] = fn(items[i])
 
-    helpers = [pool[1].submit(work) for _ in range(min(pool[0], len(items)) - 1)]
+    other = helper.submit(work)
     try:
         work()
     finally:
-        wait(helpers)
-    for helper in helpers:
-        helper.result()  # raises a helper's error
+        wait([other])
+    other.result()  # raises the helper's error
     return results
 
 
-def _ahead(blocks, pool):
-    """The items of `blocks`, each next one made on a helper of a `_step_pool` pool
-    while this thread uses the one before."""
+def _ahead(blocks, helper):
+    """The items of `blocks`, each next one made on `helper` while this thread
+    uses the one before."""
     blocks = iter(blocks)
-    pending = pool[1].submit(next, blocks, None)
+    pending = helper.submit(next, blocks, None)
     try:
         while (block := pending.result()) is not None:
-            pending = pool[1].submit(next, blocks, None)
+            pending = helper.submit(next, blocks, None)
             yield block
     finally:
         wait([pending])  # a caller that stops early leaves no item in the making
@@ -102,8 +76,8 @@ class SparseAdam:
 
     Bias correction uses a single step counter, advanced by every `apply`
     call regardless of which rows the call touches.  `apply` works through
-    its rows a `_chunk_rows` chunk at a time, spread over the step pool when
-    there are several; every chunk size and thread count gives the same bytes.
+    its rows a `_chunk_rows` chunk at a time, shared with `helper` (a
+    `step_helper`) when given and there are several; neither moves a byte.
     """
 
     def __init__(
@@ -114,7 +88,7 @@ class SparseAdam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m, self.v, self.t = np.zeros(shape), np.zeros(shape), 0
 
-    def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray, helper=None) -> np.ndarray:
         """Take one step: update `params[rows]` in place from per-row gradients.
 
         `rows` must be distinct, as `np.unique` gives them (not checked: a
@@ -147,5 +121,5 @@ class SparseAdam:
             m /= v  # the update, lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
             params[ids] = np.subtract(params.take(ids, axis=0), m, out=g)
 
-        _spread(update, starts, _step_pool(len(starts)))
+        _spread(update, starts, helper)
         return grads

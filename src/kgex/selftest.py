@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -201,13 +202,13 @@ def _check_corruptions() -> str | None:
     return None
 
 
-def _step_bytes(model, batch, negatives, config, angles=None) -> bytes:
+def _step_bytes(model, batch, negatives, config, angles=None, helper=None) -> bytes:
     """The bytes of one `batch_gradients` call and of one Adam step on its gradients."""
     losses, degenerate, rows, grad = training.batch_gradients(
-        model, batch, negatives, config, None, angles, 2.0
+        model, batch, negatives, config, None, angles, 2.0, helper=helper
     )
     table, adam = model.table.copy(), SparseAdam(model.table.shape, 0.1)
-    updated = adam.apply(table, rows, grad.copy())
+    updated = adam.apply(table, rows, grad.copy(), helper)
     parts = [losses, degenerate, rows, grad.ravel(), updated.ravel(), adam.m.ravel(), adam.v.ravel()]
     return np.r_[tuple(parts)].tobytes()
 
@@ -222,9 +223,8 @@ def _demo_step():
 def _check_chunked_step() -> str | None:
     # training's byte identity rests on einsum giving each row the same bits for any row slice
     model, batch, negatives = _demo_step()
-    budget, threads, steps = optim._CHUNK_ELEMS, optim._THREADS, []
+    budget, steps = optim._CHUNK_ELEMS, []
     try:
-        optim._THREADS = 1  # the next check covers threads
         # adding the L2 loss can round away a last-bit change of the NLL in the
         # batch loss: gamma 0 keeps that change in sight
         for gamma, elems in itertools.product((0.0, 1e-3), (budget, 1)):
@@ -233,27 +233,26 @@ def _check_chunked_step() -> str | None:
             config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=gamma)
             steps.append(_step_bytes(model, batch, negatives, config))
     finally:
-        optim._CHUNK_ELEMS, optim._THREADS = budget, threads
+        optim._CHUNK_ELEMS = budget
     if steps[::2] != steps[1::2]:
         return "1-row chunks change the step's loss, gradients or Adam update"
     return None
 
 
 def _check_threaded_step() -> str | None:
-    # a step of many chunks spreads them over threads, which must not move a bit
+    # a step of many chunks shares them with a helper thread, which must not move a bit
     model, batch, negatives = _demo_step()
     angles = distill.triple_angles(models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 1), batch, 12)
     config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=1e-3)
-    budget, threads, steps = optim._CHUNK_ELEMS, optim._THREADS, []
+    budget = optim._CHUNK_ELEMS
     try:
         optim._CHUNK_ELEMS = 2 * 4 * 8  # 2 positives, or 8 touched rows, a chunk
-        for count in (1, 2):
-            optim._THREADS = count
-            steps.append(_step_bytes(model, batch, negatives, config, angles))
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
+            steps = [_step_bytes(model, batch, negatives, config, angles, h) for h in (None, helper)]
     finally:
-        optim._CHUNK_ELEMS, optim._THREADS = budget, threads
+        optim._CHUNK_ELEMS = budget
     if steps[0] != steps[1]:
-        return "2 threads change a many-chunk step's loss, gradients or Adam update"
+        return "a helper thread changes a many-chunk step's loss, gradients or Adam update"
     return None
 
 

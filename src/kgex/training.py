@@ -12,8 +12,8 @@ from . import distill
 from .focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch
 from .graph import KnowledgeGraph
 from .losses import l2_regularizer_into, softmax_nll_batch
-from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, score_grad_rows
-from .optim import SparseAdam, _ahead, _chunk_rows, _spread, _step_pool
+from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, query_pairs, score_grad_rows
+from .optim import SparseAdam, _ahead, _chunk_rows, _spread, step_helper
 
 
 class TrainingDivergedError(RuntimeError):
@@ -37,13 +37,11 @@ class TrainConfig:
     positives of at most `optim._CHUNK_ELEMS` elements (one positive, if wider),
     and its other `(rows, width)` arrays and the Adam update in chunks of
     `_chunk_rows(width)` rows: train-fb237 (10,000 rows, eta 10, width 200)
-    peaks at about 214 MiB resident, tables included.  A step of more than one
-    candidate chunk spreads its scoring and its gradient blocks, and an Adam
-    update of more than one row chunk its chunks, over a thread pool of one
-    thread per CPU the process may run on, at most `optim._MAX_THREADS` (2,
-    the count measured; no byte depends on the count), each thread holding
-    its own few chunks and each helper its own malloc arena.  Every step of `mc_explain`'s students runs
-    on the calling thread.  TransE gathers and differentiates every negative
+    peaks at about 214 MiB resident, tables included.  `run_training` shares a
+    step of more than one candidate chunk (scoring and gradient blocks) and an
+    Adam update of more than one row chunk with an `optim.step_helper` thread,
+    each thread holding its own few chunks; no byte depends on it, and the
+    students of `mc_explain` take none.  TransE gathers and differentiates every negative
     row by row, about eight float64 arrays of `rows * (1 + eta)` rows.  `rows`
     is `batch_size`, or, for the lockstep students of `mc_explain`, the batch
     rows of a group, whose candidate block stays within that budget unless
@@ -155,7 +153,7 @@ def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, summed
 
 
-def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_rows, row_loss):
+def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_rows, row_loss, helper):
     """Loss rows of a batch and its negatives, and their gradient terms.
 
     `positive_rows` holds the batch's subject, predicate and object rows, or
@@ -205,16 +203,8 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     # per-chunk queries left the step's threads waiting on each other
     per_group = max(1, _chunk_rows(2 * width) // step)
     groups = [chunks[i : i + per_group] for i in range(0, len(chunks), per_group)]
-    # a step of several chunks spreads its groups over the step pool, and a
-    # helper makes each next gradient block while this thread scatters one
-    pool = _step_pool(len(chunks))
-
-    def pair(rows):  # the object-side queries of positives `rows`, then their subject-side ones
-        es, rp, eo = positive(0, rows), positive(1, rows), positive(2, rows)
-        stack = np.empty((2, *es.shape))
-        bilinear_product(kind, k, es, rp, out=stack[0])
-        bilinear_product(kind, k, rp, eo, conj=True, out=stack[1])
-        return stack.reshape(-1, width)
+    helper = helper if len(chunks) > 1 else None  # it scores groups and makes each next gradient block
+    pair = lambda rows: query_pairs(kind, k, positive(0, rows), positive(1, rows), positive(2, rows))
 
     # with the positive rows held whole for the angle term, their queries are
     # built whole too, so a step of many chunks builds them once
@@ -239,7 +229,7 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
             np.einsum("nc,ncw->nw", np.where(obj_side[rows], 0.0, d[rows]), cand_rows, out=sum_sub[rows])
         return q if group is groups[-1] else None
 
-    last_q = _spread(score, groups, pool)[-1]
+    last_q = _spread(score, groups, helper)[-1]
 
     def cand_grads():  # written over each chunk's queries; the last chunk's are still held
         for group in groups:
@@ -257,14 +247,14 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     g_p = by_rows(lambda rows: bilinear_product(kind, k, positive(0, rows), sum_obj[rows], conj=True)
                   + bilinear_product(kind, k, sum_sub[rows], positive(2, rows), conj=True))
     terms = [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads()), (p_ids + n_ent, g_p)]
-    return loss, terms if pool is None else [(ids, _ahead(blocks, pool)) for ids, blocks in terms]
+    return loss, terms if helper is None else [(ids, _ahead(blocks, helper)) for ids, blocks in terms]
 
 
 def batch_gradients(
     model: EmbeddingModel, batch: np.ndarray, negatives: tuple[np.ndarray, np.ndarray, np.ndarray],
     config: TrainConfig, alpha: np.ndarray | None = None,
     teacher_angles: tuple[np.ndarray, np.ndarray] | None = None, kd_lambda: float = 0.0,
-    sizes: list[int] | None = None, bounds: list[int] | None = None,
+    sizes: list[int] | None = None, bounds: list[int] | None = None, helper=None,
 ) -> tuple[list[float], list[int], np.ndarray, np.ndarray]:
     """Objective of one batch and its gradients, summed over the rows it touches.
 
@@ -275,6 +265,7 @@ def batch_gradients(
     and relation rows start at table rows `bounds[j]` and `bounds[len(sizes) + j]` (`bounds[-1]`
     ends the table); by default one run has the whole table.  Returns each run's objective and count
     of degenerate angle terms, the sorted ids of the touched `model.table` rows and their gradients.
+    A step of several candidate chunks is shared with `helper`, a `step_helper` executor, if given.
     """
     s_ids, p_ids, o_ids = batch.T
     sizes, bounds = sizes or [len(batch)], bounds or [0, model.n_entities, len(model.table)]
@@ -306,7 +297,7 @@ def batch_gradients(
         loss, d = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha[rows])
         return loss, d * scale[rows]
 
-    loss_rows, terms = _score_batch(model, batch, negatives, positive_rows, row_loss)
+    loss_rows, terms = _score_batch(model, batch, negatives, positive_rows, row_loss, helper)
     losses = [float(loss_rows[sl].sum()) * s + kd for (sl, s), kd in zip(runs, losses)]
     rows, grad = _summed_gradients(terms + kd_terms, model.width)
     del positive_rows, terms, kd_terms  # the L2 gather does not stack on them
@@ -325,7 +316,8 @@ LockstepRun = namedtuple("LockstepRun", "triples pool rng starts weights angles"
 
 
 def train_lockstep(
-    model: EmbeddingModel, runs: list[LockstepRun], config: TrainConfig, kd_lambda: float = 0.0, progress=None
+    model: EmbeddingModel, runs: list[LockstepRun], config: TrainConfig, kd_lambda: float = 0.0, progress=None,
+    helper=None,
 ) -> list[TrainStats]:
     """The epoch loop of runs on disjoint rows of one table, in lockstep.
 
@@ -335,6 +327,7 @@ def train_lockstep(
     runs take their first step together, so the shared Adam step count is each one's.  A
     diverging run stops, with the runs after it: the error raised is the first diverging run's,
     as when the runs train one after another.  `progress(epoch, mean loss)` follows each epoch.
+    Steps and Adam updates of several chunks are shared with `helper` when given.
     """
     bs, focuse = config.batch_size, config.focuse
     optimizer = SparseAdam(model.table.shape, config.lr)
@@ -361,11 +354,11 @@ def train_lockstep(
         losses, degenerate, rows, grad = batch_gradients(
             model, np.concatenate(batches), tuple(map(np.concatenate, zip(*negatives))), config,
             focuse and np.concatenate(alphas), angles[0] and tuple(map(np.hstack, zip(*angles))),
-            kd_lambda, sizes, bounds + [len(model.table)],
+            kd_lambda, sizes, bounds + [len(model.table)], helper,
         )
         failed = {j: "loss" for j, loss in zip(active, losses) if not np.isfinite(loss)}
         # only the updated rows can change, and the initial table is finite
-        finite = np.isfinite(optimizer.apply(model.table, rows, grad)).all(axis=1)
+        finite = np.isfinite(optimizer.apply(model.table, rows, grad, helper)).all(axis=1)
         del grad  # freed before the next step makes its own
         for seg in np.searchsorted(bounds, rows[~finite], side="right") - 1:
             failed.setdefault(active[seg % len(active)], "embeddings")
@@ -391,7 +384,7 @@ def run_training(
     kd_lambda: float = 0.0,
     progress=None,
 ) -> tuple[EmbeddingModel, TrainStats]:
-    """Train one model on a graph: `train_lockstep` of one run over the full table."""
+    """Train one model on a graph: `train_lockstep` of one run over the full table and a `step_helper`."""
     config.validate()
     distill.check_kd_lambda(kd_lambda)
     if g.n_triples == 0:
@@ -407,5 +400,6 @@ def run_training(
     kd = teacher is not None and kd_lambda > 0.0
     angles = distill.triple_angles(teacher, g.triples, config.batch_size) if kd else None
     run = LockstepRun(g.triples, pool, np.random.default_rng(loop_seq), (0, 0), g.weights, angles)
-    (stats,) = train_lockstep(model, [run], config, kd_lambda, progress)
+    with step_helper() as helper:
+        (stats,) = train_lockstep(model, [run], config, kd_lambda, progress, helper)
     return model, stats

@@ -235,11 +235,11 @@ class TestMcExplain:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ExplainConfig(threads=threads).validate()
 
-    @pytest.mark.parametrize("cpus, workers", [(None, []), (3, [3]), (8, [4])])
+    @pytest.mark.parametrize("cpus, workers", [(1, []), (3, [3]), (8, [4])])
     def test_workers_capped_by_runs_and_cpus(self, toy, monkeypatch, cpus, workers):
         g, held_out, teacher = toy
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: cpus)
         monkeypatch.setattr(RecordingPool, "created", [])
         monkeypatch.setattr(RecordingPool, "maps", [])
         config = ExplainConfig(
@@ -263,7 +263,7 @@ class TestMcExplain:
     def test_shared_worker_inputs_hold_no_graph_index(self, toy, monkeypatch):
         g, held_out, teacher = toy
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
         monkeypatch.setattr(RecordingPool, "functions", [])
         config = ExplainConfig(
             mc_runs=2, partitions=2, student=self.student_cfg(), sampler=SubgraphSpec("pn", 1), threads=2,
@@ -401,7 +401,7 @@ class TestMcExplain:
         trained = []
         monkeypatch.setattr(kgex.explain, "train_lockstep", lambda *a: trained.append(a))
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(kgex.explain.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
         monkeypatch.setattr(RecordingPool, "created", [])
         config = ExplainConfig(
             mc_runs=4, partitions=2, student=TrainConfig(kind="distmult", k=2, epochs=1),

@@ -109,22 +109,29 @@ def test_groups_do_not_change_any_run(monkeypatch, graph, per_group):
 
 
 def test_students_train_on_the_calling_thread(monkeypatch, graph):
-    """Student steps of many chunks take no step pool: `threads` alone spreads
-    an explanation over CPUs."""
+    """Student steps of many chunks get no step helper, even where the process
+    may run on two CPUs: `threads` alone spreads an explanation over CPUs."""
     g, target = graph
-    monkeypatch.setattr(kgex.optim, "_THREADS", 2)
+    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 3 * 6)  # 2 positives, or 2 rows, a chunk
-    calls = []
-    for owner in (kgex.optim, kgex.training):
-        def recording(chunks, make=owner._step_pool):
-            calls.append((chunks, make(chunks)))
-            return calls[-1][1]
+    steps, updates = [], []
+    step, update = kgex.training.batch_gradients, kgex.optim.SparseAdam.apply
 
-        monkeypatch.setattr(owner, "_step_pool", recording)
+    def recording_step(model, batch, *args):  # args end with `helper`, as `train_lockstep` passes them
+        steps.append((len(batch), args[-1]))
+        return step(model, batch, *args)
+
+    def recording_update(self, params, rows, grads, helper=None):
+        updates.append((len(rows), helper))
+        return update(self, params, rows, grads, helper)
+
+    monkeypatch.setattr(kgex.training, "batch_gradients", recording_step)
+    monkeypatch.setattr(kgex.optim.SparseAdam, "apply", recording_update)
     teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
     mc_explain(teacher, g, target, explain_config("complex", mc_runs=2))
-    assert max(chunks for chunks, _ in calls) > 1
-    assert all(pool is None for _, pool in calls)
+    # several chunks: a ComplEx k=4 chunk holds one positive's 3 candidates, or 4 rows
+    assert max(rows for rows, _ in steps) > 1 and max(rows for rows, _ in updates) > 4
+    assert all(helper is None for _, helper in steps + updates)
 
 
 @pytest.mark.parametrize("kind", KINDS)

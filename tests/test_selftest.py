@@ -102,8 +102,8 @@ def _no_redraw(fn):
 def _conj_imaginary_flipped(fn):
     """Flips the sign of the imaginary half of conj(x)∘y, for ComplEx only."""
 
-    def broken(kind, k, x, y, conj=False):
-        out = fn(kind, k, x, y, conj)
+    def broken(kind, k, x, y, conj=False, out=None):
+        out = fn(kind, k, x, y, conj, out)
         if conj and kind is models.ModelKind.COMPLEX:
             out[..., k:] *= -1.0
         return out
@@ -135,9 +135,9 @@ def _einsum_rounds_single_rows(fn):
 def _adam_stops_after_one_chunk(fn):
     """Updates only the first chunk of rows, as a chunk loop that returns early might."""
 
-    def broken(self, params, rows, grads):
+    def broken(self, params, rows, grads, helper=None):
         size = optim._chunk_rows(params.shape[1])
-        fn(self, params, rows[:size], grads[:size])
+        fn(self, params, rows[:size], grads[:size], helper)
         return grads
 
     return broken
@@ -146,8 +146,8 @@ def _adam_stops_after_one_chunk(fn):
 def _blocks_swapped(fn):
     """Hands the helper's gradient blocks over in swapped pairs, as an unordered queue might."""
 
-    def broken(blocks, pool):
-        made = list(fn(blocks, pool))
+    def broken(blocks, helper):
+        made = list(fn(blocks, helper))
         made[: len(made) // 2 * 2] = [b for pair in zip(made[1::2], made[::2]) for b in pair]
         return iter(made)
 
@@ -155,12 +155,12 @@ def _blocks_swapped(fn):
 
 
 def _items_handed_out_twice(fn):
-    """With a pool, runs each Adam chunk twice, as a racy work queue might."""
+    """With a helper, runs each Adam chunk twice, as a racy work queue might."""
 
-    def broken(work, items, pool):
-        if pool is None:
-            return fn(work, items, pool)
-        return fn(work, [item for item in items for _ in range(2)], pool)[::2]
+    def broken(work, items, helper):
+        if helper is None:
+            return fn(work, items, helper)
+        return fn(work, [item for item in items for _ in range(2)], helper)[::2]
 
     return broken
 
@@ -178,7 +178,7 @@ FAULTS = {
     "sampler contracts": (sampling, "sample_subgraph", _first_position_dropped),
     "adam fixed points": (
         optim.SparseAdam, "apply",
-        lambda fn: lambda self, params, rows, grads: fn(self, params, rows, grads + 1e-3)),
+        lambda fn: lambda self, params, rows, grads, helper=None: fn(self, params, rows, grads + 1e-3, helper)),
     "ranking vs brute force and metrics": (evaluation, "rank_triple", _object_rank_off_by_one),
     "corruption invariants": (training, "corrupt_batch", _both_sides_replaced),
     "training step and Adam invariant to row chunking": (training, "softmax_nll_batch", _loss_reads_across_rows),

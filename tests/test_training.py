@@ -1,8 +1,11 @@
 """Corruption generation, losses, the optimizer, and the training loop."""
 
+import contextlib
 import math
 import multiprocessing
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -235,22 +238,21 @@ class TestAdam:
 
     def test_row_chunks_change_no_byte(self, monkeypatch):
         """Three steps over overlapping row sets at the default budget (all
-        rows in one chunk) and at a budget of one row a chunk, on 1, 2 and 3
-        threads: the chunks of a step are spread over the step pool."""
+        rows in one chunk) and at a budget of one row a chunk, without and
+        with a helper thread: the chunks of a step are shared with it."""
         rng = np.random.default_rng(8)
         row_sets = [np.array([0, 3, 4, 9]), np.arange(10), np.array([2, 3, 7])]
         grads = [rng.normal(size=(len(rows), 6)) for rows in row_sets]
         start, results = rng.normal(size=(10, 6)), []
-        for elems, threads in [(kgex.optim._CHUNK_ELEMS, 1), (1, 1), (1, 2), (1, 3)]:
-            monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", elems)
-            monkeypatch.setattr(kgex.optim, "_THREADS", threads)
-            params, updated = start.copy(), []
-            opt = SparseAdam(params.shape, lr=0.3)
-            for rows, g in zip(row_sets, grads):
-                updated.append(opt.apply(params, rows, g.copy()).tobytes())
-            results.append((params.tobytes(), opt.m.tobytes(), opt.v.tobytes(), updated))
-        assert results[1:] == results[:1] * 3
-        assert kgex.optim._pool[0] == 3  # the pool was made, at the last count
+        with ThreadPoolExecutor(1) as helper:
+            for elems, given in [(kgex.optim._CHUNK_ELEMS, None), (1, None), (1, helper)]:
+                monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", elems)
+                params, updated = start.copy(), []
+                opt = SparseAdam(params.shape, lr=0.3)
+                for rows, g in zip(row_sets, grads):
+                    updated.append(opt.apply(params, rows, g.copy(), given).tobytes())
+                results.append((params.tobytes(), opt.m.tobytes(), opt.v.tobytes(), updated))
+        assert results[1:] == results[:1] * 2
 
     def test_foreign_grads_are_not_written(self):
         """float32 and read-only gradients step as their float64 values do;
@@ -273,18 +275,18 @@ class TestAdam:
         """One step over 20,000 rows of width 100 (16 MB a grad-sized array) at
         the training budget of 655 rows (512 KiB): each chunk's moments and
         update take three chunks, updated in place, so the peak is 3 chunks on
-        1 thread and 6 on 2, where the whole rows took about seven 16 MB
-        arrays (112 MB).  It was 9 on 3 threads, more than the step pool takes."""
-        assert kgex.optim._MAX_THREADS <= 2
+        1 thread and 6 on 2, this one and a helper, where the whole rows took
+        about seven 16 MB arrays (112 MB).  It was 9 on 3 threads."""
         rng = np.random.default_rng(9)
         params, grads, rows = rng.normal(size=(20_000, 100)), rng.normal(size=(20_000, 100)), np.arange(20_000)
         opt = SparseAdam(params.shape, lr=0.1)
-        tracemalloc.start()
-        try:
-            opt.apply(params, rows, grads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with ThreadPoolExecutor(1) as helper:
+            tracemalloc.start()
+            try:
+                opt.apply(params, rows, grads, helper)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak <= 8 * kgex.optim._CHUNK_ELEMS * 8, f"heap peak {peak / 1e6:.1f} MB"
 
     def test_untouched_rows_never_move(self):
@@ -571,28 +573,29 @@ def test_step_heap_holds_no_candidate_block(gamma):
     - the buffer of touched rows (1,010 at most) and, for gamma > 0, the L2
       gather of its rows (1.6 MB);
     - 4 chunks of `optim._CHUNK_ELEMS` float64 (512 KiB each): a chunk's
-      gathered candidates and queries on each of 2 threads, or, in the
-      scatter, a chunk's gradients and index and a helper's next chunk (2.1 MB);
+      gathered candidates and queries on this thread and on the helper, or, in
+      the scatter, a chunk's gradients and index and the helper's next chunk
+      (2.1 MB);
     - 3 float64 (n, 1 + eta) arrays: the candidate ids, their side mask and
       their loss gradients (0.5 MB);
     - 5 copies of the 14n int64 row ids of `np.unique` (1.1 MB).
 
-    That bound is 8.6 MB, under half the block.  The peak was 7.9 MB on 1 or 2
-    threads and 9.2 MB on 3, more than the step pool takes.
+    That bound is 8.6 MB, under half the block.  The peak was 7.9 MB with or
+    without the helper, and 9.2 MB on 3 threads.
     """
-    assert kgex.optim._MAX_THREADS <= 2
     n, eta, k, n_entities = 2000, 10, 50, 1000
     rng = np.random.default_rng(0)
     model = init_model("complex", k, n_entities, 10, seed=1)
     batch = np.stack([rng.integers(0, n_entities, n), rng.integers(0, 10, n), rng.integers(0, n_entities, n)], 1)
     negatives = corrupt_batch(batch, eta, np.arange(n_entities), rng)
     config = TrainConfig(kind="complex", k=k, eta=eta, gamma=gamma)
-    tracemalloc.start()
-    try:
-        batch_gradients(model, batch, negatives, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with ThreadPoolExecutor(1) as helper:
+        tracemalloc.start()
+        try:
+            batch_gradients(model, batch, negatives, config, helper=helper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     block, row_bytes = n * (1 + eta) * model.width * 8, model.width * 8
     bound = (2 * n * row_bytes + 2 * len(model.table) * row_bytes + 4 * kgex.optim._CHUNK_ELEMS * 8
              + 3 * n * (1 + eta) * 8 + 5 * 14 * n * 8)
@@ -626,18 +629,27 @@ def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
 
 
 class TestThreads:
-    """A step of several chunks spreads its scoring, gradient blocks and Adam
-    chunks over a pool of `optim._THREADS` threads; no count moves a byte."""
+    """Where the process may run on two CPUs, a step of several chunks shares its
+    scoring, gradient blocks and Adam chunks with a helper thread, which moves no
+    byte and ends with the `run_training` call."""
 
     @staticmethod
-    def at_each_count(monkeypatch, train, width, eta=3):
-        """`train()` at 1, 2 and 3 threads, with chunks of 2 positives' candidates."""
+    def without_and_with_helper(monkeypatch, train, width, eta=3):
+        """`train()` on one CPU, then on two, with chunks of 2 positives' candidates."""
         monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * (1 + eta) * width)
+        submitted = []
+
+        class Helper(ThreadPoolExecutor):
+            def submit(self, *args):
+                submitted.append(args)
+                return super().submit(*args)
+
+        monkeypatch.setattr(kgex.optim, "ThreadPoolExecutor", Helper)
         results = []
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(kgex.optim, "_THREADS", threads)
+        for cpus in (1, 2):
+            monkeypatch.setattr(kgex.optim, "_cpus", lambda: cpus)
             results.append(train())
-            assert threads == 1 or kgex.optim._pool[0] == threads  # made at this count
+            assert bool(submitted) == (cpus == 2)  # the helper was handed work
         return results
 
     @pytest.mark.parametrize("variant", ["plain", "kd", "focuse"])
@@ -658,9 +670,9 @@ class TestThreads:
             model, stats = run_training(g, config, teacher=teacher, kd_lambda=2.0)
             return model.table.tobytes(), stats.epoch_losses, stats.degenerate_kd_terms
 
-        want, *others = self.at_each_count(monkeypatch, train, 3 * (2 if kind == "complex" else 1))
+        want, got = self.without_and_with_helper(monkeypatch, train, 3 * (2 if kind == "complex" else 1))
         assert (want[2] > 0) == (variant == "kd")
-        assert others == [want, want]
+        assert got == want
 
     def test_two_run_lockstep_gives_the_same_bytes(self, monkeypatch):
         """Two runs on disjoint rows of one table, stacked into each step."""
@@ -674,56 +686,133 @@ class TestThreads:
                 for j, g in enumerate(graphs)
             ]
             config = TrainConfig(kind="complex", k=3, eta=3, epochs=2, batch_size=16, gamma=1e-3)
-            stats = train_lockstep(model, runs, config)
+            with kgex.optim.step_helper() as helper:
+                stats = train_lockstep(model, runs, config, helper=helper)
             return model.table.tobytes(), [s.epoch_losses for s in stats]
 
-        want, *others = self.at_each_count(monkeypatch, train, 6)
-        assert others == [want, want]
+        want, got = self.without_and_with_helper(monkeypatch, train, 6)
+        assert got == want
 
-    def test_default_count_is_capped(self, monkeypatch):
-        """Unset, the count is the CPUs the process may run on, at most
-        `optim._MAX_THREADS`, the count whose heap and speed were measured."""
-        monkeypatch.setattr(kgex.optim, "_THREADS", None)
-        for cpus, want in ((1, None), (2, 2), (64, kgex.optim._MAX_THREADS)):
+    def test_one_helper_where_the_process_may_run_on_two_cpus(self, monkeypatch):
+        """The CPUs are those of the process's affinity mask, not the host's: one
+        takes no helper, two or more take one helper thread."""
+        def name():
+            time.sleep(0.01)  # each task finds the one before still running
+            return threading.current_thread().name
+
+        monkeypatch.setattr(kgex.optim.os, "cpu_count", lambda: 64)
+        for cpus in (1, 2, 64):
             monkeypatch.setattr(kgex.optim.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-            pool = kgex.optim._step_pool(2)
-            assert (pool and pool[0]) == want
+            assert kgex.optim._cpus() == cpus
+            with kgex.optim.step_helper() as helper:
+                assert (helper is None) == (cpus == 1)
+                if helper is not None:
+                    names = [f.result() for f in [helper.submit(name) for _ in range(3)]]
+                    assert set(names) == {names[0]} and names[0].startswith("kgex-step")
 
-    def test_few_items_take_few_helpers(self):
-        """Two items on a pool of 8 threads take one helper."""
+    def test_one_item_takes_no_helper(self):
+        """One item runs on this thread; two hand the helper one task."""
         calls = []
-        with ThreadPoolExecutor(7) as executor:
+        with ThreadPoolExecutor(1) as executor:
             submit = executor.submit
             executor.submit = lambda fn: calls.append(fn) or submit(fn)
-            assert kgex.optim._spread(lambda x: 2 * x, [1, 2], (8, executor)) == [2, 4]
+            assert kgex.optim._spread(lambda x: 2 * x, [1], executor) == [2] and calls == []
+            assert kgex.optim._spread(lambda x: 2 * x, [1, 2], executor) == [2, 4]
         assert len(calls) == 1
 
-    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
-        """8 threads that hand the interpreter lock over every microsecond: a
-        lost, doubled or misplaced write to a shared array would move a byte."""
+    @pytest.mark.parametrize("raiser", ["calling", "helper"])
+    def test_an_item_error_comes_out_once_both_threads_stop(self, raiser):
+        """Each thread takes one of two items (a barrier holds each until the
+        other has one); the item on `raiser`'s thread raises at once, the other
+        finishes 50 ms later, before the error comes out of `_spread`."""
+        barrier, finished = threading.Barrier(2, timeout=10), []
+
+        def item(i):
+            barrier.wait()
+            if threading.current_thread().name.startswith("kgex-step") == (raiser == "helper"):
+                raise ValueError(f"item {i}")
+            time.sleep(0.05)
+            finished.append(i)
+
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
+            with pytest.raises(ValueError, match="item"):
+                kgex.optim._spread(item, [0, 1], helper)
+            assert len(finished) == 1
+
+    def test_a_raising_consumer_leaves_no_block_in_the_making(self):
+        """A consumer that raises on its first block, 10 ms into the helper's
+        50 ms making of the next, drops `_ahead`, which waits for that block:
+        none is in the making after."""
+        making = []
+
+        def blocks():
+            for i in range(3):
+                making.append(i)
+                time.sleep(0.05)
+                making.remove(i)
+                yield i
+
+        def consume(helper):
+            for _ in kgex.optim._ahead(blocks(), helper):
+                time.sleep(0.01)
+                raise ValueError("consumer")
+
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
+            with pytest.raises(ValueError, match="consumer"):
+                consume(helper)
+            assert making == []
+
+    def test_two_threads_switching_often(self, monkeypatch):
+        """This thread and the helper hand the interpreter lock over every
+        microsecond: a lost, doubled or misplaced write to a shared array would
+        move a byte."""
         g = random_graph(12, 3, 48, seed=4)
         config = TrainConfig(kind="complex", k=3, eta=3, epochs=2, batch_size=20, gamma=1e-3, seed=2)
         monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 4 * 6)
-        monkeypatch.setattr(kgex.optim, "_THREADS", 1)
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 1)
         want = run_training(g, config)[0].table.tobytes()
-        monkeypatch.setattr(kgex.optim, "_THREADS", 8)
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = run_training(g, config)[0].table.tobytes()
         finally:
             sys.setswitchinterval(interval)
-        assert got == want and kgex.optim._pool[0] == 8
+        assert got == want
 
-    def test_a_fork_child_trains_on_its_own_pool(self, monkeypatch):
-        """The parent's helper threads do not exist in a fork child: the child
-        makes its own pool, where reusing the parent's would wait forever."""
+    @pytest.mark.parametrize("lr", [0.1, math.inf])
+    def test_no_helper_thread_outlives_run_training(self, monkeypatch, lr):
+        """The helper lived through the call, and no `kgex-step` thread is left
+        once it returns or raises `TrainingDivergedError` (`lr` inf)."""
+        g = random_graph(12, 3, 48, seed=4)
+        config = TrainConfig(kind="distmult", k=4, eta=3, lr=lr, epochs=2, batch_size=20, seed=2)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 4 * 4)
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
+        alive, make = [], kgex.training.step_helper
+
+        @contextlib.contextmanager
+        def watched():
+            with make() as helper:
+                try:
+                    yield helper
+                finally:
+                    alive.append([t.name for t in threading.enumerate() if t.name.startswith("kgex-step")])
+
+        monkeypatch.setattr(kgex.training, "step_helper", watched)
+        with np.errstate(all="ignore"), contextlib.suppress(TrainingDivergedError):
+            run_training(g, config)
+            assert lr < math.inf, "an infinite learning rate diverges"
+        assert len(alive) == 1 and len(alive[0]) == 1
+        assert not [t for t in threading.enumerate() if t.name.startswith("kgex-step")]
+
+    def test_a_fork_child_trains_as_its_parent(self, monkeypatch):
+        """A fork child of a process that has trained with a helper trains
+        with its own helper, to the same bytes."""
         g = random_graph(12, 3, 48, seed=4)
         config = TrainConfig(kind="distmult", k=4, eta=3, epochs=2, batch_size=20, seed=2)
         monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 4 * 4)
-        monkeypatch.setattr(kgex.optim, "_THREADS", 2)
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
         want = run_training(g, config)[0].table.tobytes()
-        assert kgex.optim._pool is not None
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
         child = context.Process(target=lambda: sender.send(run_training(g, config)[0].table.tobytes()))
