@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -106,6 +107,9 @@ def main() -> None:
     print("selecting rank-1 test triples ...")
     rank1 = select_rank1(teacher, test.triples, np.arange(g.n_entities), flt, args.targets)
     print(f"found {len(rank1)} rank-1 targets")
+    if not rank1:
+        print(f"no test triple ranks first on both sides; the teacher is in {teacher_path}", file=sys.stderr)
+        raise SystemExit(1)
 
     student = TrainConfig(kind=args.model, k=50, eta=2, lr=0.1, epochs=200, batch_size=512)
     ranks: list[float] = []

@@ -1,14 +1,13 @@
 """Knowledge-graph-embedding engine with weighted training, relational
 distillation, and Monte Carlo explanations of individual link predictions."""
 
-from .distill import angle_potentials, train_student
+from .distill import train_student
 from .evaluation import Metrics, RankResult, evaluate, metrics_from_ranks, rank_triple
 from .explain import ExplainConfig, ExplanationReport, RunRecord, aggregate_contributions, mc_explain
 from .focuse import FocusEConfig, beta_schedule, softplus_score
 from .graph import (
     KnowledgeGraph, TrueTripleSet, Vocabulary, build_filter, graph_from_triples, load_graph, load_split,
 )
-from .losses import l2_regularizer
 from .modelio import load_model, save_model
 from .models import EmbeddingModel, ModelKind, init_model
 from .optim import SparseAdam
@@ -19,13 +18,12 @@ __version__ = "0.1.0"
 
 # the names imported above, by module, except `softplus_score`
 __all__ = [
-    "angle_potentials", "train_student",
+    "train_student",
     "Metrics", "RankResult", "evaluate", "metrics_from_ranks", "rank_triple",
     "ExplainConfig", "ExplanationReport", "RunRecord", "aggregate_contributions", "mc_explain",
     "FocusEConfig", "beta_schedule",
     "KnowledgeGraph", "TrueTripleSet", "Vocabulary", "build_filter", "graph_from_triples",
     "load_graph", "load_split",
-    "l2_regularizer",
     "load_model", "save_model",
     "EmbeddingModel", "ModelKind", "init_model",
     "SparseAdam",

@@ -36,14 +36,6 @@ def _cyclic_angles(rows):
     return phi, valid, unit, safe
 
 
-def angle_potentials(x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """Dot products of the unit differences (x - y) and (y - z), row-wise over
-    any leading axes, as (phi, valid); rows where either difference is zero
-    (coincident points) get phi = 0 and valid = False."""
-    phi, valid, _, _ = _cyclic_angles((x, y, z))
-    return phi[0], valid[0]
-
-
 def triple_angles(model: EmbeddingModel, triples: np.ndarray, chunk: int):
     """`(phi, valid)` of `_cyclic_angles` for the rows of each (s, p, o) triple,
     each (3, len(triples)), computed `chunk` triples at a time to bound the heap."""

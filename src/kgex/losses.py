@@ -25,16 +25,10 @@ def softmax_nll_batch(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return loss, grad
 
 
-def l2_regularizer(rows: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
-    """weight * sum ||row||^2 over the given rows; gradient is 2 * weight * row."""
-    rows = np.atleast_2d(rows)
-    grad = np.zeros(rows.shape)
-    return l2_regularizer_into(rows.copy(), weight, grad), grad
-
-
 def l2_regularizer_into(rows: np.ndarray, weight: float, grad: np.ndarray) -> float:
-    """Add the gradient of `l2_regularizer(rows, weight)` into `grad`, a
-    `_chunk_rows` chunk at a time, and return its loss.
+    """Add the gradient of the L2 term `weight * sum ||row||^2`, which is
+    `2 * weight * row`, into `grad`, a `_chunk_rows` chunk at a time, and
+    return the term's value.
 
     `rows` must be a 2-D array the caller owns and no longer needs (a gather):
     it is overwritten with its squares, so no array of its size is allocated.

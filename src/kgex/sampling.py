@@ -120,13 +120,14 @@ def write_subgraph_tsv(sub: Subgraph, path: str | Path) -> None:
 
 
 def read_subgraph_tsv(path: str | Path, entity_vocab, relation_vocab) -> list[Triple]:
-    """Read a subgraph TSV back into id triples, skipping `#` header lines."""
+    """Read a subgraph TSV back into id triples, skipping `#` header lines: a `#` line of
+    3 tab-separated fields is a triple (the writer's headers have 1, 4 and 2 fields)."""
     triples: list[Triple] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                continue
             parts = line.rstrip("\n").split("\t")
+            if line.startswith("#") and len(parts) != 3:
+                continue
             if len(parts) != 3:
                 raise GraphFormatError(f"{path}:{lineno}: expected 3 columns")
             triples.append(triple_of_labels(parts, entity_vocab, relation_vocab, f"{path}:{lineno}: "))

@@ -6,7 +6,7 @@ import numpy as np
 
 from kgex.explain import ExplanationEntry
 from kgex.focuse import focused_nll_batch
-from kgex.losses import l2_regularizer, softmax_nll_batch
+from kgex.losses import softmax_nll_batch
 from kgex.models import EmbeddingModel, ModelKind, score_grad_rows, score_many
 
 
@@ -215,9 +215,9 @@ def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, te
     if config.gamma > 0.0:
         l2 = []
         for table, rows, grad in updates:
-            l2_loss, l2_grad = l2_regularizer(table[rows], config.gamma)
-            grad += l2_grad
-            l2.append(l2_loss)
+            gathered = table[rows]
+            grad += 2.0 * config.gamma * gathered
+            l2.append(config.gamma * float((gathered * gathered).sum()))
         loss += l2[0] + l2[1]
     return loss, degenerate, updates
 

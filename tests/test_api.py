@@ -36,13 +36,11 @@ PUBLIC = [
     "TrueTripleSet",
     "Vocabulary",
     "aggregate_contributions",
-    "angle_potentials",
     "beta_schedule",
     "build_filter",
     "evaluate",
     "graph_from_triples",
     "init_model",
-    "l2_regularizer",
     "load_graph",
     "load_model",
     "load_split",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kgex.training
-from kgex.distill import _cyclic_angles, angle_potentials, rkd_loss_batch, train_student
+from kgex.distill import _cyclic_angles, rkd_loss_batch, train_student
 from kgex.graph import graph_from_triples
 from kgex.models import init_model
 from kgex.training import TrainConfig, run_training
@@ -18,7 +18,8 @@ CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def phi(a, b, c):
-    return angle_potentials(np.asarray(a), np.asarray(b), np.asarray(c))[0]
+    """The potential of ordering (a, b, c): the dot product of the unit differences a - b and b - c."""
+    return _cyclic_angles((np.asarray(a), np.asarray(b), np.asarray(c)))[0][0]
 
 
 def angles(rows):
@@ -75,9 +76,9 @@ class TestAnglePotential:
 
     def test_coincident_points_flagged(self):
         v = np.ones(3)
-        value, valid = angle_potentials(v, v, np.zeros(3))
-        assert not valid
-        assert value == 0.0
+        value, valid = _cyclic_angles((v, v, np.zeros(3)))[:2]
+        assert not valid[0]
+        assert value[0] == 0.0
 
     def test_invariance_under_similarity_transforms(self):
         rng = np.random.default_rng(8)

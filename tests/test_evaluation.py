@@ -1,6 +1,9 @@
 """Ranking against candidate pools and metric aggregation."""
 
 import importlib.util
+import itertools
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 
 from kgex import evaluation
 from kgex.evaluation import evaluate, metrics_from_ranks, rank_triple
-from kgex.graph import build_filter, graph_from_triples
+from kgex.graph import build_filter, graph_from_triples, label_rows, load_graph
+from kgex.modelio import save_model
 from kgex.models import EmbeddingModel, ModelKind, init_model
 
 from oracles import brute_force_side_rank
@@ -242,13 +246,19 @@ class TestBlockRanking:
         assert (unfiltered >= 2).all()  # every positive's twin is a candidate tying it
 
 
-def test_rank1_selection_matches_per_triple_loop(monkeypatch):
-    """The benchmark script's block-wise target selection picks the same
-    triples, in the same order, as ranking one test triple at a time."""
+def load_script():
+    """`scripts/reproduce_benchmarks.py` as a module, its `main()` not run."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_benchmarks.py"
     spec = importlib.util.spec_from_file_location("reproduce_benchmarks", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_rank1_selection_matches_per_triple_loop(monkeypatch):
+    """The benchmark script's block-wise target selection picks the same
+    triples, in the same order, as ranking one test triple at a time."""
+    script = load_script()
     g = random_graph(30, 3, 200, seed=41)
     teacher = init_model("complex", 3, g.n_entities, g.n_relations, seed=42)
     pool, flt = np.array([0, 1, 2]), build_filter(g)
@@ -259,3 +269,46 @@ def test_rank1_selection_matches_per_triple_loop(monkeypatch):
     for targets in (1, 5, len(per_triple), len(per_triple) + 3):
         got = script.select_rank1(teacher, g.triples, pool, flt, targets)
         assert got == per_triple[:targets]
+
+
+class TestBenchmarkScriptMain:
+    """`main()` of the benchmark script on a toy dataset, with a given `--teacher`."""
+
+    def run(self, tmp_path, monkeypatch, teacher_of, rank1: bool):
+        """Writes the dataset and the DistMult teacher `teacher_of(g)`, whose one test
+        triple is the first unseen triple that it ranks first (`rank1`) or not, then runs `main()`."""
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        tsv = lambda g, triples: "".join(row + "\n" for row in label_rows(triples, g.entity_vocab, g.relation_vocab))
+        train = random_graph(10, 2, 24, seed=51)
+        (data / "train.txt").write_text(tsv(train, train.triples), encoding="utf-8")
+        g = load_graph(data / "train.txt")  # the ids the script reads the teacher with
+        teacher = teacher_of(g)
+        pool, flt, seen = np.arange(g.n_entities), build_filter(g), set(map(tuple, g.triples.tolist()))
+        unseen = [t for t in itertools.product(pool.tolist(), range(g.n_relations), pool.tolist()) if t not in seen]
+        first = lambda r: r.subject_rank == r.object_rank == 1
+        test = next(t for t in unseen if first(rank_triple(teacher, t, pool, flt)) == rank1)
+        (data / "valid.txt").write_text(tsv(g, g.triples[:1]), encoding="utf-8")
+        (data / "test.txt").write_text(tsv(g, [test]), encoding="utf-8")
+        save_model(teacher, tmp_path / "teacher.kgex", g.entity_vocab, g.relation_vocab)
+        argv = ["--data", data, "--dataset", "wn18rr", "--model", "distmult", "--out", out, "--targets", "1",
+                "--mc-runs", "2", "--partitions", "2", "--teacher", tmp_path / "teacher.kgex"]
+        monkeypatch.setattr(sys, "argv", ["reproduce_benchmarks.py", *map(str, argv)])
+        load_script().main()
+        return out
+
+    def test_a_rank1_target_is_explained(self, tmp_path, monkeypatch):
+        teacher_of = lambda g: init_model("distmult", 4, g.n_entities, g.n_relations, seed=52)
+        out = self.run(tmp_path, monkeypatch, teacher_of, rank1=True)
+        metrics = json.loads((out / "surrogate_metrics.json").read_text(encoding="utf-8"))
+        assert metrics["targets"] == 1
+        assert metrics["mc_runs"] == 2
+
+    def test_no_rank1_target_exits_with_one_line(self, tmp_path, monkeypatch, capsys):
+        teacher_of = lambda g: constant_model(g.n_entities, g.n_relations)
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(tmp_path, monkeypatch, teacher_of, rank1=False)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err == f"no test triple ranks first on both sides; the teacher is in {tmp_path / 'teacher.kgex'}\n"
+        assert not (tmp_path / "out" / "surrogate_metrics.json").exists()

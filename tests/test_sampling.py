@@ -16,7 +16,7 @@ from kgex.sampling import (
 )
 
 from oracles import incident_triples, subgraph_triples
-from toygraphs import demo_graph, random_graph
+from toygraphs import demo_graph, label_graph, random_graph
 
 
 def rng_for(seed):
@@ -154,6 +154,15 @@ class TestSubgraphTsv:
         assert text.startswith("# subgraph method=pn")
         loaded = read_subgraph_tsv(path, g.entity_vocab, g.relation_vocab)
         assert set(loaded) == subgraph_triples(sub)
+
+    def test_round_trip_keeps_a_subject_label_starting_with_hash(self, tmp_path):
+        g = label_graph([("#tag", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("a", "r", "b")])
+        sub = sample_subgraph(g, g.triple_at(1), SubgraphSpec("pn", 0, 7))
+        path = tmp_path / "sub.tsv"
+        write_subgraph_tsv(sub, path)
+        loaded = read_subgraph_tsv(path, g.entity_vocab, g.relation_vocab)
+        assert len(sub) == 4
+        assert sorted(loaded) == sorted(subgraph_triples(sub))
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -20,9 +20,9 @@ NAMES = [
     "adam fixed points",
     "ranking vs brute force and metrics",
     "corruption invariants",
-    "training step and Adam invariant to row chunking",
-    "many-chunk training step and Adam invariant to threads",
+    "training step and Adam invariant to row chunks and threads",
 ]
+SPLIT = NAMES[-1]
 
 
 def _patch(monkeypatch, owner, attr, make):
@@ -47,14 +47,13 @@ def _gradients_scaled(fn):
 
 
 def _rotation_variant(fn):
-    """Adds a term in components 2 and 3 of the differences: translations and
-    scalings keep it, rotations change it."""
+    """Adds a term in components 2 and 3 of the unit differences: translations
+    and scalings keep it, rotations change it."""
 
-    def broken(x, y, z, *args, **kwargs):
-        phi, *rest = fn(x, y, z, *args, **kwargs)
-        u, v = x - y, y - z
-        cross = u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2]
-        return (phi + 1e-6 * cross / ((u * u).sum(axis=-1) + (v * v).sum(axis=-1)), *rest)
+    def broken(rows):
+        phi, valid, unit, norm = fn(rows)
+        u, v = unit, unit[[1, 2, 0]]
+        return phi + 1e-6 * (u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2]), valid, unit, norm
 
     return broken
 
@@ -173,7 +172,7 @@ FAULTS = {
     "multiclass NLL values and stabilization": (losses, "softmax_nll_batch", _first_scaled),
     "modulating factor identity and beta schedule": (
         focuse, "alpha_batch", lambda fn: lambda *a: 1.01 * fn(*a)),
-    "angle potential invariance": (distill, "angle_potentials", _rotation_variant),
+    "angle potential invariance": (distill, "_cyclic_angles", _rotation_variant),
     "angle-matching loss zero cases": (distill, "rkd_loss_batch", _first_scaled),
     "sampler contracts": (sampling, "sample_subgraph", _first_position_dropped),
     "adam fixed points": (
@@ -181,48 +180,42 @@ FAULTS = {
         lambda fn: lambda self, params, rows, grads, helper=None: fn(self, params, rows, grads + 1e-3, helper)),
     "ranking vs brute force and metrics": (evaluation, "rank_triple", _object_rank_off_by_one),
     "corruption invariants": (training, "corrupt_batch", _both_sides_replaced),
-    "training step and Adam invariant to row chunking": (training, "softmax_nll_batch", _loss_reads_across_rows),
-    "many-chunk training step and Adam invariant to threads": (training, "_ahead", _blocks_swapped),
+    SPLIT: (training, "softmax_nll_batch", _loss_reads_across_rows),
 }
 
 
 def test_clean_run_passes_every_check_in_order():
     lines = []
     assert selftest.run_selftest(lines.append) == 0
-    assert lines == [f"PASS  {name}" for name in NAMES] + ["13/13 checks passed"]
+    assert lines == [f"PASS  {name}" for name in NAMES] + ["12/12 checks passed"]
 
 
-# one broken kernel per check, plus second ones for the gradient and corruption checks
-CASES = [pytest.param(name, FAULTS[name], id=name) for name in NAMES] + [
+# one broken kernel per check, plus more for the gradient, corruption and split-step checks;
+# a flipped conjugate breaks the gradients and the ComplEx ranking queries built from them
+CASES = [pytest.param([name], FAULTS[name], id=name) for name in NAMES] + [
     pytest.param(
-        "score gradients vs finite differences",
+        ["score gradients vs finite differences", "ranking vs brute force and metrics"],
         (models, "bilinear_product", _conj_imaginary_flipped),
         id="score gradients with a flipped conjugate",
     ),
     pytest.param(
-        "corruption invariants", (training, "corrupt_batch", _no_redraw),
+        ["corruption invariants"], (training, "corrupt_batch", _no_redraw),
         id="corruption invariants without redraw",
     ),
+    pytest.param([SPLIT], (np, "einsum", _einsum_rounds_single_rows), id="chunking with a row-count-dependent einsum"),
     pytest.param(
-        "training step and Adam invariant to row chunking", (np, "einsum", _einsum_rounds_single_rows),
-        id="chunking with a row-count-dependent einsum",
-    ),
-    pytest.param(
-        "training step and Adam invariant to row chunking",
-        (optim.SparseAdam, "apply", _adam_stops_after_one_chunk),
+        [SPLIT], (optim.SparseAdam, "apply", _adam_stops_after_one_chunk),
         id="chunking with an Adam step that stops after one chunk",
     ),
-    pytest.param(
-        "many-chunk training step and Adam invariant to threads", (optim, "_spread", _items_handed_out_twice),
-        id="threads handed a chunk twice",
-    ),
+    pytest.param([SPLIT], (training, "_ahead", _blocks_swapped), id="threads handing blocks over out of order"),
+    pytest.param([SPLIT], (optim, "_spread", _items_handed_out_twice), id="threads handed a chunk twice"),
 ]
 
 
-@pytest.mark.parametrize("name, fault", CASES)
-def test_fault_fails_exactly_its_check(name, fault, monkeypatch):
+@pytest.mark.parametrize("names, fault", CASES)
+def test_fault_fails_exactly_its_check(names, fault, monkeypatch):
     _patch(monkeypatch, *fault)
     lines = []
     assert selftest.run_selftest(lines.append) != 0
-    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [f"FAIL  {name}"]
-    assert lines[-1] == "12/13 checks passed"
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [f"FAIL  {n}" for n in names]
+    assert lines[-1] == f"{len(NAMES) - len(names)}/{len(NAMES)} checks passed"
