@@ -280,7 +280,8 @@ def _cmd_explain(args, opts, manifest) -> list:
     manifest.count(
         subgraph_triples=report.provenance["subgraph_size"], ranked_triples=len(report.entries),
         never_sampled=len(report.tail), min_subset=min(subset_sizes), max_subset=max(subset_sizes),
-        duplicates_dropped=g.duplicates_dropped, workers=report.workers,
+        duplicates_dropped=g.duplicates_dropped, workers=report.workers, groups=report.groups,
+        group_threads=report.group_threads,
         degenerate_kd_terms=sum(rec.degenerate_kd_terms for rec in report.records),
     )
     print(

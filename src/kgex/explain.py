@@ -83,6 +83,8 @@ class ExplanationReport:
     records: list[RunRecord]
     provenance: dict
     workers: int = 1  # processes the runs were spread over
+    groups: int = 0  # lockstep groups trained, over all workers
+    group_threads: int = 1  # threads an in-process call trained its groups on
 
 
 def partition_positions(
@@ -101,11 +103,10 @@ def _derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
-def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[RunRecord]:
-    """Train and rank consecutive runs in lockstep groups, on this thread alone: a run joins
-    a group while the group's stacked (rows, 1 + eta, width) candidate block stays within
-    `optim._CHUNK_ELEMS` elements, the training step's own budget (README has the sweep
-    behind it)."""
+def _lockstep_groups(config: TrainConfig, plans: list) -> list[list]:
+    """Consecutive plans in groups: a run joins a group while the group's stacked
+    (rows, 1 + eta, width) candidate block stays within `optim._CHUNK_ELEMS` elements,
+    the training step's own budget (README has the sweep behind it)."""
     row_elems = (1 + config.eta) * config.k * ModelKind(config.kind).row_width_factor
     groups, used = [], optim._CHUNK_ELEMS  # full: the first run opens a group
     for plan in plans:
@@ -114,8 +115,16 @@ def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans) -> list[
             groups, used = groups + [[]], 0
         groups[-1].append(plan)
         used += step
+    return groups
+
+
+def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans, helper=None) -> list[RunRecord]:
+    """Train and rank consecutive runs in `_lockstep_groups`, in plan order. Each of this
+    thread and `helper`, when given, takes the next whole group; the steps inside a group
+    get no helper, so no byte depends on which thread trained it."""
     run_group = partial(_run_group, teacher, triples, target, config, kd_lambda, flt)
-    return [record for group in groups for record in run_group(group)]
+    return [record for records in optim._spread(run_group, _lockstep_groups(config, plans), helper)
+            for record in records]
 
 
 def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[RunRecord]:
@@ -166,7 +175,9 @@ def mc_explain(
     run.  A run's plan is (run, subset, seed); the inputs all runs share (of
     the graph, its triples only) are bound once and sent once to each of
     min(threads, runs, CPUs) processes, one chunk of consecutive plans each,
-    which it trains in lockstep groups (`_run_chunk`).
+    which it trains in lockstep groups (`_run_chunk`) on its one thread.  With
+    one process, the calling thread and an `optim.step_helper` thread share the
+    groups of all plans; no byte depends on the number of threads or processes.
     """
     config.validate()
     check_teacher(teacher, g)
@@ -187,21 +198,24 @@ def mc_explain(
             raise ValueError(f"run {run} would train on a subset with one entity, too few to corrupt; "
                              f"try fewer --partitions than {config.partitions} or a larger --n")
         plans.append((run, subset, _derive_seed(config.seed, 2, run)))
-    run_chunk = partial(
-        _run_chunk, teacher, g.triples, target, replace(config.student, focuse=None), config.kd_lambda, flt
-    )
+    student = replace(config.student, focuse=None)
+    run_chunk = partial(_run_chunk, teacher, g.triples, target, student, config.kd_lambda, flt)
 
     workers = min(config.threads, config.mc_runs, optim._cpus())
-    if workers > 1:
-        size = -(-len(plans) // workers)
+    size = -(-len(plans) // workers)
+    chunks = [plans[i : i + size] for i in range(0, len(plans), size)]
+    groups = sum(len(_lockstep_groups(student, chunk)) for chunk in chunks)
+    if workers > 1:  # a worker's groups take no helper: N processes run N threads
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            chunks = pool_exec.map(run_chunk, [plans[i : i + size] for i in range(0, len(plans), size)])
-            records = [record for chunk in chunks for record in chunk]
+            records = [record for chunk in pool_exec.map(run_chunk, chunks) for record in chunk]
+        group_threads = 1
     else:
-        records = run_chunk(plans)
+        with optim.step_helper() as helper:
+            records = run_chunk(plans, helper)
+        group_threads = 1 if helper is None or groups < 2 else 2  # as `_spread` shares them
 
     report = aggregate_contributions(records, sub)
-    report.workers = workers
+    report.workers, report.groups, report.group_threads = workers, groups, group_threads
     report.provenance.update(
         target=target, method=sampler.method, n=sampler.n, sampler_seed=sampler.seed,
         mc_runs=config.mc_runs, partitions=config.partitions, kd_lambda=config.kd_lambda,

@@ -1,11 +1,14 @@
 """Adam with lazy (touched-rows-only) sparse updates for embedding tables, and
-the helper thread that a training step of more than one chunk shares."""
+the helper thread that shares a `run_training` step of more than one chunk,
+or the lockstep groups of an in-process `mc_explain` call."""
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +31,9 @@ def _cpus() -> int:
 
 @contextmanager
 def step_helper():
-    """A one-thread executor for the steps inside the block, whose thread ends with it, or None
-    where the process may run on one CPU (two threads are the count whose speed and heap were measured)."""
+    """A one-thread executor for the work inside the block (a `run_training` call's steps, or an
+    in-process `mc_explain` call's lockstep groups), whose thread ends with it, or None where the
+    process may run on one CPU (two threads are the count whose speed and heap were measured)."""
     if _cpus() < 2:
         yield None
         return
@@ -39,22 +43,32 @@ def step_helper():
 
 def _spread(fn, items, helper) -> list:
     """`[fn(item) for item in items]`, on this thread and on `helper` when given
-    and there are several items: each thread takes the next item left.  An
-    item's error is raised once both threads have stopped."""
+    and there are several items: each thread takes the next item left until an
+    item fails.  Once both threads have stopped, the error of the lowest-numbered
+    failed item is raised, as the loop would raise it: every item before it was
+    handed out first, so each of them ran.  The helper runs in a copy of this
+    thread's context, so a caller's `np.errstate` holds on both."""
     if helper is None or len(items) < 2:
         return [fn(item) for item in items]
-    results, left = [None] * len(items), iter(range(len(items)))
+    results, errors, left = [None] * len(items), {}, iter(range(len(items)))
 
     def work():
-        for i in left:  # a range iterator hands each index to one thread
-            results[i] = fn(items[i])
+        # a range iterator hands each index to one thread; an index taken runs
+        while not errors and (i := next(left, None)) is not None:
+            try:
+                results[i] = fn(items[i])
+            except Exception as error:
+                errors[i] = error
 
-    other = helper.submit(work)
+    other = helper.submit(partial(contextvars.copy_context().run, work))
     try:
         work()
     finally:
+        for _ in left:  # an interrupt of this thread leaves the helper no item to take
+            pass
         wait([other])
-    other.result()  # raises the helper's error
+    if errors:
+        raise errors[min(errors)]
     return results
 
 

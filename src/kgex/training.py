@@ -40,8 +40,9 @@ class TrainConfig:
     peaks at about 214 MiB resident, tables included.  `run_training` shares a
     step of more than one candidate chunk (scoring and gradient blocks) and an
     Adam update of more than one row chunk with an `optim.step_helper` thread,
-    each thread holding its own few chunks; no byte depends on it, and the
-    students of `mc_explain` take none.  TransE gathers and differentiates every negative
+    each thread holding its own few chunks; no byte depends on it.  The steps of
+    `mc_explain`'s students take none: an in-process call hands that thread whole
+    lockstep groups instead.  TransE gathers and differentiates every negative
     row by row, about eight float64 arrays of `rows * (1 + eta)` rows.  `rows`
     is `batch_size`, or, for the lockstep students of `mc_explain`, the batch
     rows of a group, whose candidate block stays within that budget unless

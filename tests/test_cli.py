@@ -412,7 +412,7 @@ class TestPipeline:
         assert manifest["counters"] == {
             "subgraph_triples": size, "ranked_triples": len(body) - never, "never_sampled": never,
             "min_subset": size // 2, "max_subset": -(-size // 2), "duplicates_dropped": 0,
-            "workers": 1, "degenerate_kd_terms": 0,
+            "workers": 1, "groups": 1, "group_threads": 1, "degenerate_kd_terms": 0,
         }
 
     def test_explain_threads_match_serial(self, pipeline):

@@ -1,6 +1,11 @@
 """Lockstep students on compact tables against the one-run-at-a-time reference."""
 
+import contextlib
+import math
 import re
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,17 +38,25 @@ def explain_config(kind, kd_lambda=3.0, mc_runs=6, **student):
 
 
 def traced_explain(monkeypatch, teacher, g, target, config):
-    """`mc_explain`, and the trained stack and runs of each lockstep group."""
-    groups = []
-    train = kgex.explain.train_lockstep
+    """`mc_explain`, and the trained stack and runs of each lockstep group, in group
+    order, whichever thread trained it."""
+    groups, trained = {}, threading.local()
+    train, run_group = kgex.explain.train_lockstep, kgex.explain._run_group
 
-    def recording(model, runs, *args):
+    def recording_train(model, runs, *args):
         stats = train(model, runs, *args)
-        groups.append((model, runs))
+        trained.group = (model, runs)
         return stats
 
-    monkeypatch.setattr(kgex.explain, "train_lockstep", recording)
-    return mc_explain(teacher, g, target, config), groups
+    def recording_group(*args):
+        records = run_group(*args)
+        groups[records[0].run] = trained.group  # trained on this thread
+        return records
+
+    monkeypatch.setattr(kgex.explain, "train_lockstep", recording_train)
+    monkeypatch.setattr(kgex.explain, "_run_group", recording_group)
+    report = mc_explain(teacher, g, target, config)
+    return report, [groups[run] for run in sorted(groups)]
 
 
 def record_bytes(records):
@@ -110,7 +123,8 @@ def test_groups_do_not_change_any_run(monkeypatch, graph, per_group):
 
 def test_students_train_on_the_calling_thread(monkeypatch, graph):
     """Student steps of many chunks get no step helper, even where the process
-    may run on two CPUs: `threads` alone spreads an explanation over CPUs."""
+    may run on two CPUs: an in-process explanation hands the helper whole
+    lockstep groups (here two, of one run each), never a step's chunks."""
     g, target = graph
     monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 3 * 6)  # 2 positives, or 2 rows, a chunk
@@ -134,6 +148,84 @@ def test_students_train_on_the_calling_thread(monkeypatch, graph):
     assert all(helper is None for _, helper in steps + updates)
 
 
+def two_runs_a_group(kind):
+    """A `_CHUNK_ELEMS` that holds two runs of `explain_config(kind, batch_size=4)`
+    a group: every run stacks 4 rows of 3 candidates a step."""
+    return 2 * 4 * 3 * 3 * ModelKind(kind).row_width_factor
+
+
+@pytest.mark.parametrize("kd_lambda", [0.0, 3.0], ids=["plain", "kd"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_threads_train_the_groups_to_the_same_bytes(monkeypatch, graph, kind, kd_lambda):
+    """Three groups of two runs, shared by the calling thread and the step helper,
+    which hand the interpreter lock over every microsecond, then on the calling
+    thread alone: the same records and compact-table rows, each those of the
+    runs trained one by one."""
+    g, target = graph
+    config = explain_config(kind, kd_lambda, batch_size=4)
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group(kind))
+    results, interval = [], sys.getswitchinterval()
+    for cpus in (2, 1):
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: cpus)
+        sys.setswitchinterval(1e-6 if cpus == 2 else interval)
+        try:
+            report, groups = assert_matches_sequential(monkeypatch, g, target, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (report.workers, report.groups, report.group_threads) == (1, 3, cpus)
+        results.append((record_bytes(report.records), [model.table.tobytes() for model, _ in groups]))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("lr", [0.1, math.inf])
+def test_no_helper_thread_outlives_mc_explain(monkeypatch, graph, lr):
+    """The helper lived through the call and was handed the groups once, and no
+    `kgex-step` thread is left once it returns or raises `TrainingDivergedError`
+    (`lr` inf)."""
+    g, target = graph
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group("distmult"))
+    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
+    alive, handed, make = [], [], kgex.optim.step_helper
+
+    @contextlib.contextmanager
+    def watched():
+        with make() as helper:
+            submit = helper.submit
+            helper.submit = lambda fn: handed.append(fn) or submit(fn)
+            try:
+                yield helper
+            finally:
+                alive.append([t.name for t in threading.enumerate() if t.name.startswith("kgex-step")])
+
+    monkeypatch.setattr(kgex.optim, "step_helper", watched)
+    teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
+    with np.errstate(all="ignore"), contextlib.suppress(TrainingDivergedError):
+        mc_explain(teacher, g, target, explain_config("distmult", lr=lr, batch_size=4))
+        assert lr < math.inf, "an infinite learning rate diverges"
+    assert len(alive) == 1 and len(alive[0]) == 1 and len(handed) == 1
+    assert not [t for t in threading.enumerate() if t.name.startswith("kgex-step")]
+
+
+def test_worker_processes_open_no_helper(monkeypatch, graph):
+    """With `threads` 2, neither the calling process nor a worker (a fork child,
+    which inherits the patches) opens a step helper: two processes run two threads."""
+    g, target = graph
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group("distmult"))
+    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a step helper was opened")
+
+    monkeypatch.setattr(kgex.optim, "ThreadPoolExecutor", refused)
+    teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
+    config = replace(explain_config("distmult", batch_size=4), threads=2)
+    report = mc_explain(teacher, g, target, config)
+    # each worker's 3 runs make a group of 2 and one of 1
+    assert (report.workers, report.groups, report.group_threads) == (2, 4, 1)
+    with pytest.raises(AssertionError, match="helper was opened"):
+        mc_explain(teacher, g, target, replace(config, threads=1))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_compact_init_is_the_sliced_full_draw(kind):
     full = init_model(kind, 5, 40, 7, seed=np.random.SeedSequence(3))
@@ -146,10 +238,15 @@ def test_compact_init_is_the_sliced_full_draw(kind):
             init_model(kind, 5, 40, 7, seed=0, rows=np.array(bad))
 
 
-def test_divergence_raises_the_lowest_numbered_runs_error(monkeypatch, graph):
+@pytest.mark.parametrize("split", ["one group", "a group a run, two threads"])
+def test_divergence_raises_the_lowest_numbered_runs_error(monkeypatch, graph, split):
     """Run 1 diverges many steps before run 0; one at a time, run 0's error
-    comes first, and the lockstep group raises that one."""
+    comes first, and the lockstep group raises that one.  So does an explanation
+    whose runs are groups of their own, shared by this thread and the helper."""
     g, target = graph
+    if split != "one group":
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group("distmult") // 2)
     teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
     plans = mc_explain(teacher, g, target, explain_config("distmult", mc_runs=3, batch_size=4)).records
     # Adam moves each row by about lr a step: near 3e102 the scores overflow

@@ -739,6 +739,58 @@ class TestThreads:
                 kgex.optim._spread(item, [0, 1], helper)
             assert len(finished) == 1
 
+    @staticmethod
+    def helper_first(taken):
+        """A `kgex-step` helper whose `submit` returns once `taken` is set: the
+        item the helper takes first sets it."""
+
+        class HelperFirst(ThreadPoolExecutor):
+            def submit(self, fn):
+                future = super().submit(fn)
+                assert taken.wait(10)
+                return future
+
+        return HelperFirst(1, "kgex-step")
+
+    def test_the_lowest_numbered_items_error_comes_out(self):
+        """Items 0 and 1 both raise.  The helper takes item 0 (this thread starts
+        only once it has) and raises after this thread has raised on item 1:
+        item 0's error comes out, as a loop over the items would raise it."""
+        taken, raised, threads = threading.Event(), threading.Event(), {}
+
+        def item(i):
+            threads[i] = threading.current_thread().name
+            if threads[i].startswith("kgex-step"):
+                taken.set()
+                assert raised.wait(10)
+            else:
+                raised.set()
+            raise ValueError(f"item {i}")
+
+        with self.helper_first(taken) as helper:
+            with pytest.raises(ValueError, match="item 0"):
+                kgex.optim._spread(item, [0, 1, 2], helper)
+        assert threads[0].startswith("kgex-step") and threads[1] == threading.current_thread().name
+        assert 2 not in threads  # neither thread takes an item after one failed
+
+    def test_an_interrupt_leaves_the_helper_no_item(self):
+        """This thread is interrupted on item 1 while the helper has item 0 for
+        50 ms more: the helper takes no item after it, and the interrupt comes out."""
+        taken, threads = threading.Event(), {}
+
+        def item(i):
+            threads[i] = threading.current_thread().name
+            if i == 0:
+                taken.set()
+                time.sleep(0.05)
+            else:
+                raise KeyboardInterrupt
+
+        with self.helper_first(taken) as helper:
+            with pytest.raises(KeyboardInterrupt):
+                kgex.optim._spread(item, list(range(6)), helper)
+        assert sorted(threads) == [0, 1] and threads[0].startswith("kgex-step")
+
     def test_a_raising_consumer_leaves_no_block_in_the_making(self):
         """A consumer that raises on its first block, 10 ms into the helper's
         50 ms making of the next, drops `_ahead`, which waits for that block:
