@@ -14,6 +14,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph
 from .models import EmbeddingModel
+from .optim import _chunk_rows
 
 _NEXT = [1, 2, 0]
 
@@ -36,9 +37,11 @@ def _cyclic_angles(rows):
     return phi, valid, unit, safe
 
 
-def triple_angles(model: EmbeddingModel, triples: np.ndarray, chunk: int):
+def triple_angles(model: EmbeddingModel, triples: np.ndarray):
     """`(phi, valid)` of `_cyclic_angles` for the rows of each (s, p, o) triple,
-    each (3, len(triples)), computed `chunk` triples at a time to bound the heap."""
+    each (3, len(triples)), computed `optim._chunk_rows(3 * width)` triples at a
+    time, so that a chunk's gathered rows fit the one budget."""
+    chunk = _chunk_rows(3 * model.width)
     parts = [
         _cyclic_angles((model.entity_table[s], model.relation_table[p], model.entity_table[o]))[:2]
         for s, p, o in (triples[i : i + chunk].T for i in range(0, len(triples), chunk))

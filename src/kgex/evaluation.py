@@ -9,6 +9,7 @@ import numpy as np
 
 from .graph import Triple, TrueTripleSet
 from .models import EmbeddingModel, ModelKind, query_pairs, score_many
+from .optim import _chunk_rows
 
 
 @dataclass
@@ -39,10 +40,6 @@ class Metrics:
 # at 2 MiB and 0.77 s at 16 MiB, with a heap peak of 4.7, 2.5 and 18.2 MiB
 # (ComplEx k=100, 2-vCPU x86 VM)
 _BLOCK_BYTES = 1 << 22
-# bound on TransE's elementwise (rows, columns, width) distance temporaries:
-# 16 MiB chunks ranked about 2.5x slower than these cache-sized ones
-# (FB15K-237 shape, k=100, 2-vCPU x86 VM)
-_CHUNK_BYTES = 1 << 18
 
 
 def _scores(model: EmbeddingModel, s, p, o, columns) -> np.ndarray:
@@ -53,9 +50,13 @@ def _scores(model: EmbeddingModel, s, p, o, columns) -> np.ndarray:
         queries = query_pairs(model.kind, model.k, ent[s], model.relation_table[p], ent[o])
         rows = ent if columns is None else ent[columns]
         return queries @ rows.T  # .T is a view: the table is read in place
+    # TransE's elementwise (rows, columns, width) distance temporaries take
+    # `optim._CHUNK_ELEMS` elements (512 KiB) a chunk: 10 triples ranked against
+    # FB15K-237's 14,541 entities (TransE-L2, k=100, 2-vCPU x86 VM) took 47 ms
+    # at that size against 57 ms at 256 KiB; 16 MiB chunks were about 2.5x slower
     ids = np.arange(model.n_entities) if columns is None else columns
     out = np.empty((2 * len(s), len(ids)))
-    step = max(1, _CHUNK_BYTES // (8 * model.width * len(s)))
+    step = _chunk_rows(model.width * len(s))
     for lo in range(0, len(ids), step):
         chunk = ids[None, lo : lo + step]
         out[: len(s), lo : lo + step] = score_many(model, s[:, None], p[:, None], chunk)

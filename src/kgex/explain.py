@@ -118,13 +118,12 @@ def _lockstep_groups(config: TrainConfig, plans: list) -> list[list]:
     return groups
 
 
-def _run_chunk(teacher, triples, target, config, kd_lambda, flt, plans, helper=None) -> list[RunRecord]:
-    """Train and rank consecutive runs in `_lockstep_groups`, in plan order. Each of this
+def _run_chunk(teacher, triples, target, config, kd_lambda, flt, groups, helper=None) -> list[RunRecord]:
+    """Train and rank the `_lockstep_groups` of consecutive runs, in plan order. Each of this
     thread and `helper`, when given, takes the next whole group; the steps inside a group
     get no helper, so no byte depends on which thread trained it."""
     run_group = partial(_run_group, teacher, triples, target, config, kd_lambda, flt)
-    return [record for records in optim._spread(run_group, _lockstep_groups(config, plans), helper)
-            for record in records]
+    return [record for records in optim._spread(run_group, groups, helper) for record in records]
 
 
 def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[RunRecord]:
@@ -146,7 +145,7 @@ def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[
         rows = np.r_[ents, n_ent + rels]
         tables.append(init_model(kind, config.k, n_ent, teacher.n_relations, init_seq, rows))
         local = np.stack([ent(sub[:, 0]), rel(sub[:, 1]), ent(sub[:, 2])], axis=1)
-        angles = triple_angles(teacher, sub, config.batch_size) if kd_lambda > 0.0 else None
+        angles = triple_angles(teacher, sub) if kd_lambda > 0.0 else None
         runs.append(LockstepRun(local, ent(pool), np.random.default_rng(loop_seq), (e0, r0), angles=angles))
         ranking.append((ranked, ((int(ent(s)), int(rel(p)), int(ent(o))), ent(ranked))))
         e0, r0 = e0 + len(ents), r0 + len(rels)
@@ -173,11 +172,12 @@ def mc_explain(
     cycle covers the subgraph.  Students corrupt and rank only over the entities
     of their own subset, so a subset with one entity is rejected before any
     run.  A run's plan is (run, subset, seed); the inputs all runs share (of
-    the graph, its triples only) are bound once and sent once to each of
-    min(threads, runs, CPUs) processes, one chunk of consecutive plans each,
-    which it trains in lockstep groups (`_run_chunk`) on its one thread.  With
-    one process, the calling thread and an `optim.step_helper` thread share the
-    groups of all plans; no byte depends on the number of threads or processes.
+    the graph, its triples only) are bound once.  The plans are cut into chunks
+    of ceil(runs / min(threads, runs, CPUs)) consecutive plans, each formed into
+    lockstep groups once; every chunk goes to a process of its own, which trains
+    its groups (`_run_chunk`) on its one thread.  With one chunk, the calling
+    thread and an `optim.step_helper` thread share its groups; no byte depends
+    on the number of threads or processes.
     """
     config.validate()
     check_teacher(teacher, g)
@@ -201,21 +201,20 @@ def mc_explain(
     student = replace(config.student, focuse=None)
     run_chunk = partial(_run_chunk, teacher, g.triples, target, student, config.kd_lambda, flt)
 
-    workers = min(config.threads, config.mc_runs, optim._cpus())
-    size = -(-len(plans) // workers)
-    chunks = [plans[i : i + size] for i in range(0, len(plans), size)]
-    groups = sum(len(_lockstep_groups(student, chunk)) for chunk in chunks)
-    if workers > 1:  # a worker's groups take no helper: N processes run N threads
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
+    size = -(-len(plans) // min(config.threads, config.mc_runs, optim._cpus()))
+    chunks = [_lockstep_groups(student, plans[i : i + size]) for i in range(0, len(plans), size)]
+    groups = sum(map(len, chunks))
+    if len(chunks) > 1:  # a worker's groups take no helper: N processes run N threads
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool_exec:
             records = [record for chunk in pool_exec.map(run_chunk, chunks) for record in chunk]
         group_threads = 1
     else:
         with optim.step_helper() as helper:
-            records = run_chunk(plans, helper)
+            records = run_chunk(chunks[0], helper)
         group_threads = 1 if helper is None or groups < 2 else 2  # as `_spread` shares them
 
     report = aggregate_contributions(records, sub)
-    report.workers, report.groups, report.group_threads = workers, groups, group_threads
+    report.workers, report.groups, report.group_threads = len(chunks), groups, group_threads
     report.provenance.update(
         target=target, method=sampler.method, n=sampler.n, sampler_seed=sampler.seed,
         mc_runs=config.mc_runs, partitions=config.partitions, kd_lambda=config.kd_lambda,

@@ -131,19 +131,22 @@ def score_grad_rows(
     """Scores plus the gradients of each score w.r.t. its three rows.
 
     For TransE-L2 the gradient at an exact translation (zero residual) is the
-    zero vector by convention.  TransE-L1 uses the sign subgradient.
+    zero vector by convention.  TransE-L1 uses the sign subgradient.  TransE's
+    subject and relation gradients are equal: one array, returned in both slots.
     """
-    if kind is ModelKind.TRANSE_L1:
-        d = es + rp - eo
-        f = -np.abs(d).sum(axis=-1)
-        sg = np.sign(d)
-        return f, -sg, -sg.copy(), sg.copy()
-    if kind is ModelKind.TRANSE_L2:
-        d = es + rp - eo
-        norm = np.sqrt((d * d).sum(axis=-1))
-        safe = np.where(norm == 0.0, 1.0, norm)
-        unit = np.where(norm[..., None] == 0.0, 0.0, d / safe[..., None])
-        return -norm, -unit, -unit.copy(), unit.copy()
+    if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
+        d = es + rp  # es + rp - eo, made into the object gradient in place
+        d -= eo
+        if kind is ModelKind.TRANSE_L1:
+            f = -np.abs(d).sum(axis=-1)
+            np.sign(d, out=d)
+        else:
+            norm = np.sqrt((d * d).sum(axis=-1))
+            f = -norm
+            np.divide(d, np.where(norm == 0.0, 1.0, norm)[..., None], out=d)
+            d[norm == 0.0] = 0.0
+        g_sp = -d
+        return f, g_sp, g_sp, d
     g_es = bilinear_product(kind, k, rp, eo, conj=True)
     g_rp = bilinear_product(kind, k, es, eo, conj=True)
     return score_rows(kind, k, es, rp, eo), g_es, g_rp, bilinear_product(kind, k, es, rp)

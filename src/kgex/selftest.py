@@ -223,7 +223,7 @@ def _check_split_step() -> str | None:
     model = models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 0)
     batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
     negatives = training.corrupt_batch(batch, 3, np.arange(20), rng)
-    angles = distill.triple_angles(models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 1), batch, 12)
+    angles = distill.triple_angles(models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 1), batch)
     budget = optim._CHUNK_ELEMS
     try:
         with ThreadPoolExecutor(1, "kgex-step") as helper:

@@ -43,14 +43,14 @@ class TrainConfig:
     each thread holding its own few chunks; no byte depends on it.  The steps of
     `mc_explain`'s students take none: an in-process call hands that thread whole
     lockstep groups instead.  TransE gathers and differentiates every negative
-    row by row, about eight float64 arrays of `rows * (1 + eta)` rows.  `rows`
+    row by row, about four float64 arrays of `rows * (1 + eta)` rows.  `rows`
     is `batch_size`, or, for the lockstep students of `mc_explain`, the batch
     rows of a group, whose candidate block stays within that budget unless
     one run alone exceeds it.  The scatter adds as many elements at a time,
     through an int64 index of at most 512 KiB (one row, or one positive's
     candidates, if wider).  With a teacher, a run also keeps the teacher's
-    angles, a float64 and a bool (3, n_triples) array, computed `batch_size`
-    triples at a time.
+    angles, a float64 and a bool (3, n_triples) array, computed in chunks of
+    the one budget's rows (`distill.triple_angles`).
     """
 
     kind: ModelKind | str = ModelKind.TRANSE_L2
@@ -176,14 +176,18 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
         return np.take(rel if side == 1 else ent, batch[rows, side], axis=0)
 
     if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
-        # a distance is not linear in the replaced row: one gradient row per negative
-        pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(kind, k, positive(0), positive(1), positive(2))
-        neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
+        # a distance is not linear in the replaced row: one gradient row per negative,
+        # whose relation row is its positive's, read in place.  The subject and
+        # relation gradients of a row are one array, scaled by its loss gradient in place
+        pos_p = positive(1)
+        pos_f, pos_gsp, _, pos_go = score_grad_rows(kind, k, positive(0), pos_p, positive(2))
+        neg_f, neg_gsp, _, neg_go = score_grad_rows(kind, k, ent[neg_s], pos_p[:, None], ent[neg_o])
         loss, d = row_loss(slice(None), np.concatenate([pos_f[:, None], neg_f], axis=1))
         d_pos, d_neg = d[:, 0, None], d[:, 1:, None]
-        return loss, [(s_ids, d_pos * pos_gs), (o_ids, d_pos * pos_go),
-                      (neg_s, d_neg * neg_gs), (neg_o, d_neg * neg_go),
-                      (p_ids + n_ent, d_pos * pos_gp), (neg_p + n_ent, d_neg * neg_gp)]
+        for grads, d_rows in ((pos_gsp, d_pos), (pos_go, d_pos), (neg_gsp, d_neg), (neg_go, d_neg)):
+            grads *= d_rows
+        return loss, [(s_ids, pos_gsp), (o_ids, pos_go), (neg_s, neg_gsp), (neg_o, neg_go),
+                      (p_ids + n_ent, pos_gsp), (neg_p + n_ent, neg_gsp)]
 
     # DistMult and ComplEx are linear in each entity row.  A candidate e scores
     # q_obj . e in the object slot and q_sub . e in the subject slot, where the
@@ -399,7 +403,7 @@ def run_training(
     model = init_model(kind, config.k, g.n_entities, g.n_relations, init_seq)
     # the frozen teacher's angles never change: computed once, each batch reads its columns
     kd = teacher is not None and kd_lambda > 0.0
-    angles = distill.triple_angles(teacher, g.triples, config.batch_size) if kd else None
+    angles = distill.triple_angles(teacher, g.triples) if kd else None
     run = LockstepRun(g.triples, pool, np.random.default_rng(loop_seq), (0, 0), g.weights, angles)
     with step_helper() as helper:
         (stats,) = train_lockstep(model, [run], config, kd_lambda, progress, helper)

@@ -7,7 +7,7 @@ import numpy as np
 from kgex.explain import ExplanationEntry
 from kgex.focuse import focused_nll_batch
 from kgex.losses import softmax_nll_batch
-from kgex.models import EmbeddingModel, ModelKind, score_grad_rows, score_many
+from kgex.models import EmbeddingModel, ModelKind, score_many
 
 
 def fd_gradients(loss_fn, params: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
@@ -157,6 +157,18 @@ def reference_bilinear_score_grad_rows(kind, k, es, rp, eo):
     return score, g_es, g_rp, g_eo
 
 
+def reference_transe_score_grad_rows(kind, es, rp, eo):
+    """TransE scores and their (g_es, g_rp, g_eo) gradients, each written out in
+    full: the sign (L1) or the unit vector (L2, zero at a zero residual) of the
+    residual es + rp - eo for the object, negated for the subject and relation."""
+    d = es + rp - eo
+    if kind is ModelKind.TRANSE_L1:
+        return -np.abs(d).sum(axis=-1), -np.sign(d), -np.sign(d), np.sign(d)
+    norm = np.sqrt((d * d).sum(axis=-1))
+    unit = np.where(norm[..., None] == 0.0, 0.0, d / np.where(norm == 0.0, 1.0, norm)[..., None])
+    return -norm, -unit, -unit, unit
+
+
 def per_term_scatter(terms, width):
     """Sorted unique ids of `(ids, grads)` terms and their summed gradients, one
     2-D `np.add.at` of whole rows per term, as `_summed_gradients` once did."""
@@ -177,11 +189,15 @@ def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, te
     Returns `(loss, degenerate, [(table, rows, grad) per table])`."""
 
     kind, k = model.kind, model.k
+    if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
+        score_grad_rows = lambda es, rp, eo: reference_transe_score_grad_rows(kind, es, rp, eo)
+    else:
+        score_grad_rows = lambda es, rp, eo: reference_bilinear_score_grad_rows(kind, k, es, rp, eo)
     ent, rel = model.entity_table, model.relation_table
     neg_s, neg_p, neg_o = negatives
     s_ids, p_ids, o_ids = batch[:, 0], batch[:, 1], batch[:, 2]
-    pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(kind, k, ent[s_ids], rel[p_ids], ent[o_ids])
-    neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
+    pos_f, pos_gs, pos_gp, pos_go = score_grad_rows(ent[s_ids], rel[p_ids], ent[o_ids])
+    neg_f, neg_gs, neg_gp, neg_go = score_grad_rows(ent[neg_s], rel[neg_p], ent[neg_o])
     scores = np.concatenate([pos_f[:, None], neg_f], axis=1)
     if alpha is not None:
         loss_rows, dscores = focused_nll_batch(scores, alpha)

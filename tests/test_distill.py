@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import kgex.optim
 import kgex.training
-from kgex.distill import _cyclic_angles, rkd_loss_batch, train_student
+from kgex.distill import _cyclic_angles, rkd_loss_batch, train_student, triple_angles
 from kgex.graph import graph_from_triples
 from kgex.models import init_model
 from kgex.training import TrainConfig, run_training
@@ -79,6 +80,18 @@ class TestAnglePotential:
         value, valid = _cyclic_angles((v, v, np.zeros(3)))[:2]
         assert not valid[0]
         assert value[0] == 0.0
+
+    def test_teacher_angles_in_chunks_change_no_byte(self, monkeypatch):
+        """`triple_angles` takes the rows of all 50 triples in one chunk of the
+        default budget; at 4 triples a chunk it gives the same bytes."""
+        g = random_graph(20, 3, 50, seed=8)
+        teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
+        teacher.relation_table[g.triples[0, 1]] = teacher.entity_table[g.triples[0, 0]]  # s == p
+        whole = triple_angles(teacher, g.triples)
+        assert whole[0].shape == (3, len(g.triples)) and not whole[1].all()
+        assert kgex.optim._chunk_rows(3 * teacher.width) >= len(g.triples)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 4 * 3 * teacher.width)
+        assert [a.tobytes() for a in triple_angles(teacher, g.triples)] == [a.tobytes() for a in whole]
 
     def test_invariance_under_similarity_transforms(self):
         rng = np.random.default_rng(8)

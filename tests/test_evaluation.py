@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kgex.optim
 from kgex import evaluation
 from kgex.evaluation import evaluate, metrics_from_ranks, rank_triple
 from kgex.graph import build_filter, graph_from_triples, label_rows, load_graph
@@ -95,8 +96,7 @@ class TestRankTriple:
         pool = np.arange(g.n_entities)
         for kind in KINDS:
             m = init_model(kind, 3, g.n_entities, g.n_relations, seed=12)
-            chunk_bytes = rows_per_block * 8 * m.width * rows_per_block
-            monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", rows_per_block * m.width * rows_per_block)
             for flt in (build_filter(g), None):
                 blocks = list(evaluation.rank_blocks(m, test, pool, flt))
                 assert [len(block) for block, _ in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
@@ -228,6 +228,26 @@ class TestBlockRanking:
                 for flt in (build_filter(g), None):
                     got = np.concatenate([r for _, r in evaluation.rank_blocks(m, test, pool, flt)])
                     assert got.tolist() == side_ranks(m, test, pool, flt), (kind, flt)
+
+    @pytest.mark.parametrize("kind", ["transe-l1", "transe-l2"])
+    def test_transe_column_chunks_change_no_byte(self, monkeypatch, kind):
+        """TransE scores a block's candidates in column chunks of the one budget:
+        the default takes the 300 columns of 10 triples at once, a budget of 7
+        columns takes 43 chunks, with the same score bytes and ranks."""
+        g = random_graph(300, 4, 400, seed=41)
+        m = init_model(kind, 8, g.n_entities, g.n_relations, seed=42)
+        test, pool, flt = g.triples[:10], np.arange(g.n_entities), build_filter(g)
+
+        def scored():
+            ranks = np.concatenate([r for _, r in evaluation.rank_blocks(m, test, pool, flt)])
+            return evaluation._scores(m, *test.T, None).tobytes(), ranks.tolist()
+
+        calls, score_many = [], evaluation.score_many
+        monkeypatch.setattr(evaluation, "score_many", lambda *args: calls.append(1) or score_many(*args))
+        want = scored()
+        assert len(calls) == 2 * 2  # one chunk a side, in `_scores` and in ranking
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 7 * m.width * len(test))
+        assert scored() == want and len(calls) == 4 + 2 * 2 * 43
 
     @pytest.mark.parametrize("kind", ["distmult", "complex"])
     @pytest.mark.parametrize("n_half", [5, 150])

@@ -235,7 +235,8 @@ class TestMcExplain:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ExplainConfig(threads=threads).validate()
 
-    @pytest.mark.parametrize("cpus, workers", [(1, []), (3, [3]), (8, [4])])
+    # 4 runs over 3 CPUs make 2 chunks of 2: 2 processes, not 3
+    @pytest.mark.parametrize("cpus, workers", [(1, []), (3, [2]), (8, [4])])
     def test_workers_capped_by_runs_and_cpus(self, toy, monkeypatch, cpus, workers):
         g, held_out, teacher = toy
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
@@ -247,13 +248,15 @@ class TestMcExplain:
             sampler=SubgraphSpec("pn", 1), seed=7, threads=10**6,
         )
         report = mc_explain(teacher, g, tuple(map(int, held_out[2])), config)
-        assert RecordingPool.created == workers  # min(threads, mc_runs, cpus); 1 runs serially
+        assert RecordingPool.created == workers  # the chunks of min(threads, mc_runs, cpus); 1 runs serially
         assert [r.run for r in report.records] == [0, 1, 2, 3]
         assert config.threads == 10**6
-        # one task per worker, a chunk of consecutive plans; a plan is (run, subset, seed) only
+        # one task per worker, the lockstep groups of a chunk of consecutive plans;
+        # a plan is (run, subset, seed) only
         for w, (_, chunks) in zip(workers, RecordingPool.maps, strict=True):
-            assert [len(chunk) for chunk in chunks] == [math.ceil(4 / w)] * math.ceil(4 / math.ceil(4 / w))
-            tasks = [plan for chunk in chunks for plan in chunk]
+            size = math.ceil(4 / min(cpus, 4))
+            assert [sum(map(len, groups)) for groups in chunks] == [size] * w
+            tasks = [plan for groups in chunks for group in groups for plan in group]
             assert [(run, subset.tolist()) for run, subset, _ in tasks] == [
                 (r.run, r.positions.tolist()) for r in report.records
             ]

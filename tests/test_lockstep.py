@@ -226,6 +226,24 @@ def test_worker_processes_open_no_helper(monkeypatch, graph):
         mc_explain(teacher, g, target, replace(config, threads=1))
 
 
+def test_processes_are_the_chunks_sent(monkeypatch, graph):
+    """5 runs asked onto 4 processes make chunks of 2, 2 and 1 runs: 3 processes
+    start, the report counts 3 workers and its records and entries are those
+    of the runs trained in-process."""
+    g, target = graph
+    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 4)
+    started, pool = [], kgex.explain.ProcessPoolExecutor
+    monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers)
+                        or pool(max_workers=max_workers))
+    teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
+    config = explain_config("distmult", mc_runs=5)
+    spread, alone = (mc_explain(teacher, g, target, replace(config, threads=n)) for n in (4, 1))
+    assert started == [3] and (spread.workers, alone.workers) == (3, 1)
+    assert record_bytes(spread.records) == record_bytes(alone.records)
+    entries = lambda report: [(e.position, e.rank_sum.hex(), e.runs_containing) for e in report.entries]
+    assert entries(spread) == entries(alone) and spread.tail == alone.tail
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_compact_init_is_the_sliced_full_draw(kind):
     full = init_model(kind, 5, 40, 7, seed=np.random.SeedSequence(3))

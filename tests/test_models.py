@@ -7,7 +7,9 @@ from kgex.models import (
     EmbeddingModel, ModelKind, bilinear_product, init_model, score_grad_rows, score_many,
 )
 
-from oracles import fd_gradients, max_relative_error, reference_bilinear_score_grad_rows
+from oracles import (
+    fd_gradients, max_relative_error, reference_bilinear_score_grad_rows, reference_transe_score_grad_rows,
+)
 
 
 def model_from_rows(kind, k, entity_rows, relation_rows):
@@ -203,3 +205,18 @@ class TestBilinearProduct:
             assert got.tobytes() == expected.tobytes()
         got = score_grad_rows(kind, k, es, rp, eo)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in (score, g_es, g_rp, g_eo)]
+
+
+@pytest.mark.parametrize("kind", [ModelKind.TRANSE_L1, ModelKind.TRANSE_L2])
+def test_transe_gradients_match_the_written_out_ones_bitwise(kind):
+    """Over (n, eta, W) rows with a relation row broadcast over eta, as a training
+    step scores its negatives, and a zero residual; the subject and relation
+    gradients are one array."""
+    rng = np.random.default_rng(4)
+    es, eo = rng.uniform(-1.0, 1.0, size=(2, 30, 5, 8))
+    rp = rng.uniform(-1.0, 1.0, size=(30, 1, 8))
+    rp[0], eo[0, 0] = 0.0, es[0, 0]
+    got = score_grad_rows(kind, 8, es, rp, eo)
+    want = reference_transe_score_grad_rows(kind, es, np.broadcast_to(rp, es.shape), eo)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got[1] is got[2] and not got[3][0, 0].any()
