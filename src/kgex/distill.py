@@ -19,21 +19,35 @@ from .optim import _chunk_rows
 _NEXT = [1, 2, 0]
 
 
+def _shifted(op, a, b, out):
+    """`out[i] = op(a[i + 1], b[i])` over the three cyclic orderings (i + 1 mod 3),
+    made from slices, without the copy that `a[_NEXT]` makes."""
+    op(a[1:], b[:2], out=out[:2])
+    op(a[0], b[2], out=out[2])
+    return out
+
+
 def _cyclic_angles(rows):
     """(phi, valid, unit, norm) of the cyclic orderings of points (x, y, z).
 
     Ordering i's potential is the dot product of unit differences i and i + 1
     of [x - y, y - z, z - x], stacked on a leading axis; a zero difference
-    (coincident points) gives phi = 0, valid = False, and a norm of 1.
+    (coincident points) gives phi = 0, valid = False, and a norm of 1.  The
+    differences are written into one buffer and made unit in place; the
+    products of neighbours are made in a second one.
     """
-    points = np.array(rows)
-    diff = points - points[_NEXT]
-    norm = np.sqrt((diff * diff).sum(axis=-1))
+    x, y, z = rows
+    unit = np.empty((3,) + np.shape(x))
+    np.subtract(x, y, out=unit[0])
+    np.subtract(y, z, out=unit[1])
+    np.subtract(z, x, out=unit[2])
+    work = unit * unit
+    norm = np.sqrt(work.sum(axis=-1))
     nonzero = norm != 0.0
     valid = nonzero & nonzero[_NEXT]
     safe = np.where(nonzero, norm, 1.0)
-    unit = diff / safe[..., None]
-    phi = np.where(valid, (unit * unit[_NEXT]).sum(axis=-1), 0.0)
+    unit /= safe[..., None]
+    phi = np.where(valid, _shifted(np.multiply, unit, unit, work).sum(axis=-1), 0.0)
     return phi, valid, unit, safe
 
 
@@ -71,22 +85,31 @@ def rkd_loss_batch(
     quad = np.abs(diff) <= 1.0
     term = np.where(valid, np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5), 0.0)
     dterm = np.where(valid, np.where(quad, diff, np.sign(diff)), 0.0)[..., None]
-    # gradients of unit[i] . unit[i + 1] w.r.t. differences i and i + 1
-    unit_next = unit[_NEXT]
-    d_u = (unit_next - phi_s[..., None] * unit) / norm[..., None]
-    d_v = (unit - phi_s[..., None] * unit_next) / norm[_NEXT][..., None]
+    # gradients of unit[i] . unit[i + 1] w.r.t. differences i and i + 1, made in
+    # place: d_u[i] = (unit[i + 1] - phi[i] unit[i]) / norm[i] and
+    # d_v[i] = (unit[i] - phi[i] unit[i + 1]) / norm[i + 1]; `unit` then takes d_v - d_u
+    d_u = phi_s[..., None] * unit
+    _shifted(np.subtract, unit, d_u, d_u)
+    d_u /= norm[..., None]
+    d_v = _shifted(np.multiply, unit, phi_s[..., None], np.empty_like(unit))
+    np.subtract(unit, d_v, out=d_v)
+    d_v /= norm[_NEXT][..., None]
     # ordering i adds dterm[i] times d_u, d_v - d_u and -d_v to the rows it visits
     # first, second and third (s, p, o turned i times), summed in place from +0.0
-    # as from zeros; subtracting dterm * d_v adds dterm * -d_v, bit for bit
-    u, v, w = d_u, d_v, d_v - d_u
+    # as from zeros; subtracting dterm * d_v adds dterm * -d_v, bit for bit.  Each
+    # slot of u, v and w is read by one sum, so the sums are made in them, and end
+    # in w: gs in w[2], gp in w[0] and go in w[1]
+    u, v, w = d_u, d_v, np.subtract(d_v, d_u, out=unit)
     for part in (u, v, w):
         part *= dterm
-    gs, gp, go = 0.0 + u[0], 0.0 + w[0], 0.0 - v[0]
+    gs = np.add(0.0, u[0], out=u[0])
     gs -= v[1]
+    gs = np.add(gs, w[2], out=w[2])
+    gp = np.add(0.0, w[0], out=w[0])
     gp += u[1]
-    go += w[1]
-    gs += w[2]
     gp -= v[2]
+    go = np.subtract(0.0, v[0], out=v[0])
+    go = np.add(go, w[1], out=w[1])
     go += u[2]
     return 0.0 + term[0] + term[1] + term[2], gs, gp, go, degenerate
 

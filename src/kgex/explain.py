@@ -24,7 +24,7 @@ from .models import EmbeddingModel, ModelKind, init_model
 from .sampling import Subgraph, SubgraphSpec, sample_subgraph
 from .training import LockstepRun, TrainConfig, corruption_pool, train_lockstep
 
-# `train_student` and `graph_from_triples` stay importable here for tools that wrap them.
+# `train_student`, `build_filter` and `graph_from_triples` stay importable here for tools that wrap them.
 
 
 @dataclass
@@ -103,25 +103,27 @@ def _derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
-def _lockstep_groups(config: TrainConfig, plans: list) -> list[list]:
-    """Consecutive plans in groups: a run joins a group while the group's stacked
-    (rows, 1 + eta, width) candidate block stays within `optim._CHUNK_ELEMS` elements,
-    the training step's own budget (README has the sweep behind it)."""
-    row_elems = (1 + config.eta) * config.k * ModelKind(config.kind).row_width_factor
-    groups, used = [], optim._CHUNK_ELEMS  # full: the first run opens a group
-    for plan in plans:
-        step = row_elems * min(len(plan[1]), config.batch_size)
-        if used + step > optim._CHUNK_ELEMS:
-            groups, used = groups + [[]], 0
-        groups[-1].append(plan)
-        used += step
-    return groups
+def _lockstep_groups(config: TrainConfig, plans: list, threads: int) -> list[list]:
+    """The plans in consecutive groups of near-equal rows: the fewest groups whose step's
+    stacked (rows, width) arrays fit one `optim._CHUNK_ELEMS` budget, at most one a run.
+    Where the plans' stacked (rows, 1 + eta, width) candidate block, which a step streams
+    in budget chunks, exceeds one budget, the count is rounded up to a multiple of the
+    `threads` that train the groups; a smaller step is too short to share (README has
+    the sweeps behind the rule)."""
+    width = config.k * ModelKind(config.kind).row_width_factor
+    elems = sum(min(len(subset), config.batch_size) for _, subset, _ in plans) * width
+    count = -(-elems // optim._CHUNK_ELEMS)  # the fewest that fit
+    if elems * (1 + config.eta) > optim._CHUNK_ELEMS:
+        count = -(-count // threads) * threads
+    count = min(count, len(plans))
+    size, more = divmod(len(plans), count)  # as `np.array_split`: the first `more` take one more
+    return [plans[i * size + min(i, more) : (i + 1) * size + min(i + 1, more)] for i in range(count)]
 
 
 def _run_chunk(teacher, triples, target, config, kd_lambda, flt, groups, helper=None) -> list[RunRecord]:
     """Train and rank the `_lockstep_groups` of consecutive runs, in plan order. Each of this
-    thread and `helper`, when given, takes the next whole group; the steps inside a group
-    get no helper, so no byte depends on which thread trained it."""
+    thread and `helper`, when given, takes the next whole group (formed for two threads);
+    the steps inside a group get no helper, so no byte depends on which thread trained it."""
     run_group = partial(_run_group, teacher, triples, target, config, kd_lambda, flt)
     return [record for records in optim._spread(run_group, groups, helper) for record in records]
 
@@ -174,18 +176,23 @@ def mc_explain(
     run.  A run's plan is (run, subset, seed); the inputs all runs share (of
     the graph, its triples only) are bound once.  The plans are cut into chunks
     of ceil(runs / min(threads, runs, CPUs)) consecutive plans, each formed into
-    lockstep groups once; every chunk goes to a process of its own, which trains
-    its groups (`_run_chunk`) on its one thread.  With one chunk, the calling
-    thread and an `optim.step_helper` thread share its groups; no byte depends
-    on the number of threads or processes.
+    `_lockstep_groups` once for the threads that train them: every chunk goes to
+    a process of its own, which trains its groups (`_run_chunk`) on its one
+    thread.  With one chunk, the calling thread and an `optim.step_helper`
+    thread, where the process may run on two CPUs, share its groups, formed for
+    two threads; no byte depends on the number of threads or processes.
+    Without `flt`, the target is ranked against the graph's true triples of
+    its (s, p) and (p, o) keys, the only ones its filtered ranking reads.
     """
     config.validate()
     check_teacher(teacher, g)
     seed = config.sampler.seed
     sampler = replace(config.sampler, seed=_derive_seed(config.seed, 0) if seed is None else seed)
     sub = sample_subgraph(g, target, sampler)
-    if flt is None:
-        flt = build_filter(g)
+    if flt is None:  # the ranking reads the target's two keys only
+        (s, p, o), (s_ids, p_ids, o_ids) = target, g.triples.T
+        keyed = (p_ids == p) & ((s_ids == s) | (o_ids == o))
+        flt = TrueTripleSet(g.triples[keyed], g.n_entities, g.n_relations)
 
     plans = []
     for run in range(config.mc_runs):
@@ -202,16 +209,18 @@ def mc_explain(
     run_chunk = partial(_run_chunk, teacher, g.triples, target, student, config.kd_lambda, flt)
 
     size = -(-len(plans) // min(config.threads, config.mc_runs, optim._cpus()))
-    chunks = [_lockstep_groups(student, plans[i : i + size]) for i in range(0, len(plans), size)]
-    groups = sum(map(len, chunks))
+    chunks = [plans[i : i + size] for i in range(0, len(plans), size)]
     if len(chunks) > 1:  # a worker's groups take no helper: N processes run N threads
+        chunks = [_lockstep_groups(student, chunk, 1) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool_exec:
             records = [record for chunk in pool_exec.map(run_chunk, chunks) for record in chunk]
         group_threads = 1
     else:
         with optim.step_helper() as helper:
+            chunks = [_lockstep_groups(student, plans, 1 if helper is None else 2)]
             records = run_chunk(chunks[0], helper)
-        group_threads = 1 if helper is None or groups < 2 else 2  # as `_spread` shares them
+        group_threads = 1 if helper is None or len(chunks[0]) < 2 else 2  # as `_spread` shares them
+    groups = sum(map(len, chunks))
 
     report = aggregate_contributions(records, sub)
     report.workers, report.groups, report.group_threads = len(chunks), groups, group_threads

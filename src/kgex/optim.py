@@ -15,7 +15,7 @@ import numpy as np
 # The one working-set budget, in float64 elements: a row chunk of the Adam
 # update and of the L2 gradient, a scatter call's chunk (an int64 index of at
 # most 512 KiB) and a chunk of a training step's candidate block or row terms,
-# and a lockstep group's stacked candidate block (`explain._run_chunk`)
+# and a lockstep group's stacked (rows, width) arrays (`explain._lockstep_groups`)
 _CHUNK_ELEMS = 1 << 16
 
 

@@ -31,7 +31,8 @@ class TrainConfig:
     (scores passed through softplus first).  For DistMult and ComplEx, which
     score candidates against query rows, one step holds two float64
     `(rows, width)` arrays, the sums over eta (with the angle term, also the
-    three positive rows and their two queries), and the buffer of touched rows
+    three positive rows, their two queries and their three angle-term
+    gradients), and the buffer of touched rows
     (for gamma > 0, also one gather of them for the L2 loss); its
     `(rows, 1 + eta, width)` candidate block is held only in chunks of
     positives of at most `optim._CHUNK_ELEMS` elements (one positive, if wider),
@@ -45,9 +46,10 @@ class TrainConfig:
     lockstep groups instead.  TransE gathers and differentiates every negative
     row by row, about four float64 arrays of `rows * (1 + eta)` rows.  `rows`
     is `batch_size`, or, for the lockstep students of `mc_explain`, the batch
-    rows of a group, whose candidate block stays within that budget unless
-    one run alone exceeds it.  The scatter adds as many elements at a time,
-    through an int64 index of at most 512 KiB (one row, or one positive's
+    rows of a group, whose stacked `(rows, width)` arrays hold about one budget
+    (`explain._lockstep_groups`); with the angle term, such a step peaks at
+    about 16 budgets of traced heap.  The scatter adds as many elements at a
+    time, through an int64 index of at most 512 KiB (one row, or one positive's
     candidates, if wider).  With a teacher, a run also keeps the teacher's
     angles, a float64 and a bool (3, n_triples) array, computed in chunks of
     the one budget's rows (`distill.triple_angles`).
@@ -151,6 +153,7 @@ def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
             index = inverse[start : start + len(block), None] * width + cols
             np.add.at(cells, index.ravel(), block.ravel())
             start += len(block)
+            del index  # freed before the next block is made
     return rows, summed
 
 
@@ -284,10 +287,11 @@ def batch_gradients(
     kd_terms, losses, degenerate, positive_rows = [], [0.0] * len(runs), [0] * len(runs), None
     if teacher_angles is not None and kd_lambda > 0.0:
         positive_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
-        kd_rows, kd_gs, kd_gp, kd_go, total = distill.rkd_loss_batch(teacher_angles, positive_rows)
+        kd_rows, gs, gp, go, total = distill.rkd_loss_batch(teacher_angles, positive_rows)
         kd_scale = kd_lambda * scale
-        kd_terms = [(s_ids, kd_scale * kd_gs), (o_ids, kd_scale * kd_go),
-                    (p_ids + model.n_entities, kd_scale * kd_gp)]
+        kd_terms = [(s_ids, np.multiply(kd_scale, gs, out=gs)), (o_ids, np.multiply(kd_scale, go, out=go)),
+                    (p_ids + model.n_entities, np.multiply(kd_scale, gp, out=gp))]
+        del gs, gp, go
         losses = [kd_lambda * s * float(kd_rows[sl].sum()) for sl, s in runs]
         if len(runs) == 1:
             degenerate = [total]

@@ -16,7 +16,7 @@ from kgex.explain import (
     mc_explain,
     partition_positions,
 )
-from kgex.graph import KnowledgeGraph
+from kgex.graph import KnowledgeGraph, TrueTripleSet, build_filter
 from kgex.models import init_model
 from kgex.sampling import Subgraph, SubgraphSpec
 from kgex.training import TrainConfig, run_training
@@ -262,6 +262,26 @@ class TestMcExplain:
             ]
             assert all(isinstance(seed, int) for _, _, seed in tasks)
         assert report.workers == (workers or [1])[0]
+
+    def test_default_filter_ranks_as_the_graphs(self):
+        """Without `flt`, the target is ranked against the graph's true triples of
+        its (s, p) and (p, o) keys only, and the report is the one the whole
+        graph's filter gives.  The target's subject has other true objects and
+        its object other true subjects, so a filter of the target alone moves
+        the ranks."""
+        g, _ = block_graph(16, 4, 2, n_train=80, n_test=0, seed=3)
+        s_ids, p_ids, o_ids = g.triples.T
+        target = next(t for t in map(tuple, g.triples.tolist())
+                      if ((s_ids == t[0]) & (p_ids == t[1])).sum() > 1 < ((o_ids == t[2]) & (p_ids == t[1])).sum())
+        teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=0)
+        config = ExplainConfig(mc_runs=4, partitions=2, student=TrainConfig(kind="distmult", k=4, epochs=5),
+                               sampler=SubgraphSpec("pn", 2), seed=1)
+        ranks = lambda report: [(r.run, r.rank.hex(), r.subject_rank, r.object_rank) for r in report.records]
+        entries = lambda report: [(e.position, e.rank_sum.hex(), e.runs_containing) for e in report.entries]
+        default, full = mc_explain(teacher, g, target, config), mc_explain(teacher, g, target, config, build_filter(g))
+        assert ranks(default) == ranks(full) and entries(default) == entries(full)
+        alone = TrueTripleSet(np.array([target]), g.n_entities, g.n_relations)
+        assert ranks(mc_explain(teacher, g, target, config, alone)) != ranks(full)
 
     def test_shared_worker_inputs_hold_no_graph_index(self, toy, monkeypatch):
         g, held_out, teacher = toy

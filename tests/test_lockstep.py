@@ -1,10 +1,12 @@
 """Lockstep students on compact tables against the one-run-at-a-time reference."""
 
 import contextlib
+import itertools
 import math
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +14,11 @@ import pytest
 
 import kgex.optim
 import kgex.training
-from kgex.explain import ExplainConfig, mc_explain
+from kgex.distill import triple_angles
+from kgex.explain import ExplainConfig, _lockstep_groups, mc_explain
 from kgex.models import ModelKind, init_model
 from kgex.sampling import SubgraphSpec
-from kgex.training import TrainConfig, TrainingDivergedError
+from kgex.training import TrainConfig, TrainingDivergedError, batch_gradients, corrupt_batch
 
 from oracles import sequential_runs
 from toygraphs import block_graph
@@ -111,14 +114,90 @@ def test_lockstep_options_match_sequential_runs(monkeypatch, graph, kind, studen
 def test_groups_do_not_change_any_run(monkeypatch, graph, per_group):
     g, target = graph
     config = explain_config("complex", batch_size=4)
-    # every run stacks 4 rows a step, so the bound holds `per_group` runs
-    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", per_group * 4 * 3 * 6)
+    # every run stacks 4 rows of width 6 a step, so on one thread the bound holds `per_group` runs
+    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 1)
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", per_group * 4 * 6)
     teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
     report, groups = traced_explain(monkeypatch, teacher, g, target, config)
     assert [len(runs) for _, runs in groups] == [per_group] * (6 // per_group)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1 << 30)
     together, _ = traced_explain(monkeypatch, teacher, g, target, config)
     assert record_bytes(report.records) == record_bytes(together.records)
+
+
+def plans_of(sizes):
+    """Plans (run, subset, seed) of runs whose subsets hold `sizes` triples."""
+    return [(run, np.arange(size), run) for run, size in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_groups_are_the_fewest_that_fit_in_a_multiple_of_the_threads(monkeypatch, threads):
+    """A group's step holds its stacked (rows, width) arrays whole, a run's rows
+    being its batch, or its subset when smaller: the groups are the fewest whose
+    rows fit the budget, at most one a run, in plan order.  Where the candidate
+    block of all the rows (1 + eta = 3 floats for each row float) exceeds the
+    budget, the count is rounded up to a multiple of the threads that train them."""
+    config = TrainConfig(kind="complex", k=5, eta=2, batch_size=8)  # rows of width 10
+    plans = plans_of([12, 3, 8, 8, 5, 9, 8])  # 48 rows a step, 480 floats, 1,440 candidate floats
+    for budget in [1440, 1439, 480, 479, 240, 239, 100, 10]:
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", budget)
+        fewest = next(count for count in itertools.count(1) if count * budget >= 480)
+        rounded = next(count for count in itertools.count(fewest) if count % threads == 0)
+        groups = _lockstep_groups(config, plans, threads)
+        assert len(groups) == min(fewest if budget >= 1440 else rounded, len(plans))
+        assert [run for group in groups for run, _, _ in group] == list(range(len(plans)))
+
+
+@pytest.mark.parametrize(
+    "runs, threads, sizes",
+    [(20, 1, [10, 10]), (20, 2, [10, 10]), (100, 1, [13] * 4 + [12] * 4), (100, 2, [13] * 4 + [12] * 4),
+     (5, 1, [5]), (5, 2, [3, 2]), (4, 2, [4])],
+)
+def test_rows_are_split_evenly(monkeypatch, runs, threads, sizes):
+    """Runs of explain-fb237's shape (ComplEx k=50, eta 2, 47-triple subsets):
+    20 runs fill 1.4 budgets and make 2 groups on one thread and on two, 100
+    runs 7.2 budgets and 8 groups, and groups differ by at most one run.  5 runs
+    fit one budget, but their candidate block does not: 2 groups on two threads.
+    4 runs' candidate block fits: one group, one step of one chunk."""
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1 << 16)
+    groups = _lockstep_groups(TrainConfig(kind="complex", k=50), plans_of([47] * runs), threads)
+    assert [len(group) for group in groups] == sizes
+
+
+def test_group_step_heap_in_budgets():
+    """One step of a lockstep group that fills the budget, with the angle term:
+    10 ComplEx k=50 runs of 65 rows (65,000 of the 65,536 floats of
+    `optim._CHUNK_ELEMS`), each on 130 entity and 10 relation rows of its own.
+    Its traced peak, 16.0 budgets of 512 KiB, is reached in the scatter: the
+    positive rows (3 budgets), their angle-term gradients (3), the sums over
+    eta (2) and the queries (2), the touched rows' gradient buffer (up to 2.2),
+    and two candidate chunks with a scatter index (3).  The angle kernel's own
+    peak is lower.  It was 21.0 budgets before the kernel made its buffers in
+    place, and 17.0 while the scatter held each index through the making of
+    the next block."""
+    runs, rows, ents, rels, k = 10, 65, 130, 10, 50
+    rng = np.random.default_rng(0)
+    model = init_model("complex", k, runs * ents, runs * rels, seed=1)
+    teacher = init_model("complex", 20, runs * ents, runs * rels, seed=2)
+    parts = []
+    for j in range(runs):
+        triples = np.stack([rng.integers(0, ents, rows) + j * ents, rng.integers(0, rels, rows) + j * rels,
+                            rng.integers(0, ents, rows) + j * ents], axis=1)
+        parts.append((triples, corrupt_batch(triples, 2, np.arange(j * ents, (j + 1) * ents), rng)))
+    batch = np.concatenate([triples for triples, _ in parts])
+    negatives = tuple(map(np.concatenate, zip(*(negs for _, negs in parts))))
+    bounds = [j * ents for j in range(runs)] + [runs * ents + j * rels for j in range(runs)] + [len(model.table)]
+    angles = triple_angles(teacher, batch)
+    config = TrainConfig(kind="complex", k=k, eta=2)
+    tracemalloc.start()
+    try:
+        batch_gradients(model, batch, negatives, config, None, angles, 3.0, [rows] * runs, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = kgex.optim._CHUNK_ELEMS * 8
+    assert len(batch) * model.width <= kgex.optim._CHUNK_ELEMS
+    assert peak <= 16.5 * budget, f"heap peak {peak / budget:.1f} budgets"
 
 
 def test_students_train_on_the_calling_thread(monkeypatch, graph):
@@ -150,19 +229,20 @@ def test_students_train_on_the_calling_thread(monkeypatch, graph):
 
 def two_runs_a_group(kind):
     """A `_CHUNK_ELEMS` that holds two runs of `explain_config(kind, batch_size=4)`
-    a group: every run stacks 4 rows of 3 candidates a step."""
-    return 2 * 4 * 3 * 3 * ModelKind(kind).row_width_factor
+    a group: every run stacks 4 rows of width 3 (6 for ComplEx) a step."""
+    return 2 * 4 * 3 * ModelKind(kind).row_width_factor
 
 
 @pytest.mark.parametrize("kd_lambda", [0.0, 3.0], ids=["plain", "kd"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_two_threads_train_the_groups_to_the_same_bytes(monkeypatch, graph, kind, kd_lambda):
-    """Three groups of two runs, shared by the calling thread and the step helper,
-    which hand the interpreter lock over every microsecond, then on the calling
-    thread alone: the same records and compact-table rows, each those of the
-    runs trained one by one."""
+    """Four groups of two runs (an even count: the same groups on one thread and
+    on two), shared by the calling thread and the step helper, which hand the
+    interpreter lock over every microsecond, then on the calling thread alone:
+    the same records and compact-table rows, each those of the runs trained one
+    by one."""
     g, target = graph
-    config = explain_config(kind, kd_lambda, batch_size=4)
+    config = explain_config(kind, kd_lambda, mc_runs=8, batch_size=4)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group(kind))
     results, interval = [], sys.getswitchinterval()
     for cpus in (2, 1):
@@ -172,7 +252,7 @@ def test_two_threads_train_the_groups_to_the_same_bytes(monkeypatch, graph, kind
             report, groups = assert_matches_sequential(monkeypatch, g, target, config)
         finally:
             sys.setswitchinterval(interval)
-        assert (report.workers, report.groups, report.group_threads) == (1, 3, cpus)
+        assert (report.workers, report.groups, report.group_threads) == (1, 4, cpus)
         results.append((record_bytes(report.records), [model.table.tobytes() for model, _ in groups]))
     assert results[0] == results[1]
 
