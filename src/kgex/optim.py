@@ -72,19 +72,6 @@ def _spread(fn, items, helper) -> list:
     return results
 
 
-def _ahead(blocks, helper):
-    """The items of `blocks`, each next one made on `helper` while this thread
-    uses the one before."""
-    blocks = iter(blocks)
-    pending = helper.submit(next, blocks, None)
-    try:
-        while (block := pending.result()) is not None:
-            pending = helper.submit(next, blocks, None)
-            yield block
-    finally:
-        wait([pending])  # a caller that stops early leaves no item in the making
-
-
 class SparseAdam:
     """Standard Adam; moment rows are read and written only for touched rows.
 
@@ -105,7 +92,7 @@ class SparseAdam:
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray, helper=None) -> np.ndarray:
         """Take one step: update `params[rows]` in place from per-row gradients.
 
-        `rows` must be distinct, as `np.unique` gives them (not checked: a
+        `rows` must be distinct, as `batch_gradients` gives them (not checked: a
         row repeated across chunks would read moments already updated).
         Returns the updated rows, written over `grads` when it is a writable
         array of `params`' dtype, else over a copy of it.

@@ -217,8 +217,8 @@ def _step_bytes(model, batch, negatives, config, angles=None, helper=None) -> by
 
 
 def _check_split_step() -> str | None:
-    # training's byte identity rests on einsum giving each row the same bits for
-    # any row slice, and on the helper thread taking each chunk once, in order
+    # training's byte identity rests on einsum giving each row the same bits for any row
+    # slice, on each thread taking each chunk once and scattering its own part's columns
     rng = np.random.default_rng(13)
     model = models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 0)
     batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
@@ -232,8 +232,9 @@ def _check_split_step() -> str | None:
             for gamma, kd in itertools.product((0.0, 1e-3), (None, angles)):
                 config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=gamma)
                 steps = []
-                # one chunk of 12 positives; one positive or touched row a chunk;
-                # 2 positives or 8 touched rows a chunk, shared with the helper
+                # one chunk of 12 positives; one positive or touched row a chunk; 2
+                # positives or 8 touched rows a chunk, and half of each row's components
+                # (complex pairs) on each thread
                 for elems, h in ((budget, None), (1, None), (2 * 4 * 8, helper)):
                     optim._CHUNK_ELEMS = elems
                     steps.append(_step_bytes(model, batch, negatives, config, kd, h))

@@ -13,7 +13,7 @@ from .focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch
 from .graph import KnowledgeGraph
 from .losses import l2_regularizer_into, softmax_nll_batch
 from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, query_pairs, score_grad_rows
-from .optim import SparseAdam, _ahead, _chunk_rows, _spread, step_helper
+from .optim import SparseAdam, _chunk_rows, _spread, step_helper
 
 
 class TrainingDivergedError(RuntimeError):
@@ -28,31 +28,27 @@ class TrainConfig:
     uniform coin each).  `pool` optionally restricts corruption entities; by
     default corruptions are drawn from the entities occurring in the training
     triples.  `loss` is `multiclass_nll` (raw scores) or `softplus_nll`
-    (scores passed through softplus first).  For DistMult and ComplEx, which
-    score candidates against query rows, one step holds two float64
-    `(rows, width)` arrays, the sums over eta (with the angle term, also the
-    three positive rows, their two queries and their three angle-term
-    gradients), and the buffer of touched rows
-    (for gamma > 0, also one gather of them for the L2 loss); its
-    `(rows, 1 + eta, width)` candidate block is held only in chunks of
-    positives of at most `optim._CHUNK_ELEMS` elements (one positive, if wider),
-    and its other `(rows, width)` arrays and the Adam update in chunks of
-    `_chunk_rows(width)` rows: train-fb237 (10,000 rows, eta 10, width 200)
-    peaks at about 214 MiB resident, tables included.  `run_training` shares a
-    step of more than one candidate chunk (scoring and gradient blocks) and an
-    Adam update of more than one row chunk with an `optim.step_helper` thread,
-    each thread holding its own few chunks; no byte depends on it.  The steps of
+    (scores passed through softplus first).  For DistMult and ComplEx, one
+    step holds two float64 `(rows, width)` arrays, the sums over eta (with the
+    angle term, also the three positive rows, their two queries and their three
+    angle-term gradients), and the buffer of touched rows (for gamma > 0, also
+    one gather of them for the L2 loss); its `(rows, 1 + eta, width)` candidate
+    block, its other `(rows, width)` arrays and the Adam update are held only in
+    chunks of at most `optim._CHUNK_ELEMS` elements (`_chunk_rows`): train-fb237
+    (10,000 rows, eta 10, width 200) peaks at about 205 MiB resident, tables
+    included.  `run_training` shares a step of more than one candidate chunk
+    with an `optim.step_helper` thread: each thread scores the next query group
+    of chunks, then makes and scatters half of each row's components, and takes
+    the next row chunk of the Adam update; no byte depends on it.  The steps of
     `mc_explain`'s students take none: an in-process call hands that thread whole
     lockstep groups instead.  TransE gathers and differentiates every negative
     row by row, about four float64 arrays of `rows * (1 + eta)` rows.  `rows`
     is `batch_size`, or, for the lockstep students of `mc_explain`, the batch
     rows of a group, whose stacked `(rows, width)` arrays hold about one budget
     (`explain._lockstep_groups`); with the angle term, such a step peaks at
-    about 16 budgets of traced heap.  The scatter adds as many elements at a
-    time, through an int64 index of at most 512 KiB (one row, or one positive's
-    candidates, if wider).  With a teacher, a run also keeps the teacher's
-    angles, a float64 and a bool (3, n_triples) array, computed in chunks of
-    the one budget's rows (`distill.triple_angles`).
+    about 16 budgets of traced heap.  With a teacher, a run also keeps the
+    teacher's angles, a float64 and a bool (3, n_triples) array, computed in
+    chunks of the one budget's rows (`distill.triple_angles`).
     """
 
     kind: ModelKind | str = ModelKind.TRANSE_L2
@@ -128,32 +124,66 @@ def corrupt_batch(
     return neg_s, np.broadcast_to(triples[:, 1:2], (n, eta)), neg_o
 
 
-def _summed_gradients(terms, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum `(ids, grads)` terms over the table rows they touch.
+def _touched_rows(id_arrays, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique` of `id_arrays`, rows of a table of `n_rows`, from a presence mask: the
+    sorted distinct ids and each row's position among them (`position[ids]` is the inverse)."""
+    touched = np.zeros(n_rows, dtype=bool)
+    for ids in id_arrays:
+        touched[ids] = True
+    return np.flatnonzero(touched), np.cumsum(touched, dtype=np.intp) - 1
 
-    Returns the sorted unique ids and their `(len(rows), width)` gradients.
-    A term's grads are an array, scattered in chunks of at most
-    `optim._CHUNK_ELEMS` elements (one row if wider), or an iterable of its
-    consecutive blocks, each made as the scatter reaches it.  A 1-D
-    `np.add.at` into the flat buffer adds in index order from 0.0: each row
-    sums its grads in term order, as a full-table scatter would.
-    """
-    rows, inverse = np.unique(
-        np.concatenate([ids.ravel() for ids, _ in terms]), return_inverse=True
-    )
-    summed = np.zeros((len(rows), width))
-    cells, cols, step = summed.reshape(-1), np.arange(width), _chunk_rows(width)
-    start = 0
-    for _, grads in terms:
-        if isinstance(grads, np.ndarray):
-            flat = grads.reshape(-1, width)
-            grads = (flat[lo : lo + step] for lo in range(0, len(flat), step))
-        for block in grads:
-            block = block.reshape(-1, width)
-            index = inverse[start : start + len(block), None] * width + cols
-            np.add.at(cells, index.ravel(), block.ravel())
-            start += len(block)
-            del index  # freed before the next block is made
+
+def _cut(a: np.ndarray, f: int, part: slice, rows=slice(None)) -> np.ndarray:
+    """Rows `rows` of the 2-D `a` (rows of f runs of k components), each kept to
+    components `part` of every run and packed: `(..., f·h)` for h = len(part),
+    as `bilinear_product` and `query_pairs` take them with k = h."""
+    if part.stop - part.start == a.shape[1] // f:  # the whole row: a view or a gather
+        return a[rows] if isinstance(rows, slice) else np.take(a, rows, axis=0)
+    cut = a.reshape(len(a), f, -1)[rows, :, part]  # never `np.take`, which copies the table first
+    return cut.reshape(*cut.shape[:-2], -1)
+
+
+def _part_cells(summed: np.ndarray, f: int, part: slice) -> tuple[np.ndarray, np.ndarray, int]:
+    """The flat cells of `summed`, the cells of `part`'s columns (in `_cut`'s order) in its row 0 and
+    the cells a row spans; complex128 pairs, each two float64 adds, where the columns pair up from
+    even cells of rows of even width."""
+    width = summed.shape[1]
+    cols = (np.arange(f)[:, None] * (width // f) + np.arange(part.start, part.stop)).ravel()
+    lefts, rights = cols[::2], cols[1::2]
+    if width % 2 == 0 and len(lefts) == len(rights) and (lefts % 2 == 0).all() and (rights == lefts + 1).all():
+        return summed.reshape(-1).view(np.complex128), lefts // 2, width // 2
+    return summed.reshape(-1), cols, width
+
+
+def _summed_gradients(terms, n_rows: int, f: int, k: int, helper=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sum `(ids, grads)` terms over the rows of a table of `n_rows` they touch: the sorted distinct
+    ids and their `(len(rows), f·k)` gradients.  A term's grads are an array, scattered in blocks of
+    `optim._chunk_rows(f·k)` rows, or a function of a part (a slice of the k components) that yields
+    its consecutive blocks, packed as `_cut` packs them, each made as the scatter reaches it.  Each
+    part (the whole row, or, with `helper`, two near halves, one on each thread) scatters its own
+    columns: a 1-D `np.add.at` into the flat buffer adds in index order from 0.0, so each cell sums
+    its grads in term order, as a full-table scatter would, whatever thread adds them."""
+    rows, position = _touched_rows([ids for ids, _ in terms], n_rows)
+    summed, step = np.zeros((len(rows), f * k)), _chunk_rows(f * k)
+    mid = k // 4 * 2 or k // 2  # an even first half: at even k, both halves pair up
+
+    def scatter(part):
+        cells, cols, stride = _part_cells(summed, f, part)
+        for ids, grads in terms:
+            if isinstance(grads, np.ndarray):
+                flat = grads.reshape(-1, f * k)
+                blocks = (_cut(flat[lo : lo + step], f, part) for lo in range(0, len(flat), step))
+            else:
+                blocks = grads(part)
+            ids, start = ids.reshape(-1), 0
+            for block in blocks:
+                block = np.ascontiguousarray(block).reshape(-1, f * (part.stop - part.start)).view(cells.dtype)
+                index = position[ids[start : start + len(block)], None] * stride + cols
+                np.add.at(cells, index.ravel(), block.ravel())
+                start += len(block)
+                del index, block  # freed before the next block is made
+
+    _spread(scatter, [slice(0, k)] if helper is None or mid == 0 else [slice(0, mid), slice(mid, k)], helper)
     return rows, summed
 
 
@@ -168,15 +198,16 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     loss rows and the `(ids, grads)` terms of `_summed_gradients`, relation
     ids offset by |E|.
     """
-    kind, k, n_ent = model.kind, model.k, model.n_entities
+    kind, k, n_ent, f = model.kind, model.k, model.n_entities, model.kind.row_width_factor
     ent, rel = model.entity_table, model.relation_table
     s_ids, p_ids, o_ids = batch.T
     neg_s, neg_p, neg_o = negatives
+    whole = slice(0, k)
 
-    def positive(side, rows=slice(None)):  # the subject (0), predicate (1) or object (2) rows of positives `rows`
+    def positive(side, rows=slice(None), part=whole):  # components `part` of positives `rows`' side-th rows
         if positive_rows is not None:
-            return positive_rows[side][rows]
-        return np.take(rel if side == 1 else ent, batch[rows, side], axis=0)
+            return _cut(positive_rows[side], f, part, rows)
+        return _cut(rel if side == 1 else ent, f, part, batch[rows, side])
 
     if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
         # a distance is not linear in the replaced row: one gradient row per negative,
@@ -202,60 +233,60 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     # the (n, 1 + eta, width) candidate block is never held: chunks of positives
     # of at most `optim._CHUNK_ELEMS` elements (one positive, if wider) each gather,
     # score and sum their candidates over eta, and make their candidates'
-    # gradients again when the scatter reaches them
+    # gradients again, a part's columns at a time, when the scatter reaches them
     n, width = cand.shape[0], model.width
-    step = _chunk_rows(cand.shape[1] * width)
-    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
-    # a query group, consecutive chunks whose positives' two queries fit one
-    # chunk, builds them at once: each small NumPy call hands the GIL over, and
-    # per-chunk queries left the step's threads waiting on each other
-    per_group = max(1, _chunk_rows(2 * width) // step)
-    groups = [chunks[i : i + per_group] for i in range(0, len(chunks), per_group)]
-    helper = helper if len(chunks) > 1 else None  # it scores groups and makes each next gradient block
-    pair = lambda rows: query_pairs(kind, k, positive(0, rows), positive(1, rows), positive(2, rows))
+
+    def query_groups(w):  # a query group of chunks, whose positives' two queries of `w` columns fit one
+        # chunk, builds them at once: each small NumPy call hands the GIL over, and per-chunk
+        # queries left the step's threads waiting on each other
+        step = _chunk_rows(cand.shape[1] * w)
+        chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
+        per_group = max(1, _chunk_rows(2 * w) // step)
+        return [chunks[i : i + per_group] for i in range(0, len(chunks), per_group)]
+
+    pair = lambda rows, part: query_pairs(kind, part.stop - part.start, *(positive(i, rows, part) for i in range(3)))
 
     # with the positive rows held whole for the angle term, their queries are
     # built whole too, so a step of many chunks builds them once
-    held = None if positive_rows is None else pair(slice(None))
+    held = None if positive_rows is None else pair(slice(None), whole)
 
-    def group_queries(group):  # the candidates' queries of each chunk of `group`, made as read
+    def group_queries(group, part):  # the candidates' queries of each chunk of `group`, made as read
         lo = group[0].start
-        pairs, first = (pair(slice(lo, group[-1].stop)), lo) if held is None else (held, 0)
+        pairs, first = (pair(slice(lo, group[-1].stop), part), lo) if held is None else (held, 0)
         for rows in group:
             own = np.arange(rows.start - first, min(rows.stop, n) - first)[:, None]
-            yield np.take(pairs, np.where(obj_side[rows], own, own + len(pairs) // 2), axis=0)
+            picked = np.where(obj_side[rows], own, own + len(pairs) // 2)
+            yield np.take(pairs, picked, axis=0) if held is None else _cut(held, f, part, picked)
 
     loss, d = np.empty(n), np.empty(cand.shape)
     sum_obj, sum_sub = np.empty((n, width)), np.empty((n, width))
 
-    def score(group):  # fills the group's rows alone; returns the last chunk's queries
-        for rows, q in zip(group, group_queries(group)):
+    def score(group):  # fills the group's rows alone
+        for rows, q in zip(group, group_queries(group, whole)):
             cand_rows = np.take(ent, cand[rows], axis=0)
             loss[rows], d[rows] = row_loss(rows, np.einsum("ncw,ncw->nc", q, cand_rows))
             # the gradients of the kept rows are linear in the candidates: sum over eta first
             np.einsum("nc,ncw->nw", np.where(obj_side[rows], d[rows], 0.0), cand_rows, out=sum_obj[rows])
             np.einsum("nc,ncw->nw", np.where(obj_side[rows], 0.0, d[rows]), cand_rows, out=sum_sub[rows])
-        return q if group is groups[-1] else None
 
-    last_q = _spread(score, groups, helper)[-1]
+    _spread(score, query_groups(width), helper)
 
-    def cand_grads():  # written over each chunk's queries; the last chunk's are still held
-        for group in groups:
-            made = group_queries(group)
-            for rows in group:
-                grads = last_q if rows is chunks[-1] else next(made)
-                yield np.multiply(grads, d[rows, :, None], out=grads)
+    def cand_grads(part):  # written over each chunk's queries, in chunks of the part's width
+        for group in query_groups(f * (part.stop - part.start)):
+            for rows, q in zip(group, group_queries(group, part)):
+                yield np.multiply(q, d[rows, :, None], out=q)
+                del q  # freed before the next block is made
 
     def by_rows(grads):  # a kept row's gradients, made a row chunk at a time as the scatter reaches them
-        size = _chunk_rows(width)
-        return (grads(slice(lo, lo + size)) for lo in range(0, n, size))
+        size = _chunk_rows(width)  # a whole row's chunk: two threads' products at a part's took more heap
+        return lambda part: (grads(slice(lo, lo + size), part) for lo in range(0, n, size))
 
-    g_s = by_rows(lambda rows: bilinear_product(kind, k, positive(1, rows), sum_obj[rows], conj=True))
-    g_o = by_rows(lambda rows: bilinear_product(kind, k, sum_sub[rows], positive(1, rows)))
-    g_p = by_rows(lambda rows: bilinear_product(kind, k, positive(0, rows), sum_obj[rows], conj=True)
-                  + bilinear_product(kind, k, sum_sub[rows], positive(2, rows), conj=True))
-    terms = [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads()), (p_ids + n_ent, g_p)]
-    return loss, terms if helper is None else [(ids, _ahead(blocks, helper)) for ids, blocks in terms]
+    product = lambda x, y, part, conj=False: bilinear_product(kind, part.stop - part.start, x, y, conj)
+    g_s = by_rows(lambda rows, part: product(positive(1, rows, part), _cut(sum_obj, f, part, rows), part, True))
+    g_o = by_rows(lambda rows, part: product(_cut(sum_sub, f, part, rows), positive(1, rows, part), part))
+    g_p = by_rows(lambda rows, part: product(positive(0, rows, part), _cut(sum_obj, f, part, rows), part, True)
+                  + product(_cut(sum_sub, f, part, rows), positive(2, rows, part), part, True))
+    return loss, [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads), (p_ids + n_ent, g_p)]
 
 
 def batch_gradients(
@@ -276,14 +307,15 @@ def batch_gradients(
     A step of several candidate chunks is shared with `helper`, a `step_helper` executor, if given.
     """
     s_ids, p_ids, o_ids = batch.T
+    if len(batch) <= _chunk_rows((1 + negatives[0].shape[1]) * model.width):
+        helper = None  # a step of one candidate chunk runs on this thread alone
     sizes, bounds = sizes or [len(batch)], bounds or [0, model.n_entities, len(model.table)]
     runs = [(slice(end - n, end), 1.0 / n) for n, end in zip(sizes, np.cumsum(sizes).tolist())]
     scale = np.repeat([s for _, s in runs], sizes)[:, None]
-    # The angle term reads the positive rows whole (without it the scorer
-    # gathers them a chunk at a time) and runs before the candidate arrays
-    # exist.  Run after them, its many small temporaries land in heap pages
-    # that freeing those arrays has just returned to the system, and fault
-    # them back in on every batch.
+    # The angle term reads the positive rows whole (without it the scorer gathers them a chunk at
+    # a time) and runs before the candidate arrays exist.  Run after them, its many small temporaries
+    # land in heap pages that freeing those arrays has just returned to the system, and fault them
+    # back in on every batch.
     kd_terms, losses, degenerate, positive_rows = [], [0.0] * len(runs), [0] * len(runs), None
     if teacher_angles is not None and kd_lambda > 0.0:
         positive_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
@@ -308,7 +340,7 @@ def batch_gradients(
 
     loss_rows, terms = _score_batch(model, batch, negatives, positive_rows, row_loss, helper)
     losses = [float(loss_rows[sl].sum()) * s + kd for (sl, s), kd in zip(runs, losses)]
-    rows, grad = _summed_gradients(terms + kd_terms, model.width)
+    rows, grad = _summed_gradients(terms + kd_terms, len(model.table), model.kind.row_width_factor, model.k, helper)
     del positive_rows, terms, kd_terms  # the L2 gather does not stack on them
     if config.gamma > 0.0:
         # each run's L2 loss sums its entity rows and its relation rows apart

@@ -10,6 +10,7 @@ checked under the NumPy version they were recorded with.
 import numpy as np
 import pytest
 
+from kgex import optim
 from kgex.cli import run_cli
 from kgex.manifest import file_digest
 
@@ -49,11 +50,10 @@ def _write(path, rows):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def _run_commands(root):
+    """Run every command into `root`; returns it."""
     if np.__version__ != GOLDEN_NUMPY:
         pytest.skip(f"digests recorded under NumPy {GOLDEN_NUMPY}, running {np.__version__}")
-    root = tmp_path_factory.mktemp("golden")
     g = random_graph(24, 3, 90, seed=41)
     rows = [_labels(g, t) for t in g.triples]
     train = _write(root / "train.tsv", rows[:80])
@@ -88,6 +88,27 @@ def outputs(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return _run_commands(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def split_outputs(tmp_path_factory):
+    """The commands with chunks of 16 elements on two threads: every training step
+    of more than one chunk scatters half of each row's components on each thread,
+    and the explanation forms its lockstep groups for two threads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "_CHUNK_ELEMS", 16)
+        patch.setattr(optim, "_cpus", lambda: 2)
+        return _run_commands(tmp_path_factory.mktemp("golden-split"))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest_unchanged(outputs, name):
     assert file_digest(outputs / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest_unchanged_on_two_threads_in_tiny_chunks(split_outputs, name):
+    assert file_digest(split_outputs / name) == GOLDEN[name]

@@ -142,13 +142,13 @@ def _adam_stops_after_one_chunk(fn):
     return broken
 
 
-def _blocks_swapped(fn):
-    """Hands the helper's gradient blocks over in swapped pairs, as an unordered queue might."""
+def _parts_swapped(fn):
+    """Scatters each half of a row's components at the other half's columns; a
+    whole-row part stays where it is."""
 
-    def broken(blocks, helper):
-        made = list(fn(blocks, helper))
-        made[: len(made) // 2 * 2] = [b for pair in zip(made[1::2], made[::2]) for b in pair]
-        return iter(made)
+    def broken(summed, f, part):
+        k = summed.shape[1] // f
+        return fn(summed, f, slice(k - part.stop, k - part.start))
 
     return broken
 
@@ -207,7 +207,7 @@ CASES = [pytest.param([name], FAULTS[name], id=name) for name in NAMES] + [
         [SPLIT], (optim.SparseAdam, "apply", _adam_stops_after_one_chunk),
         id="chunking with an Adam step that stops after one chunk",
     ),
-    pytest.param([SPLIT], (training, "_ahead", _blocks_swapped), id="threads handing blocks over out of order"),
+    pytest.param([SPLIT], (training, "_part_cells", _parts_swapped), id="a part scattered at the other part's columns"),
     pytest.param([SPLIT], (optim, "_spread", _items_handed_out_twice), id="threads handed a chunk twice"),
 ]
 

@@ -25,7 +25,9 @@ from kgex.training import (
     LockstepRun,
     TrainConfig,
     TrainingDivergedError,
+    _part_cells,
     _summed_gradients,
+    _touched_rows,
     batch_gradients,
     corrupt_batch,
     run_training,
@@ -503,10 +505,50 @@ class TestSummedGradients:
             monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", elems)
         rng = np.random.default_rng(5)
         terms = [(ids, rng.normal(size=(*ids.shape, 4))) for ids in SCATTER_IDS]
-        rows, summed = _summed_gradients(terms, 4)
+        rows, summed = _summed_gradients(terms, 4, 1, 4)
         ref_rows, ref = per_term_scatter(terms, 4)
         assert np.array_equal(rows, ref_rows)
         assert summed.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("f, k", [(1, 4), (2, 4), (1, 3), (2, 3)], ids=["pairs", "complex pairs", "cells",
+                                                                          "complex cells"])
+    def test_two_parts_on_two_threads_equal_a_per_term_scatter(self, f, k, monkeypatch):
+        """With a helper, each thread scatters half of each row's components, 3
+        rows a block: in complex pairs at even k, in float64 cells at odd k."""
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 3 * f * k)
+        rng = np.random.default_rng(6)
+        terms = [(ids, rng.normal(size=(*ids.shape, f * k))) for ids in SCATTER_IDS]
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
+            rows, summed = _summed_gradients(terms, 4, f, k, helper)
+        ref_rows, ref = per_term_scatter(terms, f * k)
+        assert np.array_equal(rows, ref_rows)
+        assert summed.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("ids", [[3, 0, 3, 3, 1, 0], [2], [[4, 0], [4, 4]]], ids=["repeats", "one id", "last row"])
+    def test_touched_rows_are_np_unique(self, ids):
+        """The presence mask's rows and positions are `np.unique`'s rows and inverse."""
+        ids = np.array(ids)
+        rows, position = _touched_rows([ids[:1], ids], 5)
+        want, inverse = np.unique(np.r_[ids[:1].ravel(), ids.ravel()], return_inverse=True)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(position[np.r_[ids[:1].ravel(), ids.ravel()]], inverse.ravel())
+
+    @pytest.mark.parametrize("f, k, part, cols", [
+        (2, 100, (0, 50), [*range(25), *range(50, 75)]),
+        (1, 6, (2, 6), [1, 2]),
+        (2, 1, (0, 1), [0]),
+        (2, 3, (0, 1), None),
+        (1, 3, (0, 3), None),
+        (1, 4, (1, 3), None),
+    ])
+    def test_complex_pairs_where_the_columns_pair_up(self, f, k, part, cols):
+        """A part's columns are scattered as complex128 pairs where they pair up
+        as adjacent cells from an even one in rows of even width, else as float64 cells."""
+        cells, got, stride = _part_cells(np.zeros((3, f * k)), f, slice(*part))
+        assert cells.dtype == (np.float64 if cols is None else np.complex128)
+        assert stride == f * k // (1 if cols is None else 2)
+        if cols is not None:
+            assert got.tolist() == cols
 
     def test_one_element_chunks_train_the_same_tables(self, monkeypatch):
         """A one-element budget scatters one row a call and scores one positive's
@@ -564,6 +606,45 @@ def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+@pytest.mark.parametrize("kd", [False, True], ids=["plain", "kd"])
+@pytest.mark.parametrize("k", [3, 4], ids=["odd k", "even k"])
+@pytest.mark.parametrize("kind", ["transe-l1", "transe-l2", "distmult", "complex"])
+def test_a_helper_changes_no_byte_of_a_step_or_adam(monkeypatch, kind, k, kd, gamma):
+    """A step of 12 positives in 2-positive chunks and an Adam step on its
+    gradients, without and with a helper: with it, each thread scatters half of
+    each row's components, in complex pairs at even k and in float64 cells at
+    odd k.  The batch holds a self-loop, whose angle terms are degenerate."""
+    rng = np.random.default_rng(31)
+    model = init_model(kind, k, 20, 3, seed=1)
+    batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
+    batch[0, 2] = batch[0, 0]
+    negatives = corrupt_batch(batch, 3, np.arange(20), rng)
+    angles = triple_angles(init_model(kind, k, 20, 3, seed=2), batch) if kd else None
+    config = TrainConfig(kind=kind, k=k, eta=3, gamma=gamma)
+    monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 4 * model.width)
+    cells, part_cells = [], kgex.training._part_cells
+
+    def recorded(*args):  # the dtype of each part's cells
+        got = part_cells(*args)
+        cells.append(got[0].dtype)
+        return got
+
+    monkeypatch.setattr(kgex.training, "_part_cells", recorded)
+    results = []
+    with ThreadPoolExecutor(1, "kgex-step") as helper:
+        for given in (None, helper):
+            losses, degenerate, rows, grad = batch_gradients(model, batch, negatives, config, None, angles, 2.0,
+                                                             helper=given)
+            table, adam = model.table.copy(), SparseAdam(model.table.shape, 0.1)
+            updated = adam.apply(table, rows, grad.copy(), given)
+            results.append((losses, degenerate, rows.tobytes(), grad.tobytes(), updated.tobytes(), table.tobytes(),
+                            adam.m.tobytes(), adam.v.tobytes()))
+    assert (sum(results[0][1]) > 0) == kd and len(rows) > kgex.optim._chunk_rows(model.width)
+    assert cells[1:] == [np.complex128 if k % 2 == 0 else np.float64] * 2
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
 def test_step_heap_holds_no_candidate_block(gamma):
     """One ComplEx step's traced peak, against two (n, W) arrays and a few chunks.
 
@@ -577,14 +658,17 @@ def test_step_heap_holds_no_candidate_block(gamma):
       gather of its rows (1.6 MB);
     - 4 chunks of `optim._CHUNK_ELEMS` float64 (512 KiB each): a chunk's
       gathered candidates and queries on this thread and on the helper, or, in
-      the scatter, a chunk's gradients and index and the helper's next chunk
-      (2.1 MB);
+      the scatter, each thread's block of half of each row's components and its
+      query group's queries (2.1 MB);
     - 3 float64 (n, 1 + eta) arrays: the candidate ids, their side mask and
       their loss gradients (0.5 MB);
-    - 5 copies of the 14n int64 row ids of `np.unique` (1.1 MB).
+    - 1.1 MB, once 5 copies of the 14n int64 row ids of `np.unique`: the
+      threads' scatter indices and the products of their parts' row terms.
 
-    That bound is 8.6 MB, under half the block.  The peak was 7.9 MB with or
-    without the helper, and 9.2 MB on 3 threads.
+    That bound is 8.6 MB, under half the block.  The peak was 6.6 MB without
+    the helper and 7.2-7.8 MB with it; 9.4 MB when each part made its row terms
+    in chunks of its own width, and 8.8 MB when each held its last block while
+    making the next.
     """
     n, eta, k, n_entities = 2000, 10, 50, 1000
     rng = np.random.default_rng(0)
@@ -659,7 +743,7 @@ def test_epoch_heap_peak_is_a_few_candidate_arrays(kind):
 
 class TestThreads:
     """Where the process may run on two CPUs, a step of several chunks shares its
-    scoring, gradient blocks and Adam chunks with a helper thread, which moves no
+    scoring, its scatter and its Adam chunks with a helper thread, which moves no
     byte and ends with the `run_training` call."""
 
     @staticmethod
@@ -819,29 +903,6 @@ class TestThreads:
             with pytest.raises(KeyboardInterrupt):
                 kgex.optim._spread(item, list(range(6)), helper)
         assert sorted(threads) == [0, 1] and threads[0].startswith("kgex-step")
-
-    def test_a_raising_consumer_leaves_no_block_in_the_making(self):
-        """A consumer that raises on its first block, 10 ms into the helper's
-        50 ms making of the next, drops `_ahead`, which waits for that block:
-        none is in the making after."""
-        making = []
-
-        def blocks():
-            for i in range(3):
-                making.append(i)
-                time.sleep(0.05)
-                making.remove(i)
-                yield i
-
-        def consume(helper):
-            for _ in kgex.optim._ahead(blocks(), helper):
-                time.sleep(0.01)
-                raise ValueError("consumer")
-
-        with ThreadPoolExecutor(1, "kgex-step") as helper:
-            with pytest.raises(ValueError, match="consumer"):
-                consume(helper)
-            assert making == []
 
     def test_two_threads_switching_often(self, monkeypatch):
         """This thread and the helper hand the interpreter lock over every
