@@ -24,7 +24,7 @@ from .models import EmbeddingModel, ModelKind, init_model
 from .sampling import Subgraph, SubgraphSpec, sample_subgraph
 from .training import LockstepRun, TrainConfig, corruption_pool, train_lockstep
 
-# `train_student`, `build_filter` and `graph_from_triples` stay importable here for tools that wrap them.
+# perfbench/tracer.py's PATCHES wraps train_student, build_filter and graph_from_triples here: KeyError if one is gone
 
 
 @dataclass
@@ -120,23 +120,16 @@ def _lockstep_groups(config: TrainConfig, plans: list, threads: int) -> list[lis
     return [plans[i * size + min(i, more) : (i + 1) * size + min(i + 1, more)] for i in range(count)]
 
 
-def _run_chunk(teacher, triples, target, config, kd_lambda, flt, groups, helper=None) -> list[RunRecord]:
-    """Train and rank the `_lockstep_groups` of consecutive runs, in plan order. Each of this
-    thread and `helper`, when given, takes the next whole group (formed for two threads);
-    the steps inside a group get no helper, so no byte depends on which thread trained it."""
-    run_group = partial(_run_group, teacher, triples, target, config, kd_lambda, flt)
-    return [record for records in optim._spread(run_group, groups, helper) for record in records]
-
-
-def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[RunRecord]:
+def _run_group(triples, angles, sizes, target, config, kd_lambda, flt, group) -> list[RunRecord]:
     """Train a group of runs in lockstep on the stack of their compact tables; rank the target.
 
-    A compact table holds the rows a run reads: those of its subset's entities
-    and predicates, the target's and the corruption pool's, each drawn as the
-    full table draws it.  The stack holds every run's entity rows, then every
-    run's relation rows.
+    A plan's subset indexes the subgraph's `triples` and the teacher's `angles` of
+    them, and is its record's positions; `sizes` is the teacher's (|E|, |R|).  A
+    compact table holds the rows a run reads (its subset's entities and predicates,
+    the target's and the corruption pool's), each drawn as the full table draws it.
+    The stack holds every run's entity rows, then every run's relation rows.
     """
-    kind, n_ent, (s, p, o) = ModelKind(config.kind), teacher.n_entities, target
+    kind, (n_ent, n_rel), (s, p, o) = ModelKind(config.kind), sizes, target
     tables, runs, ranking, e0, r0 = [], [], [], 0, 0
     for run, subset, seed in group:
         sub = triples[subset]
@@ -145,10 +138,10 @@ def _run_group(teacher, triples, target, config, kd_lambda, flt, group) -> list[
         ent, rel = lambda ids: e0 + np.searchsorted(ents, ids), lambda ids: r0 + np.searchsorted(rels, ids)
         init_seq, loop_seq = np.random.SeedSequence(seed).spawn(2)
         rows = np.r_[ents, n_ent + rels]
-        tables.append(init_model(kind, config.k, n_ent, teacher.n_relations, init_seq, rows))
+        tables.append(init_model(kind, config.k, n_ent, n_rel, init_seq, rows))
         local = np.stack([ent(sub[:, 0]), rel(sub[:, 1]), ent(sub[:, 2])], axis=1)
-        angles = triple_angles(teacher, sub) if kd_lambda > 0.0 else None
-        runs.append(LockstepRun(local, ent(pool), np.random.default_rng(loop_seq), (e0, r0), angles=angles))
+        run_angles = tuple(a[:, subset] for a in angles) if kd_lambda > 0.0 else None
+        runs.append(LockstepRun(local, ent(pool), np.random.default_rng(loop_seq), (e0, r0), angles=run_angles))
         ranking.append((ranked, ((int(ent(s)), int(rel(p)), int(ent(o))), ent(ranked))))
         e0, r0 = e0 + len(ents), r0 + len(rels)
     stack = np.concatenate([t.entity_table for t in tables] + [t.relation_table for t in tables])
@@ -169,20 +162,19 @@ def mc_explain(
 ) -> ExplanationReport:
     """Sample, partition, train students, and aggregate target ranks.
 
-    The subgraph is sampled once per target.  Each cycle of `partitions` runs
-    draws one seeded partition and takes its subsets in order, so every full
-    cycle covers the subgraph.  Students corrupt and rank only over the entities
-    of their own subset, so a subset with one entity is rejected before any
-    run.  A run's plan is (run, subset, seed); the inputs all runs share (of
-    the graph, its triples only) are bound once.  The plans are cut into chunks
-    of ceil(runs / min(threads, runs, CPUs)) consecutive plans, each formed into
-    `_lockstep_groups` once for the threads that train them: every chunk goes to
-    a process of its own, which trains its groups (`_run_chunk`) on its one
-    thread.  With one chunk, the calling thread and an `optim.step_helper`
-    thread, where the process may run on two CPUs, share its groups, formed for
-    two threads; no byte depends on the number of threads or processes.
-    Without `flt`, the target is ranked against the graph's true triples of
-    its (s, p) and (p, o) keys, the only ones its filtered ranking reads.
+    The subgraph is sampled once per target; the runs read only its triples and
+    the teacher's `triple_angles` of them, made once.  Each cycle of `partitions`
+    runs draws one seeded partition of the subgraph and takes its subsets in order,
+    so a full cycle covers it; a subset of one entity, too few to corrupt, is
+    rejected before any run.  A plan is (run, subset, seed), its subset
+    subgraph-local; its record maps back to graph positions.  The plans are cut
+    into chunks of ceil(runs / min(threads, runs, CPUs)) consecutive plans, each
+    formed into `_lockstep_groups` for one thread; every chunk gets a process, and
+    each group is one task (`_run_group`).  With one chunk, the calling thread and
+    an `optim.step_helper` thread, where the process may run on two CPUs, share its
+    groups, formed for two threads; no byte depends on the number of threads or
+    processes.  Without `flt`, the target is ranked against the graph's true
+    triples of its (s, p) and (p, o) keys only.
     """
     config.validate()
     check_teacher(teacher, g)
@@ -193,37 +185,40 @@ def mc_explain(
         (s, p, o), (s_ids, p_ids, o_ids) = target, g.triples.T
         keyed = (p_ids == p) & ((s_ids == s) | (o_ids == o))
         flt = TrueTripleSet(g.triples[keyed], g.n_entities, g.n_relations)
+    triples = g.triples[sub.positions]
+    angles = triple_angles(teacher, triples) if config.kd_lambda > 0.0 else None
 
     plans = []
     for run in range(config.mc_runs):
         cycle, part = divmod(run, config.partitions)
-        if part == 0:
+        if part == 0:  # the positions' indices, shuffled as the positions would be
             part_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, cycle]))
-            parts = partition_positions(sub.positions, config.partitions, part_rng)
+            parts = partition_positions(np.arange(len(sub)), config.partitions, part_rng)
         subset = np.sort(parts[part])
-        if config.student.pool is None and len(np.unique(g.triples[subset][:, [0, 2]])) < 2:
+        if config.student.pool is None and len(np.unique(triples[subset][:, [0, 2]])) < 2:
             raise ValueError(f"run {run} would train on a subset with one entity, too few to corrupt; "
                              f"try fewer --partitions than {config.partitions} or a larger --n")
         plans.append((run, subset, _derive_seed(config.seed, 2, run)))
     student = replace(config.student, focuse=None)
-    run_chunk = partial(_run_chunk, teacher, g.triples, target, student, config.kd_lambda, flt)
+    sizes = (teacher.n_entities, teacher.n_relations)
+    run_group = partial(_run_group, triples, angles, sizes, target, student, config.kd_lambda, flt)
 
     size = -(-len(plans) // min(config.threads, config.mc_runs, optim._cpus()))
     chunks = [plans[i : i + size] for i in range(0, len(plans), size)]
     if len(chunks) > 1:  # a worker's groups take no helper: N processes run N threads
-        chunks = [_lockstep_groups(student, chunk, 1) for chunk in chunks]
+        groups = [group for chunk in chunks for group in _lockstep_groups(student, chunk, 1)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool_exec:
-            records = [record for chunk in pool_exec.map(run_chunk, chunks) for record in chunk]
+            results = list(pool_exec.map(run_group, groups))
         group_threads = 1
     else:
         with optim.step_helper() as helper:
-            chunks = [_lockstep_groups(student, plans, 1 if helper is None else 2)]
-            records = run_chunk(chunks[0], helper)
-        group_threads = 1 if helper is None or len(chunks[0]) < 2 else 2  # as `_spread` shares them
-    groups = sum(map(len, chunks))
+            groups = _lockstep_groups(student, plans, 1 if helper is None else 2)
+            results = optim._spread(run_group, groups, helper)
+        group_threads = 1 if helper is None or len(groups) < 2 else 2  # as `_spread` shares them
+    records = [replace(rec, positions=sub.positions[rec.positions]) for group in results for rec in group]
 
     report = aggregate_contributions(records, sub)
-    report.workers, report.groups, report.group_threads = len(chunks), groups, group_threads
+    report.workers, report.groups, report.group_threads = len(chunks), len(groups), group_threads
     report.provenance.update(
         target=target, method=sampler.method, n=sampler.n, sampler_seed=sampler.seed,
         mc_runs=config.mc_runs, partitions=config.partitions, kd_lambda=config.kd_lambda,

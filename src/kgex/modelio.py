@@ -75,6 +75,8 @@ def load_model(
         tag, k, n_entities, n_relations = struct.unpack("<4Q", head[len(MAGIC) :])
         if tag not in _TAG_KINDS:
             raise ModelFormatError(f"{path}: unknown model kind tag {tag}")
+        if 0 in (k, n_entities, n_relations):  # sizes `init_model` refuses
+            raise ModelFormatError(f"{path}: k, |E| and |R| must each be >= 1, found {k}, {n_entities}, {n_relations}")
         kind = _TAG_KINDS[tag]
         width = k * kind.row_width_factor
         expected, size = header_end + (n_entities + n_relations) * width * 8, os.fstat(fh.fileno())

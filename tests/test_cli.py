@@ -205,6 +205,16 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match="kind"):
             load_model(path)
 
+    @pytest.mark.parametrize("k, n_entities, n_relations", [(0, 3, 1), (2, 0, 1), (2, 3, 0)])
+    def test_empty_sizes_rejected(self, tmp_path, k, n_entities, n_relations):
+        """k = 0, |E| = 0 or |R| = 0, which `init_model` refuses, with a table of the size the header gives."""
+        path = tmp_path / "m.kgex"
+        table = bytes(8 * k * (n_entities + n_relations))
+        path.write_bytes(MAGIC + struct.pack("<4Q", 3, k, n_entities, n_relations) + table)
+        with pytest.raises(ModelFormatError, match="must each be >= 1") as caught:
+            load_model(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
 
 class TestPipeline:
     def test_train_subcommand(self, workspace):

@@ -1,5 +1,6 @@
 """Subgraph partitioning, Monte Carlo runs, and contribution aggregation."""
 
+import io
 import math
 import pickle
 
@@ -16,13 +17,25 @@ from kgex.explain import (
     mc_explain,
     partition_positions,
 )
-from kgex.graph import KnowledgeGraph, TrueTripleSet, build_filter
-from kgex.models import init_model
+from kgex.graph import KnowledgeGraph, TrueTripleSet, build_filter, graph_from_triples
+from kgex.models import EmbeddingModel, init_model
 from kgex.sampling import Subgraph, SubgraphSpec
 from kgex.training import TrainConfig, run_training
 
 from oracles import dict_loop_aggregate
-from toygraphs import block_graph, label_graph, random_graph
+from toygraphs import block_graph, label_graph, numbered_vocabularies, random_graph
+
+
+def pickled_objects(obj) -> list:
+    """Every object that pickling `obj` writes, nested ones included."""
+    written = []
+
+    class Recording(pickle.Pickler):
+        def persistent_id(self, o):
+            written.append(o)
+
+    Recording(io.BytesIO()).dump(obj)
+    return written
 
 
 def make_subgraph(g, positions, target=(0, 0, 1)):
@@ -241,6 +254,7 @@ class TestMcExplain:
         g, held_out, teacher = toy
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(kgex.optim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1)  # a lockstep group a run
         monkeypatch.setattr(RecordingPool, "created", [])
         monkeypatch.setattr(RecordingPool, "maps", [])
         config = ExplainConfig(
@@ -251,17 +265,18 @@ class TestMcExplain:
         assert RecordingPool.created == workers  # the chunks of min(threads, mc_runs, cpus); 1 runs serially
         assert [r.run for r in report.records] == [0, 1, 2, 3]
         assert config.threads == 10**6
-        # one task per worker, the lockstep groups of a chunk of consecutive plans;
-        # a plan is (run, subset, seed) only
-        for w, (_, chunks) in zip(workers, RecordingPool.maps, strict=True):
-            size = math.ceil(4 / min(cpus, 4))
-            assert [sum(map(len, groups)) for groups in chunks] == [size] * w
-            tasks = [plan for groups in chunks for group in groups for plan in group]
-            assert [(run, subset.tolist()) for run, subset, _ in tasks] == [
+        # one task per lockstep group, not per worker; a plan is (run, subset, seed)
+        # only, its subset indexing the subgraph's triples
+        sub = np.sort([e.position for e in report.entries] + [pos for _, pos in report.tail])
+        assert len(RecordingPool.maps) == len(workers)
+        for _, groups in RecordingPool.maps:
+            assert [[run for run, _, _ in group] for group in groups] == [[0], [1], [2], [3]]
+            tasks = [plan for group in groups for plan in group]
+            assert [(run, sub[subset].tolist()) for run, subset, _ in tasks] == [
                 (r.run, r.positions.tolist()) for r in report.records
             ]
             assert all(isinstance(seed, int) for _, _, seed in tasks)
-        assert report.workers == (workers or [1])[0]
+        assert (report.workers, report.groups) == ((workers or [1])[0], 4)
 
     def test_default_filter_ranks_as_the_graphs(self):
         """Without `flt`, the target is ranked against the graph's true triples of
@@ -283,7 +298,10 @@ class TestMcExplain:
         alone = TrueTripleSet(np.array([target]), g.n_entities, g.n_relations)
         assert ranks(mc_explain(teacher, g, target, config, alone)) != ranks(full)
 
-    def test_shared_worker_inputs_hold_no_graph_index(self, toy, monkeypatch):
+    def test_shared_worker_inputs_hold_only_the_subgraph(self, toy, monkeypatch):
+        """The inputs every worker task shares hold no teacher and no array of a row
+        per graph triple or table row, and pickle to as many bytes when the graph
+        gains triples outside the subgraph and the teacher gains their rows."""
         g, held_out, teacher = toy
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
@@ -291,14 +309,23 @@ class TestMcExplain:
         config = ExplainConfig(
             mc_runs=2, partitions=2, student=self.student_cfg(), sampler=SubgraphSpec("pn", 1), threads=2,
         )
-        mc_explain(teacher, g, tuple(map(int, held_out[2])), config)
-        assert {"by_entity", "by_predicate"} <= vars(g).keys()  # the sampler built both indices
-        (shared,) = RecordingPool.functions
-        flat = [a for arg in shared.args for a in (arg if isinstance(arg, tuple) else (arg,))]
-        assert not any(isinstance(a, KnowledgeGraph) for a in flat)
-        assert any(a is g.triples for a in flat)
-        payload = pickle.dumps(shared)
-        assert b"by_entity" not in payload and b"by_predicate" not in payload
+        # 10 entities and a relation of their own, joined by 10 triples to nothing the target reaches
+        new = g.n_entities + np.arange(10)
+        grown = graph_from_triples(np.r_[g.triples, np.stack([new, np.full(10, g.n_relations), np.roll(new, 1)], 1)],
+                                   *numbered_vocabularies(g.n_entities + 10, g.n_relations + 1))
+        rows = init_model(teacher.kind, teacher.k, grown.n_entities, grown.n_relations, seed=1).table
+        table = np.r_[teacher.entity_table, rows[g.n_entities : grown.n_entities], teacher.relation_table, rows[-1:]]
+        sizes = []
+        for graph, model in [(g, teacher), (grown, EmbeddingModel(teacher.kind, teacher.k, table, grown.n_entities))]:
+            report = mc_explain(model, graph, tuple(map(int, held_out[2])), config)
+            shared = RecordingPool.functions.pop()
+            written = pickled_objects(shared)
+            assert not any(isinstance(a, (EmbeddingModel, KnowledgeGraph)) for a in written)
+            whole = {len(graph.triples), len(model.table)}
+            assert report.provenance["subgraph_size"] not in whole
+            assert not any(whole & set(a.shape) for a in written if isinstance(a, np.ndarray))
+            sizes.append(len(pickle.dumps(shared)))
+        assert sizes[0] == sizes[1]
 
     @pytest.mark.parametrize("extra", [(-1, 0), (0, -1), (1, 0), (0, 1)])
     def test_teacher_of_other_vocabulary_sizes_rejected(self, toy, monkeypatch, extra):

@@ -7,12 +7,14 @@ digested.  The digests depend on NumPy's summation kernels, so they are only
 checked under the NumPy version they were recorded with.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from kgex import optim
 from kgex.cli import run_cli
-from kgex.manifest import file_digest
+from kgex.manifest import file_digest, manifest_path
 
 from toygraphs import random_graph
 
@@ -50,6 +52,14 @@ def _write(path, rows):
     return str(path)
 
 
+def _explain(root, target, threads, out):
+    """The explain command's argv on `root`'s TransE teacher and training graph."""
+    return ("explain", "--teacher", str(root / "transe.kgex"), "--graph", str(root / "train.tsv"),
+            "--target", target, "--method", "pn", "--n", "2", "--mc-runs", "4",
+            "--partitions", "2", "--kd-lambda", "3", "--k", "4", "--epochs", "8",
+            "--threads", threads, "--seed", "6", "--out", str(out))
+
+
 def _run_commands(root):
     """Run every command into `root`; returns it."""
     if np.__version__ != GOLDEN_NUMPY:
@@ -79,10 +89,7 @@ def _run_commands(root):
         str(root / "sub.tsv"), "--kd-lambda", "3", "--k", "3", "--epochs", "10",
         "--batch-size", "16", "--gamma", "0.01", "--seed", "5",
         "--out", str(root / "student.kgex"))
-    run("explain", "--teacher", str(root / "transe.kgex"), "--graph", train,
-        "--target", target, "--method", "pn", "--n", "2", "--mc-runs", "4",
-        "--partitions", "2", "--kd-lambda", "3", "--k", "4", "--epochs", "8",
-        "--threads", "1", "--seed", "6", "--out", str(root / "report.tsv"))
+    run(*_explain(root, target, "1", root / "report.tsv"))
     run("evaluate", "--model", str(root / "complex.kgex"), "--test", test,
         "--filter", train, test, "--out", str(root / "metrics.json"))
     return root
@@ -104,6 +111,18 @@ def split_outputs(tmp_path_factory):
         return _run_commands(tmp_path_factory.mktemp("golden-split"))
 
 
+@pytest.fixture(scope="module")
+def process_report(outputs, tmp_path_factory):
+    """The explanation with `--threads 2` on two CPUs: its 4 runs go to two worker processes."""
+    g = random_graph(24, 3, 90, seed=41)
+    out = tmp_path_factory.mktemp("golden-processes") / "report.tsv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "_cpus", lambda: 2)
+        assert run_cli(list(_explain(outputs, " ".join(_labels(g, g.triples[3])), "2", out))) == 0
+    assert json.loads(manifest_path(out).read_text())["counters"]["workers"] == 2
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest_unchanged(outputs, name):
     assert file_digest(outputs / name) == GOLDEN[name]
@@ -112,3 +131,7 @@ def test_output_digest_unchanged(outputs, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest_unchanged_on_two_threads_in_tiny_chunks(split_outputs, name):
     assert file_digest(split_outputs / name) == GOLDEN[name]
+
+
+def test_report_digest_unchanged_on_two_processes(process_report):
+    assert file_digest(process_report) == GOLDEN["report.tsv"]
