@@ -72,7 +72,8 @@ _OPTIONS = {
     "mc_runs": (int, 100, None, None),
     "partitions": (int, 10, None, None),
     "kd_lambda": (float, 3.0, None, None),
-    "threads": (int, _resolve_threads, None, "parallel MC runs (KGEX_THREADS fallback)"),
+    "threads": (int, _resolve_threads, None,
+                "most worker processes for MC runs, 2 at 1, capped by runs and CPUs (KGEX_THREADS fallback)"),
     "seed": (int, _resolve_seed, None, None),
 }
 
@@ -281,7 +282,6 @@ def _cmd_explain(args, opts, manifest) -> list:
         subgraph_triples=report.provenance["subgraph_size"], ranked_triples=len(report.entries),
         never_sampled=len(report.tail), min_subset=min(subset_sizes), max_subset=max(subset_sizes),
         duplicates_dropped=g.duplicates_dropped, workers=report.workers, groups=report.groups,
-        group_threads=report.group_threads,
         degenerate_kd_terms=sum(rec.degenerate_kd_terms for rec in report.records),
     )
     print(

@@ -112,11 +112,18 @@ def _rank_block(
 
 
 def _as_pool(pool, n_entities: int) -> np.ndarray | None:
-    """The pool as int64 ids, or None when it is the whole table in id order."""
+    """The pool as int64 ids, or None when it is the whole table in id order;
+    ValueError for an id outside [0, n_entities) or a repeated id."""
     pool = np.asarray(pool, dtype=np.int64)
     if len(pool) == 0:
         raise ValueError("candidate pool must be nonempty")
-    return None if np.array_equal(pool, np.arange(n_entities)) else pool
+    if np.array_equal(pool, np.arange(n_entities)):
+        return None
+    if pool.min() < 0 or pool.max() >= n_entities:
+        raise ValueError(f"candidate pool ids must lie in [0, {n_entities})")
+    if len(np.unique(pool)) < len(pool):
+        raise ValueError("candidate pool ids must be distinct")
+    return pool
 
 
 def rank_blocks(

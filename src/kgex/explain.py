@@ -82,9 +82,8 @@ class ExplanationReport:
     tail: list[tuple[Triple, int]]  # (triple, graph position), never sampled
     records: list[RunRecord]
     provenance: dict
-    workers: int = 1  # processes the runs were spread over
+    workers: int = 1  # processes the lockstep groups were spread over (1: trained in the calling process)
     groups: int = 0  # lockstep groups trained, over all workers
-    group_threads: int = 1  # threads an in-process call trained its groups on
 
 
 def partition_positions(
@@ -103,19 +102,15 @@ def _derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
 
 
-def _lockstep_groups(config: TrainConfig, plans: list, threads: int) -> list[list]:
+def _lockstep_groups(config: TrainConfig, plans: list, workers: int) -> list[list]:
     """The plans in consecutive groups of near-equal rows: the fewest groups whose step's
-    stacked (rows, width) arrays fit one `optim._CHUNK_ELEMS` budget, at most one a run.
-    Where the plans' stacked (rows, 1 + eta, width) candidate block, which a step streams
-    in budget chunks, exceeds one budget, the count is rounded up to a multiple of the
-    `threads` that train the groups; a smaller step is too short to share (README has
-    the sweeps behind the rule)."""
+    stacked (rows, width) arrays fit one `optim._CHUNK_ELEMS` budget, rounded up to a
+    multiple of the `workers` that train them, at most one a run (README has the timings
+    behind the rule: even two runs train faster on two processes than in one group)."""
     width = config.k * ModelKind(config.kind).row_width_factor
     elems = sum(min(len(subset), config.batch_size) for _, subset, _ in plans) * width
     count = -(-elems // optim._CHUNK_ELEMS)  # the fewest that fit
-    if elems * (1 + config.eta) > optim._CHUNK_ELEMS:
-        count = -(-count // threads) * threads
-    count = min(count, len(plans))
+    count = min(-(-count // workers) * workers, len(plans))
     size, more = divmod(len(plans), count)  # as `np.array_split`: the first `more` take one more
     return [plans[i * size + min(i, more) : (i + 1) * size + min(i + 1, more)] for i in range(count)]
 
@@ -167,14 +162,13 @@ def mc_explain(
     runs draws one seeded partition of the subgraph and takes its subsets in order,
     so a full cycle covers it; a subset of one entity, too few to corrupt, is
     rejected before any run.  A plan is (run, subset, seed), its subset
-    subgraph-local; its record maps back to graph positions.  The plans are cut
-    into chunks of ceil(runs / min(threads, runs, CPUs)) consecutive plans, each
-    formed into `_lockstep_groups` for one thread; every chunk gets a process, and
-    each group is one task (`_run_group`).  With one chunk, the calling thread and
-    an `optim.step_helper` thread, where the process may run on two CPUs, share its
-    groups, formed for two threads; no byte depends on the number of threads or
-    processes.  Without `flt`, the target is ranked against the graph's true
-    triples of its (s, p) and (p, o) keys only.
+    subgraph-local; its record maps back to graph positions.  The plans form
+    `_lockstep_groups` for min(max(threads, 2), runs, CPUs) workers (two at
+    `threads` 1, as a `run_training` step takes two threads); with more than one,
+    each group is one task (`_run_group`) of a pool of that many processes, else
+    the groups train in turn on the calling thread.  No byte depends on the
+    number of workers.  Without `flt`, the target is ranked against the graph's
+    true triples of its (s, p) and (p, o) keys only.
     """
     config.validate()
     check_teacher(teacher, g)
@@ -203,22 +197,17 @@ def mc_explain(
     sizes = (teacher.n_entities, teacher.n_relations)
     run_group = partial(_run_group, triples, angles, sizes, target, student, config.kd_lambda, flt)
 
-    size = -(-len(plans) // min(config.threads, config.mc_runs, optim._cpus()))
-    chunks = [plans[i : i + size] for i in range(0, len(plans), size)]
-    if len(chunks) > 1:  # a worker's groups take no helper: N processes run N threads
-        groups = [group for chunk in chunks for group in _lockstep_groups(student, chunk, 1)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool_exec:
+    workers = min(max(config.threads, 2), config.mc_runs, optim._cpus())
+    groups = _lockstep_groups(student, plans, workers)
+    if workers > 1:  # `map` re-raises in group order: the lowest-numbered failed run's error
+        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             results = list(pool_exec.map(run_group, groups))
-        group_threads = 1
     else:
-        with optim.step_helper() as helper:
-            groups = _lockstep_groups(student, plans, 1 if helper is None else 2)
-            results = optim._spread(run_group, groups, helper)
-        group_threads = 1 if helper is None or len(groups) < 2 else 2  # as `_spread` shares them
+        results = [run_group(group) for group in groups]
     records = [replace(rec, positions=sub.positions[rec.positions]) for group in results for rec in group]
 
     report = aggregate_contributions(records, sub)
-    report.workers, report.groups, report.group_threads = len(chunks), len(groups), group_threads
+    report.workers, report.groups = workers, len(groups)
     report.provenance.update(
         target=target, method=sampler.method, n=sampler.n, sampler_seed=sampler.seed,
         mc_runs=config.mc_runs, partitions=config.partitions, kd_lambda=config.kd_lambda,

@@ -56,10 +56,11 @@ class RunManifest:
 
     def write(self, path: str | Path) -> None:
         self.data["duration_s"] = round(time.monotonic() - self._t0, 3)
-        # this process's peak resident memory so far, worker processes not included
-        # (`ru_maxrss` is in bytes on macOS, in KiB elsewhere)
+        # this process's peak resident memory so far, and the largest of its ended children's:
+        # explain's workers, or a launcher's run before exec (`ru_maxrss`: B on macOS, else KiB)
         per_mib = 1 << (20 if sys.platform == "darwin" else 10)
-        self.data["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mib, 1)
+        for key, who in ("peak_rss_mib", resource.RUSAGE_SELF), ("workers_peak_rss_mib", resource.RUSAGE_CHILDREN):
+            self.data[key] = round(resource.getrusage(who).ru_maxrss / per_mib, 1)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")

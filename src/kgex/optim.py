@@ -1,6 +1,5 @@
 """Adam with lazy (touched-rows-only) sparse updates for embedding tables, and
-the helper thread that shares a `run_training` step of more than one chunk,
-or the lockstep groups of an in-process `mc_explain` call."""
+the helper thread that shares a `run_training` step of more than one chunk."""
 
 from __future__ import annotations
 
@@ -31,9 +30,9 @@ def _cpus() -> int:
 
 @contextmanager
 def step_helper():
-    """A one-thread executor for the work inside the block (a `run_training` call's steps, or an
-    in-process `mc_explain` call's lockstep groups), whose thread ends with it, or None where the
-    process may run on one CPU (two threads are the count whose speed and heap were measured)."""
+    """A one-thread executor for a `run_training` call's steps, whose thread ends with the block,
+    or None where the process may run on one CPU (two threads are the count whose speed and heap
+    were measured).  `mc_explain` takes none: it spreads its lockstep groups over processes."""
     if _cpus() < 2:
         yield None
         return

@@ -40,8 +40,8 @@ class TrainConfig:
     with an `optim.step_helper` thread: each thread scores the next query group
     of chunks, then makes and scatters half of each row's components, and takes
     the next row chunk of the Adam update; no byte depends on it.  The steps of
-    `mc_explain`'s students take none: an in-process call hands that thread whole
-    lockstep groups instead.  TransE gathers and differentiates every negative
+    `mc_explain`'s students take none: its worker processes train whole lockstep
+    groups instead.  TransE gathers and differentiates every negative
     row by row, about four float64 arrays of `rows * (1 + eta)` rows.  `rows`
     is `batch_size`, or, for the lockstep students of `mc_explain`, the batch
     rows of a group, whose stacked `(rows, width)` arrays hold about one budget

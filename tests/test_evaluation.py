@@ -152,6 +152,23 @@ class TestRankTriple:
         with pytest.raises(ValueError):
             rank_triple(m, (0, 0, 1), np.empty(0, dtype=np.int64))
 
+    # -1 would rank as entity 9 and a repeated id would count its candidate twice
+    @pytest.mark.parametrize("pool, message", [
+        ([-1], r"lie in \[0, 10\)"), ([99], r"lie in \[0, 10\)"), ([3, 10], r"lie in \[0, 10\)"),
+        (np.r_[np.arange(10), np.arange(10)], "distinct"), ([4, 2, 4], "distinct"),
+    ], ids=["negative", "beyond", "one-beyond", "table-twice", "one-twice"])
+    def test_bad_pool_rejected(self, pool, message):
+        m = init_model("distmult", 4, 10, 2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            rank_triple(m, (0, 0, 1), np.asarray(pool))
+        with pytest.raises(ValueError, match=message):
+            evaluate(m, [(0, 0, 1)], np.asarray(pool))
+
+    @pytest.mark.parametrize("pool", [np.arange(10), np.arange(10)[::-1], [9, 0]], ids=["table", "reversed", "ends"])
+    def test_pools_of_distinct_table_ids_accepted(self, pool):
+        m = init_model("distmult", 4, 10, 2, seed=0)
+        assert rank_triple(m, (0, 0, 1), np.asarray(pool)).subject_rank >= 1
+
 
 class TestMetrics:
     def test_arithmetic_example(self):

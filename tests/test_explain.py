@@ -248,9 +248,10 @@ class TestMcExplain:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ExplainConfig(threads=threads).validate()
 
-    # 4 runs over 3 CPUs make 2 chunks of 2: 2 processes, not 3
-    @pytest.mark.parametrize("cpus, workers", [(1, []), (3, [2]), (8, [4])])
-    def test_workers_capped_by_runs_and_cpus(self, toy, monkeypatch, cpus, workers):
+    # min(max(threads, 2), runs, cpus) processes, where that is more than one
+    @pytest.mark.parametrize("threads, cpus, workers",
+                             [(10**6, 1, []), (10**6, 3, [3]), (10**6, 8, [4]), (1, 8, [2]), (1, 1, [])])
+    def test_workers_capped_by_runs_and_cpus(self, toy, monkeypatch, threads, cpus, workers):
         g, held_out, teacher = toy
         monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(kgex.optim, "_cpus", lambda: cpus)
@@ -259,12 +260,12 @@ class TestMcExplain:
         monkeypatch.setattr(RecordingPool, "maps", [])
         config = ExplainConfig(
             mc_runs=4, partitions=2, student=self.student_cfg(), kd_lambda=3.0,
-            sampler=SubgraphSpec("pn", 1), seed=7, threads=10**6,
+            sampler=SubgraphSpec("pn", 1), seed=7, threads=threads,
         )
         report = mc_explain(teacher, g, tuple(map(int, held_out[2])), config)
-        assert RecordingPool.created == workers  # the chunks of min(threads, mc_runs, cpus); 1 runs serially
+        assert RecordingPool.created == workers  # one worker trains on the calling thread
         assert [r.run for r in report.records] == [0, 1, 2, 3]
-        assert config.threads == 10**6
+        assert config.threads == threads
         # one task per lockstep group, not per worker; a plan is (run, subset, seed)
         # only, its subset indexing the subgraph's triples
         sub = np.sort([e.position for e in report.entries] + [pos for _, pos in report.tail])
@@ -307,8 +308,8 @@ class TestMcExplain:
         monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
         monkeypatch.setattr(RecordingPool, "functions", [])
         config = ExplainConfig(
-            mc_runs=2, partitions=2, student=self.student_cfg(), sampler=SubgraphSpec("pn", 1), threads=2,
-        )
+            mc_runs=2, partitions=2, student=self.student_cfg(), sampler=SubgraphSpec("pn", 1),
+        )  # `threads` 1 on two CPUs: two workers
         # 10 entities and a relation of their own, joined by 10 triples to nothing the target reaches
         new = g.n_entities + np.arange(10)
         grown = graph_from_triples(np.r_[g.triples, np.stack([new, np.full(10, g.n_relations), np.roll(new, 1)], 1)],

@@ -104,7 +104,7 @@ def outputs(tmp_path_factory):
 def split_outputs(tmp_path_factory):
     """The commands with chunks of 16 elements on two threads: every training step
     of more than one chunk scatters half of each row's components on each thread,
-    and the explanation forms its lockstep groups for two threads."""
+    and the explanation trains a lockstep group a run on two worker processes."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optim, "_CHUNK_ELEMS", 16)
         patch.setattr(optim, "_cpus", lambda: 2)
@@ -113,12 +113,12 @@ def split_outputs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def process_report(outputs, tmp_path_factory):
-    """The explanation with `--threads 2` on two CPUs: its 4 runs go to two worker processes."""
+    """The explanation with `--threads 1` on two CPUs: its 4 runs go to two worker processes."""
     g = random_graph(24, 3, 90, seed=41)
     out = tmp_path_factory.mktemp("golden-processes") / "report.tsv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optim, "_cpus", lambda: 2)
-        assert run_cli(list(_explain(outputs, " ".join(_labels(g, g.triples[3])), "2", out))) == 0
+        assert run_cli(list(_explain(outputs, " ".join(_labels(g, g.triples[3])), "1", out))) == 0
     assert json.loads(manifest_path(out).read_text())["counters"]["workers"] == 2
     return out
 

@@ -3,10 +3,13 @@
 import contextlib
 import itertools
 import math
+import multiprocessing
+import pickle
 import re
-import sys
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -40,26 +43,21 @@ def explain_config(kind, kd_lambda=3.0, mc_runs=6, **student):
     )
 
 
-def traced_explain(monkeypatch, teacher, g, target, config):
+def traced_explain(monkeypatch, tmp_path, teacher, g, target, config):
     """`mc_explain`, and the trained stack and runs of each lockstep group, in group
-    order, whichever thread trained it."""
-    groups, trained = {}, threading.local()
-    train, run_group = kgex.explain.train_lockstep, kgex.explain._run_group
+    order, whichever process trained it: each group is pickled to a file named by
+    its first run's seed, also by a worker (a fork child, which inherits the patch)."""
+    folder, train = Path(tempfile.mkdtemp(dir=tmp_path)), kgex.explain.train_lockstep
 
     def recording_train(model, runs, *args):
         stats = train(model, runs, *args)
-        trained.group = (model, runs)
+        (folder / str(runs[0].rng.bit_generator.seed_seq.entropy)).write_bytes(pickle.dumps((model, runs)))
         return stats
 
-    def recording_group(*args):
-        records = run_group(*args)
-        groups[records[0].run] = trained.group  # trained on this thread
-        return records
-
     monkeypatch.setattr(kgex.explain, "train_lockstep", recording_train)
-    monkeypatch.setattr(kgex.explain, "_run_group", recording_group)
     report = mc_explain(teacher, g, target, config)
-    return report, [groups[run] for run in sorted(groups)]
+    seeds = [str(kgex.explain._derive_seed(config.seed, 2, run)) for run in range(config.mc_runs)]
+    return report, [pickle.loads((folder / seed).read_bytes()) for seed in seeds if (folder / seed).exists()]
 
 
 def record_bytes(records):
@@ -75,9 +73,9 @@ def compact_rows(g, target, config, positions):
     return ents, np.union1d(sub[:, 1], target[1])
 
 
-def assert_matches_sequential(monkeypatch, g, target, config):
+def assert_matches_sequential(monkeypatch, tmp_path, g, target, config):
     teacher = init_model(config.student.kind, 4, g.n_entities, g.n_relations, seed=9)
-    report, groups = traced_explain(monkeypatch, teacher, g, target, config)
+    report, groups = traced_explain(monkeypatch, tmp_path, teacher, g, target, config)
     reference, students = sequential_runs(teacher, g, target, config, report.records)
     assert record_bytes(report.records) == record_bytes(reference)
     runs = [(model, run) for model, group in groups for run in group]
@@ -92,8 +90,9 @@ def assert_matches_sequential(monkeypatch, g, target, config):
 
 @pytest.mark.parametrize("kd_lambda", [0.0, 3.0], ids=["plain", "kd"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_lockstep_runs_match_sequential_runs(monkeypatch, graph, kind, kd_lambda):
-    report, groups = assert_matches_sequential(monkeypatch, *graph, explain_config(kind, kd_lambda))
+def test_lockstep_runs_match_sequential_runs(monkeypatch, tmp_path, graph, kind, kd_lambda):
+    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 1)  # one worker: the calling thread, in one group
+    report, groups = assert_matches_sequential(monkeypatch, tmp_path, *graph, explain_config(kind, kd_lambda))
     assert len(groups) == 1 and len(groups[0][1]) == 6  # every run in one stack
 
 
@@ -103,25 +102,26 @@ def test_lockstep_runs_match_sequential_runs(monkeypatch, graph, kind, kd_lambda
      ("complex", {"pool": np.arange(0, 20, 3)})],
     ids=["gamma", "batches-per-epoch", "batches-and-gamma", "explicit-pool"],
 )
-def test_lockstep_options_match_sequential_runs(monkeypatch, graph, kind, student):
+def test_lockstep_options_match_sequential_runs(monkeypatch, tmp_path, graph, kind, student):
     config = explain_config(kind, **student)
-    report, _ = assert_matches_sequential(monkeypatch, *graph, config)
+    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 1)
+    report, _ = assert_matches_sequential(monkeypatch, tmp_path, *graph, config)
     if student.get("batch_size") == 4:  # runs take different numbers of Adam steps
         assert len({-(-len(r.positions) // 4) for r in report.records}) > 1
 
 
 @pytest.mark.parametrize("per_group", [1, 2, 6])
-def test_groups_do_not_change_any_run(monkeypatch, graph, per_group):
+def test_groups_do_not_change_any_run(monkeypatch, tmp_path, graph, per_group):
     g, target = graph
     config = explain_config("complex", batch_size=4)
-    # every run stacks 4 rows of width 6 a step, so on one thread the bound holds `per_group` runs
+    # every run stacks 4 rows of width 6 a step, so for one worker the bound holds `per_group` runs
     monkeypatch.setattr(kgex.optim, "_cpus", lambda: 1)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", per_group * 4 * 6)
     teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
-    report, groups = traced_explain(monkeypatch, teacher, g, target, config)
+    report, groups = traced_explain(monkeypatch, tmp_path, teacher, g, target, config)
     assert [len(runs) for _, runs in groups] == [per_group] * (6 // per_group)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1 << 30)
-    together, _ = traced_explain(monkeypatch, teacher, g, target, config)
+    together, _ = traced_explain(monkeypatch, tmp_path, teacher, g, target, config)
     assert record_bytes(report.records) == record_bytes(together.records)
 
 
@@ -130,37 +130,35 @@ def plans_of(sizes):
     return [(run, np.arange(size), run) for run, size in enumerate(sizes)]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_groups_are_the_fewest_that_fit_in_a_multiple_of_the_threads(monkeypatch, threads):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_groups_are_the_fewest_that_fit_in_a_multiple_of_the_workers(monkeypatch, workers):
     """A group's step holds its stacked (rows, width) arrays whole, a run's rows
     being its batch, or its subset when smaller: the groups are the fewest whose
-    rows fit the budget, at most one a run, in plan order.  Where the candidate
-    block of all the rows (1 + eta = 3 floats for each row float) exceeds the
-    budget, the count is rounded up to a multiple of the threads that train them."""
+    rows fit the budget, rounded up to a multiple of the workers that train
+    them, at most one a run, in plan order."""
     config = TrainConfig(kind="complex", k=5, eta=2, batch_size=8)  # rows of width 10
-    plans = plans_of([12, 3, 8, 8, 5, 9, 8])  # 48 rows a step, 480 floats, 1,440 candidate floats
-    for budget in [1440, 1439, 480, 479, 240, 239, 100, 10]:
+    plans = plans_of([12, 3, 8, 8, 5, 9, 8])  # 48 rows a step, 480 floats
+    for budget in [1440, 480, 479, 240, 239, 100, 10]:
         monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", budget)
         fewest = next(count for count in itertools.count(1) if count * budget >= 480)
-        rounded = next(count for count in itertools.count(fewest) if count % threads == 0)
-        groups = _lockstep_groups(config, plans, threads)
-        assert len(groups) == min(fewest if budget >= 1440 else rounded, len(plans))
+        rounded = next(count for count in itertools.count(fewest) if count % workers == 0)
+        groups = _lockstep_groups(config, plans, workers)
+        assert len(groups) == min(rounded, len(plans))
         assert [run for group in groups for run, _, _ in group] == list(range(len(plans)))
 
 
 @pytest.mark.parametrize(
-    "runs, threads, sizes",
+    "runs, workers, sizes",
     [(20, 1, [10, 10]), (20, 2, [10, 10]), (100, 1, [13] * 4 + [12] * 4), (100, 2, [13] * 4 + [12] * 4),
-     (5, 1, [5]), (5, 2, [3, 2]), (4, 2, [4])],
+     (5, 1, [5]), (5, 2, [3, 2]), (2, 2, [1, 1]), (1, 1, [1]), (20, 3, [7, 7, 6])],
 )
-def test_rows_are_split_evenly(monkeypatch, runs, threads, sizes):
+def test_rows_are_split_evenly(monkeypatch, runs, workers, sizes):
     """Runs of explain-fb237's shape (ComplEx k=50, eta 2, 47-triple subsets):
-    20 runs fill 1.4 budgets and make 2 groups on one thread and on two, 100
-    runs 7.2 budgets and 8 groups, and groups differ by at most one run.  5 runs
-    fit one budget, but their candidate block does not: 2 groups on two threads.
-    4 runs' candidate block fits: one group, one step of one chunk."""
+    20 runs fill 1.4 budgets and make 2 groups for one worker and for two, 100
+    runs 7.2 budgets and 8 groups, and groups differ by at most one run.  5 runs,
+    or 2, fit one budget, and make a group for each of two workers."""
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 1 << 16)
-    groups = _lockstep_groups(TrainConfig(kind="complex", k=50), plans_of([47] * runs), threads)
+    groups = _lockstep_groups(TrainConfig(kind="complex", k=50), plans_of([47] * runs), workers)
     assert [len(group) for group in groups] == sizes
 
 
@@ -202,8 +200,8 @@ def test_group_step_heap_in_budgets():
 
 def test_students_train_on_the_calling_thread(monkeypatch, graph):
     """Student steps of many chunks get no step helper, even where the process
-    may run on two CPUs: an in-process explanation hands the helper whole
-    lockstep groups (here two, of one run each), never a step's chunks."""
+    may run on two CPUs: one run takes one worker, the calling thread, which
+    trains it with no helper."""
     g, target = graph
     monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 3 * 6)  # 2 positives, or 2 rows, a chunk
@@ -211,20 +209,21 @@ def test_students_train_on_the_calling_thread(monkeypatch, graph):
     step, update = kgex.training.batch_gradients, kgex.optim.SparseAdam.apply
 
     def recording_step(model, batch, *args):  # args end with `helper`, as `train_lockstep` passes them
-        steps.append((len(batch), args[-1]))
+        steps.append((len(batch), args[-1], threading.current_thread()))
         return step(model, batch, *args)
 
     def recording_update(self, params, rows, grads, helper=None):
-        updates.append((len(rows), helper))
+        updates.append((len(rows), helper, threading.current_thread()))
         return update(self, params, rows, grads, helper)
 
     monkeypatch.setattr(kgex.training, "batch_gradients", recording_step)
     monkeypatch.setattr(kgex.optim.SparseAdam, "apply", recording_update)
     teacher = init_model("complex", 4, g.n_entities, g.n_relations, seed=9)
-    mc_explain(teacher, g, target, explain_config("complex", mc_runs=2))
+    report = mc_explain(teacher, g, target, explain_config("complex", mc_runs=1))
+    assert (report.workers, report.groups) == (1, 1)
     # several chunks: a ComplEx k=4 chunk holds one positive's 3 candidates, or 4 rows
-    assert max(rows for rows, _ in steps) > 1 and max(rows for rows, _ in updates) > 4
-    assert all(helper is None for _, helper in steps + updates)
+    assert max(rows for rows, _, _ in steps) > 1 and max(rows for rows, _, _ in updates) > 4
+    assert all(helper is None and thread is threading.main_thread() for _, helper, thread in steps + updates)
 
 
 def two_runs_a_group(kind):
@@ -235,60 +234,47 @@ def two_runs_a_group(kind):
 
 @pytest.mark.parametrize("kd_lambda", [0.0, 3.0], ids=["plain", "kd"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_two_threads_train_the_groups_to_the_same_bytes(monkeypatch, graph, kind, kd_lambda):
-    """Four groups of two runs (an even count: the same groups on one thread and
-    on two), shared by the calling thread and the step helper, which hand the
-    interpreter lock over every microsecond, then on the calling thread alone:
-    the same records and compact-table rows, each those of the runs trained one
-    by one."""
+def test_processes_train_the_groups_to_the_same_bytes(monkeypatch, tmp_path, graph, kind, kd_lambda):
+    """Four groups of two runs (an even count: the same groups for one worker and
+    for two), on two worker processes, then on the calling thread alone: the
+    same records and trained stacks, each the runs trained one by one."""
     g, target = graph
     config = explain_config(kind, kd_lambda, mc_runs=8, batch_size=4)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group(kind))
-    results, interval = [], sys.getswitchinterval()
+    results = []
     for cpus in (2, 1):
         monkeypatch.setattr(kgex.optim, "_cpus", lambda: cpus)
-        sys.setswitchinterval(1e-6 if cpus == 2 else interval)
-        try:
-            report, groups = assert_matches_sequential(monkeypatch, g, target, config)
-        finally:
-            sys.setswitchinterval(interval)
-        assert (report.workers, report.groups, report.group_threads) == (1, 4, cpus)
+        report, groups = assert_matches_sequential(monkeypatch, tmp_path, g, target, config)
+        assert (report.workers, report.groups) == (cpus, 4)
         results.append((record_bytes(report.records), [model.table.tobytes() for model, _ in groups]))
     assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("lr", [0.1, math.inf])
-def test_no_helper_thread_outlives_mc_explain(monkeypatch, graph, lr):
-    """The helper lived through the call and was handed the groups once, and no
-    `kgex-step` thread is left once it returns or raises `TrainingDivergedError`
-    (`lr` inf)."""
+def test_no_worker_process_outlives_mc_explain(monkeypatch, graph, lr):
+    """Two worker processes trained the groups, and none is left once the call
+    returns or raises `TrainingDivergedError` (`lr` inf)."""
     g, target = graph
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group("distmult"))
     monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
-    alive, handed, make = [], [], kgex.optim.step_helper
+    started, pool = [], kgex.explain.ProcessPoolExecutor
 
-    @contextlib.contextmanager
-    def watched():
-        with make() as helper:
-            submit = helper.submit
-            helper.submit = lambda fn: handed.append(fn) or submit(fn)
-            try:
-                yield helper
-            finally:
-                alive.append([t.name for t in threading.enumerate() if t.name.startswith("kgex-step")])
+    def watched(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(kgex.optim, "step_helper", watched)
+    monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", watched)
     teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
     with np.errstate(all="ignore"), contextlib.suppress(TrainingDivergedError):
         mc_explain(teacher, g, target, explain_config("distmult", lr=lr, batch_size=4))
         assert lr < math.inf, "an infinite learning rate diverges"
-    assert len(alive) == 1 and len(alive[0]) == 1 and len(handed) == 1
-    assert not [t for t in threading.enumerate() if t.name.startswith("kgex-step")]
+    assert started == [2] and multiprocessing.active_children() == []
 
 
 def test_worker_processes_open_no_helper(monkeypatch, graph):
-    """With `threads` 2, neither the calling process nor a worker (a fork child,
-    which inherits the patches) opens a step helper: two processes run two threads."""
+    """At `threads` 1 and 2 alike, neither the calling process nor a worker (a
+    fork child, which inherits the patches) opens a step helper: two processes
+    run two threads."""
     g, target = graph
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group("distmult"))
     monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
@@ -298,30 +284,30 @@ def test_worker_processes_open_no_helper(monkeypatch, graph):
 
     monkeypatch.setattr(kgex.optim, "ThreadPoolExecutor", refused)
     teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
-    config = replace(explain_config("distmult", batch_size=4), threads=2)
-    report = mc_explain(teacher, g, target, config)
-    # each worker's 3 runs make a group of 2 and one of 1
-    assert (report.workers, report.groups, report.group_threads) == (2, 4, 1)
-    with pytest.raises(AssertionError, match="helper was opened"):
-        mc_explain(teacher, g, target, replace(config, threads=1))
+    for threads in (2, 1):
+        report = mc_explain(teacher, g, target, replace(explain_config("distmult", batch_size=4), threads=threads))
+        # 6 runs of two a group make 3 groups, 4 for two workers: groups of 2, 2, 1 and 1
+        assert (report.workers, report.groups) == (2, 4)
 
 
-def test_processes_are_the_chunks_sent(monkeypatch, graph):
-    """5 runs asked onto 4 processes make chunks of 2, 2 and 1 runs: 3 processes
-    start, the report counts 3 workers and its records and entries are those
-    of the runs trained in-process."""
+def test_processes_train_what_one_thread_trains(monkeypatch, graph):
+    """5 runs at `threads` 4 on four CPUs start 4 processes, at `threads` 1 two,
+    and on one CPU none; the reports' records and entries are the same."""
     g, target = graph
-    monkeypatch.setattr(kgex.optim, "_cpus", lambda: 4)
     started, pool = [], kgex.explain.ProcessPoolExecutor
     monkeypatch.setattr(kgex.explain, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers)
                         or pool(max_workers=max_workers))
     teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
     config = explain_config("distmult", mc_runs=5)
-    spread, alone = (mc_explain(teacher, g, target, replace(config, threads=n)) for n in (4, 1))
-    assert started == [3] and (spread.workers, alone.workers) == (3, 1)
-    assert record_bytes(spread.records) == record_bytes(alone.records)
+    reports = []
+    for threads, cpus in [(4, 4), (1, 4), (4, 1)]:
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: cpus)
+        reports.append(mc_explain(teacher, g, target, replace(config, threads=threads)))
+    assert started == [4, 2] and [report.workers for report in reports] == [4, 2, 1]
     entries = lambda report: [(e.position, e.rank_sum.hex(), e.runs_containing) for e in report.entries]
-    assert entries(spread) == entries(alone) and spread.tail == alone.tail
+    for report in reports[:2]:
+        assert record_bytes(report.records) == record_bytes(reports[2].records)
+        assert entries(report) == entries(reports[2]) and report.tail == reports[2].tail
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -336,13 +322,15 @@ def test_compact_init_is_the_sliced_full_draw(kind):
             init_model(kind, 5, 40, 7, seed=0, rows=np.array(bad))
 
 
-@pytest.mark.parametrize("split", ["one group", "a group a run, two threads"])
+@pytest.mark.parametrize("split", ["one group", "a group a run, two processes"])
 def test_divergence_raises_the_lowest_numbered_runs_error(monkeypatch, graph, split):
     """Run 1 diverges many steps before run 0; one at a time, run 0's error
     comes first, and the lockstep group raises that one.  So does an explanation
-    whose runs are groups of their own, shared by this thread and the helper."""
+    whose runs are groups of their own, shared by two worker processes."""
     g, target = graph
-    if split != "one group":
+    if split == "one group":
+        monkeypatch.setattr(kgex.optim, "_cpus", lambda: 1)
+    else:
         monkeypatch.setattr(kgex.optim, "_cpus", lambda: 2)
         monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", two_runs_a_group("distmult") // 2)
     teacher = init_model("distmult", 4, g.n_entities, g.n_relations, seed=9)
