@@ -66,7 +66,7 @@ def triple_angles(model: EmbeddingModel, triples: np.ndarray):
 def rkd_loss_batch(
     teacher_angles: tuple[np.ndarray, np.ndarray],
     student_rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Cyclic angle-matching loss per triple with student-row gradients.
 
     Inputs are the frozen teacher's `(phi, valid)` of `_cyclic_angles`, each
@@ -74,13 +74,14 @@ def rkd_loss_batch(
     the student space.  Each of the three cyclic orderings adds a Huber term
     (quadratic within |diff| <= 1, linear with matched value and slope
     outside) on the difference of student and teacher potentials.  Returns
-    per-triple losses, the gradients w.r.t. the three student rows, and the
-    count of degenerate (coincident point) terms that contributed 0.
+    per-triple losses, the gradients w.r.t. the three student rows, the
+    count of degenerate (coincident point) terms that contributed 0, and each
+    triple's count of them, an (n,) array.
     """
     phi_t, valid_t = teacher_angles
     phi_s, valid_s, unit, norm = _cyclic_angles(student_rows)
     valid = valid_t & valid_s
-    degenerate = int(valid.size - valid.sum())
+    degenerate = 3 - valid.sum(axis=0)
     diff = phi_s - phi_t
     quad = np.abs(diff) <= 1.0
     term = np.where(valid, np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5), 0.0)
@@ -111,7 +112,7 @@ def rkd_loss_batch(
     go = np.subtract(0.0, v[0], out=v[0])
     go = np.add(go, w[1], out=w[1])
     go += u[2]
-    return 0.0 + term[0] + term[1] + term[2], gs, gp, go, degenerate
+    return 0.0 + term[0] + term[1] + term[2], gs, gp, go, int(degenerate.sum()), degenerate
 
 
 def check_kd_lambda(kd_lambda: float) -> None:

@@ -32,7 +32,9 @@ def _cpus() -> int:
 def step_helper():
     """A one-thread executor for a `run_training` call's steps, whose thread ends with the block,
     or None where the process may run on one CPU (two threads are the count whose speed and heap
-    were measured).  `mc_explain` takes none: it spreads its lockstep groups over processes."""
+    were measured).  A step shares its scoring and Adam chunks with it (`_spread`) and hands it
+    the relation-row terms of its scatter (`training._summed_gradients`).  `mc_explain` takes
+    none: it spreads its lockstep groups over processes."""
     if _cpus() < 2:
         yield None
         return

@@ -130,8 +130,11 @@ def _check_rkd_zero() -> str | None:
     student = (np.zeros((2, 4)), np.zeros((2, 4)), np.ones((2, 4)))
     teacher_s = -np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 1.0, 1.0]])
     teacher = distill._cyclic_angles((teacher_s, np.eye(4)[[0, 0]], np.zeros((2, 4))))[:2]
-    if distill.rkd_loss_batch(teacher, student)[0].tolist() != [1.5, 0.125]:
+    loss, *_, degenerate, per_triple = distill.rkd_loss_batch(teacher, student)
+    if loss.tolist() != [1.5, 0.125]:
         return "huber branch values wrong"
+    if degenerate != 4 or per_triple.tolist() != [2, 2]:
+        return f"degenerate terms {per_triple.tolist()}, {degenerate} in all; want 2 a triple"
     return None
 
 
@@ -218,7 +221,7 @@ def _step_bytes(model, batch, negatives, config, angles=None, helper=None) -> by
 
 def _check_split_step() -> str | None:
     # training's byte identity rests on einsum giving each row the same bits for any row
-    # slice, on each thread taking each chunk once and scattering its own part's columns
+    # slice, on each thread taking each chunk once and on the threads scattering disjoint rows
     rng = np.random.default_rng(13)
     model = models.init_model(models.ModelKind.COMPLEX, 4, 20, 3, 0)
     batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
@@ -233,8 +236,8 @@ def _check_split_step() -> str | None:
                 config = training.TrainConfig(kind="complex", k=4, eta=3, gamma=gamma)
                 steps = []
                 # one chunk of 12 positives; one positive or touched row a chunk; 2
-                # positives or 8 touched rows a chunk, and half of each row's components
-                # (complex pairs) on each thread
+                # positives or 8 touched rows a chunk, and the relation rows' terms
+                # scattered on the helper (complex pairs)
                 for elems, h in ((budget, None), (1, None), (2 * 4 * 8, helper)):
                     optim._CHUNK_ELEMS = elems
                     steps.append(_step_bytes(model, batch, negatives, config, kd, h))

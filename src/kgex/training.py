@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from collections import namedtuple
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +40,9 @@ class TrainConfig:
     (10,000 rows, eta 10, width 200) peaks at about 205 MiB resident, tables
     included.  `run_training` shares a step of more than one candidate chunk
     with an `optim.step_helper` thread: each thread scores the next query group
-    of chunks, then makes and scatters half of each row's components, and takes
-    the next row chunk of the Adam update; no byte depends on it.  The steps of
+    of chunks, the helper scatters the relation-row terms while the calling
+    thread scatters the entity-row terms, and each thread takes the next row
+    chunk of the Adam update; no byte depends on it.  The steps of
     `mc_explain`'s students take none: its worker processes train whole lockstep
     groups instead.  TransE gathers and differentiates every negative
     row by row, about four float64 arrays of `rows * (1 + eta)` rows.  `rows`
@@ -133,57 +136,45 @@ def _touched_rows(id_arrays, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(touched), np.cumsum(touched, dtype=np.intp) - 1
 
 
-def _cut(a: np.ndarray, f: int, part: slice, rows=slice(None)) -> np.ndarray:
-    """Rows `rows` of the 2-D `a` (rows of f runs of k components), each kept to
-    components `part` of every run and packed: `(..., f·h)` for h = len(part),
-    as `bilinear_product` and `query_pairs` take them with k = h."""
-    if part.stop - part.start == a.shape[1] // f:  # the whole row: a view or a gather
-        return a[rows] if isinstance(rows, slice) else np.take(a, rows, axis=0)
-    cut = a.reshape(len(a), f, -1)[rows, :, part]  # never `np.take`, which copies the table first
-    return cut.reshape(*cut.shape[:-2], -1)
-
-
-def _part_cells(summed: np.ndarray, f: int, part: slice) -> tuple[np.ndarray, np.ndarray, int]:
-    """The flat cells of `summed`, the cells of `part`'s columns (in `_cut`'s order) in its row 0 and
-    the cells a row spans; complex128 pairs, each two float64 adds, where the columns pair up from
-    even cells of rows of even width."""
-    width = summed.shape[1]
-    cols = (np.arange(f)[:, None] * (width // f) + np.arange(part.start, part.stop)).ravel()
-    lefts, rights = cols[::2], cols[1::2]
-    if width % 2 == 0 and len(lefts) == len(rights) and (lefts % 2 == 0).all() and (rights == lefts + 1).all():
-        return summed.reshape(-1).view(np.complex128), lefts // 2, width // 2
-    return summed.reshape(-1), cols, width
-
-
-def _summed_gradients(terms, n_rows: int, f: int, k: int, helper=None) -> tuple[np.ndarray, np.ndarray]:
+def _summed_gradients(entity_terms, relation_terms, n_rows: int, width: int, helper=None):
     """Sum `(ids, grads)` terms over the rows of a table of `n_rows` they touch: the sorted distinct
-    ids and their `(len(rows), f·k)` gradients.  A term's grads are an array, scattered in blocks of
-    `optim._chunk_rows(f·k)` rows, or a function of a part (a slice of the k components) that yields
-    its consecutive blocks, packed as `_cut` packs them, each made as the scatter reaches it.  Each
-    part (the whole row, or, with `helper`, two near halves, one on each thread) scatters its own
-    columns: a 1-D `np.add.at` into the flat buffer adds in index order from 0.0, so each cell sums
-    its grads in term order, as a full-table scatter would, whatever thread adds them."""
-    rows, position = _touched_rows([ids for ids, _ in terms], n_rows)
-    summed, step = np.zeros((len(rows), f * k)), _chunk_rows(f * k)
-    mid = k // 4 * 2 or k // 2  # an even first half: at even k, both halves pair up
+    ids and their `(len(rows), width)` gradients.  A term's grads are an array, scattered in blocks of
+    `optim._chunk_rows(width)` rows, or an iterable of its consecutive blocks, each made as the scatter
+    reaches it.  The entity-row and relation-row terms touch disjoint rows; with `helper`, it scatters
+    the relation-row terms while this thread scatters the entity-row terms.  A 1-D `np.add.at` into
+    the flat buffer adds in index order from 0.0, so each cell sums its grads in term order, as a
+    full-table scatter would, whatever thread adds them.  Rows of even width add complex128 pairs,
+    each two float64 adds: the index and the element count halve."""
+    rows, position = _touched_rows([ids for ids, _ in entity_terms + relation_terms], n_rows)
+    summed, step = np.zeros((len(rows), width)), _chunk_rows(width)
+    cells, stride = summed.reshape(-1), width
+    if width % 2 == 0:
+        cells, stride = cells.view(np.complex128), width // 2
+    cols = np.arange(stride)
 
-    def scatter(part):
-        cells, cols, stride = _part_cells(summed, f, part)
+    def scatter(terms):
         for ids, grads in terms:
             if isinstance(grads, np.ndarray):
-                flat = grads.reshape(-1, f * k)
-                blocks = (_cut(flat[lo : lo + step], f, part) for lo in range(0, len(flat), step))
-            else:
-                blocks = grads(part)
+                flat = grads.reshape(-1, width)
+                grads = (flat[lo : lo + step] for lo in range(0, len(flat), step))
             ids, start = ids.reshape(-1), 0
-            for block in blocks:
-                block = np.ascontiguousarray(block).reshape(-1, f * (part.stop - part.start)).view(cells.dtype)
+            for block in grads:
+                block = np.ascontiguousarray(block).reshape(-1, width).view(cells.dtype)
                 index = position[ids[start : start + len(block)], None] * stride + cols
                 np.add.at(cells, index.ravel(), block.ravel())
                 start += len(block)
                 del index, block  # freed before the next block is made
 
-    _spread(scatter, [slice(0, k)] if helper is None or mid == 0 else [slice(0, mid), slice(mid, k)], helper)
+    if helper is None:
+        scatter(entity_terms)
+        scatter(relation_terms)
+        return rows, summed
+    other = helper.submit(contextvars.copy_context().run, scatter, relation_terms)
+    try:
+        scatter(entity_terms)
+    finally:
+        wait([other])  # neither thread writes `summed` once this returns or raises
+    other.result()
     return rows, summed
 
 
@@ -195,19 +186,18 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     change before the Adam step.  `row_loss(rows, scores)` takes the
     (len(rows), 1 + eta) scores of a slice of positives, positive in column 0,
     and returns their loss rows and scaled loss gradients.  Returns the (n,)
-    loss rows and the `(ids, grads)` terms of `_summed_gradients`, relation
-    ids offset by |E|.
+    loss rows and the entity-row and relation-row `(ids, grads)` terms of
+    `_summed_gradients`, relation ids offset by |E|.
     """
-    kind, k, n_ent, f = model.kind, model.k, model.n_entities, model.kind.row_width_factor
+    kind, k, n_ent = model.kind, model.k, model.n_entities
     ent, rel = model.entity_table, model.relation_table
     s_ids, p_ids, o_ids = batch.T
     neg_s, neg_p, neg_o = negatives
-    whole = slice(0, k)
 
-    def positive(side, rows=slice(None), part=whole):  # components `part` of positives `rows`' side-th rows
+    def positive(side, rows=slice(None)):  # the subject (0), predicate (1) or object (2) rows of positives `rows`
         if positive_rows is not None:
-            return _cut(positive_rows[side], f, part, rows)
-        return _cut(rel if side == 1 else ent, f, part, batch[rows, side])
+            return positive_rows[side][rows]
+        return np.take(rel if side == 1 else ent, batch[rows, side], axis=0)
 
     if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2):
         # a distance is not linear in the replaced row: one gradient row per negative,
@@ -220,8 +210,8 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
         d_pos, d_neg = d[:, 0, None], d[:, 1:, None]
         for grads, d_rows in ((pos_gsp, d_pos), (pos_go, d_pos), (neg_gsp, d_neg), (neg_go, d_neg)):
             grads *= d_rows
-        return loss, [(s_ids, pos_gsp), (o_ids, pos_go), (neg_s, neg_gsp), (neg_o, neg_go),
-                      (p_ids + n_ent, pos_gsp), (neg_p + n_ent, neg_gsp)]
+        entity_terms = [(s_ids, pos_gsp), (o_ids, pos_go), (neg_s, neg_gsp), (neg_o, neg_go)]
+        return loss, entity_terms, [(p_ids + n_ent, pos_gsp), (neg_p + n_ent, neg_gsp)]
 
     # DistMult and ComplEx are linear in each entity row.  A candidate e scores
     # q_obj . e in the object slot and q_sub . e in the subject slot, where the
@@ -233,60 +223,56 @@ def _score_batch(model: EmbeddingModel, batch: np.ndarray, negatives, positive_r
     # the (n, 1 + eta, width) candidate block is never held: chunks of positives
     # of at most `optim._CHUNK_ELEMS` elements (one positive, if wider) each gather,
     # score and sum their candidates over eta, and make their candidates'
-    # gradients again, a part's columns at a time, when the scatter reaches them
+    # gradients again when the scatter reaches them
     n, width = cand.shape[0], model.width
-
-    def query_groups(w):  # a query group of chunks, whose positives' two queries of `w` columns fit one
-        # chunk, builds them at once: each small NumPy call hands the GIL over, and per-chunk
-        # queries left the step's threads waiting on each other
-        step = _chunk_rows(cand.shape[1] * w)
-        chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
-        per_group = max(1, _chunk_rows(2 * w) // step)
-        return [chunks[i : i + per_group] for i in range(0, len(chunks), per_group)]
-
-    pair = lambda rows, part: query_pairs(kind, part.stop - part.start, *(positive(i, rows, part) for i in range(3)))
+    step = _chunk_rows(cand.shape[1] * width)
+    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    # a query group, consecutive chunks whose positives' two queries fit one
+    # chunk, builds them at once: each small NumPy call hands the GIL over, and
+    # per-chunk queries left the step's threads waiting on each other
+    per_group = max(1, _chunk_rows(2 * width) // step)
+    groups = [chunks[i : i + per_group] for i in range(0, len(chunks), per_group)]
+    pair = lambda rows: query_pairs(kind, k, positive(0, rows), positive(1, rows), positive(2, rows))
 
     # with the positive rows held whole for the angle term, their queries are
     # built whole too, so a step of many chunks builds them once
-    held = None if positive_rows is None else pair(slice(None), whole)
+    held = None if positive_rows is None else pair(slice(None))
 
-    def group_queries(group, part):  # the candidates' queries of each chunk of `group`, made as read
+    def group_queries(group):  # the candidates' queries of each chunk of `group`, made as read
         lo = group[0].start
-        pairs, first = (pair(slice(lo, group[-1].stop), part), lo) if held is None else (held, 0)
+        pairs, first = (pair(slice(lo, group[-1].stop)), lo) if held is None else (held, 0)
         for rows in group:
             own = np.arange(rows.start - first, min(rows.stop, n) - first)[:, None]
-            picked = np.where(obj_side[rows], own, own + len(pairs) // 2)
-            yield np.take(pairs, picked, axis=0) if held is None else _cut(held, f, part, picked)
+            yield np.take(pairs, np.where(obj_side[rows], own, own + len(pairs) // 2), axis=0)
 
     loss, d = np.empty(n), np.empty(cand.shape)
     sum_obj, sum_sub = np.empty((n, width)), np.empty((n, width))
 
     def score(group):  # fills the group's rows alone
-        for rows, q in zip(group, group_queries(group, whole)):
+        for rows, q in zip(group, group_queries(group)):
             cand_rows = np.take(ent, cand[rows], axis=0)
             loss[rows], d[rows] = row_loss(rows, np.einsum("ncw,ncw->nc", q, cand_rows))
             # the gradients of the kept rows are linear in the candidates: sum over eta first
             np.einsum("nc,ncw->nw", np.where(obj_side[rows], d[rows], 0.0), cand_rows, out=sum_obj[rows])
             np.einsum("nc,ncw->nw", np.where(obj_side[rows], 0.0, d[rows]), cand_rows, out=sum_sub[rows])
 
-    _spread(score, query_groups(width), helper)
+    _spread(score, groups, helper)
 
-    def cand_grads(part):  # written over each chunk's queries, in chunks of the part's width
-        for group in query_groups(f * (part.stop - part.start)):
-            for rows, q in zip(group, group_queries(group, part)):
+    def cand_grads():  # written over each chunk's queries
+        for group in groups:
+            for rows, q in zip(group, group_queries(group)):
                 yield np.multiply(q, d[rows, :, None], out=q)
                 del q  # freed before the next block is made
 
     def by_rows(grads):  # a kept row's gradients, made a row chunk at a time as the scatter reaches them
-        size = _chunk_rows(width)  # a whole row's chunk: two threads' products at a part's took more heap
-        return lambda part: (grads(slice(lo, lo + size), part) for lo in range(0, n, size))
+        size = _chunk_rows(width)
+        return (grads(slice(lo, lo + size)) for lo in range(0, n, size))
 
-    product = lambda x, y, part, conj=False: bilinear_product(kind, part.stop - part.start, x, y, conj)
-    g_s = by_rows(lambda rows, part: product(positive(1, rows, part), _cut(sum_obj, f, part, rows), part, True))
-    g_o = by_rows(lambda rows, part: product(_cut(sum_sub, f, part, rows), positive(1, rows, part), part))
-    g_p = by_rows(lambda rows, part: product(positive(0, rows, part), _cut(sum_obj, f, part, rows), part, True)
-                  + product(_cut(sum_sub, f, part, rows), positive(2, rows, part), part, True))
-    return loss, [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads), (p_ids + n_ent, g_p)]
+    g_s = by_rows(lambda rows: bilinear_product(kind, k, positive(1, rows), sum_obj[rows], conj=True))
+    g_o = by_rows(lambda rows: bilinear_product(kind, k, sum_sub[rows], positive(1, rows)))
+    g_p = by_rows(lambda rows: bilinear_product(kind, k, positive(0, rows), sum_obj[rows], conj=True)
+                  + bilinear_product(kind, k, sum_sub[rows], positive(2, rows), conj=True))
+    return loss, [(s_ids, g_s), (o_ids, g_o), (cand, cand_grads())], [(p_ids + n_ent, g_p)]
 
 
 def batch_gradients(
@@ -316,20 +302,16 @@ def batch_gradients(
     # a time) and runs before the candidate arrays exist.  Run after them, its many small temporaries
     # land in heap pages that freeing those arrays has just returned to the system, and fault them
     # back in on every batch.
-    kd_terms, losses, degenerate, positive_rows = [], [0.0] * len(runs), [0] * len(runs), None
+    kd_terms, losses, degenerate, positive_rows = ([], []), [0.0] * len(runs), [0] * len(runs), None
     if teacher_angles is not None and kd_lambda > 0.0:
         positive_rows = (model.entity_table[s_ids], model.relation_table[p_ids], model.entity_table[o_ids])
-        kd_rows, gs, gp, go, total = distill.rkd_loss_batch(teacher_angles, positive_rows)
+        kd_rows, gs, gp, go, _, invalid = distill.rkd_loss_batch(teacher_angles, positive_rows)
         kd_scale = kd_lambda * scale
-        kd_terms = [(s_ids, np.multiply(kd_scale, gs, out=gs)), (o_ids, np.multiply(kd_scale, go, out=go)),
-                    (p_ids + model.n_entities, np.multiply(kd_scale, gp, out=gp))]
+        kd_terms = ([(s_ids, np.multiply(kd_scale, gs, out=gs)), (o_ids, np.multiply(kd_scale, go, out=go))],
+                    [(p_ids + model.n_entities, np.multiply(kd_scale, gp, out=gp))])
         del gs, gp, go
         losses = [kd_lambda * s * float(kd_rows[sl].sum()) for sl, s in runs]
-        if len(runs) == 1:
-            degenerate = [total]
-        elif total:  # the kernel counts over the whole stack: recount each run's terms
-            invalid = 3 - (teacher_angles[1] & distill._cyclic_angles(positive_rows)[1]).sum(axis=0)
-            degenerate = [int(invalid[sl].sum()) for sl, _ in runs]
+        degenerate = np.add.reduceat(invalid, [sl.start for sl, _ in runs]).tolist()
 
     if alpha is None and config.loss == "softplus_nll":
         alpha = np.ones((len(batch), 1 + negatives[0].shape[1]))
@@ -338,9 +320,10 @@ def batch_gradients(
         loss, d = softmax_nll_batch(scores) if alpha is None else focused_nll_batch(scores, alpha[rows])
         return loss, d * scale[rows]
 
-    loss_rows, terms = _score_batch(model, batch, negatives, positive_rows, row_loss, helper)
+    loss_rows, *terms = _score_batch(model, batch, negatives, positive_rows, row_loss, helper)
     losses = [float(loss_rows[sl].sum()) * s + kd for (sl, s), kd in zip(runs, losses)]
-    rows, grad = _summed_gradients(terms + kd_terms, len(model.table), model.kind.row_width_factor, model.k, helper)
+    terms = [own + kd for own, kd in zip(terms, kd_terms)]  # entity-row, then relation-row terms
+    rows, grad = _summed_gradients(*terms, len(model.table), model.width, helper)
     del positive_rows, terms, kd_terms  # the L2 gather does not stack on them
     if config.gamma > 0.0:
         # each run's L2 loss sums its entity rows and its relation rows apart

@@ -104,7 +104,7 @@ def huber(a: float, b: float) -> float:
 
 def stacked_orderings_rkd(teacher_rows, student_rows):
     """Reference angle-matching loss that stacks the three cyclic orderings of
-    the points, as `rkd_loss_batch` once did; returns its five outputs."""
+    the points, as `rkd_loss_batch` once did; returns its six outputs."""
 
     def potentials(x, y, z):
         u, v = x - y, y - z
@@ -126,7 +126,7 @@ def stacked_orderings_rkd(teacher_rows, student_rows):
     phi_t, valid_t, *_ = potentials(*orderings(teacher_rows))
     phi_s, valid_s, g1, g2, g3 = potentials(*orderings(student_rows))
     valid = valid_t & valid_s
-    degenerate = int(valid.size - valid.sum())
+    per_triple = (~valid).sum(axis=0)
     diff = phi_s - phi_t
     quad = np.abs(diff) <= 1.0
     term = np.where(valid, np.where(quad, 0.5 * diff * diff, np.abs(diff) - 0.5), 0.0)
@@ -138,7 +138,7 @@ def stacked_orderings_rkd(teacher_rows, student_rows):
         first += dterm[i] * g1[i]
         second += dterm[i] * g2[i]
         third += dterm[i] * g3[i]
-    return loss, gs, gp, go, degenerate
+    return loss, gs, gp, go, int((~valid).sum()), per_triple
 
 
 def reference_bilinear_score_grad_rows(kind, k, es, rp, eo):
@@ -215,7 +215,7 @@ def per_negative_batch_gradients(model, batch, negatives, config, alpha=None, te
     loss = float(loss_rows.sum()) * scale
     degenerate = 0
     if teacher is not None and kd_lambda > 0.0:
-        kd_rows, kd_gs, kd_gp, kd_go, degenerate = stacked_orderings_rkd(
+        kd_rows, kd_gs, kd_gp, kd_go, degenerate, _ = stacked_orderings_rkd(
             (teacher.entity_table[s_ids], teacher.relation_table[p_ids], teacher.entity_table[o_ids]),
             (ent[s_ids], rel[p_ids], ent[o_ids]),
         )

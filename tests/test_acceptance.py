@@ -123,7 +123,7 @@ def test_criterion_1_gradients_match_finite_differences():
                     teacher = tuple(rng.normal(size=(1, width)) for _ in range(3))
                     student = [rng.normal(size=(1, width)) for _ in range(3)]
                     teacher_angles = _cyclic_angles(teacher)[:2]
-                    _, *grads, _ = rkd_loss_batch(teacher_angles, tuple(student))
+                    _, *grads, _, _ = rkd_loss_batch(teacher_angles, tuple(student))
                     # keep clear of the Huber switch where FD is invalid
                     probes = [
                         abs(abs(a - b) - 1.0)

@@ -36,8 +36,8 @@ def single_term_loss(v):
     v = np.asarray(v, dtype=np.float64)
     teacher = (-v[None, :], np.eye(4)[:1], np.zeros((1, 4)))
     student = (np.zeros((1, 4)), np.zeros((1, 4)), np.ones((1, 4)))
-    loss, _, _, _, degenerate = rkd_loss_batch(angles(teacher), student)
-    assert degenerate == 2
+    loss, _, _, _, degenerate, per_triple = rkd_loss_batch(angles(teacher), student)
+    assert degenerate == 2 and per_triple.tolist() == [2]
     return loss[0]
 
 
@@ -113,9 +113,9 @@ class TestRkdLoss:
     def test_identical_rows_zero(self):
         rng = np.random.default_rng(1)
         same = rows(rng, 1, 5)
-        loss, *grads, degenerate = rkd_loss_batch(angles(same), same)
+        loss, *grads, degenerate, per_triple = rkd_loss_batch(angles(same), same)
         assert loss[0] == 0.0
-        assert degenerate == 0
+        assert degenerate == 0 and per_triple.tolist() == [0]
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-15)
 
@@ -148,7 +148,7 @@ class TestRkdLoss:
             def loss_value():
                 return rkd_loss_batch(angles(teacher), tuple(student))[0][0]
 
-            _, *grads, _ = rkd_loss_batch(angles(teacher), tuple(student))
+            _, *grads, _, _ = rkd_loss_batch(angles(teacher), tuple(student))
             fd = fd_gradients(loss_value, student)
             for analytic, numeric in zip(grads, fd):
                 assert max_relative_error(analytic, numeric) <= 1e-5
@@ -157,7 +157,7 @@ class TestRkdLoss:
         rng = np.random.default_rng(5)
         teacher = rows(rng, 1, 12)
         student = rows(rng, 1, 3)
-        loss, *grads, _ = rkd_loss_batch(angles(teacher), student)
+        loss, *grads, _, _ = rkd_loss_batch(angles(teacher), student)
         assert np.isfinite(loss[0])
         assert all(g.shape == (1, 3) for g in grads)
 
@@ -165,8 +165,8 @@ class TestRkdLoss:
         teacher = (np.ones((1, 4)), np.ones((1, 4)), np.zeros((1, 4)))  # s == p
         point = np.random.default_rng(0).normal(size=(1, 4))
         student = (point, point.copy(), point.copy())  # s == p == o
-        loss, *grads, degenerate = rkd_loss_batch(angles(teacher), student)
-        assert degenerate == 3
+        loss, *grads, degenerate, per_triple = rkd_loss_batch(angles(teacher), student)
+        assert degenerate == 3 and per_triple.tolist() == [3]
         assert loss[0] == 0.0
         assert all(np.array_equal(g, np.zeros((1, 4))) for g in grads)
 
@@ -185,8 +185,9 @@ class TestRkdLoss:
             student[1][4] = student[0][4]
         got = rkd_loss_batch(angles(teacher), student)
         want = stacked_orderings_rkd(teacher, student)
-        assert got[4] == want[4]
-        assert n != 7 or got[4] == 11
+        assert got[4] == want[4] == int(got[5].sum())
+        assert got[5].shape == (n,) and np.array_equal(got[5], want[5])
+        assert n != 7 or got[5].tolist() == [2, 2, 2, 3, 2, 0, 0]
         for a, b in zip(got[:4], want[:4]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -197,7 +198,7 @@ class TestRkdLoss:
         student = [rows(rng, 1, 6) for _ in range(5)]
         t_stack = tuple(np.concatenate([t[i] for t in teacher]) for i in range(3))
         s_stack = tuple(np.concatenate([s[i] for s in student]) for i in range(3))
-        losses, gs, gp, go, _ = rkd_loss_batch(angles(t_stack), s_stack)
+        losses, gs, gp, go, _, _ = rkd_loss_batch(angles(t_stack), s_stack)
         for i in range(5):
             expected = sum(
                 huber(
@@ -207,7 +208,7 @@ class TestRkdLoss:
                 for perm in CYCLIC
             )
             assert losses[i] == pytest.approx(expected, abs=1e-14)
-            _, single_gs, single_gp, single_go, _ = rkd_loss_batch(angles(teacher[i]), student[i])
+            _, single_gs, single_gp, single_go, _, _ = rkd_loss_batch(angles(teacher[i]), student[i])
             assert np.allclose(gs[i], single_gs[0], atol=1e-14)
             assert np.allclose(gp[i], single_gp[0], atol=1e-14)
             assert np.allclose(go[i], single_go[0], atol=1e-14)
@@ -279,7 +280,7 @@ class TestTrainStudent:
             pos = score_rows(kind, k, ent[batch[:, 0]], rel[batch[:, 1]], ent[batch[:, 2]])
             neg = score_rows(kind, k, ent[neg_s], rel[neg_p], ent[neg_o])
             loss, _ = softmax_nll_batch(np.concatenate([pos[:, None], neg], axis=1))
-            kd_rows, _, _, _, _ = rkd_loss_batch(
+            kd_rows, *_ = rkd_loss_batch(
                 angles((teacher_ent[batch[:, 0]], teacher_rel[batch[:, 1]], teacher_ent[batch[:, 2]])),
                 (ent[batch[:, 0]], rel[batch[:, 1]], ent[batch[:, 2]]),
             )
@@ -301,7 +302,7 @@ class TestTrainStudent:
             np.add.at(ge, neg_s.ravel(), (scale * dscores[:, 1:, None] * neg_gs).reshape(-1, k))
             np.add.at(ge, neg_o.ravel(), (scale * dscores[:, 1:, None] * neg_go).reshape(-1, k))
             np.add.at(gr, neg_p.ravel(), (scale * dscores[:, 1:, None] * neg_gp).reshape(-1, k))
-            _, kd_gs, kd_gp, kd_go, _ = rkd_loss_batch(
+            _, kd_gs, kd_gp, kd_go, *_ = rkd_loss_batch(
                 angles((teacher_ent[batch[:, 0]], teacher_rel[batch[:, 1]], teacher_ent[batch[:, 2]])),
                 (ent[batch[:, 0]], rel[batch[:, 1]], ent[batch[:, 2]]),
             )

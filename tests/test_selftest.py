@@ -142,13 +142,16 @@ def _adam_stops_after_one_chunk(fn):
     return broken
 
 
-def _parts_swapped(fn):
-    """Scatters each half of a row's components at the other half's columns; a
-    whole-row part stays where it is."""
+def _helper_rows_shifted(fn):
+    """With a helper, scatters the relation-row terms one touched row off: each
+    id at the next touched relation row, the last at the first."""
 
-    def broken(summed, f, part):
-        k = summed.shape[1] // f
-        return fn(summed, f, slice(k - part.stop, k - part.start))
+    def broken(entity_terms, relation_terms, n_rows, width, helper=None):
+        if helper is not None:
+            touched = np.unique(np.concatenate([ids.ravel() for ids, _ in relation_terms]))
+            shifted = lambda ids: touched[(np.searchsorted(touched, ids) + 1) % len(touched)]
+            relation_terms = [(shifted(ids), grads) for ids, grads in relation_terms]
+        return fn(entity_terms, relation_terms, n_rows, width, helper)
 
     return broken
 
@@ -207,7 +210,10 @@ CASES = [pytest.param([name], FAULTS[name], id=name) for name in NAMES] + [
         [SPLIT], (optim.SparseAdam, "apply", _adam_stops_after_one_chunk),
         id="chunking with an Adam step that stops after one chunk",
     ),
-    pytest.param([SPLIT], (training, "_part_cells", _parts_swapped), id="a part scattered at the other part's columns"),
+    pytest.param(
+        [SPLIT], (training, "_summed_gradients", _helper_rows_shifted),
+        id="the helper's relation rows scattered one touched row off",
+    ),
     pytest.param([SPLIT], (optim, "_spread", _items_handed_out_twice), id="threads handed a chunk twice"),
 ]
 

@@ -25,7 +25,6 @@ from kgex.training import (
     LockstepRun,
     TrainConfig,
     TrainingDivergedError,
-    _part_cells,
     _summed_gradients,
     _touched_rows,
     batch_gradients,
@@ -488,41 +487,71 @@ class TestBatchGradients:
 
 # ids of three terms over 4 rows; at 3 rows a chunk the first term ends on a
 # chunk boundary, the second is split by one, and ids repeat within a chunk,
-# across the chunks of a term and across terms
+# across the chunks of a term and across terms.  Two terms over rows 4-6 follow
+# them as relation-row terms.
 SCATTER_IDS = [
     np.array([0, 0, 1, 2, 1, 0]),
     np.array([3, 1, 1, 0, 3]),
     np.array([[2, 0, 2, 1], [1, 1, 3, 0], [0, 2, 2, 3]]),
 ]
+RELATION_IDS = [np.array([6, 4, 6, 6]), np.array([[4, 4], [5, 6]])]
+
+
+@pytest.fixture
+def add_at_calls(monkeypatch):
+    """Each `np.add.at` call of `kgex.training`, as `(thread name, cells' scalar type, cells' size,
+    lowest and highest flat index)`."""
+    calls = []
+
+    def add_at(cells, index, values):
+        calls.append((threading.current_thread().name, cells.dtype.type, cells.size, index.min(), index.max()))
+        np.add.at(cells, index, values)
+
+    class Forward:  # `of`'s attributes, but for those given
+        def __init__(self, of, **given):
+            self.__dict__.update(given, of=of)
+
+        def __getattr__(self, name):
+            return getattr(self.of, name)
+
+    monkeypatch.setattr(kgex.training, "np", Forward(np, add=Forward(np.add, at=add_at)))
+    return calls
+
+
+def scatter_threads(calls, n_rows, first_relation):
+    """The thread names that scattered entity rows (positions below `first_relation` of the
+    `n_rows` touched rows) and those that scattered relation rows, from `add_at_calls`; a call
+    across both kinds of row is a failure."""
+    entity, relation = set(), set()
+    for thread, _, size, lo, hi in calls:
+        stride = size // n_rows
+        assert lo // stride >= first_relation or hi // stride < first_relation, "a call spans both kinds of row"
+        (entity if hi // stride < first_relation else relation).add(thread)
+    return entity, relation
 
 
 class TestSummedGradients:
-    @pytest.mark.parametrize(
-        "elems", [12, 3, None], ids=["3-row chunks", "row wider than a chunk", "default"]
-    )
-    def test_bitwise_equal_to_per_term_scatter(self, elems, monkeypatch):
-        if elems is not None:
-            monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", elems)
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("f, k", [(1, 4), (2, 4), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("rows_per_block", [3, 0, None], ids=["3-row blocks", "row wider than a block",
+                                                                  "default"])
+    def test_bitwise_equal_to_per_term_scatter(self, rows_per_block, f, k, threads, add_at_calls, monkeypatch):
+        """Rows of width f·k, scattered in complex128 pairs exactly when the width is even;
+        with a helper, it scatters the relation-row terms and this thread the entity-row terms."""
+        width = f * k
+        if rows_per_block is not None:
+            monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", max(1, rows_per_block * width))
         rng = np.random.default_rng(5)
-        terms = [(ids, rng.normal(size=(*ids.shape, 4))) for ids in SCATTER_IDS]
-        rows, summed = _summed_gradients(terms, 4, 1, 4)
-        ref_rows, ref = per_term_scatter(terms, 4)
-        assert np.array_equal(rows, ref_rows)
-        assert summed.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("f, k", [(1, 4), (2, 4), (1, 3), (2, 3)], ids=["pairs", "complex pairs", "cells",
-                                                                          "complex cells"])
-    def test_two_parts_on_two_threads_equal_a_per_term_scatter(self, f, k, monkeypatch):
-        """With a helper, each thread scatters half of each row's components, 3
-        rows a block: in complex pairs at even k, in float64 cells at odd k."""
-        monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 3 * f * k)
-        rng = np.random.default_rng(6)
-        terms = [(ids, rng.normal(size=(*ids.shape, f * k))) for ids in SCATTER_IDS]
+        entity_terms, relation_terms = ([(ids, rng.normal(size=(*ids.shape, width))) for ids in id_list]
+                                        for id_list in (SCATTER_IDS, RELATION_IDS))
         with ThreadPoolExecutor(1, "kgex-step") as helper:
-            rows, summed = _summed_gradients(terms, 4, f, k, helper)
-        ref_rows, ref = per_term_scatter(terms, f * k)
+            rows, summed = _summed_gradients(entity_terms, relation_terms, 7, width, helper if threads == 2 else None)
+        ref_rows, ref = per_term_scatter(entity_terms + relation_terms, width)
         assert np.array_equal(rows, ref_rows)
         assert summed.tobytes() == ref.tobytes()
+        assert {dtype for _, dtype, *_ in add_at_calls} == {np.complex128 if width % 2 == 0 else np.float64}
+        here = threading.current_thread().name
+        assert scatter_threads(add_at_calls, 7, 4) == ({here}, {here} if threads == 1 else {"kgex-step_0"})
 
     @pytest.mark.parametrize("ids", [[3, 0, 3, 3, 1, 0], [2], [[4, 0], [4, 4]]], ids=["repeats", "one id", "last row"])
     def test_touched_rows_are_np_unique(self, ids):
@@ -532,23 +561,6 @@ class TestSummedGradients:
         want, inverse = np.unique(np.r_[ids[:1].ravel(), ids.ravel()], return_inverse=True)
         assert np.array_equal(rows, want)
         assert np.array_equal(position[np.r_[ids[:1].ravel(), ids.ravel()]], inverse.ravel())
-
-    @pytest.mark.parametrize("f, k, part, cols", [
-        (2, 100, (0, 50), [*range(25), *range(50, 75)]),
-        (1, 6, (2, 6), [1, 2]),
-        (2, 1, (0, 1), [0]),
-        (2, 3, (0, 1), None),
-        (1, 3, (0, 3), None),
-        (1, 4, (1, 3), None),
-    ])
-    def test_complex_pairs_where_the_columns_pair_up(self, f, k, part, cols):
-        """A part's columns are scattered as complex128 pairs where they pair up
-        as adjacent cells from an even one in rows of even width, else as float64 cells."""
-        cells, got, stride = _part_cells(np.zeros((3, f * k)), f, slice(*part))
-        assert cells.dtype == (np.float64 if cols is None else np.complex128)
-        assert stride == f * k // (1 if cols is None else 2)
-        if cols is not None:
-            assert got.tolist() == cols
 
     def test_one_element_chunks_train_the_same_tables(self, monkeypatch):
         """A one-element budget scatters one row a call and scores one positive's
@@ -609,11 +621,12 @@ def test_candidate_chunks_change_no_byte(monkeypatch, kind, objective, gamma, kd
 @pytest.mark.parametrize("kd", [False, True], ids=["plain", "kd"])
 @pytest.mark.parametrize("k", [3, 4], ids=["odd k", "even k"])
 @pytest.mark.parametrize("kind", ["transe-l1", "transe-l2", "distmult", "complex"])
-def test_a_helper_changes_no_byte_of_a_step_or_adam(monkeypatch, kind, k, kd, gamma):
+def test_a_helper_changes_no_byte_of_a_step_or_adam(monkeypatch, add_at_calls, kind, k, kd, gamma):
     """A step of 12 positives in 2-positive chunks and an Adam step on its
-    gradients, without and with a helper: with it, each thread scatters half of
-    each row's components, in complex pairs at even k and in float64 cells at
-    odd k.  The batch holds a self-loop, whose angle terms are degenerate."""
+    gradients, without and with a helper: with it, the helper scatters the
+    relation-row terms and this thread the entity-row terms, in complex pairs
+    at even width and in float64 cells at odd width.  The batch holds a
+    self-loop, whose angle terms are degenerate."""
     rng = np.random.default_rng(31)
     model = init_model(kind, k, 20, 3, seed=1)
     batch = np.stack([rng.integers(0, 20, 12), rng.integers(0, 3, 12), rng.integers(0, 20, 12)], axis=1)
@@ -622,25 +635,21 @@ def test_a_helper_changes_no_byte_of_a_step_or_adam(monkeypatch, kind, k, kd, ga
     angles = triple_angles(init_model(kind, k, 20, 3, seed=2), batch) if kd else None
     config = TrainConfig(kind=kind, k=k, eta=3, gamma=gamma)
     monkeypatch.setattr(kgex.optim, "_CHUNK_ELEMS", 2 * 4 * model.width)
-    cells, part_cells = [], kgex.training._part_cells
-
-    def recorded(*args):  # the dtype of each part's cells
-        got = part_cells(*args)
-        cells.append(got[0].dtype)
-        return got
-
-    monkeypatch.setattr(kgex.training, "_part_cells", recorded)
-    results = []
+    results, threads = [], []
     with ThreadPoolExecutor(1, "kgex-step") as helper:
         for given in (None, helper):
+            add_at_calls.clear()
             losses, degenerate, rows, grad = batch_gradients(model, batch, negatives, config, None, angles, 2.0,
                                                              helper=given)
+            threads.append(scatter_threads(add_at_calls, len(rows), np.searchsorted(rows, model.n_entities)))
+            assert {dtype for _, dtype, *_ in add_at_calls} == {np.complex128 if model.width % 2 == 0 else np.float64}
             table, adam = model.table.copy(), SparseAdam(model.table.shape, 0.1)
             updated = adam.apply(table, rows, grad.copy(), given)
             results.append((losses, degenerate, rows.tobytes(), grad.tobytes(), updated.tobytes(), table.tobytes(),
                             adam.m.tobytes(), adam.v.tobytes()))
     assert (sum(results[0][1]) > 0) == kd and len(rows) > kgex.optim._chunk_rows(model.width)
-    assert cells[1:] == [np.complex128 if k % 2 == 0 else np.float64] * 2
+    here = threading.current_thread().name
+    assert threads == [({here}, {here}), ({here}, {"kgex-step_0"})]
     assert results[1] == results[0]
 
 
@@ -658,17 +667,21 @@ def test_step_heap_holds_no_candidate_block(gamma):
       gather of its rows (1.6 MB);
     - 4 chunks of `optim._CHUNK_ELEMS` float64 (512 KiB each): a chunk's
       gathered candidates and queries on this thread and on the helper, or, in
-      the scatter, each thread's block of half of each row's components and its
-      query group's queries (2.1 MB);
+      the scatter, this thread's block of entity-row gradients (a subject's,
+      object's or candidates') and the positive rows it is made from, and the
+      helper's block of relation-row gradients and its positive rows (2.1 MB);
     - 3 float64 (n, 1 + eta) arrays: the candidate ids, their side mask and
       their loss gradients (0.5 MB);
     - 1.1 MB, once 5 copies of the 14n int64 row ids of `np.unique`: the
-      threads' scatter indices and the products of their parts' row terms.
+      threads' scatter indices and the temporaries of their products.
 
-    That bound is 8.6 MB, under half the block.  The peak was 6.6 MB without
-    the helper and 7.2-7.8 MB with it; 9.4 MB when each part made its row terms
-    in chunks of its own width, and 8.8 MB when each held its last block while
-    making the next.
+    That bound is 8.6 MB, under half the block.  The peak was 6.4 MB without
+    the helper and 7.1-8.2 MB with it, highest when the helper makes a block
+    of relation-row gradients (two products and their sum) while this thread
+    makes a subject's or object's block; 7.2-7.8 MB when the threads split
+    each row's components between them; 9.4 MB when each made its half's row
+    terms in chunks of its own width, and 8.8 MB when each held its last block
+    while making the next.
     """
     n, eta, k, n_entities = 2000, 10, 50, 1000
     rng = np.random.default_rng(0)
