@@ -12,6 +12,7 @@ import numpy as np
 Triple = tuple[int, int, int]
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
+_NO_POSITIONS.flags.writeable = False
 
 # bytes of whole lines read at a time: a block's strings take about 12 bytes a byte, 3 MiB,
 # against 12 MiB for 1 MiB blocks, which loaded FB15K-237 no faster (2-vCPU x86 VM)
@@ -89,6 +90,8 @@ class Vocabulary:
                     idx = int(parts[1])
                 except ValueError as exc:
                     raise GraphFormatError(f"{path}:{lineno}: bad id {parts[1]!r}") from exc
+                if parts[0] in vocab:
+                    raise GraphFormatError(f"{path}:{lineno}: duplicate label {parts[0]!r}")
                 if vocab.add(parts[0]) != idx:
                     raise GraphFormatError(f"{path}:{lineno}: ids not contiguous")
         return vocab
@@ -100,7 +103,10 @@ class KnowledgeGraph:
 
     `triples` is an (n, 3) int64 array of (subject, predicate, object) ids in
     file order after deduplication.  `by_entity[e]` / `by_predicate[p]` hold
-    the sorted positions of triples incident to entity e / labelled p.
+    the sorted positions of triples incident to entity e / labelled p as read-only
+    views of one int64 array: an index keeps one int64 per incidence (a self-loop
+    is incident once) and a view, about 170 bytes, per id; its build holds at most
+    one more int64 and one byte per triple besides.
     Instances are not mutated after load; concurrent reads are safe (threads
     racing on an index's first read may each build the same dict).
     """
@@ -126,14 +132,13 @@ class KnowledgeGraph:
 
     @cached_property
     def by_entity(self) -> dict[int, np.ndarray]:
-        positions = np.arange(self.n_triples, dtype=np.int64)
         s, o = self.triples[:, 0], self.triples[:, 2]
-        distinct = s != o  # a self-loop is incident to its entity once
-        return _group_positions(np.r_[s, o[distinct]], np.r_[positions, positions[distinct]])
+        # a self-loop is incident to its entity once
+        return _group_positions(self.n_triples, [(s, None), (o, s != o)])
 
     @cached_property
     def by_predicate(self) -> dict[int, np.ndarray]:
-        return _group_positions(self.triples[:, 1], np.arange(self.n_triples, dtype=np.int64))
+        return _group_positions(self.n_triples, [(self.triples[:, 1], None)])
 
     def triple_at(self, pos: int) -> Triple:
         s, p, o = self.triples[pos]
@@ -170,12 +175,25 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
 
 
-def _group_positions(ids: np.ndarray, positions: np.ndarray) -> dict[int, np.ndarray]:
-    """`{id: sorted positions}` from parallel arrays of ids and positions."""
-    n = len(positions) + 1  # exceeds every position
-    ids, positions = np.divmod(np.sort(ids * n + positions), n)  # by id, then position
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    return dict(zip(ids[starts].tolist(), np.split(positions, starts[1:])))
+def _group_positions(n: int, parts) -> dict[int, np.ndarray]:
+    """`{id: sorted positions}` from `(ids, mask)` parts: the ids of positions `0..n-1`,
+    those where the boolean `mask` is true, or all where it is None.
+
+    One int64 key `id·(n + 1) + position` per incidence is filled part by part, sorted
+    and turned into positions, all in place; each id's positions are a read-only view of it.
+    """
+    sizes = [n if mask is None else np.count_nonzero(mask) for _, mask in parts]
+    key = np.empty(sum(sizes), dtype=np.int64)
+    for (ids, mask), part in zip(parts, np.split(key, np.cumsum(sizes)[:-1])):
+        np.multiply(ids if mask is None else ids[mask], n + 1, out=part)
+        part += np.arange(n) if mask is None else np.flatnonzero(mask)
+    key.sort()  # by id, then position
+    # id i's keys are at [bounds[i], bounds[i + 1]), for every id up to the largest
+    bounds = np.searchsorted(key, np.arange(0, key.max(initial=0) + n + 2, n + 1))
+    np.remainder(key, n + 1, out=key)
+    key.flags.writeable = False
+    present = np.flatnonzero(np.diff(bounds))
+    return dict(zip(present.tolist(), np.split(key, bounds[present[1:]])))
 
 
 def _raise_first_bad_line(path, lines, lineno: int, n_cols: int, weight_policy: str) -> None:

@@ -177,6 +177,16 @@ class TestNeighborhoods:
                 assert via_index == via_scan
                 assert all(e in (t[0], t[2]) for t in via_index)
 
+    def test_positions_are_read_only(self):
+        """A write into a returned position array would rewrite the cached index."""
+        g = demo_graph(extra_entities=1, extra_relations=1)
+        isolated, unused = g.n_entities - 1, g.n_relations - 1
+        for positions in (g.entity_positions(0), g.predicate_positions(0),
+                          g.entity_positions(isolated), g.predicate_positions(unused)):
+            with pytest.raises(ValueError, match="read-only"):
+                positions[:] = 0
+        assert g.entity_positions(0).tolist() == [0, 2, 3]
+
     def test_one_hop_superset_of_incident(self):
         g = random_graph(15, 3, 60, seed=9)
         for s, p, o in g.triples[:20]:
@@ -261,3 +271,26 @@ class TestVocabularyDump:
 
         loaded = Vocabulary.load(path)
         assert loaded.labels == g.entity_vocab.labels
+
+    def test_duplicate_label_is_named(self, tmp_path):
+        from kgex.graph import Vocabulary
+
+        path = tmp_path / "entities.tsv"
+        path.write_text("a\t0\nb\t1\na\t2\n", encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}:3: duplicate label 'a'")):
+            Vocabulary.load(path)
+
+    def test_duplicate_teacher_sidecar_label_is_named(self, tmp_path):
+        from kgex.modelio import entity_sidecar, load_model, save_model
+        from kgex.models import init_model
+
+        g = demo_graph()
+        path = tmp_path / "teacher.kgex"
+        save_model(init_model("distmult", 2, g.n_entities, g.n_relations, seed=0), path,
+                   g.entity_vocab, g.relation_vocab)
+        sidecar, label = entity_sidecar(path), g.entity_vocab.label_of(0)
+        lines = sidecar.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = f"{label}\t{g.n_entities - 1}\n"
+        sidecar.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{sidecar}:{len(lines)}: duplicate label {label!r}")):
+            load_model(path)
