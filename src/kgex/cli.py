@@ -135,9 +135,9 @@ def _add_options(p: argparse.ArgumentParser, keys) -> None:
 
 
 def _parse_target(raw: str, g: KnowledgeGraph) -> Triple:
-    parts = raw.split()
+    parts = raw.split("\t") if "\t" in raw else raw.split()  # tabs let a label hold a space
     if len(parts) != 3:
-        raise ValueError(f'target must be "s p o" (3 whitespace-separated labels), got {raw!r}')
+        raise ValueError(f'target must be "s p o" (3 tab- or else whitespace-separated labels), got {raw!r}')
     return triple_of_labels(parts, g.entity_vocab, g.relation_vocab)
 
 
@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, paths, keys, handler) in _COMMANDS.items():
         p = commands.add_parser(command, help=help_text)
         for path in paths.split():
-            p.add_argument("--" + path, required=True, help='"s p o" labels' if path == "target" else None)
+            path_help = '"s p o" labels, tab-separated if one holds a space' if path == "target" else None
+            p.add_argument("--" + path, required=True, help=path_help)
         _add_options(p, keys)
         p.set_defaults(handler=handler)
 

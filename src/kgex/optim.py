@@ -32,9 +32,9 @@ def _cpus() -> int:
 def step_helper():
     """A one-thread executor for a `run_training` call's steps, whose thread ends with the block,
     or None where the process may run on one CPU (two threads are the count whose speed and heap
-    were measured).  A step shares its scoring and Adam chunks with it (`_spread`) and hands it
-    the relation-row terms of its scatter (`training._summed_gradients`).  `mc_explain` takes
-    none: it spreads its lockstep groups over processes."""
+    were measured).  A step hands it the second half of its scoring groups and Adam chunks and the
+    relation-row terms of its scatter (`_spread`).  `mc_explain` takes none: it spreads its
+    lockstep groups over processes."""
     if _cpus() < 2:
         yield None
         return
@@ -43,34 +43,21 @@ def step_helper():
 
 
 def _spread(fn, items, helper) -> list:
-    """`[fn(item) for item in items]`, on this thread and on `helper` when given
-    and there are several items: each thread takes the next item left until an
-    item fails.  Once both threads have stopped, the error of the lowest-numbered
-    failed item is raised, as the loop would raise it: every item before it was
-    handed out first, so each of them ran.  The helper runs in a copy of this
-    thread's context, so a caller's `np.errstate` holds on both."""
+    """`[fn(item) for item in items]`, split in halves when `helper` is given and there are
+    several items: this thread runs the first ceil(n/2) items and the helper the rest, as one
+    task in a copy of this thread's context, so a caller's `np.errstate` holds on both.  Each
+    thread stops at its first failed item; once both have stopped, the error of the
+    lowest-numbered failed item is raised, as the loop would raise it.  An interrupt of this
+    thread comes out once the helper's half has ended."""
     if helper is None or len(items) < 2:
         return [fn(item) for item in items]
-    results, errors, left = [None] * len(items), {}, iter(range(len(items)))
-
-    def work():
-        # a range iterator hands each index to one thread; an index taken runs
-        while not errors and (i := next(left, None)) is not None:
-            try:
-                results[i] = fn(items[i])
-            except Exception as error:
-                errors[i] = error
-
-    other = helper.submit(partial(contextvars.copy_context().run, work))
+    half = -(-len(items) // 2)
+    other = helper.submit(partial(contextvars.copy_context().run, lambda: [fn(item) for item in items[half:]]))
     try:
-        work()
+        mine = [fn(item) for item in items[:half]]
     finally:
-        for _ in left:  # an interrupt of this thread leaves the helper no item to take
-            pass
-        wait([other])
-    if errors:
-        raise errors[min(errors)]
-    return results
+        wait([other])  # neither thread runs an item once this returns or raises
+    return mine + other.result()
 
 
 class SparseAdam:
@@ -78,8 +65,8 @@ class SparseAdam:
 
     Bias correction uses a single step counter, advanced by every `apply`
     call regardless of which rows the call touches.  `apply` works through
-    its rows a `_chunk_rows` chunk at a time, shared with `helper` (a
-    `step_helper`) when given and there are several; neither moves a byte.
+    its rows a `_chunk_rows` chunk at a time, split in halves with `helper`
+    (a `step_helper`) when given and there are several; neither moves a byte.
     """
 
     def __init__(

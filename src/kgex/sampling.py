@@ -60,7 +60,8 @@ def sample_pn(
     Unions the target endpoints' 1-hop neighborhood with the neighborhoods of
     n triples sharing the target's predicate, drawn uniformly with
     replacement.  If the predicate has no triples the 1-hop neighborhood is
-    returned with a warning.
+    returned with a warning.  Drawing stops once every endpoint of the
+    predicate's triples is in, so `rng` may take fewer than n draws.
     """
     s, p, o = target
     endpoints = {s, o}
@@ -69,11 +70,13 @@ def sample_pn(
         logger.warning(
             "predicate %d has no triples; subgraph falls back to the 1-hop neighborhood", p
         )
-    elif n > 0:
-        for _ in range(n):
-            pos = int(predicate_pool[rng.integers(len(predicate_pool))])
-            s_hat, _, o_hat = g.triple_at(pos)
-            endpoints.update((s_hat, o_hat))
+    complete = len(np.union1d(g.triples[predicate_pool][:, [0, 2]], [s, o]))  # later draws add none
+    for _ in range(n):
+        if len(endpoints) == complete:
+            break
+        pos = int(predicate_pool[rng.integers(len(predicate_pool))])
+        s_hat, _, o_hat = g.triple_at(pos)
+        endpoints.update((s_hat, o_hat))
     positions = np.unique(np.concatenate([g.entity_positions(e) for e in endpoints]))
     return Subgraph(positions, g, target, SubgraphSpec("pn", n))
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 from collections import namedtuple
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +37,9 @@ class TrainConfig:
     chunks of at most `optim._CHUNK_ELEMS` elements (`_chunk_rows`): train-fb237
     (10,000 rows, eta 10, width 200) peaks at about 205 MiB resident, tables
     included.  `run_training` shares a step of more than one candidate chunk
-    with an `optim.step_helper` thread: each thread scores the next query group
-    of chunks, the helper scatters the relation-row terms while the calling
-    thread scatters the entity-row terms, and each thread takes the next row
-    chunk of the Adam update; no byte depends on it.  The steps of
+    with an `optim.step_helper` thread, which scores the second half of its
+    query groups, scatters its relation-row terms and runs the second half of
+    its Adam row chunks (`optim._spread`); no byte depends on it.  The steps of
     `mc_explain`'s students take none: its worker processes train whole lockstep
     groups instead.  TransE gathers and differentiates every negative
     row by row, about four float64 arrays of `rows * (1 + eta)` rows.  `rows`
@@ -165,16 +162,7 @@ def _summed_gradients(entity_terms, relation_terms, n_rows: int, width: int, hel
                 start += len(block)
                 del index, block  # freed before the next block is made
 
-    if helper is None:
-        scatter(entity_terms)
-        scatter(relation_terms)
-        return rows, summed
-    other = helper.submit(contextvars.copy_context().run, scatter, relation_terms)
-    try:
-        scatter(entity_terms)
-    finally:
-        wait([other])  # neither thread writes `summed` once this returns or raises
-    other.result()
+    _spread(scatter, [entity_terms, relation_terms], helper)
     return rows, summed
 
 

@@ -577,6 +577,30 @@ class TestCliBehavior:
         assert status == 1
         assert "unknown entity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample-subgraph", "explain"])
+    def test_tab_separated_target_labels_may_hold_spaces(self, tmp_path, command):
+        """A graph's labels are tab-separated, so they may hold spaces; a target
+        with a tab splits on tabs alone."""
+        graph = tmp_path / "train.tsv"
+        rows = ["New York\tin\tUSA", "Paris\tin\tFrance", "New York\tnear\tBoston", "Boston\tin\tUSA",
+                "USA\tnear\tFrance", "Paris\tnear\tNew York"]
+        graph.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        g, teacher, out = load_graph(graph), tmp_path / "teacher.kgex", tmp_path / "out.tsv"
+        save_model(init_model("distmult", 2, g.n_entities, g.n_relations, seed=0), teacher, g.entity_vocab,
+                   g.relation_vocab)
+        options = {"sample-subgraph": [], "explain": ["--teacher", str(teacher), "--mc-runs", "2", "--partitions",
+                                                      "2", "--k", "2", "--epochs", "2"]}
+        assert run_cli([
+            command, "--graph", str(graph), "--target", "New York\tin\tUSA", *options[command],
+            "--method", "pn", "--n", "2", "--seed", "1", "--out", str(out),
+        ]) == 0
+        manifest = json.loads((tmp_path / "out.tsv.manifest.json").read_text())
+        assert manifest["config"]["target"] == "New York\tin\tUSA"
+        if command == "sample-subgraph":
+            assert "# target\tNew York\tin\tUSA\n" in out.read_text(encoding="utf-8")
+        else:
+            assert "New York" in out.read_text(encoding="utf-8")
+
     def test_config_file_precedence(self, workspace, tmp_path):
         root, _, _ = workspace
         config = tmp_path / "kgex.conf"

@@ -68,6 +68,31 @@ class TestPredicateNeighborhood:
             previous = current
 
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_draws_stop_once_every_endpoint_is_in(self, monkeypatch, seed):
+        """n = 10**6 reads a few hundred same-predicate triples, not 10**6, and
+        gives the union over every such triple; a smaller n gives what drawing
+        all n would."""
+        g = random_graph(30, 4, 150, seed=5)
+        target = g.triple_at(0)
+        pool = g.predicate_positions(target[1])
+        everything = set(incident_triples(g, target[0], target[2]))
+        for s_hat, _, o_hat in map(g.triple_at, pool):
+            everything |= incident_triples(g, s_hat, o_hat)
+        for n in (1, 5, 40, 400):
+            replay, endpoints = rng_for(seed), {target[0], target[2]}
+            for _ in range(n):
+                s_hat, _, o_hat = g.triple_at(int(pool[replay.integers(len(pool))]))
+                endpoints |= {s_hat, o_hat}
+            expected = np.unique(np.concatenate([g.entity_positions(e) for e in endpoints]))
+            assert np.array_equal(sample_pn(g, target, n, rng_for(seed)).positions, expected)
+        read, calls = g.triple_at, []
+        monkeypatch.setattr(g, "triple_at", lambda pos: calls.append(pos) or read(pos))
+        sub, drawn = sample_pn(g, target, 10**6, rng_for(seed)), len(calls)
+        assert subgraph_triples(sub) == everything
+        assert len(pool) < drawn < 20 * len(pool)
+
+
 class TestRandomWalk:
     def test_n_zero_is_exactly_one_hop(self):
         g = demo_graph()

@@ -865,57 +865,74 @@ class TestThreads:
                 kgex.optim._spread(item, [0, 1], helper)
             assert len(finished) == 1
 
-    @staticmethod
-    def helper_first(taken):
-        """A `kgex-step` helper whose `submit` returns once `taken` is set: the
-        item the helper takes first sets it."""
-
-        class HelperFirst(ThreadPoolExecutor):
-            def submit(self, fn):
-                future = super().submit(fn)
-                assert taken.wait(10)
-                return future
-
-        return HelperFirst(1, "kgex-step")
-
-    def test_the_lowest_numbered_items_error_comes_out(self):
-        """Items 0 and 1 both raise.  The helper takes item 0 (this thread starts
-        only once it has) and raises after this thread has raised on item 1:
-        item 0's error comes out, as a loop over the items would raise it."""
-        taken, raised, threads = threading.Event(), threading.Event(), {}
+    def test_items_split_in_halves(self):
+        """This thread runs the first ceil(n/2) of 5 items and the helper the
+        other 2, each half in order; every item sleeps, so threads that each
+        took the next item left would interleave them."""
+        ran = []
 
         def item(i):
-            threads[i] = threading.current_thread().name
-            if threads[i].startswith("kgex-step"):
-                taken.set()
-                assert raised.wait(10)
-            else:
-                raised.set()
+            time.sleep(0.01)
+            ran.append((threading.current_thread().name, i))
+            return 10 * i
+
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
+            assert kgex.optim._spread(item, range(5), helper) == [0, 10, 20, 30, 40]
+        here = threading.current_thread().name
+        assert [i for name, i in ran if name == here] == [0, 1, 2]
+        assert [i for name, i in ran if name != here] == [3, 4]
+        assert {name for name, _ in ran} == {here, "kgex-step_0"}
+
+    def test_each_thread_stops_at_its_first_failed_item(self):
+        """Of 6 items, 1 (this thread's half) and 4 (the helper's) raise:
+        neither thread runs an item after its failure, and item 1's error
+        comes out."""
+        ran = {}
+
+        def item(i):
+            time.sleep(0.01)
+            ran[i] = threading.current_thread().name
+            if i in (1, 4):
+                raise ValueError(f"item {i}")
+
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
+            with pytest.raises(ValueError, match="item 1"):
+                kgex.optim._spread(item, range(6), helper)
+        assert sorted(ran) == [0, 1, 3, 4] and ran[3] == ran[4] == "kgex-step_0"
+
+    def test_the_lowest_numbered_error_comes_out_once_both_halves_stop(self):
+        """Of 4 items, this thread's item 0 raises at once and the helper's
+        item 2 raises 50 ms later: item 0's error comes out, once item 2 has
+        ended, and neither thread runs another item."""
+        ended = []
+
+        def item(i):
+            if i == 0:
+                raise ValueError("item 0")
+            time.sleep(0.05)
+            ended.append(i)
             raise ValueError(f"item {i}")
 
-        with self.helper_first(taken) as helper:
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
             with pytest.raises(ValueError, match="item 0"):
-                kgex.optim._spread(item, [0, 1, 2], helper)
-        assert threads[0].startswith("kgex-step") and threads[1] == threading.current_thread().name
-        assert 2 not in threads  # neither thread takes an item after one failed
+                kgex.optim._spread(item, range(4), helper)
+            assert ended == [2]
 
-    def test_an_interrupt_leaves_the_helper_no_item(self):
-        """This thread is interrupted on item 1 while the helper has item 0 for
-        50 ms more: the helper takes no item after it, and the interrupt comes out."""
-        taken, threads = threading.Event(), {}
+    def test_an_interrupt_comes_out_once_the_helpers_half_has_ended(self):
+        """This thread is interrupted on item 0 of 6 while the helper's items
+        3-5 each take 20 ms: all three end before the interrupt comes out."""
+        ended = []
 
         def item(i):
-            threads[i] = threading.current_thread().name
             if i == 0:
-                taken.set()
-                time.sleep(0.05)
-            else:
                 raise KeyboardInterrupt
+            time.sleep(0.02)
+            ended.append(i)
 
-        with self.helper_first(taken) as helper:
+        with ThreadPoolExecutor(1, "kgex-step") as helper:
             with pytest.raises(KeyboardInterrupt):
-                kgex.optim._spread(item, list(range(6)), helper)
-        assert sorted(threads) == [0, 1] and threads[0].startswith("kgex-step")
+                kgex.optim._spread(item, range(6), helper)
+            assert ended == [3, 4, 5]
 
     def test_two_threads_switching_often(self, monkeypatch):
         """This thread and the helper hand the interpreter lock over every
