@@ -284,6 +284,7 @@ def _cmd_explain(args, opts, manifest) -> list:
         never_sampled=len(report.tail), min_subset=min(subset_sizes), max_subset=max(subset_sizes),
         duplicates_dropped=g.duplicates_dropped, workers=report.workers, groups=report.groups,
         degenerate_kd_terms=sum(rec.degenerate_kd_terms for rec in report.records),
+        target_held_out=int(report.target_held_out),
     )
     print(
         f"explained {args.target!r}: {len(report.entries)} ranked triples, "

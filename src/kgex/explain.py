@@ -84,6 +84,7 @@ class ExplanationReport:
     provenance: dict
     workers: int = 1  # processes the lockstep groups were spread over (1: trained in the calling process)
     groups: int = 0  # lockstep groups trained, over all workers
+    target_held_out: bool = False  # the target is a graph triple, kept out of every subset
 
 
 def partition_positions(
@@ -111,8 +112,7 @@ def _lockstep_groups(config: TrainConfig, plans: list, workers: int) -> list[lis
     elems = sum(min(len(subset), config.batch_size) for _, subset, _ in plans) * width
     count = -(-elems // optim._CHUNK_ELEMS)  # the fewest that fit
     count = min(-(-count // workers) * workers, len(plans))
-    size, more = divmod(len(plans), count)  # as `np.array_split`: the first `more` take one more
-    return [plans[i * size + min(i, more) : (i + 1) * size + min(i + 1, more)] for i in range(count)]
+    return [[plans[i] for i in part.tolist()] for part in np.array_split(np.arange(len(plans)), count)]
 
 
 def _run_group(triples, angles, sizes, target, config, kd_lambda, flt, group) -> list[RunRecord]:
@@ -161,14 +161,15 @@ def mc_explain(
     the teacher's `triple_angles` of them, made once.  Each cycle of `partitions`
     runs draws one seeded partition of the subgraph and takes its subsets in order,
     so a full cycle covers it; a subset of one entity, too few to corrupt, is
-    rejected before any run.  A plan is (run, subset, seed), its subset
-    subgraph-local; its record maps back to graph positions.  The plans form
-    `_lockstep_groups` for min(max(threads, 2), runs, CPUs) workers (two at
-    `threads` 1, as a `run_training` step takes two threads); with more than one,
-    each group is one task (`_run_group`) of a pool of that many processes, else
-    the groups train in turn on the calling thread.  No byte depends on the
-    number of workers.  Without `flt`, the target is ranked against the graph's
-    true triples of its (s, p) and (p, o) keys only.
+    rejected before any run.  A target that is a graph triple is left out of every
+    partition: no student trains on its answer, and the report's tail holds it.
+    A plan is (run, subset, seed), its subset subgraph-local; its record maps back
+    to graph positions.  The plans form `_lockstep_groups` for min(max(threads, 2),
+    runs, CPUs) workers (two at `threads` 1, as a `run_training` step takes two
+    threads); with more than one, each group is one task (`_run_group`) of a pool
+    of that many processes, else the groups train in turn on the calling thread.
+    No byte depends on the number of workers.  Without `flt`, the target is ranked
+    against the graph's true triples of its (s, p) and (p, o) keys only.
     """
     config.validate()
     check_teacher(teacher, g)
@@ -181,13 +182,14 @@ def mc_explain(
         flt = TrueTripleSet(g.triples[keyed], g.n_entities, g.n_relations)
     triples = g.triples[sub.positions]
     angles = triple_angles(teacher, triples) if config.kd_lambda > 0.0 else None
+    indices = np.flatnonzero((triples != target).any(axis=1))  # all but the target's, if it is there
 
     plans = []
     for run in range(config.mc_runs):
         cycle, part = divmod(run, config.partitions)
-        if part == 0:  # the positions' indices, shuffled as the positions would be
+        if part == 0:  # the kept indices, shuffled as their positions would be
             part_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, cycle]))
-            parts = partition_positions(np.arange(len(sub)), config.partitions, part_rng)
+            parts = partition_positions(indices, config.partitions, part_rng)
         subset = np.sort(parts[part])
         if config.student.pool is None and len(np.unique(triples[subset][:, [0, 2]])) < 2:
             raise ValueError(f"run {run} would train on a subset with one entity, too few to corrupt; "
@@ -207,7 +209,7 @@ def mc_explain(
     records = [replace(rec, positions=sub.positions[rec.positions]) for group in results for rec in group]
 
     report = aggregate_contributions(records, sub)
-    report.workers, report.groups = workers, len(groups)
+    report.workers, report.groups, report.target_held_out = workers, len(groups), len(indices) < len(sub)
     report.provenance.update(
         target=target, method=sampler.method, n=sampler.n, sampler_seed=sampler.seed,
         mc_runs=config.mc_runs, partitions=config.partitions, kd_lambda=config.kd_lambda,

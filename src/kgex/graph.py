@@ -196,35 +196,26 @@ def _group_positions(n: int, parts) -> dict[int, np.ndarray]:
     return dict(zip(present.tolist(), np.split(key, bounds[present[1:]])))
 
 
-def _raise_first_bad_line(path, lines, lineno: int, n_cols: int, weight_policy: str) -> None:
-    """Raise the error of the first malformed line of a block that starts at `lineno`."""
-    for lineno, line in enumerate(lines, start=lineno):
-        parts, where = line.rstrip("\n").split("\t"), f"{path}:{lineno}:"
-        if len(parts) != n_cols:
-            raise GraphFormatError(f"{where} expected {n_cols} tab-separated columns, got {len(parts)}")
-        try:
-            w = float(parts[3]) if n_cols == 4 else 0.0
-        except ValueError:
-            w = np.nan
-        if _unusable(w, weight_policy):
-            raise GraphFormatError(f"{where} bad weight {parts[3]!r}")
-        if (w < 0.0 or w > 1.0) and weight_policy == "strict":
-            raise WeightRangeError(f"{where} weight {w} outside [0, 1] (strict policy)")
-
-
 def _block_columns(lines, n_cols: int, weight_policy: str) -> tuple[list, list, np.ndarray]:
     """A block's s/o labels (s0, o0, s1, o1, ...), predicate labels and weights.
 
-    Raises ValueError if any line of the block is malformed.
+    Raises GraphFormatError (WeightRangeError for a weight outside [0, 1] under
+    `strict`) if any line of the block is malformed; the message is exact for a
+    block of one line.
     """
-    if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) != n_cols - 1).any():
-        raise ValueError("column count")
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+    if (bad := tabs != n_cols - 1).any():
+        raise GraphFormatError(f"expected {n_cols} tab-separated columns, got {tabs[bad.argmax()] + 1}")
     fields = "".join(lines).replace("\n", "\t").split("\t")[: len(lines) * n_cols]  # no final ""
-    weights = np.fromiter(map(float, fields[3::4] if n_cols == 4 else ()), np.float64)
-    if _unusable(weights, weight_policy).any():
-        raise ValueError("bad weight")
-    if weight_policy == "strict" and ((weights < 0.0) | (weights > 1.0)).any():
-        raise ValueError("weight range")
+    texts = fields[3::4] if n_cols == 4 else []
+    try:
+        weights = np.fromiter(map(float, texts), np.float64)
+    except ValueError:
+        raise GraphFormatError(f"bad weight {texts[0]!r}") from None
+    if (bad := _unusable(weights, weight_policy)).any():
+        raise GraphFormatError(f"bad weight {texts[bad.argmax()]!r}")
+    if weight_policy == "strict" and (bad := (weights < 0.0) | (weights > 1.0)).any():
+        raise WeightRangeError(f"weight {weights[bad.argmax()]} outside [0, 1] (strict policy)")
     ends = [""] * (2 * len(lines))
     ends[0::2], ends[1::2] = fields[0::n_cols], fields[2::n_cols]
     return ends, fields[1::n_cols], weights
@@ -254,8 +245,8 @@ def _ingest(
 
     With `grow`, unseen labels are added to the vocabularies; otherwise a
     triple with an unseen label is skipped and counted in `oov_skipped`.  An
-    error names the first malformed line; only a block holding one is scanned
-    line by line to find it.
+    error names the first malformed line: only a block holding one is parsed
+    again, a line at a time, to find it.
     """
     if weight_policy not in ("strict", "clamp", "minmax"):
         raise ValueError(f"unknown weight policy {weight_policy!r}")
@@ -265,8 +256,12 @@ def _ingest(
         while lines := fh.readlines(_BLOCK_BYTES):  # whole lines, in file order
             try:
                 ends, predicates, weights = _block_columns(lines, n_cols, weight_policy)
-            except ValueError:
-                _raise_first_bad_line(path, lines, lineno, n_cols, weight_policy)
+            except GraphFormatError:  # a block fails exactly where one of its lines does
+                for at, line in enumerate(lines, start=lineno):
+                    try:
+                        _block_columns([line], n_cols, weight_policy)
+                    except GraphFormatError as exc:
+                        raise type(exc)(f"{path}:{at}: {exc}") from None
             lineno += len(lines)
             ids = np.empty((len(lines), 3), dtype=np.int64)
             ids[:, ::2] = entity_vocab.ids_of(ends, grow).reshape(-1, 2)

@@ -16,6 +16,7 @@ import numpy as np
 # most 512 KiB) and a chunk of a training step's candidate block or row terms,
 # and a lockstep group's stacked (rows, width) arrays (`explain._lockstep_groups`)
 _CHUNK_ELEMS = 1 << 16
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator term (Kingma & Ba's defaults)
 
 
 def _chunk_rows(width: int) -> int:
@@ -69,12 +70,10 @@ class SparseAdam:
     (a `step_helper`) when given and there are several; neither moves a byte.
     """
 
-    def __init__(
-        self, shape: tuple[int, int], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-    ) -> None:
+    def __init__(self, shape: tuple[int, int], lr: float) -> None:
         if not lr >= 0:  # NaN too; inf stays legal, as in TrainConfig
             raise ValueError("learning rate must be >= 0")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m, self.v, self.t = np.zeros(shape), np.zeros(shape), 0
 
     def apply(self, params: np.ndarray, rows: np.ndarray, grads: np.ndarray, helper=None) -> np.ndarray:
@@ -87,7 +86,7 @@ class SparseAdam:
         """
         grads = np.require(grads, params.dtype, "W")
         self.t += 1
-        b1, b2, m_scale, v_scale = self.beta1, self.beta2, 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        b1, b2, m_scale, v_scale = _BETA1, _BETA2, 1.0 - _BETA1**self.t, 1.0 - _BETA2**self.t
         size = _chunk_rows(params.shape[1])
         starts = range(0, len(rows), size)
 
@@ -106,7 +105,7 @@ class SparseAdam:
             m *= self.lr
             v /= v_scale
             np.sqrt(v, out=v)
-            v += self.eps
+            v += _EPS
             m /= v  # the update, lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
             params[ids] = np.subtract(params.take(ids, axis=0), m, out=g)
 

@@ -35,7 +35,7 @@ class TrainConfig:
     one gather of them for the L2 loss); its `(rows, 1 + eta, width)` candidate
     block, its other `(rows, width)` arrays and the Adam update are held only in
     chunks of at most `optim._CHUNK_ELEMS` elements (`_chunk_rows`): train-fb237
-    (10,000 rows, eta 10, width 200) peaks at about 205 MiB resident, tables
+    (10,000 rows, eta 10, width 200) peaks at about 206 MiB resident, tables
     included.  `run_training` shares a step of more than one candidate chunk
     with an `optim.step_helper` thread, which scores the second half of its
     query groups, scatters its relation-row terms and runs the second half of

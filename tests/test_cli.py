@@ -424,7 +424,7 @@ class TestPipeline:
         assert manifest["counters"] == {
             "subgraph_triples": size, "ranked_triples": len(body) - never, "never_sampled": never,
             "min_subset": size // 2, "max_subset": -(-size // 2), "duplicates_dropped": 0,
-            "workers": 2, "groups": 2, "degenerate_kd_terms": 0,
+            "workers": 2, "groups": 2, "degenerate_kd_terms": 0, "target_held_out": 0,
         }
         # the workers trained the students, and the manifest counts their memory
         assert isinstance(manifest["workers_peak_rss_mib"], float) and manifest["workers_peak_rss_mib"] > 0

@@ -390,6 +390,25 @@ class TestMcExplain:
             covered.update(int(p) for p in rec.positions)
         assert covered == {e.position for e in report.entries}
 
+    def test_graph_triple_target_is_in_no_run(self, toy):
+        """A target that is a graph triple is held out of every partition: no run's
+        subset holds it, and it is the tail, with every other subgraph triple
+        ranked.  A target outside the graph holds nothing out."""
+        g, held_out, teacher = toy
+        config = ExplainConfig(
+            mc_runs=4, partitions=2, student=self.student_cfg(), kd_lambda=3.0,
+            sampler=SubgraphSpec("pn", 2), seed=3,
+        )
+        for position in (0, 41):
+            target = g.triple_at(position)
+            report = mc_explain(teacher, g, target, config)
+            assert report.target_held_out
+            assert not any(position in rec.positions for rec in report.records)
+            assert report.tail == [(target, position)]
+            assert len(report.entries) + 1 == report.provenance["subgraph_size"]
+        report = mc_explain(teacher, g, tuple(map(int, held_out[0])), config)
+        assert not report.target_held_out and report.tail == []
+
     def test_deterministic_and_thread_invariant(self, toy):
         g, held_out, teacher = toy
         target = tuple(map(int, held_out[2]))

@@ -35,8 +35,9 @@ GOLDEN = {
         "0cd09536fab52a07cc5c7fb147c2909215298b24a6478e69b4e59e8a0f7071e0",
     "student.kgex":
         "ed52250d4656ea85945e703519fdeeae4e1fac9398e0d6db2d000e466844d75d",
+    # its target, `rows[3]`, is a training triple, held out of every run
     "report.tsv":
-        "fc0bc57079747166f0f169f263feccf90781cca732a3a0895b198c10e8a7c221",
+        "5ca7dc175e91c54c26374166cf46049780b4056ec15b74cf82865a63b5726a5a",
     "metrics.json":
         "2bb1830238f08095ca9488bf307330cb8f275ca21b3f2e2702d50ad7cc1ac289",
 }
@@ -135,3 +136,19 @@ def test_output_digest_unchanged_on_two_threads_in_tiny_chunks(split_outputs, na
 
 def test_report_digest_unchanged_on_two_processes(process_report):
     assert file_digest(process_report) == GOLDEN["report.tsv"]
+
+
+# `rows[80]` is a test triple, so its explanation holds no triple out of the runs
+# and keeps the bytes it had before training-triple targets were held out
+OUT_OF_GRAPH_REPORT = "a3a721a05a7e84f80ab731de32cde8c40d985a30b8d6eef82176af757e05f146"
+
+
+def test_only_a_target_in_the_graph_is_held_out(outputs, tmp_path):
+    g = random_graph(24, 3, 90, seed=41)
+    out = tmp_path / "report.tsv"
+    assert run_cli(list(_explain(outputs, " ".join(_labels(g, g.triples[80])), "1", out))) == 0
+    assert file_digest(out) == OUT_OF_GRAPH_REPORT
+    held_out = lambda report: json.loads(manifest_path(report).read_text())["counters"]["target_held_out"]
+    assert (held_out(out), held_out(outputs / "report.tsv")) == (0, 1)
+    # the golden report's target is the one triple no run trained on
+    assert (outputs / "report.tsv").read_text().endswith("-\t" + "\t".join(_labels(g, g.triples[3])) + "\t-\t0\n")

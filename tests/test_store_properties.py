@@ -155,6 +155,29 @@ def test_first_malformed_line_is_reported(tmp_path, monkeypatch, block_bytes, na
             load_split(path, *numbered_vocabularies(1, 1), has_weights=True, weight_policy="clamp")
 
 
+# The one malformed line is the last, with no newline after it: an overflowing
+# weight, read as inf, then a short line.
+NEWLINE_LESS_BAD_LAST_LINES = [
+    ("a\tr\tb\t0.5\nb\tr\tc\t1e400", "strict", WeightRangeError, ":2: weight inf outside [0, 1] (strict policy)"),
+    ("a\tr\tb\t0.5\nb\tr\tc\t1e400", "minmax", GraphFormatError, ":2: bad weight '1e400'"),
+    ("a\tr\tb\t0.5\nb\tr", "strict", GraphFormatError, ":2: expected 4 tab-separated columns, got 2"),
+]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+@pytest.mark.parametrize("text, policy, error, message", NEWLINE_LESS_BAD_LAST_LINES,
+                         ids=["overflow, strict", "overflow, minmax", "short line"])
+def test_malformed_last_line_without_newline_is_reported(
+    tmp_path, monkeypatch, block_bytes, text, policy, error, message,
+):
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(error) as raised:
+        load_graph(path, has_weights=True, weight_policy=policy)
+    assert type(raised.value) is error and str(raised.value) == f"{path}{message}"
+
+
 def test_load_memory_is_one_block_plus_the_rows(tmp_path, monkeypatch):
     """A load's traced peak stays below the size of its file.
 
