@@ -162,7 +162,8 @@ def mc_explain(
     runs draws one seeded partition of the subgraph and takes its subsets in order,
     so a full cycle covers it; a subset of one entity, too few to corrupt, is
     rejected before any run.  A target that is a graph triple is left out of every
-    partition: no student trains on its answer, and the report's tail holds it.
+    partition: no student trains on its answer, and the report's tail holds it; a
+    subgraph with fewer other triples than `partitions` is rejected before any run.
     A plan is (run, subset, seed), its subset subgraph-local; its record maps back
     to graph positions.  The plans form `_lockstep_groups` for min(max(threads, 2),
     runs, CPUs) workers (two at `threads` 1, as a `run_training` step takes two
@@ -183,6 +184,9 @@ def mc_explain(
     triples = g.triples[sub.positions]
     angles = triple_angles(teacher, triples) if config.kd_lambda > 0.0 else None
     indices = np.flatnonzero((triples != target).any(axis=1))  # all but the target's, if it is there
+    if len(indices) < config.partitions and len(indices) < len(sub):  # else partition_positions' error is exact
+        raise ValueError(f"cannot partition {len(indices)} triples into {config.partitions} subsets: "
+                         f"the target is held out of the {len(sub)}-triple subgraph")
 
     plans = []
     for run in range(config.mc_runs):

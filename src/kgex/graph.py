@@ -17,6 +17,8 @@ _NO_POSITIONS.flags.writeable = False
 # bytes of whole lines read at a time: a block's strings take about 12 bytes a byte, 3 MiB,
 # against 12 MiB for 1 MiB blocks, which loaded FB15K-237 no faster (2-vCPU x86 VM)
 _BLOCK_BYTES = 1 << 18
+# what `bytes.translate` deletes from a block to leave its tabs and newlines, no byte of a multi-byte character
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
 
 
 class GraphFormatError(ValueError):
@@ -203,10 +205,12 @@ def _block_columns(lines, n_cols: int, weight_policy: str) -> tuple[list, list, 
     `strict`) if any line of the block is malformed; the message is exact for a
     block of one line.
     """
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
-    if (bad := tabs != n_cols - 1).any():
-        raise GraphFormatError(f"expected {n_cols} tab-separated columns, got {tabs[bad.argmax()] + 1}")
-    fields = "".join(lines).replace("\n", "\t").split("\t")[: len(lines) * n_cols]  # no final ""
+    text = "".join(lines)
+    separators = (b"\t" * (n_cols - 1) + b"\n") * len(lines)  # the last line may have no newline
+    if text.encode().translate(None, _NOT_SEPARATORS) != separators[: len(separators) - (text[-1] != "\n")]:
+        tabs = text.count("\t")
+        raise GraphFormatError(f"expected {n_cols} tab-separated columns, got {tabs + 1}")
+    fields = text.replace("\n", "\t").split("\t")[: len(lines) * n_cols]  # no final ""
     texts = fields[3::4] if n_cols == 4 else []
     try:
         weights = np.fromiter(map(float, texts), np.float64)
@@ -266,10 +270,11 @@ def _ingest(
             ids = np.empty((len(lines), 3), dtype=np.int64)
             ids[:, ::2] = entity_vocab.ids_of(ends, grow).reshape(-1, 2)
             ids[:, 1] = relation_vocab.ids_of(predicates, grow)
-            known = (ids >= 0).all(axis=1)  # a row with an unseen label is skipped
-            id_blocks.append(ids[known])
+            known = np.minimum(np.minimum(ids[:, 0], ids[:, 1]), ids[:, 2]) >= 0
+            every = known.all()  # else a row with an unseen label is skipped
+            id_blocks.append(ids if every else ids[known])
             if has_weights:
-                weight_blocks.append(weights[known])
+                weight_blocks.append(weights if every else weights[known])
     n_known = sum(map(len, id_blocks))
     arr, weights = _distinct_rows(id_blocks, weight_blocks, len(entity_vocab), len(relation_vocab))
     return KnowledgeGraph(
@@ -282,21 +287,24 @@ def _ingest(
 def _distinct_rows(id_blocks: list, weight_blocks: list, n_entities: int, n_relations: int):
     """The first occurrence of each distinct row of the id blocks, in row order, and its weight.
 
-    The blocks give way to their rows' keys one by one, and the kept rows are
-    decoded from their keys, so at most 32 bytes a row are held at once: a
-    key, its sort order, its sorted copy and the sort's buffer, or a kept
-    key and its decoded row.
+    A key's first occurrence is the smallest position in its run of the (unstable) sort
+    order.  The blocks give way to their rows' keys one by one, and the kept rows are
+    decoded from their keys, so at most 32 bytes a row are held at once: a key, its sort
+    order and its sorted copy; or those less the copy, and a run's start and first
+    position; or a kept key and its decoded row.
     """
     for i, ids in enumerate(id_blocks):
         id_blocks[i] = _triple_keys(ids, n_entities, n_relations)
     keys = np.concatenate([np.empty(0, dtype=np.int64), *id_blocks])
     id_blocks.clear()
-    order = np.argsort(keys, kind="stable")  # the copies of a key in row order
+    order = np.argsort(keys)  # each key's copies in one run, in no set order
     ranked = keys[order]
     new = np.r_[True, ranked[1:] != ranked[:-1]][: len(keys)]
     del ranked
-    first = order[new]
-    del order
+    starts = np.flatnonzero(new)
+    del new
+    first = np.minimum.reduceat(order, starts)
+    del order, starts
     first.sort()
     weights = np.concatenate(weight_blocks)[first] if weight_blocks else None
     keys = keys[first]

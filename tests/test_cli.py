@@ -577,6 +577,26 @@ class TestCliBehavior:
         assert status == 1
         assert "unknown entity" in capsys.readouterr().err
 
+    def test_too_few_triples_besides_a_held_out_target(self, tmp_path, capsys):
+        """A graph-triple target is held out of its subgraph's partitions: the error
+        counts the triples left and names the subgraph that sample-subgraph reports."""
+        graph, teacher, sub = tmp_path / "train.tsv", tmp_path / "teacher.kgex", tmp_path / "sub.tsv"
+        graph.write_text("a\tr\tb\nb\tr\tc\nd\tq\te\n", encoding="utf-8")
+        g = load_graph(graph)
+        save_model(init_model("distmult", 2, g.n_entities, g.n_relations, seed=0), teacher, g.entity_vocab,
+                   g.relation_vocab)
+        target = ["--graph", str(graph), "--target", "a r b", "--method", "pn", "--n", "0", "--seed", "1"]
+        assert run_cli(["sample-subgraph", *target, "--out", str(sub)]) == 0
+        assert "# triples\t2\n" in sub.read_text(encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "report.tsv"
+        status = run_cli(["explain", "--teacher", str(teacher), *target, "--partitions", "2", "--out", str(out)])
+        assert status == 1
+        assert capsys.readouterr().err.strip() == (
+            "kgex explain: error: cannot partition 1 triples into 2 subsets: "
+            "the target is held out of the 2-triple subgraph")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sample-subgraph", "explain"])
     def test_tab_separated_target_labels_may_hold_spaces(self, tmp_path, command):
         """A graph's labels are tab-separated, so they may hold spaces; a target

@@ -272,6 +272,15 @@ class TestVocabularyDump:
         loaded = Vocabulary.load(path)
         assert loaded.labels == g.entity_vocab.labels
 
+    def test_non_ascii_labels_round_trip(self, tmp_path):
+        from kgex.graph import Vocabulary
+
+        # multi-byte UTF-8, and characters that `str.splitlines` would split a line at
+        labels = ["é", "日本", "a\x85b", "c\u2028d"]
+        path = tmp_path / "entities.tsv"
+        Vocabulary(labels).dump(path)
+        assert Vocabulary.load(path).labels == labels
+
     def test_duplicate_label_is_named(self, tmp_path):
         from kgex.graph import Vocabulary
 

@@ -30,6 +30,9 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 WEIGHTS = st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0])
 
+# multi-byte UTF-8 labels, and labels holding characters that `str.splitlines` splits at
+NON_ASCII = ["é", "日本", "a\x85b", "c\u2028d"]
+
 
 def label_rows(entities, relations):
     return st.lists(
@@ -79,7 +82,8 @@ def assert_ingest_matches_loop(tmp, train_rows, split_rows, **layout):
 
 
 @PROPERTY
-@given(label_rows("abcde", "rq"), label_rows("abcdexy", "rqz"))
+@given(label_rows([*"abcde", *NON_ASCII], ["r", "q", *NON_ASCII]),
+       label_rows([*"abcdexy", *NON_ASCII, "ü"], ["r", "q", "z", *NON_ASCII]))
 def test_ingest_matches_row_loop(train_rows, split_rows):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         for block_bytes in BLOCK_SIZES:
@@ -120,7 +124,10 @@ def test_empty_file_loads_an_empty_graph(tmp_path, monkeypatch, block_bytes, has
 
 # Each file has two malformed lines, of different kinds and several lines apart, so
 # that at the smaller block sizes they sit in different blocks: the earlier one is
-# reported, with the message and line number of a line-by-line read.
+# reported, with the message and line number of a line-by-line read.  In the last
+# file they are adjacent, in one block at 32 bytes and up: a long line, then a short
+# one.  The block holds as many tabs in all as a well-formed block, and its fields
+# read as a well-formed block's would, so only a check of each line finds them.
 BAD_FILES = {
     "empty line before a bad weight": (
         "a\tr\tb\t0.5\n\nb\tr\tc\t1\nc\tr\ta\t0\na\tq\tc\tx\n",
@@ -137,6 +144,9 @@ BAD_FILES = {
     "long line before an out-of-range weight": (
         "a\tr\tb\t0.5\tz\nb\tr\tc\t0\nc\tr\ta\t1\na\tq\tc\t-0.5\n",
         GraphFormatError, ":1: expected 4 tab-separated columns, got 5"),
+    "long line then a short line in one block": (
+        "a\tr\tb\t0.5\nb\tr\tc\t1\t0\nc\tr\t1\na\tq\tc\t0\n",
+        GraphFormatError, ":2: expected 4 tab-separated columns, got 5"),
 }
 
 
@@ -186,13 +196,15 @@ def test_load_memory_is_one_block_plus_the_rows(tmp_path, monkeypatch):
     237 relations, 56 bytes a line.  The bound adds three terms:
 
     - the vocabularies, as measured on the loaded graph;
-    - 32 bytes a line: the most the loader holds per row (`graph._distinct_rows`);
-      while parsing, a row's three int64 ids (24 bytes) and its block's share of
-      an array header;
+    - 32 bytes a line: the most the loader holds per row (`graph._distinct_rows`:
+      a key, its sort order and its sorted copy; or a key, its order, and a run's
+      start and first position); while parsing, a row's three int64 ids (24 bytes)
+      and its block's share of an array header;
     - 16 bytes per byte of a block: a block's text is held at most four times
-      (its lines, their join, the newline-to-tab copy and the split fields), and
-      its string headers, list slots and id arrays come to under 9 bytes per byte
-      of 56-byte lines.
+      (its lines, their join, and either the join's UTF-8 bytes, whose separators
+      are checked, or the newline-to-tab copy and the split fields), and its
+      string headers, list slots and id arrays come to under 9 bytes per byte of
+      56-byte lines.
 
     That bound is 87% of the file's size.  Parsing a line into Python
     objects costs several times the line (the per-line tuple parse peaked at 9
