@@ -4,7 +4,7 @@ distillation, and Monte Carlo explanations of individual link predictions."""
 from .distill import train_student
 from .evaluation import Metrics, RankResult, evaluate, metrics_from_ranks, rank_triple
 from .explain import ExplainConfig, ExplanationReport, RunRecord, aggregate_contributions, mc_explain
-from .focuse import FocusEConfig, beta_schedule, softplus_score
+from .focuse import beta_schedule, softplus_score
 from .graph import (
     KnowledgeGraph, TrueTripleSet, Vocabulary, build_filter, graph_from_triples, load_graph, load_split,
 )
@@ -21,7 +21,7 @@ __all__ = [
     "train_student",
     "Metrics", "RankResult", "evaluate", "metrics_from_ranks", "rank_triple",
     "ExplainConfig", "ExplanationReport", "RunRecord", "aggregate_contributions", "mc_explain",
-    "FocusEConfig", "beta_schedule",
+    "beta_schedule",
     "KnowledgeGraph", "TrueTripleSet", "Vocabulary", "build_filter", "graph_from_triples",
     "load_graph", "load_split",
     "load_model", "save_model",

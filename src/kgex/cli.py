@@ -24,7 +24,6 @@ import numpy as np
 from .distill import check_kd_lambda
 from .evaluation import evaluate
 from .explain import ExplainConfig, mc_explain, write_report_tsv
-from .focuse import FocusEConfig
 from .graph import (
     KnowledgeGraph, Triple, build_filter, graph_from_triples, load_graph, load_split,
     triple_of_labels,
@@ -186,9 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_train(args, opts, manifest) -> list:
     kind = opts["model"] or ModelKind.TRANSE_L2.value
-    focuse_cfg = FocusEConfig(decay=opts["focuse_decay"]) if opts["focuse"] else None
-    cfg = _train_config(opts, kind, seed=opts["seed"], focuse=focuse_cfg)
+    cfg = _train_config(opts, kind, seed=opts["seed"], focuse_decay=opts["focuse_decay"] if opts["focuse"] else None)
     cfg.validate()
+    if opts["focuse"] and not opts["weights"]:
+        raise ValueError("--focuse needs --weights: it modulates training by the graph's weights column")
     manifest.add_input(args.graph)
     with manifest.stage("load"):
         g = load_graph(args.graph, has_weights=opts["weights"], weight_policy=opts["weight_policy"])
@@ -311,7 +311,7 @@ def _cmd_evaluate(args, opts, manifest) -> list:
     for path in args.filter:
         manifest.add_input(path)
     with manifest.stage("filter"):
-        filters = [load_split(path, ev, rv) for path in args.filter]
+        filters = [test if path == args.test else load_split(path, ev, rv) for path in args.filter]
         flt = build_filter(*filters) if filters else None
 
     with manifest.stage("rank"):

@@ -199,7 +199,7 @@ def mc_explain(
             raise ValueError(f"run {run} would train on a subset with one entity, too few to corrupt; "
                              f"try fewer --partitions than {config.partitions} or a larger --n")
         plans.append((run, subset, _derive_seed(config.seed, 2, run)))
-    student = replace(config.student, focuse=None)
+    student = replace(config.student, focuse_decay=None)
     sizes = (teacher.n_entities, teacher.n_relations)
     run_group = partial(_run_group, triples, angles, sizes, target, student, config.kd_lambda, flt)
 

@@ -8,23 +8,9 @@ complementary factors driven by the positive triple's weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .losses import softmax_nll_batch
-
-
-@dataclass
-class FocusEConfig:
-    """Weight-modulated training; a `None` config trains unmodulated.
-
-    `decay` is the number of epochs over which beta falls linearly from 1 to
-    0; `decay = 0` trains with beta = 0 throughout and `decay = inf` with
-    beta = 1 exactly at every epoch.
-    """
-
-    decay: float = 0.0
 
 
 def softplus_score(f: float | np.ndarray) -> float | np.ndarray:

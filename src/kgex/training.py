@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distill
-from .focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch
+from .focuse import alpha_batch, beta_schedule, focused_nll_batch
 from .graph import KnowledgeGraph
 from .losses import l2_regularizer_into, softmax_nll_batch
 from .models import EmbeddingModel, ModelKind, bilinear_product, init_model, query_pairs, score_grad_rows
@@ -28,7 +28,9 @@ class TrainConfig:
     uniform coin each).  `pool` optionally restricts corruption entities; by
     default corruptions are drawn from the entities occurring in the training
     triples.  `loss` is `multiclass_nll` (raw scores) or `softplus_nll`
-    (scores passed through softplus first).  For DistMult and ComplEx, one
+    (scores passed through softplus first).  `focuse_decay`, unless `None`,
+    weights training by the graph's weights (FocusE): beta falls from 1 to 0
+    over that many epochs: 0 at `0`, 1 at `inf`.  For DistMult and ComplEx, one
     step holds two float64 `(rows, width)` arrays, the sums over eta (with the
     angle term, also the three positive rows, their two queries and their three
     angle-term gradients), and the buffer of touched rows (for gamma > 0, also
@@ -61,7 +63,7 @@ class TrainConfig:
     loss: str = "multiclass_nll"
     seed: int = 0
     pool: np.ndarray | None = None
-    focuse: FocusEConfig | None = None
+    focuse_decay: float | None = None
 
     def validate(self) -> None:
         if self.k < 1:
@@ -78,7 +80,7 @@ class TrainConfig:
             raise ValueError("gamma must be finite and >= 0")
         if self.loss not in ("multiclass_nll", "softplus_nll"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.focuse is not None and not self.focuse.decay >= 0:  # inf is beta = 1
+        if self.focuse_decay is not None and not self.focuse_decay >= 0:  # inf is beta = 1
             raise ValueError("decay must be >= 0")
 
 
@@ -341,7 +343,7 @@ def train_lockstep(
     as when the runs train one after another.  `progress(epoch, mean loss)` follows each epoch.
     Steps and Adam updates of several chunks are shared with `helper` when given.
     """
-    bs, focuse = config.batch_size, config.focuse
+    bs, decay = config.batch_size, config.focuse_decay
     optimizer = SparseAdam(model.table.shape, config.lr)
     stats, per_epoch = [TrainStats() for _ in runs], [-(-len(run.triples) // bs) for run in runs]
     orders, loss_sums, errors, active = [None] * len(runs), [0.0] * len(runs), {}, range(len(runs))
@@ -357,7 +359,7 @@ def train_lockstep(
                 orders[j] = run.rng.permutation(len(run.triples))
             idx = orders[j][b * bs : (b + 1) * bs]
             batch = run.triples[idx]
-            alpha = focuse and alpha_batch(run.weights[idx], beta_schedule(epoch, focuse.decay), config.eta)
+            alpha = None if decay is None else alpha_batch(run.weights[idx], beta_schedule(epoch, decay), config.eta)
             angles = run.angles and tuple(a[:, idx] for a in run.angles)
             parts.append((batch, corrupt_batch(batch, config.eta, run.pool, run.rng), alpha, angles))
         batches, negatives, alphas, angles = zip(*parts)
@@ -365,7 +367,7 @@ def train_lockstep(
         bounds = [runs[j].starts[0] for j in active] + [model.n_entities + runs[j].starts[1] for j in active]
         losses, degenerate, rows, grad = batch_gradients(
             model, np.concatenate(batches), tuple(map(np.concatenate, zip(*negatives))), config,
-            focuse and np.concatenate(alphas), angles[0] and tuple(map(np.hstack, zip(*angles))),
+            None if decay is None else np.concatenate(alphas), angles[0] and tuple(map(np.hstack, zip(*angles))),
             kd_lambda, sizes, bounds + [len(model.table)], helper,
         )
         failed = {j: "loss" for j, loss in zip(active, losses) if not np.isfinite(loss)}
@@ -402,7 +404,7 @@ def run_training(
     if g.n_triples == 0:
         raise ValueError("cannot train on an empty graph")
     kind, pool = ModelKind(config.kind), corruption_pool(config, g.triples, g.n_entities)
-    if config.focuse is not None and g.weights is None:
+    if config.focuse_decay is not None and g.weights is None:
         raise ValueError("weight-modulated training requested but the graph has no weights column")
     if teacher is not None:
         distill.check_teacher(teacher, g)

@@ -349,7 +349,8 @@ def sequential_runs(teacher, g, target, config, records, flt=None):
         seed = int(np.random.SeedSequence([config.seed, 2, rec.run]).generate_state(1, np.uint64)[0])
         sub_graph = graph_from_triples(g.triples[rec.positions], g.entity_vocab, g.relation_vocab)
         student, stats = run_training(
-            sub_graph, replace(config.student, seed=seed, focuse=None), teacher=teacher, kd_lambda=config.kd_lambda
+            sub_graph, replace(config.student, seed=seed, focuse_decay=None), teacher=teacher,
+            kd_lambda=config.kd_lambda,
         )
         result = rank_triple(student, target, sub_graph.entities_in_triples(), flt)
         out.append(RunRecord(rec.run, rec.positions, result.mean_rank, result.subject_rank,

@@ -23,7 +23,6 @@ PUBLIC = [
     "EmbeddingModel",
     "ExplainConfig",
     "ExplanationReport",
-    "FocusEConfig",
     "KnowledgeGraph",
     "Metrics",
     "ModelKind",

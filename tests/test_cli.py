@@ -13,7 +13,7 @@ import pytest
 import kgex.optim
 from kgex.cli import build_parser, run_cli
 from kgex.explain import ExplainConfig, mc_explain
-from kgex.graph import load_graph, triple_of_labels
+from kgex.graph import load_graph, load_split, triple_of_labels
 from kgex.manifest import file_digest
 from kgex.modelio import (
     MAGIC, ModelFormatError, entity_sidecar, load_model, relation_sidecar, save_model,
@@ -323,6 +323,31 @@ class TestPipeline:
             "filter_oov_skipped": 0,
         }
         assert json.loads(out.read_text())["skipped"] == 1
+
+    def test_evaluate_parses_a_test_file_that_is_also_a_filter_once(self, pipeline, tmp_path, monkeypatch):
+        root, _, _ = pipeline
+        test = tmp_path / "test.tsv"
+        # an unknown label: counted once as test OOV and once as filter OOV
+        test.write_text((root / "test.tsv").read_text() + "nosuch\tr0\te1\n", encoding="utf-8")
+        copy = tmp_path / "copy.tsv"
+        copy.write_bytes(test.read_bytes())
+        calls = []
+        monkeypatch.setattr("kgex.cli.load_split", lambda path, *a: calls.append(path) or load_split(path, *a))
+
+        def evaluate_with_filter(path, out):
+            status = run_cli([
+                "evaluate", "--model", str(root / "teacher.kgex"), "--test", str(test),
+                "--filter", str(path), "--out", str(out),
+            ])
+            assert status == 0
+            return out.read_bytes(), json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["counters"]
+
+        reused = evaluate_with_filter(test, tmp_path / "reused.json")
+        assert calls == [str(test)]
+        parsed = evaluate_with_filter(copy, tmp_path / "parsed.json")
+        assert calls == [str(test), str(test), str(copy)]
+        assert reused == parsed
+        assert reused[1]["filter_oov_skipped"] == 1
 
     def test_manifests_count_duplicate_and_filter_oov_rows(self, pipeline, tmp_path, capsys):
         root, g, held_out = pipeline
@@ -763,6 +788,7 @@ class TestCliBehavior:
         ("train", ["--k", "0"], "embedding dimensionality must be >= 1"),
         ("train", ["--focuse", "--focuse-decay", "-1"], "decay must be >= 0"),
         ("train", ["--focuse", "--focuse-decay", "nan"], "decay must be >= 0"),
+        ("train", ["--focuse"], "--focuse needs --weights"),
         ("train", ["--lr", "nan"], "learning rate must be > 0"),
         ("explain", ["--lr", "nan"], "learning rate must be > 0"),
         ("train", ["--gamma", "nan"], "gamma must be finite and >= 0"),

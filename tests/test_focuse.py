@@ -1,11 +1,12 @@
 """Weight modulation: softplus transform, modulating factors, focused loss."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kgex.focuse import FocusEConfig, alpha_batch, beta_schedule, focused_nll_batch, softplus_score
+from kgex.focuse import alpha_batch, beta_schedule, focused_nll_batch, softplus_score
 from kgex.losses import softmax_nll_batch
 from kgex.training import TrainConfig, run_training
 
@@ -160,15 +161,28 @@ class TestFocuseTraining:
         baseline, _ = run_training(g, base_cfg)
         focuse_cfg = TrainConfig(
             kind="distmult", k=4, eta=2, lr=0.05, epochs=4, batch_size=32, seed=11,
-            focuse=FocusEConfig(decay=float("inf")),
+            focuse_decay=float("inf"),
         )
         modulated, _ = run_training(g, focuse_cfg)
         assert np.array_equal(baseline.entity_table, modulated.entity_table)
         assert np.array_equal(baseline.relation_table, modulated.relation_table)
 
+    def test_decay_zero_modulates_and_decay_inf_does_not(self):
+        # 0.0 is a modulated setting (beta = 0 throughout), not "off": only `None` is off
+        g = random_graph(12, 2, 50, seed=3)
+        g.weights = np.random.default_rng(6).permutation(g.n_triples) / g.n_triples  # distinct
+        base_cfg = TrainConfig(
+            kind="distmult", k=4, eta=2, lr=0.05, epochs=4, batch_size=32, seed=11, loss="softplus_nll",
+        )
+        baseline = run_training(g, base_cfg)[0].table
+        at_zero = run_training(g, replace(base_cfg, focuse_decay=0.0))[0].table
+        at_inf = run_training(g, replace(base_cfg, focuse_decay=float("inf")))[0].table
+        assert not np.array_equal(at_zero, baseline)
+        assert np.array_equal(at_inf, baseline)
+
     def test_focuse_without_weights_aborts(self):
         g = random_graph(12, 2, 30, seed=4)
-        cfg = TrainConfig(focuse=FocusEConfig(decay=5), epochs=1)
+        cfg = TrainConfig(focuse_decay=5, epochs=1)
         with pytest.raises(ValueError, match="weights"):
             run_training(g, cfg)
 
@@ -177,7 +191,7 @@ class TestFocuseTraining:
         g.weights = np.random.default_rng(0).uniform(size=g.n_triples)
         cfg = TrainConfig(
             kind="transe-l2", k=4, eta=2, lr=0.05, epochs=6, batch_size=32, seed=2,
-            focuse=FocusEConfig(decay=3),
+            focuse_decay=3,
         )
         model, _ = run_training(g, cfg)
         assert np.isfinite(model.entity_table).all()

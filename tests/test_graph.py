@@ -15,7 +15,6 @@ from kgex.graph import (
     load_split,
     one_hop_positions,
 )
-from kgex.focuse import FocusEConfig
 from kgex.training import TrainConfig, run_training
 
 from toygraphs import DEMO_TRIPLES, demo_graph, label_graph, random_graph
@@ -105,7 +104,7 @@ class TestLoadGraph:
         assert g.n_triples == 0
         assert g.weights.shape == (0,)
         with pytest.raises(ValueError, match="empty graph"):
-            run_training(g, TrainConfig(focuse=FocusEConfig()))
+            run_training(g, TrainConfig(focuse_decay=0.0))
 
     def test_weights_require_fourth_column(self, tmp_path):
         path = write_tsv(tmp_path / "g.tsv", [("A", "r", "B")])

@@ -16,7 +16,7 @@ import kgex.optim
 import kgex.training
 from kgex.distill import triple_angles
 from kgex.evaluation import evaluate
-from kgex.focuse import FocusEConfig, alpha_batch
+from kgex.focuse import alpha_batch
 from kgex.graph import build_filter, graph_from_triples
 from kgex.losses import l2_regularizer_into, softmax_nll_batch
 from kgex.models import init_model
@@ -789,7 +789,7 @@ class TestThreads:
         teacher = init_model(kind, 3, g.n_entities, g.n_relations, seed=5) if variant == "kd" else None
         config = TrainConfig(
             kind=kind, k=3, eta=3, epochs=2, batch_size=20, gamma=0.0 if variant == "plain" else 1e-3,
-            seed=2, focuse=FocusEConfig(decay=1.0) if variant == "focuse" else None,
+            seed=2, focuse_decay=1.0 if variant == "focuse" else None,
         )
 
         def train():
